@@ -1,4 +1,4 @@
-"""E-session — AnalysisSession caching and parallel replay.
+"""E-session — AnalysisSession caching.
 
 Measures what the session refactor buys on the two heavyweight case
 studies (W1 = COSMO-SPECS at 100 ranks, W2 = WRF at 64 ranks):
@@ -6,7 +6,6 @@ studies (W1 = COSMO-SPECS at 100 ranks, W2 = WRF at 64 ranks):
 * cold analysis (empty disk cache) vs warm analysis (all artifacts
   present) — the warm path must perform zero replay/profile
   recomputation and be substantially faster,
-* serial vs parallel per-rank stack replay,
 * in-session refinement cost (``refined()`` as a pure cache hit).
 
 Timings and speedups land in ``benchmarks/results/`` and are copied
@@ -17,7 +16,6 @@ import shutil
 import time
 
 from repro.core import AnalysisSession
-from repro.profiles import replay_trace
 
 
 def _timed(fn, repeats=3):
@@ -54,12 +52,6 @@ def _cold_vs_warm(trace, cache_root):
     return t_cold, t_warm
 
 
-def _serial_vs_parallel(trace):
-    _, t_serial = _timed(lambda: replay_trace(trace))
-    _, t_parallel = _timed(lambda: replay_trace(trace, parallel=True))
-    return t_serial, t_parallel
-
-
 def _refinement_cost(trace):
     session = AnalysisSession(trace)
     analysis, t_first = _timed(lambda: session.analysis(), repeats=1)
@@ -71,16 +63,12 @@ def _refinement_cost(trace):
 
 def _workload_lines(name, trace, tmp_root):
     t_cold, t_warm = _cold_vs_warm(trace, tmp_root / f"{name}-cache")
-    t_ser, t_par = _serial_vs_parallel(trace)
     t_first, t_refine = _refinement_cost(trace)
     return [
         f"{name}: {trace.num_processes} ranks, {trace.num_events} events",
         f"  cold analysis (empty cache):   {t_cold * 1e3:8.1f} ms",
         f"  warm analysis (disk cache):    {t_warm * 1e3:8.1f} ms"
         f"   ({t_cold / t_warm:4.1f}x speedup, zero recomputation)",
-        f"  serial replay:                 {t_ser * 1e3:8.1f} ms",
-        f"  parallel replay (threads):     {t_par * 1e3:8.1f} ms"
-        f"   ({t_ser / t_par:4.2f}x)",
         f"  first in-session analysis:     {t_first * 1e3:8.1f} ms",
         f"  refined() (session cache hit): {t_refine * 1e3:8.1f} ms",
         "",
@@ -92,7 +80,7 @@ def test_session_cache_speedups(
 ):
     tmp_root = tmp_path_factory.mktemp("session-bench")
     bench_meta(events=cosmo_trace.num_events)
-    lines = ["Session caching — cold vs warm, serial vs parallel replay", ""]
+    lines = ["Session caching — cold vs warm", ""]
     lines += _workload_lines("W1 cosmo_specs", cosmo_trace, tmp_root)
     lines += _workload_lines("W2 wrf", wrf_trace, tmp_root)
 

@@ -21,6 +21,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -66,28 +67,29 @@ def _version() -> str:
         return __version__
 
 
-def _load_trace(path: str, columns=None):
-    """Read a trace, mapping unusable paths to a consistent CLIError.
+@contextlib.contextmanager
+def _reading(path: str):
+    """Map unusable paths and malformed traces to a one-line CLIError.
 
-    ``columns`` projects the load (chunked reader) to the named event
-    columns — commands that only touch a few columns pass their
-    declared set and skip decompressing the rest.
+    Every reader failure — including ``TraceFormatError``, a
+    ``ValueError`` — exits with EXIT_BAD_INPUT instead of a traceback.
     """
-    from .trace import read_trace
-    from .trace.reader import TraceFormatError, TraceIndex
-
     try:
-        if columns is not None:
-            return TraceIndex(path).load(None, columns=columns)
-        return read_trace(path)
+        yield
     except FileNotFoundError:
         raise CLIError(f"trace file not found: {path}")
     except IsADirectoryError:
         raise CLIError(f"trace path is a directory: {path}")
-    except (TraceFormatError, ValueError) as err:
+    except (ValueError, OSError) as err:
         raise CLIError(f"cannot read trace {path}: {err}")
-    except OSError as err:
-        raise CLIError(f"cannot read trace {path}: {err}")
+
+
+def _load_trace(path: str):
+    """Read the whole trace at ``path`` (errors mapped by _reading)."""
+    from .trace import read_trace
+
+    with _reading(path):
+        return read_trace(path)
 
 
 def _shard_kwargs(args) -> dict:
@@ -102,17 +104,13 @@ def _shard_kwargs(args) -> dict:
 
 
 def _session(trace, args, config=None, source_path=None):
-    """Build an AnalysisSession honouring --cache-dir/--parallel/--shards."""
+    """Build an AnalysisSession honouring --cache-dir/--shards."""
     from .core.session import AnalysisSession
 
-    parallel = getattr(args, "parallel", None)
-    if parallel is not None and parallel < 1:
-        raise CLIError(f"--parallel must be >= 1, got {parallel}")
     return AnalysisSession(
         trace,
         config=config,
         cache_dir=getattr(args, "cache_dir", None),
-        parallel=parallel,
         source_path=source_path,
         **_shard_kwargs(args),
     )
@@ -129,18 +127,8 @@ def _session_for_path(path: str, args, config=None):
     kwargs = _shard_kwargs(args)
     if kwargs["shards"] is None and kwargs["max_memory_mb"] is None:
         return _session(_load_trace(path), args, config)
-    from .trace.reader import TraceFormatError
-
-    try:
+    with _reading(path):
         return _session(None, args, config, source_path=path)
-    except FileNotFoundError:
-        raise CLIError(f"trace file not found: {path}")
-    except IsADirectoryError:
-        raise CLIError(f"trace path is a directory: {path}")
-    except (TraceFormatError, ValueError) as err:
-        raise CLIError(f"cannot read trace {path}: {err}")
-    except OSError as err:
-        raise CLIError(f"cannot read trace {path}: {err}")
 
 
 def _add_cache_arg(parser) -> None:
@@ -275,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--ascii", action="store_true",
                      help="print the SOS heat map as ANSI art")
     ana.add_argument("--bins", type=int, default=512)
-    ana.add_argument("--parallel", type=int, default=None, metavar="N",
-                     help="replay ranks with N worker threads")
     ana.add_argument("--preflight", action="store_true",
                      help="run the full tracelint rule set before analysing; "
                      "error findings abort with exit code 2")
@@ -769,18 +755,8 @@ def _cmd_lint(args) -> int:
             )
         return 0
     config = _lint_cli_config(args)
-    from .trace.reader import TraceFormatError
-
-    try:
+    with _reading(args.trace):
         report = lint_path(args.trace, config=config, **_shard_kwargs(args))
-    except FileNotFoundError:
-        raise CLIError(f"trace file not found: {args.trace}")
-    except IsADirectoryError:
-        raise CLIError(f"trace path is a directory: {args.trace}")
-    except (TraceFormatError, ValueError) as err:
-        raise CLIError(f"cannot read trace {args.trace}: {err}")
-    except OSError as err:
-        raise CLIError(f"cannot read trace {args.trace}: {err}")
     if args.severity:
         report = report.filtered(min_severity=Severity.parse(args.severity))
     if args.fmt == "sarif":
@@ -894,7 +870,6 @@ def _cmd_explain(args) -> int:
 def _cmd_monitor(args) -> int:
     from . import obs
     from .core.streaming import STREAM_COLUMNS, StreamingAnalyzer
-    from .trace.reader import TraceFormatError
 
     chunk_events = args.chunk_events if args.chunk_events is not None else args.chunk
     if chunk_events < 1:
@@ -902,7 +877,7 @@ def _cmd_monitor(args) -> int:
     if args.window is not None and args.window < 1:
         raise CLIError(f"--window must be >= 1, got {args.window}")
 
-    try:
+    with _reading(args.trace):
         if args.follow:
             from .trace.cursor import TailCursor
 
@@ -923,14 +898,6 @@ def _cmd_monitor(args) -> int:
             cursor = index.cursor(
                 columns=STREAM_COLUMNS, chunk_events=chunk_events
             )
-    except FileNotFoundError:
-        raise CLIError(f"trace file not found: {args.trace}")
-    except IsADirectoryError:
-        raise CLIError(f"trace path is a directory: {args.trace}")
-    except (TraceFormatError, ValueError) as err:
-        raise CLIError(f"cannot read trace {args.trace}: {err}")
-    except OSError as err:
-        raise CLIError(f"cannot read trace {args.trace}: {err}")
 
     analyzer = StreamingAnalyzer(
         definitions.regions,
@@ -953,17 +920,20 @@ def _cmd_monitor(args) -> int:
 
         last_metrics = _time.monotonic()
     total = 0
-    for batch in cursor:
-        if len(batch.events):
-            for alert in analyzer.feed(batch.rank, batch.events):
-                print(f"ALERT {alert}")
-            total += len(batch.events)
-        lag.set(float(getattr(cursor, "backlog_events", 0)))
-        if metrics_col is not None:
-            now = _time.monotonic()
-            if now - last_metrics >= 1.0:
-                write_metrics_file(metrics_col, metrics_path)
-                last_metrics = now
+    # Event columns are decoded batch by batch, so corrupt blobs surface
+    # inside this loop, not at index construction.
+    with _reading(args.trace):
+        for batch in cursor:
+            if len(batch.events):
+                for alert in analyzer.feed(batch.rank, batch.events):
+                    print(f"ALERT {alert}")
+                total += len(batch.events)
+            lag.set(float(getattr(cursor, "backlog_events", 0)))
+            if metrics_col is not None:
+                now = _time.monotonic()
+                if now - last_metrics >= 1.0:
+                    write_metrics_file(metrics_col, metrics_path)
+                    last_metrics = now
     print(
         f"streamed {total} events; dominant "
         f"{analyzer.dominant_name!r}; {len(analyzer.alerts)} alerts"
@@ -1201,18 +1171,9 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_deps(args) -> int:
     from .lint import graph_to_dot, graph_to_json_dict, hb_graph_path
-    from .trace.reader import TraceFormatError
 
-    try:
+    with _reading(args.trace):
         graph = hb_graph_path(args.trace, **_shard_kwargs(args))
-    except FileNotFoundError:
-        raise CLIError(f"trace file not found: {args.trace}")
-    except IsADirectoryError:
-        raise CLIError(f"trace path is a directory: {args.trace}")
-    except (TraceFormatError, ValueError) as err:
-        raise CLIError(f"cannot read trace {args.trace}: {err}")
-    except OSError as err:
-        raise CLIError(f"cannot read trace {args.trace}: {err}")
     if args.fmt == "json":
         rendered = json.dumps(graph_to_json_dict(graph), indent=2)
     else:

@@ -172,7 +172,6 @@ def compare_traces(
     config: AnalysisConfig | None = None,
     dominant: str | None = None,
     cache_dir=None,
-    parallel: bool | int | None = None,
     session_a=None,
     session_b=None,
     shards: int | None = None,
@@ -197,12 +196,12 @@ def compare_traces(
 
     if session_a is None:
         session_a = AnalysisSession(
-            trace_a, config=config, cache_dir=cache_dir, parallel=parallel,
+            trace_a, config=config, cache_dir=cache_dir,
             shards=shards, max_memory_mb=max_memory_mb,
         )
     if session_b is None:
         session_b = AnalysisSession(
-            trace_b, config=config, cache_dir=cache_dir, parallel=parallel,
+            trace_b, config=config, cache_dir=cache_dir,
             shards=shards, max_memory_mb=max_memory_mb,
         )
     a = session_a.analysis(function=dominant)

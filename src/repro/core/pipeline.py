@@ -229,7 +229,6 @@ def analyze_trace(
     *,
     session=None,
     cache_dir=None,
-    parallel: bool | int | None = None,
     shards: int | None = None,
     max_memory_mb: float | None = None,
     source_path=None,
@@ -249,9 +248,6 @@ def analyze_trace(
     cache_dir:
         Persist stage artifacts under this directory so later sessions
         over the same trace skip replay and profiling entirely.
-    parallel:
-        Per-rank replay parallelism (see
-        :func:`repro.profiles.replay.replay_trace`).
     shards, max_memory_mb:
         Run the memory-bounded multi-process engine
         (:mod:`repro.core.shard`): partition the ranks into ``shards``
@@ -287,7 +283,6 @@ def analyze_trace(
         trace,
         config=config,
         cache_dir=cache_dir,
-        parallel=parallel,
         shards=shards,
         max_memory_mb=max_memory_mb,
         source_path=source_path,

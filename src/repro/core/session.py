@@ -46,7 +46,7 @@ import numpy as np
 
 from .. import obs
 from ..profiles.profile import TraceProfile
-from ..profiles.replay import InvocationTable, match_invocations, replay_trace
+from ..profiles.replay import InvocationTable
 from ..profiles.stats import FunctionStatistics, compute_statistics
 from ..trace.fingerprint import (
     TraceFingerprint,
@@ -55,7 +55,7 @@ from ..trace.fingerprint import (
     fingerprint_trace,
 )
 from ..trace.trace import Trace
-from ..trace.validate import ValidationIssue, ValidationReport, validate_trace
+from ..trace.validate import ValidationIssue, ValidationReport
 from .classify import SyncClassifier
 from .dominant import DominantSelection, select_dominant
 from .imbalance import ImbalanceReport, detect_imbalances
@@ -319,9 +319,6 @@ class AnalysisSession:
     cache_dir:
         Directory for persistent ``.npz`` artifacts.  ``None`` keeps
         everything in memory only.
-    parallel:
-        Replay parallelism, forwarded to
-        :func:`repro.profiles.replay.replay_trace`.
     memory_entries:
         Bound of the in-memory LRU holding per-region products
         (segmentations, SOS results, detections, trends, heat grids).
@@ -347,7 +344,6 @@ class AnalysisSession:
         trace: Trace | None,
         config=None,
         cache_dir: str | os.PathLike | None = None,
-        parallel: bool | int | None = None,
         memory_entries: int = 128,
         shards: int | None = None,
         max_memory_mb: float | None = None,
@@ -365,7 +361,6 @@ class AnalysisSession:
         #: optional LintConfig; when set, the pre-flight gate runs the
         #: full tracelint rule set instead of the legacy validate subset
         self.lint_config = lint or None
-        self.parallel = parallel
         self.shards = shards
         self.max_memory_mb = max_memory_mb
         if chunk_events is not None and chunk_events <= 0:
@@ -594,23 +589,13 @@ class AnalysisSession:
         else:
             missing = list(ranks)
         if missing:
-            with obs.span("session.replay"):
-                if len(missing) == len(ranks):
-                    computed = replay_trace(self.trace, parallel=self.parallel)
-                else:
-                    computed = {
-                        rank: match_invocations(self.trace.events_of(rank))
-                        for rank in missing
-                    }
-            self.stats._bump(self.stats.computed, "replay", len(missing))
-            for rank in missing:
-                tables[rank] = computed[rank]
-                if self.cache is not None:
-                    digest = self.fingerprint.rank_digest(rank)
-                    self.cache.store(
-                        f"inv-{digest}", _table_to_arrays(computed[rank])
-                    )
-                    self.stats._bump(self.stats.disk_writes, "replay")
+            # Validity is settled (or waived) by now: replay without the
+            # lint scan, and only the ranks no artifact covers.
+            boot = self._fused_run(
+                validate=False,
+                table_ranks=None if len(missing) == len(ranks) else missing,
+            )
+            tables.update(boot.tables)
         self._tables = {rank: tables[rank] for rank in ranks}
         return self._tables
 
@@ -877,47 +862,54 @@ class AnalysisSession:
             # set during bootstrap; issues raise there.
             self._shard_bootstrap()
             return
-        if self.cache is None:
-            # No artifacts to key: fuse validation, replay and the
-            # statistics partials into one pass over the event streams
-            # (the cache path needs the fingerprint anyway, so the
-            # staged flow costs it nothing extra there).
-            self._fused_run()
-            return
         # Validity is a pure function of content, so a marker artifact
         # keyed by the fingerprint lets warm sessions skip the scan.
-        marker = f"valid-{self.fingerprint.hexdigest}"
-        if self.cache is not None and self.cache.load(marker) is not None:
+        if (
+            self.cache is not None
+            and self.cache.load(f"valid-{self.fingerprint.hexdigest}") is not None
+        ):
             self.stats._bump(self.stats.disk_hits, "validate")
             self._validated = True
             return
-        with obs.span("session.validate"):
-            validate_trace(self.trace).raise_if_invalid()
-        self.stats._bump(self.stats.computed, "validate")
-        if self.cache is not None:
-            self.cache.store(marker, {"ok": np.ones(1, dtype=np.int8)})
-            self.stats._bump(self.stats.disk_writes, "validate")
-        self._validated = True
+        boot = self._fused_run(validate=True)
+        self._tables = {rank: boot.tables[rank] for rank in self.trace.ranks}
 
-    def _fused_run(self) -> None:
-        """Single fused pass over the event streams (cache-less mode).
+    def _fused_run(self, *, validate: bool, table_ranks=None):
+        """One :func:`repro.core.fused.fused_bootstrap` pass.
 
-        Validation, stack replay and the per-rank statistics partials
-        all come from one :func:`repro.core.fused.fused_bootstrap` call
-        sharing one enter/leave pairing per rank; results are bitwise
-        identical to the staged flow.
+        Validation (when asked), stack replay and the per-rank
+        statistics partials share one enter/leave pairing per rank.
+        With a cache, the validity marker and one ``inv-`` table per
+        replayed rank are stored as well.  ``table_ranks`` limits the
+        replay to ranks whose artifacts are missing.
         """
         from .fused import fused_bootstrap
 
         with obs.span("fused.bootstrap"):
-            boot = fused_bootstrap(self.trace)
-        boot.report.raise_if_invalid()
-        self.stats._bump(self.stats.computed, "validate")
-        self._validated = True
-        ranks = self.trace.ranks
-        self._tables = {rank: boot.tables[rank] for rank in ranks}
-        self._partials = boot.partials
-        self.stats._bump(self.stats.computed, "replay", len(ranks))
+            boot = fused_bootstrap(
+                self.trace, validate=validate, table_ranks=table_ranks
+            )
+        if validate:
+            boot.report.raise_if_invalid()
+            self.stats._bump(self.stats.computed, "validate")
+            self._validated = True
+        if table_ranks is None:
+            self._partials = boot.partials
+        self.stats._bump(self.stats.computed, "replay", len(boot.tables))
+        if self.cache is not None:
+            if validate:
+                self.cache.store(
+                    f"valid-{self.fingerprint.hexdigest}",
+                    {"ok": np.ones(1, dtype=np.int8)},
+                )
+                self.stats._bump(self.stats.disk_writes, "validate")
+            for rank, table in boot.tables.items():
+                self.cache.store(
+                    f"inv-{self.fingerprint.rank_digest(rank)}",
+                    _table_to_arrays(table),
+                )
+                self.stats._bump(self.stats.disk_writes, "replay")
+        return boot
 
     def analysis_for(self, selection: DominantSelection):
         """Assemble a :class:`VariationAnalysis` for an explicit selection.

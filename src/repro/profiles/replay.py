@@ -318,41 +318,6 @@ def table_from_pairing(
     return _build_table(events, el_idx, enter_pos, leave_pos, depth)
 
 
-def _resolve_workers(parallel: bool | int | None, n_ranks: int) -> int:
-    """Worker count for ``parallel``: None/False → 1, True → cpu count."""
-    if parallel is None or parallel is False:
-        return 1
-    if parallel is True:
-        import os
-
-        return max(1, min(n_ranks, os.cpu_count() or 1))
-    workers = int(parallel)
-    if workers < 1:
-        raise ValueError(f"parallel worker count must be >= 1, got {workers}")
-    return min(workers, max(1, n_ranks))
-
-
-def replay_trace(
-    trace: Trace, parallel: bool | int | None = None
-) -> dict[int, InvocationTable]:
-    """Invocation tables for every process of ``trace`` (keyed by rank).
-
-    Parameters
-    ----------
-    parallel:
-        ``None``/``False`` replays serially; ``True`` uses one thread
-        per CPU core; an integer pins the worker count.  The matching
-        kernels are NumPy argsorts/cumsums that release the GIL, so
-        threads scale without pickling the event arrays.  The merge is
-        deterministic: results are keyed in rank order regardless of
-        completion order.
-    """
-    ranks = trace.ranks
-    workers = _resolve_workers(parallel, len(ranks))
-    if workers <= 1 or len(ranks) <= 1:
-        return {rank: match_invocations(trace.events_of(rank)) for rank in ranks}
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tables = pool.map(lambda r: match_invocations(trace.events_of(r)), ranks)
-        return dict(zip(ranks, tables))
+def replay_trace(trace: Trace) -> dict[int, InvocationTable]:
+    """Invocation tables for every process of ``trace`` (keyed by rank)."""
+    return {rank: match_invocations(trace.events_of(rank)) for rank in trace.ranks}

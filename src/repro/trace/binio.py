@@ -36,30 +36,17 @@ region and sharded readers can map one rank without touching others.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 import zlib
 
 import numpy as np
 
-from .definitions import (
-    Location,
-    Metric,
-    MetricMode,
-    MetricRegistry,
-    Paradigm,
-    Region,
-    RegionRegistry,
-    RegionRole,
-)
-from .events import EventList
 from .trace import Trace
 
 __all__ = [
     "write_binary",
     "write_binary_arrays",
-    "read_binary",
     "BIN_VERSION",
     "BIN_ALIGN",
     "CODECS",
@@ -294,106 +281,6 @@ def read_frame(fp) -> tuple[int, int, dict]:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise BinaryFormatError(f"corrupt .rpt header: {err}") from err
+    if not isinstance(header, dict):
+        raise BinaryFormatError("corrupt .rpt header: not a JSON object")
     return version, header_len, header
-
-
-def decode_column(buf, base: int, spec: dict, n: int, where: str) -> np.ndarray:
-    """Materialise one column from ``buf`` (bytes or mmap).
-
-    ``raw`` columns come back as zero-copy :func:`numpy.frombuffer`
-    views into ``buf``; ``zlib`` columns are decompressed.  ``base`` is
-    the absolute payload start; offsets in ``spec`` are payload-relative.
-    """
-    codec = spec.get("codec", "zlib")
-    if codec not in CODECS:
-        raise BinaryFormatError(f"{where}: unknown codec {codec!r}")
-    dtype = parse_dtype(spec["dtype"], where, BinaryFormatError)
-    start = base + spec["offset"]
-    length = spec["length"]
-    if codec == "raw":
-        if length != n * dtype.itemsize:
-            raise BinaryFormatError(
-                f"{where}: raw blob is {length} bytes, "
-                f"expected {n * dtype.itemsize}"
-            )
-        try:
-            return np.frombuffer(buf, dtype=dtype, count=n, offset=start)
-        except ValueError as err:
-            raise BinaryFormatError(f"{where}: {err}") from err
-    raw = zlib.decompress(bytes(memoryview(buf)[start:start + length]))
-    arr = np.frombuffer(raw, dtype=dtype)
-    if len(arr) != n:
-        raise BinaryFormatError(
-            f"{where}: expected {n} entries, found {len(arr)}"
-        )
-    return arr
-
-
-def _read_buffer(fp, version: int):
-    """Whole-file buffer for column decoding: an mmap when available
-    (v2 raw columns then become zero-copy views), plain bytes otherwise
-    (``REPRO_NO_MMAP=1``, empty files, exotic filesystems)."""
-    if version == 2 and not mmap_disabled():
-        try:
-            return mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            pass
-    fp.seek(0)
-    return fp.read()
-
-
-def read_binary(path: str | os.PathLike) -> Trace:
-    """Read a trace from ``path`` in the binary ``.rpt`` format (v1 or v2)."""
-    with open(path, "rb") as fp:
-        version, header_len, header = read_frame(fp)
-        buf = _read_buffer(fp, version)
-    base = payload_start(header_len, version)
-
-    regions = RegionRegistry()
-    for rec in header["regions"]:
-        regions.add(
-            Region(
-                id=rec["id"],
-                name=rec["name"],
-                paradigm=Paradigm(rec["paradigm"]),
-                role=RegionRole(rec["role"]),
-                source_file=rec.get("source_file", ""),
-                line=rec.get("line", 0),
-            )
-        )
-    metrics = MetricRegistry()
-    for rec in header["metrics"]:
-        metrics.add(
-            Metric(
-                id=rec["id"],
-                name=rec["name"],
-                unit=rec.get("unit", "#"),
-                mode=MetricMode(rec.get("mode", 0)),
-                description=rec.get("description", ""),
-            )
-        )
-
-    trace = Trace(
-        regions=regions,
-        metrics=metrics,
-        name=header.get("name", "trace"),
-        attributes=header.get("attributes", {}),
-    )
-    for loc_rec in header["locations"]:
-        n = loc_rec["n"]
-        arrays = []
-        for col in _COLUMNS:
-            arrays.append(
-                decode_column(
-                    buf,
-                    base,
-                    loc_rec["columns"][col],
-                    n,
-                    f"location {loc_rec['id']} column {col}",
-                )
-            )
-        location = Location(
-            id=loc_rec["id"], name=loc_rec["name"], group=loc_rec.get("group", "MPI")
-        )
-        trace.add_process(location, EventList(*arrays))
-    return trace

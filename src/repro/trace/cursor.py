@@ -35,10 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
-import numpy as np
-
 from .. import obs
-from .events import _DTYPES as _CANONICAL_DTYPES
 from .events import EventList
 from .trace import Trace
 
@@ -240,29 +237,14 @@ class _JsonlProtocol:
             self._definitions = trace
         return self._definitions
 
-    def _events_of(self, record: dict) -> EventList:
-        from .reader import TraceFormatError, _events_from_record
-
-        if self._project is None:
-            return _events_from_record(record)
-        try:
-            arrays = {
-                col: np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
-                for col in self._project
-            }
-        except KeyError as err:
-            raise TraceFormatError(
-                f"location {record.get('location')}: events record is "
-                f"missing column {err.args[0]!r}"
-            ) from err
-        return EventList.projected(arrays)
-
     def parse_line(self, line: str) -> EventBatch | None:
         """Parse one complete line; an events record yields a batch."""
         from .reader import (
             TraceFormatError,
             _add_definition_record,
             _check_header,
+            _events_from_record,
+            _int_field,
         )
 
         line = line.strip()
@@ -292,11 +274,11 @@ class _JsonlProtocol:
         if kind != "events":
             raise TraceFormatError(f"unknown record type {kind!r}")
         self._freeze()
-        rank = record["location"]
+        rank = _int_field(record, "location", "events record")
         if rank not in self._locations:
             raise TraceFormatError(f"events for undefined location {rank}")
         self.seen_ranks.add(rank)
-        events = self._events_of(record)
+        events = _events_from_record(record, self._project)
         _C_TAIL_EVENTS.add(len(events))
         _C_TAIL_BYTES.add(len(line))
         return EventBatch(rank, events, False)

@@ -1,21 +1,16 @@
-"""Trace deserialisation (text format), format dispatch and lazy
-rank-addressable access.
+"""Trace deserialisation: one decoder for both on-disk formats.
 
-Two read paths are provided:
+:class:`TraceIndex` is the only reader.  It parses the definition
+records and the per-rank chunk table up front (validating every
+manifest field), then decodes event columns per rank on demand.
+:func:`read_trace` is simply ``TraceIndex(path).load()`` — the whole
+trace at once — while the sharded engine (:mod:`repro.core.shard`),
+the lint workers and the cursors load only the ranks, columns or
+event ranges they need from the same index.
 
-* the eager path (:func:`read_trace`, :func:`read_jsonl`,
-  :func:`repro.trace.binio.read_binary`) materialises the complete
-  trace in one go;
-* the chunked path (:class:`TraceIndex`, :func:`read_trace_ranks`)
-  parses only the definition records up front and loads event columns
-  per rank on demand.  This is what the sharded analysis engine
-  (:mod:`repro.core.shard`) uses so each worker process touches only
-  the bytes of its own rank group.
-
-Both paths construct bit-identical :class:`~repro.trace.events.EventList`
-columns for the ranks they load (the chunked path decompresses or
-parses exactly the same bytes), so analyses over lazily loaded ranks
-match the eager pipeline exactly.
+Every malformed input — bad frame, missing or mistyped manifest field,
+truncated chunk, corrupt zlib blob, out-of-order timestamps — surfaces
+as :class:`TraceFormatError` with the location and column it concerns.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ import mmap
 import os
 import re
 import zlib
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,13 +49,16 @@ from .fingerprint import _DIGEST_SIZE, fingerprint_events
 from .trace import Trace
 from .writer import FORMAT_VERSION
 
-__all__ = ["read_jsonl", "load_jsonl", "read_trace", "read_trace_ranks", "TraceIndex"]
+__all__ = ["read_trace", "TraceIndex"]
 
 #: Telemetry: bytes served zero-copy from the mmap vs. inflated through
 #: zlib, and events materialised by the chunked loader.
 _C_MMAPPED = obs.counter("io.bytes_mmapped")
 _C_DECOMPRESSED = obs.counter("io.bytes_decompressed")
 _C_EVENTS_LOADED = obs.counter("io.events_loaded")
+
+#: Event columns in on-disk (and ``EventList`` constructor) order.
+_BIN_COLUMNS = ("time", "kind", "ref", "partner", "size", "tag", "value")
 
 
 class TraceFormatError(ValueError):
@@ -76,129 +74,118 @@ def _check_header(header) -> None:
         )
 
 
+def _int_field(record: dict, key: str, where: str) -> int:
+    """``record[key]``, which must be present and an integer."""
+    if key not in record:
+        raise TraceFormatError(f"{where}: missing field {key!r}")
+    value = record[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TraceFormatError(
+            f"{where}: field {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
 def _add_definition_record(
     record: dict,
     regions: RegionRegistry,
     metrics: MetricRegistry,
     locations: dict[int, Location],
 ) -> bool:
-    """Apply one region/metric/location record; False if not one."""
+    """Apply one region/metric/location record; False if not one.
+
+    A missing or mistyped field raises :class:`TraceFormatError`
+    naming the record.
+    """
     kind = record.get("record")
-    if kind == "region":
-        regions.add(
-            Region(
-                id=record["id"],
-                name=record["name"],
-                paradigm=Paradigm(record["paradigm"]),
-                role=RegionRole(record["role"]),
-                source_file=record.get("source_file", ""),
-                line=record.get("line", 0),
-            )
-        )
-    elif kind == "metric":
-        metrics.add(
-            Metric(
-                id=record["id"],
-                name=record["name"],
-                unit=record.get("unit", "#"),
-                mode=MetricMode(record.get("mode", 0)),
-                description=record.get("description", ""),
-            )
-        )
-    elif kind == "location":
-        loc = Location(
-            id=record["id"],
-            name=record["name"],
-            group=record.get("group", "MPI"),
-        )
-        locations[loc.id] = loc
-    else:
+    if kind not in ("region", "metric", "location"):
         return False
+    where = f"{kind} {record.get('id')!r}"
+    rec_id = _int_field(record, "id", where)
+    try:
+        if kind == "region":
+            regions.add(
+                Region(
+                    id=rec_id,
+                    name=record["name"],
+                    paradigm=Paradigm(record["paradigm"]),
+                    role=RegionRole(record["role"]),
+                    source_file=record.get("source_file", ""),
+                    line=record.get("line", 0),
+                )
+            )
+        elif kind == "metric":
+            metrics.add(
+                Metric(
+                    id=rec_id,
+                    name=record["name"],
+                    unit=record.get("unit", "#"),
+                    mode=MetricMode(record.get("mode", 0)),
+                    description=record.get("description", ""),
+                )
+            )
+        else:
+            locations[rec_id] = Location(
+                id=rec_id,
+                name=record["name"],
+                group=record.get("group", "MPI"),
+            )
+    except KeyError as err:
+        raise TraceFormatError(
+            f"{where}: missing field {err.args[0]!r}"
+        ) from err
+    except (TypeError, ValueError) as err:
+        raise TraceFormatError(f"{where}: {err}") from err
     return True
 
 
-def _events_from_record(record: dict) -> EventList:
-    events = EventList(
-        np.asarray(record["time"], dtype=np.float64),
-        np.asarray(record["kind"], dtype=np.uint8),
-        np.asarray(record["ref"], dtype=np.int32),
-        np.asarray(record["partner"], dtype=np.int32),
-        np.asarray(record["size"], dtype=np.int64),
-        np.asarray(record["tag"], dtype=np.int32),
-        np.asarray(record["value"], dtype=np.float64),
-    )
-    if len(events) != record.get("n", len(events)):
+def _assemble(rank, arrays: dict[str, np.ndarray]) -> EventList:
+    """EventList over decoded columns (projected unless all are present).
+
+    Content errors (ragged columns, decreasing timestamps, values that
+    do not fit the canonical dtypes) raise :class:`TraceFormatError`.
+    """
+    try:
+        if len(arrays) == len(_BIN_COLUMNS):
+            return EventList(*(arrays[col] for col in _BIN_COLUMNS))
+        return EventList.projected(arrays)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise TraceFormatError(f"location {rank}: {err}") from err
+
+
+def _events_from_record(
+    record: dict, columns: Sequence[str] | None = None
+) -> EventList:
+    """Events of one JSONL ``events`` record, optionally projected."""
+    rank = record.get("location")
+    try:
+        arrays = {
+            col: np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
+            for col in (_BIN_COLUMNS if columns is None else columns)
+        }
+    except KeyError as err:
         raise TraceFormatError(
-            f"location {record.get('location')}: event count mismatch"
-        )
+            f"location {rank}: events record is missing column "
+            f"{err.args[0]!r}"
+        ) from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise TraceFormatError(f"location {rank}: {err}") from err
+    events = _assemble(rank, arrays)
+    if len(events) != record.get("n", len(events)):
+        raise TraceFormatError(f"location {rank}: event count mismatch")
     return events
 
 
-def load_jsonl(fp: IO[str]) -> Trace:
-    """Read a trace from an open text file in JSONL format."""
-    header_line = fp.readline()
-    if not header_line:
-        raise TraceFormatError("empty trace file")
-    header = json.loads(header_line)
-    _check_header(header)
-
-    regions = RegionRegistry()
-    metrics = MetricRegistry()
-    locations: dict[int, Location] = {}
-    event_records: list[dict] = []
-
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise TraceFormatError(f"non-object record: {line[:40]!r}")
-        if _add_definition_record(record, regions, metrics, locations):
-            continue
-        if record.get("record") == "events":
-            event_records.append(record)
-        else:
-            raise TraceFormatError(f"unknown record type {record.get('record')!r}")
-
-    trace = Trace(
-        regions=regions,
-        metrics=metrics,
-        name=header.get("name", "trace"),
-        attributes=header.get("attributes", {}),
-    )
-    for record in event_records:
-        loc_id = record["location"]
-        location = locations.get(loc_id)
-        if location is None:
-            raise TraceFormatError(f"events for undefined location {loc_id}")
-        trace.add_process(location, _events_from_record(record))
-    # Locations defined but without an events record get empty streams.
-    for loc_id, location in locations.items():
-        if loc_id not in trace.ranks:
-            trace.add_process(location, EventList.empty())
-    return trace
-
-
-def read_jsonl(path: str | os.PathLike) -> Trace:
-    """Read a trace from ``path`` in JSONL format."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return load_jsonl(fp)
-
-
-def read_trace(path: str | os.PathLike) -> Trace:
-    """Read a trace, dispatching on file extension (.jsonl or .rpt)."""
-    path_str = str(path)
-    with obs.span("io.read"):
-        if path_str.endswith(".jsonl"):
-            return read_jsonl(path)
-        if path_str.endswith(".rpt"):
-            from .binio import read_binary
-
-            return read_binary(path)
-    raise TraceFormatError(
-        f"cannot infer trace format from extension: {path_str!r}"
-    )
+def _manifest_list(header: dict, key: str) -> list[dict]:
+    """Header list ``key`` of an ``.rpt`` manifest (objects only)."""
+    value = header.get(key, [])
+    if not isinstance(value, list) or not all(
+        isinstance(rec, dict) for rec in value
+    ):
+        raise TraceFormatError(
+            f"header field {key!r} must be a list of objects"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +199,6 @@ def read_trace(path: str | os.PathLike) -> Trace:
 _EVENTS_PREFIX_RE = re.compile(
     r'^\s*\{"record":\s*"events",\s*"location":\s*(-?\d+),\s*"n":\s*(\d+)'
 )
-
-_BIN_COLUMNS = ("time", "kind", "ref", "partner", "size", "tag", "value")
 
 
 class _RankChunk:
@@ -271,6 +256,12 @@ class TraceIndex:
 
     # -- indexing ------------------------------------------------------
 
+    def _set_header(self, header: dict) -> None:
+        self.name = header.get("name", "trace")
+        self.attributes = header.get("attributes", {})
+        if not isinstance(self.attributes, dict):
+            raise TraceFormatError("header field 'attributes' must be an object")
+
     def _index_binary(self) -> None:
         from .binio import BinaryFormatError
 
@@ -284,88 +275,72 @@ class TraceIndex:
         base = payload_start(header_len, version)
         payload_size = max(0, file_size - base)
 
-        self.name = header.get("name", "trace")
-        self.attributes = header.get("attributes", {})
-        for rec in header.get("regions", ()):
-            _add_definition_record({**rec, "record": "region"},
-                                   self.regions, self.metrics, self.locations)
-        for rec in header.get("metrics", ()):
-            _add_definition_record({**rec, "record": "metric"},
-                                   self.regions, self.metrics, self.locations)
+        self._set_header(header)
+        for kind in ("region", "metric"):
+            for rec in _manifest_list(header, kind + "s"):
+                _add_definition_record({**rec, "record": kind},
+                                       self.regions, self.metrics, self.locations)
 
         intervals: list[tuple[int, int, int, str]] = []
-        for loc_rec in header.get("locations", ()):
-            loc = Location(
-                id=loc_rec["id"],
-                name=loc_rec["name"],
-                group=loc_rec.get("group", "MPI"),
-            )
-            if loc.id in self.locations or loc.id in self._chunks:
+        for loc_rec in _manifest_list(header, "locations"):
+            loc_id = _int_field(loc_rec, "id", "location")
+            if loc_id in self.locations:
                 raise TraceFormatError(
-                    f"duplicate chunk for location {loc.id}"
+                    f"duplicate chunk for location {loc_id}"
                 )
-            self.locations[loc.id] = loc
-            columns = loc_rec["columns"]
-            lo, hi = None, None
+            _add_definition_record({**loc_rec, "record": "location"},
+                                   self.regions, self.metrics, self.locations)
+            n = _int_field(loc_rec, "n", f"location {loc_id}")
+            if n < 0:
+                raise TraceFormatError(f"location {loc_id}: negative n={n}")
+            columns = loc_rec.get("columns")
+            if not isinstance(columns, dict):
+                raise TraceFormatError(
+                    f"location {loc_id}: missing column manifest"
+                )
+            chunk_columns = {}
             for col in _BIN_COLUMNS:
+                where = f"location {loc_id} column {col}"
                 spec = columns.get(col)
-                if spec is None:
+                if not isinstance(spec, dict):
                     raise TraceFormatError(
-                        f"location {loc.id}: missing column {col!r}"
+                        f"location {loc_id}: missing column {col!r}"
                     )
-                dtype = parse_dtype(
-                    spec.get("dtype"),
-                    f"location {loc.id} column {col}",
-                    TraceFormatError,
-                )
+                if "dtype" not in spec:
+                    raise TraceFormatError(f"{where}: missing field 'dtype'")
+                dtype = parse_dtype(spec["dtype"], where, TraceFormatError)
                 codec = spec.get("codec", "zlib")
                 if codec not in CODECS:
+                    raise TraceFormatError(f"{where}: unknown codec {codec!r}")
+                off = _int_field(spec, "offset", where)
+                length = _int_field(spec, "length", where)
+                if off < 0 or length < 0:
                     raise TraceFormatError(
-                        f"location {loc.id} column {col}: "
-                        f"unknown codec {codec!r}"
-                    )
-                off, length = spec["offset"], spec["length"]
-                if (
-                    not isinstance(off, int)
-                    or not isinstance(length, int)
-                    or off < 0
-                    or length < 0
-                ):
-                    raise TraceFormatError(
-                        f"location {loc.id} column {col}: invalid chunk "
-                        f"extent (offset={off!r}, length={length!r})"
+                        f"{where}: invalid chunk extent "
+                        f"(offset={off!r}, length={length!r})"
                     )
                 if off + length > payload_size:
                     raise TraceFormatError(
-                        f"location {loc.id} column {col}: chunk "
-                        f"[{off}, {off + length}) runs past the end of the "
-                        f"payload ({payload_size} bytes); file is truncated"
+                        f"{where}: chunk [{off}, {off + length}) runs past "
+                        f"the end of the payload ({payload_size} bytes); "
+                        f"file is truncated"
                     )
-                if codec == "raw":
-                    n = loc_rec["n"]
-                    if not isinstance(n, int) or length != n * dtype.itemsize:
-                        raise TraceFormatError(
-                            f"location {loc.id} column {col}: raw blob is "
-                            f"{length} bytes, inconsistent with n={n!r}"
-                        )
+                if codec == "raw" and length != n * dtype.itemsize:
+                    raise TraceFormatError(
+                        f"{where}: raw blob is {length} bytes, "
+                        f"inconsistent with n={n!r}"
+                    )
                 if length:
-                    intervals.append((off, off + length, loc.id, col))
-                lo = off if lo is None else min(lo, off)
-                hi = off + length if hi is None else max(hi, off + length)
-            self._chunks[loc.id] = _RankChunk(
-                rank=loc.id,
-                n_events=loc_rec["n"],
-                offset=base + (lo or 0),
-                length=(hi or 0) - (lo or 0),
-                columns={
-                    col: (
-                        base + columns[col]["offset"],
-                        columns[col]["length"],
-                        columns[col]["dtype"],
-                        columns[col].get("codec", "zlib"),
-                    )
-                    for col in _BIN_COLUMNS
-                },
+                    intervals.append((off, off + length, loc_id, col))
+                chunk_columns[col] = (base + off, length, spec["dtype"], codec)
+            lo = min(off for off, _, _, _ in chunk_columns.values())
+            hi = max(off + length for off, length, _, _ in chunk_columns.values())
+            self._chunks[loc_id] = _RankChunk(
+                rank=loc_id,
+                n_events=n,
+                offset=lo,
+                length=hi - lo,
+                columns=chunk_columns,
             )
         intervals.sort()
         for prev, cur in zip(intervals, intervals[1:]):
@@ -386,8 +361,7 @@ class TraceIndex:
             except (UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise TraceFormatError(f"corrupt header line: {err}") from err
             _check_header(header)
-            self.name = header.get("name", "trace")
-            self.attributes = header.get("attributes", {})
+            self._set_header(header)
 
             while True:
                 offset = fp.tell()
@@ -419,8 +393,12 @@ class TraceIndex:
                         raise TraceFormatError(
                             f"unknown record type {record.get('record')!r}"
                         )
-                    loc_id = record["location"]
-                    n = record.get("n", len(record.get("time", ())))
+                    loc_id = _int_field(record, "location", "events record")
+                    n = (
+                        _int_field(record, "n", f"location {loc_id}")
+                        if "n" in record
+                        else len(_events_from_record(record))
+                    )
                 if loc_id in self._chunks:
                     raise TraceFormatError(
                         f"overlapping chunks: duplicate events record for "
@@ -544,40 +522,31 @@ class TraceIndex:
             offset, length, dtype_str, codec = chunk.columns[col]
             where = f"location {chunk.rank} column {col}"
             dtype = parse_dtype(dtype_str, where, TraceFormatError)
-            if codec == "raw":
+            if codec == "raw" and buf is not None:
                 # Blob length == n * itemsize was validated at index
                 # time, so a view over the mmap is safe and zero-copy.
-                if buf is not None:
-                    try:
-                        arr = np.frombuffer(
-                            buf, dtype=dtype, count=chunk.n_events,
-                            offset=offset,
-                        )
-                    except ValueError as err:
-                        raise TraceFormatError(f"{where}: {err}") from err
-                    _C_MMAPPED.add(length)
-                else:
-                    arr = np.frombuffer(
-                        self._read_column_blob(fp, offset, length, where),
-                        dtype=dtype,
-                    )
+                data, count, start = buf, chunk.n_events, offset
+                _C_MMAPPED.add(length)
             else:
-                blob = self._read_column_blob(fp, offset, length, where)
-                try:
-                    data = zlib.decompress(blob)
-                except zlib.error as err:
-                    raise TraceFormatError(f"{where}: {err}") from err
-                arr = np.frombuffer(data, dtype=dtype)
-                _C_DECOMPRESSED.add(len(data))
+                data = self._read_column_blob(fp, offset, length, where)
+                count, start = -1, 0
+                if codec == "zlib":
+                    try:
+                        data = zlib.decompress(data)
+                    except zlib.error as err:
+                        raise TraceFormatError(f"{where}: {err}") from err
+                    _C_DECOMPRESSED.add(len(data))
+            try:
+                arr = np.frombuffer(data, dtype=dtype, count=count, offset=start)
+            except ValueError as err:
+                raise TraceFormatError(f"{where}: {err}") from err
             if len(arr) != chunk.n_events:
                 raise TraceFormatError(
                     f"{where}: expected "
                     f"{chunk.n_events} entries, found {len(arr)}"
                 )
             arrays[col] = arr
-        if columns is None:
-            return EventList(*(arrays[col] for col in _BIN_COLUMNS))
-        return EventList.projected(arrays)
+        return _assemble(chunk.rank, arrays)
 
     def _load_events_jsonl(
         self, fp, chunk: _RankChunk, columns: Sequence[str] | None = None
@@ -594,24 +563,7 @@ class TraceIndex:
             raise TraceFormatError(
                 f"location {chunk.rank}: chunk table out of sync"
             )
-        if columns is None:
-            return _events_from_record(record)
-        try:
-            arrays = {
-                col: np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
-                for col in columns
-            }
-        except KeyError as err:
-            raise TraceFormatError(
-                f"location {chunk.rank}: events record is missing "
-                f"column {err.args[0]!r}"
-            ) from err
-        events = EventList.projected(arrays)
-        if len(events) != record.get("n", len(events)):
-            raise TraceFormatError(
-                f"location {chunk.rank}: event count mismatch"
-            )
-        return events
+        return _events_from_record(record, columns)
 
     def _project_columns(
         self, columns: Sequence[str] | None
@@ -690,9 +642,7 @@ class TraceIndex:
                     arr = np.frombuffer(blob, dtype=dtype)
                 arrays[col] = arr
         _C_EVENTS_LOADED.add(count)
-        if len(project) == len(_BIN_COLUMNS):
-            return EventList(*(arrays[col] for col in _BIN_COLUMNS))
-        return EventList.projected(arrays)
+        return _assemble(rank, arrays)
 
     def cursor(
         self,
@@ -716,9 +666,8 @@ class TraceIndex:
     ) -> Trace:
         """Materialise a trace containing only ``ranks``.
 
-        ``None`` loads every rank (equivalent to the eager readers, and
-        bit-identical to them).  Requested ranks must be defined in the
-        file; locations without an events record yield empty streams.
+        ``None`` loads every rank.  Requested ranks must be defined in
+        the file; locations without an events record yield empty streams.
 
         ``columns`` projects the load onto a subset of event columns
         (``time`` is always included).  Unprojected columns become
@@ -791,8 +740,13 @@ class TraceIndex:
         return h.hexdigest()
 
 
-def read_trace_ranks(
-    path: str | os.PathLike, ranks: Sequence[int] | None = None
+def read_trace(
+    path: str | os.PathLike, columns: Sequence[str] | None = None
 ) -> Trace:
-    """Read only ``ranks`` of the trace at ``path`` (chunked path)."""
-    return TraceIndex(path).load(ranks)
+    """Read a whole trace (``.rpt`` or ``.jsonl``, by extension).
+
+    ``columns`` projects the load onto a subset of event columns; see
+    :meth:`TraceIndex.load`.
+    """
+    with obs.span("io.read"):
+        return TraceIndex(path).load(columns=columns)

@@ -4,9 +4,8 @@ import io
 
 import pytest
 
-from repro.trace import read_binary, read_jsonl, read_trace, write_binary, write_jsonl
-from repro.trace.binio import BinaryFormatError
-from repro.trace.reader import TraceFormatError, load_jsonl
+from repro.trace import read_trace, write_binary, write_jsonl
+from repro.trace.reader import TraceFormatError
 from repro.trace.writer import dump_jsonl
 
 
@@ -28,48 +27,57 @@ class TestJsonlRoundtrip:
     def test_figure_trace(self, fig3, tmp_path):
         path = tmp_path / "t.jsonl"
         write_jsonl(fig3, path)
-        assert traces_equal(fig3, read_jsonl(path))
+        assert traces_equal(fig3, read_trace(path))
 
     def test_trace_with_metrics_and_messages(self, tiny_trace, tmp_path):
         path = tmp_path / "t.jsonl"
         write_jsonl(tiny_trace, path)
-        back = read_jsonl(path)
+        back = read_trace(path)
         assert traces_equal(tiny_trace, back)
         assert back.metrics.id_of("CYC") == 0
 
-    def test_stream_roundtrip(self, fig1):
+    def test_stream_roundtrip(self, fig1, tmp_path):
         buf = io.StringIO()
         dump_jsonl(fig1, buf)
-        buf.seek(0)
-        assert traces_equal(fig1, load_jsonl(buf))
+        path = tmp_path / "t.jsonl"
+        path.write_text(buf.getvalue())
+        assert traces_equal(fig1, read_trace(path))
 
-    def test_empty_file_rejected(self):
+    @staticmethod
+    def _read_text(tmp_path, content):
+        path = tmp_path / "t.jsonl"
+        path.write_text(content)
+        return read_trace(path)
+
+    def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="empty"):
-            load_jsonl(io.StringIO(""))
+            self._read_text(tmp_path, "")
 
-    def test_missing_header_rejected(self):
+    def test_missing_header_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="header"):
-            load_jsonl(io.StringIO('{"record": "region"}\n'))
+            self._read_text(tmp_path, '{"record": "region"}\n')
 
-    def test_bad_version_rejected(self):
+    def test_bad_version_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="version"):
-            load_jsonl(io.StringIO('{"record": "header", "version": 99}\n'))
+            self._read_text(
+                tmp_path, '{"record": "header", "version": 99}\n'
+            )
 
-    def test_unknown_record_rejected(self, fig1):
+    def test_unknown_record_rejected(self, fig1, tmp_path):
         buf = io.StringIO()
         dump_jsonl(fig1, buf)
         content = buf.getvalue() + '{"record": "mystery"}\n'
         with pytest.raises(TraceFormatError, match="unknown record"):
-            load_jsonl(io.StringIO(content))
+            self._read_text(tmp_path, content)
 
-    def test_events_for_undefined_location(self):
+    def test_events_for_undefined_location(self, tmp_path):
         content = (
             '{"record": "header", "version": 1, "name": "x", "attributes": {}}\n'
             '{"record": "events", "location": 7, "n": 0, "time": [], "kind": [],'
             ' "ref": [], "partner": [], "size": [], "tag": [], "value": []}\n'
         )
         with pytest.raises(TraceFormatError, match="undefined location"):
-            load_jsonl(io.StringIO(content))
+            self._read_text(tmp_path, content)
 
     def test_location_without_events_gets_empty_stream(self, tmp_path):
         content = (
@@ -78,7 +86,7 @@ class TestJsonlRoundtrip:
         )
         path = tmp_path / "t.jsonl"
         path.write_text(content)
-        trace = read_jsonl(path)
+        trace = read_trace(path)
         assert trace.ranks == [0]
         assert len(trace.events_of(0)) == 0
 
@@ -87,26 +95,26 @@ class TestBinaryRoundtrip:
     def test_figure_trace(self, fig3, tmp_path):
         path = tmp_path / "t.rpt"
         write_binary(fig3, path)
-        assert traces_equal(fig3, read_binary(path))
+        assert traces_equal(fig3, read_trace(path))
 
     def test_metrics_and_attributes(self, tiny_trace, tmp_path):
         path = tmp_path / "t.rpt"
         write_binary(tiny_trace, path, compresslevel=1)
-        assert traces_equal(tiny_trace, read_binary(path))
+        assert traces_equal(tiny_trace, read_trace(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(BinaryFormatError, match="magic"):
-            read_binary(path)
+        with pytest.raises(TraceFormatError, match="magic"):
+            read_trace(path)
 
     def test_truncation_detected(self, fig2, tmp_path):
         path = tmp_path / "t.rpt"
         write_binary(fig2, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 40])
-        with pytest.raises(Exception):
-            read_binary(path)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            read_trace(path)
 
     def test_binary_smaller_than_jsonl_for_large_traces(self, tmp_path):
         from repro.sim.workloads.synthetic import SyntheticConfig, generate
@@ -155,28 +163,20 @@ class TestWritabilityPolicy:
         write_binary(trace, v2, version=2, codec="raw")
         return [jsonl, v1, v2]
 
-    def _loads(self, path):
-        from repro.trace.reader import TraceIndex
-
-        yield read_trace(path)
-        yield TraceIndex(path).load()
-
     def test_all_paths_read_only(self, fig1, tmp_path):
         import numpy as np
 
         for path in self._write_all(fig1, tmp_path):
-            for trace in self._loads(path):
-                for rank in trace.ranks:
-                    events = trace.events_of(rank)
-                    for name in events.loaded_columns:
-                        col = getattr(events, name)
-                        assert not col.flags.writeable, (path.name, name)
-                        with pytest.raises(
-                            ValueError, match="read-only"
-                        ):
-                            col[...] = col
-                        copy = np.array(col)
-                        assert copy.flags.writeable
+            trace = read_trace(path)
+            for rank in trace.ranks:
+                events = trace.events_of(rank)
+                for name in events.loaded_columns:
+                    col = getattr(events, name)
+                    assert not col.flags.writeable, (path.name, name)
+                    with pytest.raises(ValueError, match="read-only"):
+                        col[...] = col
+                    copy = np.array(col)
+                    assert copy.flags.writeable
 
     def test_mmap_disabled_path_read_only(self, fig1, tmp_path, monkeypatch):
         from repro.trace.reader import TraceIndex

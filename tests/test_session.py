@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import AnalysisSession, analyze_trace
 from repro.core.classify import SyncClassifier
 from repro.core.session import ArtifactCache, SessionStats, _LRU
-from repro.profiles import replay_trace
 from repro.trace import read_trace, write_binary, write_jsonl
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
@@ -138,8 +137,14 @@ class TestZeroRecomputation:
         cold = AnalysisSession(fig3, cache_dir=cache)
         cold.analysis()
         assert cold.stats.total_computed("replay") == len(fig3.ranks)
+        # One fused pass validated, replayed and stored every artifact.
+        assert cold.stats.total_computed("validate") == 1
+        keys = set(cold.cache.keys())
+        assert f"valid-{cold.fingerprint.hexdigest}" in keys
+        assert {f"inv-{d}" for _, d in cold.fingerprint.per_rank} <= keys
         warm = AnalysisSession(fig3, cache_dir=cache)
         warm.analysis()
+        assert warm.stats.disk_hits["validate"] == 1
         assert warm.stats.total_computed("replay") == 0
         assert warm.stats.total_computed("stats") == 0
         assert warm.stats.total_computed("sos") == 0
@@ -219,33 +224,6 @@ class TestFingerprint:
         fp = fingerprint_trace(fig3)
         for rank, digest in fp.per_rank:
             assert fingerprint_events(fig3.events_of(rank)) == digest
-
-
-class TestParallelReplay:
-    def test_parallel_equals_serial(self, fig3):
-        serial = replay_trace(fig3)
-        parallel = replay_trace(fig3, parallel=True)
-        assert list(serial) == list(parallel)
-        for rank in serial:
-            np.testing.assert_array_equal(
-                serial[rank].t_enter, parallel[rank].t_enter
-            )
-            np.testing.assert_array_equal(
-                serial[rank].exclusive, parallel[rank].exclusive
-            )
-
-    def test_explicit_worker_count(self, fig3):
-        tables = replay_trace(fig3, parallel=2)
-        assert set(tables) == set(fig3.ranks)
-
-    def test_invalid_worker_count(self, fig3):
-        with pytest.raises(ValueError):
-            replay_trace(fig3, parallel=0)
-
-    def test_session_parallel_matches(self, fig3):
-        a = AnalysisSession(fig3).analysis()
-        b = AnalysisSession(fig3, parallel=True).analysis()
-        np.testing.assert_array_equal(a.sos.matrix(), b.sos.matrix())
 
 
 class TestArtifactCache:

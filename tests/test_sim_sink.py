@@ -22,7 +22,7 @@ from repro.sim.network import (
 from repro.sim.sink import ColumnarTraceSink
 from repro.sim.workloads import congestion, idle_wave, late_sender, serialization
 from repro.sim.workloads.synthetic import SyntheticConfig, generate_result
-from repro.trace import read_binary, write_binary
+from repro.trace import read_trace, write_binary
 from repro.trace.builder import TraceBuilder
 from repro.trace.fingerprint import fingerprint_trace
 
@@ -148,7 +148,7 @@ class TestDirectWrite:
         result = idle_wave.generate_result()
         path = tmp_path / "iw.rpt"
         result.write(path)
-        loaded = read_binary(path)
+        loaded = read_trace(path)
         assert _fingerprints(loaded) == _fingerprints(result.trace)
 
 
