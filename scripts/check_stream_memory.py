@@ -144,8 +144,6 @@ def _vm_peak_bytes() -> int | None:
 
 def run_child(args: argparse.Namespace) -> int:
     """Constrained analysis under an RLIMIT_AS cap (child process)."""
-    import scipy.stats  # noqa: F401  (trend test; count it in the baseline)
-
     baseline = _vm_size_bytes()
     if baseline is None:
         print("no /proc/self/status; skipping the address-space cap",

@@ -25,6 +25,8 @@ import contextlib
 import json
 import sys
 
+from . import __version__
+
 __all__ = ["main", "build_parser"]
 
 _WORKLOADS = (
@@ -54,17 +56,6 @@ EXIT_BAD_INPUT = 2
 
 class CLIError(Exception):
     """User-facing error; printed to stderr, exits with EXIT_BAD_INPUT."""
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:  # pragma: no cover - metadata missing in dev trees
-        from . import __version__
-
-        return __version__
 
 
 @contextlib.contextmanager
@@ -222,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     _add_verbosity_args(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1209,6 +1200,24 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # Flush inside the guard so a closed pipe surfaces here rather
+        # than as an unraisable error at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away early (``repro-trace analyze ... | head``).
+        # Point stdout at devnull so the final flush at exit cannot raise
+        # again, and exit quietly (the Python docs' SIGPIPE recipe).
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _configure_cli_logging(args)

@@ -1,114 +1,57 @@
 """Core contribution: dominant functions, SOS-times, imbalance detection."""
 
-from .activity import ActivityShares, activity_shares
-from .classify import SyncClassifier, default_classifier
-from .commstats import CommMatrix, communication_matrix
-from .compare import (
-    RunComparison,
-    SegmentDelta,
-    compare_analyses,
-    compare_traces,
-)
-from .incremental import (
-    FusedBootstrap,
-    IncrementalKernel,
-    incremental_bootstrap,
-)
-from .streaming import StreamAlert, StreamedSegment, StreamingAnalyzer
-from .explain import RegionShare, SegmentExplanation, explain_segment
-from .dominant import (
-    DominantCandidate,
-    DominantSelection,
-    rank_candidates,
-    select_dominant,
-)
-from .metrics import (
-    MetricSeries,
-    binned_metric_matrix,
-    metric_series,
-    metric_sos_correlation,
-    per_rank_metric_total,
-    segment_metric_delta,
-)
-from .imbalance import (
-    Hotspot,
-    ImbalanceReport,
-    RankHotspot,
-    detect_imbalances,
-    imbalance_percentage,
-    robust_zscores,
-)
-from .pipeline import AnalysisConfig, VariationAnalysis, analyze_trace
-from .segments import RankSegments, Segmentation, segment_rank, segment_trace
-from .session import AnalysisSession, ArtifactCache, CacheInfo, SessionStats
-from .shard import ShardEngine, ShardPlan, plan_shards, shard_workers
-from .sos import RankSOS, SOSResult, compute_sos, top_level_sync_mask
-from .variation import (
-    TrendResult,
-    binned_matrix,
-    detect_trend,
-    mann_kendall,
-    step_series,
-)
+from __future__ import annotations
 
-__all__ = [
-    "ActivityShares",
-    "AnalysisConfig",
-    "AnalysisSession",
-    "ArtifactCache",
-    "CacheInfo",
-    "SessionStats",
-    "CommMatrix",
-    "DominantCandidate",
-    "DominantSelection",
-    "FusedBootstrap",
-    "Hotspot",
-    "IncrementalKernel",
-    "MetricSeries",
-    "ImbalanceReport",
-    "RankHotspot",
-    "RunComparison",
-    "SegmentDelta",
-    "StreamAlert",
-    "StreamedSegment",
-    "StreamingAnalyzer",
-    "RankSOS",
-    "RegionShare",
-    "SegmentExplanation",
-    "RankSegments",
-    "SOSResult",
-    "Segmentation",
-    "ShardEngine",
-    "ShardPlan",
-    "SyncClassifier",
-    "TrendResult",
-    "VariationAnalysis",
-    "activity_shares",
-    "analyze_trace",
-    "communication_matrix",
-    "compare_analyses",
-    "compare_traces",
-    "binned_matrix",
-    "binned_metric_matrix",
-    "compute_sos",
-    "default_classifier",
-    "detect_imbalances",
-    "detect_trend",
-    "explain_segment",
-    "imbalance_percentage",
-    "incremental_bootstrap",
-    "mann_kendall",
-    "metric_series",
-    "metric_sos_correlation",
-    "per_rank_metric_total",
-    "plan_shards",
-    "rank_candidates",
-    "robust_zscores",
-    "segment_metric_delta",
-    "segment_rank",
-    "segment_trace",
-    "select_dominant",
-    "shard_workers",
-    "step_series",
-    "top_level_sync_mask",
-]
+import importlib
+
+# Re-exported lazily so that importing one ``repro.core.*`` module does
+# not pull in its siblings (streaming, sharding with multiprocessing,
+# comparison, ...); each name loads its submodule when first touched.
+_EXPORTS = {
+    "activity": ("ActivityShares", "activity_shares"),
+    "classify": ("SyncClassifier", "default_classifier"),
+    "commstats": ("CommMatrix", "communication_matrix"),
+    "compare": ("RunComparison", "SegmentDelta", "compare_analyses", "compare_traces"),
+    "dominant": ("DominantCandidate", "DominantSelection", "rank_candidates", "select_dominant"),
+    "explain": ("RegionShare", "SegmentExplanation", "explain_segment"),
+    "imbalance": (
+        "Hotspot",
+        "ImbalanceReport",
+        "RankHotspot",
+        "detect_imbalances",
+        "imbalance_percentage",
+        "robust_zscores",
+    ),
+    "incremental": ("FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"),
+    "metrics": (
+        "MetricSeries",
+        "binned_metric_matrix",
+        "metric_series",
+        "metric_sos_correlation",
+        "per_rank_metric_total",
+        "segment_metric_delta",
+    ),
+    "pipeline": ("AnalysisConfig", "VariationAnalysis", "analyze_trace"),
+    "segments": ("RankSegments", "Segmentation", "segment_rank", "segment_trace"),
+    "session": ("AnalysisSession", "ArtifactCache", "CacheInfo", "SessionStats"),
+    "shard": ("ShardEngine", "ShardPlan", "plan_shards", "shard_workers"),
+    "sos": ("RankSOS", "SOSResult", "compute_sos", "top_level_sync_mask"),
+    "streaming": ("StreamAlert", "StreamedSegment", "StreamingAnalyzer"),
+    "variation": ("TrendResult", "binned_matrix", "detect_trend", "mann_kendall", "step_series"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

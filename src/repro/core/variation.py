@@ -13,10 +13,10 @@ the SOS value of the segment covering that time bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .sos import SOSResult
 
@@ -201,7 +201,8 @@ def mann_kendall(values: np.ndarray) -> tuple[float, float]:
         z = (s + 1) / np.sqrt(var_s)
     else:
         z = 0.0
-    p = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    # Two-sided normal tail: 2 * sf(|z|) == erfc(|z| / sqrt(2)).
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return tau, p
 
 

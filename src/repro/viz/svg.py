@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
+from html import escape
 
 __all__ = ["SVGCanvas"]
 
@@ -52,7 +52,7 @@ class SVGCanvas:
             attrs += f' stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"'
         if title:
             self._parts.append(
-                f"<rect {attrs}><title>{escape(title)}</title></rect>"
+                f"<rect {attrs}><title>{escape(title, quote=False)}</title></rect>"
             )
         else:
             self._parts.append(f"<rect {attrs}/>")
@@ -94,12 +94,12 @@ class SVGCanvas:
             attrs += ' font-weight="bold"'
         if rotate is not None:
             attrs += f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"'
-        self._parts.append(f"<text {attrs}>{escape(content)}</text>")
+        self._parts.append(f"<text {attrs}>{escape(content, quote=False)}</text>")
 
     def group_start(self, title: str | None = None) -> None:
         self._parts.append("<g>")
         if title:
-            self._parts.append(f"<title>{escape(title)}</title>")
+            self._parts.append(f"<title>{escape(title, quote=False)}</title>")
 
     def group_end(self) -> None:
         self._parts.append("</g>")

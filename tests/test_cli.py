@@ -1,10 +1,26 @@
 """Tests for the command-line interface (in-process invocation)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_script(script: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter with ``src`` importable."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -225,13 +241,47 @@ class TestCompareAndHtml:
                      "--iterations", "3", "-o", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
 
+class TestProcess:
+    """Behaviour only a fresh interpreter shows: imports, pipes, exit."""
+
+    def test_analyze_imports_only_what_it_runs(self, trace_path):
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['analyze', sys.argv[1]]) == 0\n"
+            "unused = ('scipy', 'importlib.metadata', 'xml.sax',\n"
+            "          'repro.core.streaming', 'repro.core.shard')\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
+        )
+        result = run_cli_script(script, str(trace_path), stdout=subprocess.DEVNULL)
+        assert result.returncode == 0, result.stderr
+
+    def test_closed_stdout_exits_quietly(self, trace_path):
+        # The reader is gone before the command writes a byte, so every
+        # write to stdout (including the flush at exit) hits EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            script = (
+                "import sys\n"
+                "from repro.cli import main\n"
+                "sys.exit(main(['analyze', sys.argv[1]]))\n"
+            )
+            result = run_cli_script(script, str(trace_path), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == ""
+
+
 class TestVersionAndBadInput:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert out.strip().split(".")  # dotted version string
+        assert out.strip() == f"repro-trace {repro.__version__}"
 
     @pytest.mark.parametrize(
         "argv",

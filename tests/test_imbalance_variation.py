@@ -17,6 +17,7 @@ from repro.core.variation import (
     detect_trend,
     mann_kendall,
     step_series,
+    theil_sen_slope,
 )
 
 
@@ -189,6 +190,63 @@ class TestMannKendall:
         with pytest.raises(ValueError, match="finite"):
             _kendall_s(np.asarray([1.0, np.nan, 2.0]))
         assert _kendall_s(np.asarray([1.0, 3.0, 2.0])) == 1
+
+
+def _reference_mk_z(v):
+    """Mann–Kendall z from the O(n^2) sign sum, with tie correction."""
+    n = len(v)
+    s = float(np.sign(v[None, :] - v[:, None])[np.triu_indices(n, 1)].sum())
+    _, counts = np.unique(v, return_counts=True)
+    tie_term = float(np.sum(counts * (counts - 1) * (2 * counts + 5)))
+    var_s = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
+    if var_s <= 0 or s == 0:
+        return 0.0
+    return (s - np.sign(s)) / np.sqrt(var_s)
+
+
+# scipy is a test-only dependency: the runtime never imports it, so it
+# serves as an independent oracle for the trend statistics.
+class TestScipyOracle:
+    @given(
+        st.one_of(
+            # Small integers force ties; wide floats exercise the tail.
+            st.lists(st.integers(0, 4).map(float), min_size=3, max_size=40),
+            st.lists(
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                min_size=3,
+                max_size=40,
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mann_kendall_p_matches_norm_sf(self, values):
+        stats = pytest.importorskip("scipy.stats")
+        v = np.asarray(values)
+        _, p = mann_kendall(v)
+        expected = 2.0 * float(stats.norm.sf(abs(_reference_mk_z(v))))
+        np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0.0)
+
+    def test_mann_kendall_p_far_tail(self):
+        stats = pytest.importorskip("scipy.stats")
+        v = np.arange(400.0)
+        _, p = mann_kendall(v)
+        expected = 2.0 * float(stats.norm.sf(abs(_reference_mk_z(v))))
+        assert 0.0 < p < 1e-100
+        np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0.0)
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_theil_sen_bitwise_equals_theilslopes(self, values):
+        stats = pytest.importorskip("scipy.stats")
+        y = np.asarray(values)
+        expected = float(stats.theilslopes(y, np.arange(len(y)))[0])
+        assert theil_sen_slope(y) == expected
 
 
 class TestDetectTrend:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core
 from repro.core import analyze_trace
 from repro.sim import ops
 from repro.sim.engine import simulate
@@ -20,9 +21,15 @@ class TestTopLevelPackage:
         assert repro.Trace is not None
         assert repro.__version__
 
+    def test_every_export_resolves(self):
+        for package in (repro, repro.core):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, name
+
     def test_unknown_attribute(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist
+        for package in (repro, repro.core):
+            with pytest.raises(AttributeError):
+                package.does_not_exist
 
     def test_dir_lists_lazy_names(self):
         names = dir(repro)

@@ -263,6 +263,28 @@ class TestSVG:
         svg.text(0, 0, "<b>&</b>")
         assert "&lt;b&gt;&amp;&lt;/b&gt;" in svg.tostring()
 
+    def test_escaping_is_pinned(self):
+        # Text content escapes &, < and > only; quotes pass through.
+        svg = SVGCanvas(10, 10)
+        svg.rect(0, 0, 1, 1, "#000", title="a&<>\"'z")
+        svg.text(1, 2, "t&<>\"'")
+        svg.group_start(title="&<>\"'")
+        svg.group_end()
+        assert svg.tostring() == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10" '
+            'viewBox="0 0 10 10">\n'
+            '<rect x="0" y="0" width="10" height="10" fill="#fcfcfa"/>\n'
+            '<rect x="0" y="0" width="1" height="1" fill="#000">'
+            "<title>a&amp;&lt;&gt;\"'z</title></rect>\n"
+            '<text x="1" y="2" font-size="11" fill="#1e1e1e" text-anchor="start" '
+            "font-family=\"monospace\">t&amp;&lt;&gt;\"'</text>\n"
+            "<g>\n"
+            "<title>&amp;&lt;&gt;\"'</title>\n"
+            "</g>\n"
+            "</svg>\n"
+        )
+
     def test_write(self, tmp_path):
         svg = SVGCanvas(10, 10)
         path = tmp_path / "x.svg"
