@@ -4,10 +4,13 @@ The paper states in-situ analysis "is feasible as well" (Section III);
 our :class:`~repro.core.streaming.StreamingAnalyzer` implements it.
 This benchmark measures the streaming path's event throughput against
 the batch pipeline and verifies the alert arrives *during* the stream,
-long before the run ends.  A second benchmark drives the vectorised
-steady-state path with large chunks over a multi-million-event stream
-and records throughput plus peak RSS into ``BENCH_streaming.json``
-(and the canonical repo-root copy ``BENCH_stream.json``).
+long before the run ends.  Two more benchmarks drive the steady state
+over a dense synthetic stream on both sides of the processor selection
+(``_VECTOR_MIN_EVENTS``): 64k-event chunks through the vectorised
+processor, and 256-event chunks (the ``repro monitor`` default) through
+the per-event machine.  Both record throughput plus peak RSS into
+``BENCH_streaming.json`` (and the canonical repo-root copy
+``BENCH_stream.json``).
 """
 
 import resource
@@ -157,5 +160,50 @@ def test_streaming_throughput(benchmark, report, bench_meta):
             f"({throughput / 1e6:.2f} M events/s)",
             f"  peak RSS: {peak_rss / 1e6:.0f} MB",
             "  target: >= 5 M events/s on the large-chunk path",
+        ],
+    )
+
+
+def test_streaming_throughput_short_chunks(benchmark, report, bench_meta):
+    """Steady-state throughput on 256-event chunks (per-event machine).
+
+    Chunks this short stay below ``_VECTOR_MIN_EVENTS``, so this is the
+    path ``repro monitor`` takes at its default ``--chunk``.
+    """
+    from repro.core.streaming import _VECTOR_MIN_EVENTS
+
+    invocations = 30_000
+    regions, events = _dense_stream(invocations)
+    n = len(events)
+    chunk = 256
+    assert chunk < _VECTOR_MIN_EVENTS
+
+    def run():
+        analyzer = StreamingAnalyzer(regions, 16, dominant="iteration")
+        for i in range(0, n, chunk):
+            analyzer.feed(0, events[i : i + chunk])
+        return analyzer
+
+    analyzer = benchmark(run)
+    assert len(analyzer.segments(0)) == invocations
+
+    best = float(benchmark.stats.stats.min)
+    throughput = n / best
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    bench_meta(
+        events=n,
+        chunk_events=chunk,
+        peak_rss_bytes=peak_rss,
+        throughput_events_per_s=throughput,
+    )
+
+    report(
+        "E12_streaming_short_chunks",
+        [
+            "Per-event streaming steady state (256-event chunks)",
+            f"  events streamed: {n}",
+            f"  best round: {best * 1e3:.1f} ms "
+            f"({throughput / 1e6:.2f} M events/s)",
+            f"  peak RSS: {peak_rss / 1e6:.0f} MB",
         ],
     )

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sos import SOSResult
+if TYPE_CHECKING:
+    from .sos import SOSResult
 
 __all__ = [
     "Hotspot",

@@ -36,11 +36,14 @@ by eviction because they accumulate at segment completion.
 Batch equivalence: fed a complete trace after pinning the dominant
 function, the streamed SOS values equal
 :func:`repro.core.sos.compute_sos` exactly (tested), and results are
-bitwise independent of how the stream is chunked.  After warm-up the
-chunk processor is vectorised (stack validation via the lint engine's
-depth trick, segment/sync boundaries via nesting trajectories), so
-throughput on large chunks is bounded by NumPy scans, not per-event
-Python dispatch.
+bitwise independent of how the stream is chunked.  Two processors
+share the per-rank state: a per-event state machine over plain Python
+scalars (warm-up, selection in the middle of a chunk, and every chunk
+shorter than ``_VECTOR_MIN_EVENTS``), and a vectorised chunk processor
+(stack validation via the lint engine's depth trick, segment/sync
+boundaries via nesting trajectories) for long chunks once a dominant
+function is selected.  Both perform the same float operations in the
+same order.
 
 Malformed streams raise :class:`StreamOrderError` (out-of-order chunk;
 tracelint rule ``TL004``) or :class:`StreamStructureError` (unmatched
@@ -85,9 +88,19 @@ _C_EVICTIONS = obs.counter("stream.window_evictions")
 #: Events parsed by the driving cursor but not yet fed (backlog).
 _G_LAG = obs.gauge("stream.lag_events")
 
-_ENTER = np.uint8(EventKind.ENTER)
-_LEAVE = np.uint8(EventKind.LEAVE)
-_METRIC = np.uint8(EventKind.METRIC)
+_ENTER = int(EventKind.ENTER)
+_LEAVE = int(EventKind.LEAVE)
+_METRIC = int(EventKind.METRIC)
+
+#: Shortest chunk the vectorised processor takes.  Its cost is mostly a
+#: fixed ~0.4 ms of NumPy calls per chunk, while the per-event machine
+#: runs at ~2 Mevents/s at any chunk size.  Measured on 2-core x86 VMs
+#: (table in docs/streaming.md), the two cross between 1024 and 4096
+#: events: at 64 events the per-event machine is ~8-12x faster, at 1024
+#: they are within ~30% of each other either way, and at 64k the
+#: vectorised processor is ~1.2x (COSMO-SPECS) to ~4x (dense 3-level
+#: stream) faster.
+_VECTOR_MIN_EVENTS = 1024
 
 
 def _small_median(ordered: list) -> float:
@@ -281,6 +294,7 @@ class StreamingAnalyzer:
 
         self._sync_mask = self.classifier.mask_registry(regions)
         # (mask_registry accepts a bare RegionRegistry, see classify.py)
+        self._sync_flags: list[bool] = self._sync_mask.tolist()
         self._streams: dict[int, _RankStream] = {}
         self.alerts: list[StreamAlert] = []
         self.window_evictions = 0
@@ -288,8 +302,8 @@ class StreamingAnalyzer:
         self._metric_bins: dict[tuple[int, int], dict[int, list]] = {}
 
         # Warm-up statistics for automatic dominant selection.
-        self._warmup_counts = np.zeros(len(regions), dtype=np.int64)
-        self._warmup_inclusive = np.zeros(len(regions), dtype=np.float64)
+        self._warmup_counts = [0] * len(regions)
+        self._warmup_inclusive = [0.0] * len(regions)
         self._warmup_seen = 0
 
         self.dominant: int | None = None
@@ -325,13 +339,11 @@ class StreamingAnalyzer:
             raise StreamOrderError(rank, float(times[0]), stream.last_time)
         kinds = events.kind
         refs = events.ref
-        if self.selected:
+        if self.selected and n >= _VECTOR_MIN_EVENTS:
             new_alerts = self._feed_chunk(stream, times, kinds, refs)
             stream.last_time = float(times[-1])
         else:
-            # Warm-up keeps the per-event reference loop: selection is
-            # event-exact, and may flip mid-chunk.
-            new_alerts = self._feed_warmup(stream, times, kinds, refs)
+            new_alerts = self._feed_events(stream, times, kinds, refs)
         if self.metric_window is not None:
             self._feed_metrics(rank, times, kinds, refs, events)
         self.alerts.extend(new_alerts)
@@ -358,20 +370,32 @@ class StreamingAnalyzer:
         if self.selected:
             return self.dominant  # type: ignore[return-value]
         threshold = 2 * self.num_processes
-        eligible = np.flatnonzero(self._warmup_counts >= threshold)
-        eligible = [
-            r
-            for r in eligible
-            if not self._sync_mask[r]
-        ]
+        eligible = self._eligible()
         if not eligible:
             raise ValueError(
                 "no dominant-function candidate in the warm-up window "
                 f"(need >= {threshold} invocations of a non-sync region)"
             )
-        best = max(eligible, key=lambda r: self._warmup_inclusive[r])
-        self.dominant = int(best)
-        return self.dominant
+        best = max(eligible, key=self._warmup_inclusive.__getitem__)
+        self.dominant = best
+        # Segments open only at the next top-level dominant enter, but a
+        # rank may be inside dominant frames right now: their leaves must
+        # find them counted, or the nesting level goes negative.
+        for stream in self._streams.values():
+            stream.dominant_nesting = sum(
+                1 for region, _ in stream.stack if region == best
+            )
+        return best
+
+    def _eligible(self) -> list[int]:
+        """Non-sync regions with at least ``2p`` warm-up invocations."""
+        threshold = 2 * self.num_processes
+        sync = self._sync_flags
+        return [
+            r
+            for r, count in enumerate(self._warmup_counts)
+            if count >= threshold and not sync[r]
+        ]
 
     def candidates(self, k: int = 5) -> list[tuple[int, int, float]]:
         """Rolling dominant-function candidates from warm-up statistics.
@@ -383,15 +407,11 @@ class StreamingAnalyzer:
         eligibility bar, which also rules out once-per-run wrappers
         like ``main``).  Usable at any time, also after selection.
         """
-        eligible = np.flatnonzero(
-            self._warmup_counts >= 2 * self.num_processes
-        )
         ranked = sorted(
-            (int(r) for r in eligible if not self._sync_mask[r]),
-            key=lambda r: -self._warmup_inclusive[r],
+            self._eligible(), key=lambda r: -self._warmup_inclusive[r]
         )
         return [
-            (r, int(self._warmup_counts[r]), float(self._warmup_inclusive[r]))
+            (r, self._warmup_counts[r], self._warmup_inclusive[r])
             for r in ranked[: max(int(k), 0)]
         ]
 
@@ -449,13 +469,15 @@ class StreamingAnalyzer:
         totals = self.per_rank_total()
         if len(totals) < 3:
             return []
-        ranks = np.asarray(sorted(totals))
-        values = np.asarray([totals[r] for r in ranks])
-        med = float(np.median(values))
-        mad = float(np.median(np.abs(values - med))) * _MAD_SCALE
+        ranks = sorted(totals)
+        # Pure-Python medians: np.median would import numpy.ma.
+        med = _small_median(sorted(totals.values()))
+        mad = _small_median(sorted(abs(v - med) for v in totals.values()))
+        mad *= _MAD_SCALE
         scale = max(mad, 0.01 * abs(med))
         if scale <= 0:
             return []
+        values = np.asarray([totals[r] for r in ranks])
         z = (values - med) / scale
         hot = (z > threshold) & (values > med * (1 + self.min_relative_excess))
         order = np.argsort(-z)
@@ -470,69 +492,91 @@ class StreamingAnalyzer:
             self._streams[rank] = stream
         return stream
 
-    # .. warm-up path (per-event reference loop) .......................
+    # .. per-event state machine ......................................
 
-    def _feed_warmup(self, stream, times, kinds, refs) -> list[StreamAlert]:
+    def _feed_events(self, stream, times, kinds, refs) -> list[StreamAlert]:
+        """The reference machine, one event at a time.
+
+        Handles warm-up statistics, dominant selection (event-exact, so
+        it may flip in the middle of a chunk) and steady-state
+        segmentation in one loop over plain Python scalars.  The rank's
+        state lives in locals and is written back when the chunk ends or
+        a structure error stops it.
+        """
+        enter_kind = _ENTER
+        leave_kind = _LEAVE
+        sync_flags = self._sync_flags
+        dominant = self.dominant
+        counts = self._warmup_counts
+        inclusive = self._warmup_inclusive
+        stack = stream.stack
+        push = stack.append
+        pop = stack.pop
+        sync_nesting = stream.sync_nesting
+        sync_start = stream.sync_start
+        seg_start = stream.segment_start
+        seg_sync = stream.segment_sync
+        dom_nesting = stream.dominant_nesting
+        t = stream.last_time
         new_alerts: list[StreamAlert] = []
-        for i in range(len(times)):
-            t = float(times[i])
+        try:
+            for t, kind, region in zip(
+                times.tolist(), kinds.tolist(), refs.tolist()
+            ):
+                if kind == enter_kind:
+                    push((region, t))
+                    if sync_flags[region]:
+                        if sync_nesting == 0:
+                            sync_start = t
+                        sync_nesting += 1
+                    if region == dominant:
+                        dom_nesting += 1
+                        if dom_nesting == 1:
+                            seg_start = t
+                            seg_sync = 0.0
+                elif kind == leave_kind:
+                    if not stack or stack[-1][0] != region:
+                        raise StreamStructureError(
+                            stream.rank, region,
+                            "TL003" if stack else "TL001",
+                        )
+                    t_enter = pop()[1]
+                    if sync_flags[region]:
+                        sync_nesting -= 1
+                        if sync_nesting == 0 and seg_start is not None:
+                            seg_sync += t - max(sync_start, seg_start)
+                    if dominant is None:
+                        # Warm-up statistics (inclusive approximated by
+                        # frame duration, which counts recursion
+                        # multiply; exact for non-recursive frames,
+                        # which dominate in practice).
+                        counts[region] += 1
+                        inclusive[region] += t - t_enter
+                        self._warmup_seen += 1
+                        if self._warmup_seen >= self.warmup_invocations:
+                            try:
+                                dominant = self.select_now()
+                            except ValueError:
+                                self.warmup_invocations *= 2  # keep collecting
+                            else:
+                                dom_nesting = stream.dominant_nesting
+                    elif region == dominant:
+                        dom_nesting -= 1
+                        if dom_nesting == 0 and seg_start is not None:
+                            alert = self._complete_segment(
+                                stream, seg_start, t, seg_sync
+                            )
+                            seg_start = None
+                            if alert is not None:
+                                new_alerts.append(alert)
+        finally:
+            stream.sync_nesting = sync_nesting
+            stream.sync_start = sync_start
+            stream.segment_start = seg_start
+            stream.segment_sync = seg_sync
+            stream.dominant_nesting = dom_nesting
             stream.last_time = t
-            kind = kinds[i]
-            if kind == EventKind.ENTER:
-                self._enter(stream, t, int(refs[i]))
-            elif kind == EventKind.LEAVE:
-                alert = self._leave(stream, t, int(refs[i]))
-                if alert is not None:
-                    new_alerts.append(alert)
         return new_alerts
-
-    def _enter(self, stream: _RankStream, t: float, region: int) -> None:
-        stream.stack.append((region, t))
-        if self._sync_mask[region]:
-            if stream.sync_nesting == 0:
-                stream.sync_start = t
-            stream.sync_nesting += 1
-        if self.selected and region == self.dominant:
-            stream.dominant_nesting += 1
-            if stream.dominant_nesting == 1:
-                stream.segment_start = t
-                stream.segment_sync = 0.0
-
-    def _leave(self, stream: _RankStream, t: float, region: int) -> StreamAlert | None:
-        if not stream.stack or stream.stack[-1][0] != region:
-            raise StreamStructureError(
-                stream.rank, region,
-                "TL001" if not stream.stack else "TL003",
-            )
-        _region, t_enter = stream.stack.pop()
-        if self._sync_mask[region]:
-            stream.sync_nesting -= 1
-            if stream.sync_nesting == 0 and stream.segment_start is not None:
-                stream.segment_sync += t - max(
-                    stream.sync_start, stream.segment_start
-                )
-
-        # Warm-up statistics (inclusive approximated by frame duration,
-        # which counts recursion multiply; exact for non-recursive
-        # frames, which dominate in practice).
-        if not self.selected:
-            self._warmup_counts[region] += 1
-            self._warmup_inclusive[region] += t - t_enter
-            self._warmup_seen += 1
-            if self._warmup_seen >= self.warmup_invocations:
-                try:
-                    self.select_now()
-                except ValueError:
-                    self.warmup_invocations *= 2  # keep collecting
-
-        if self.selected and region == self.dominant:
-            stream.dominant_nesting -= 1
-            if stream.dominant_nesting == 0 and stream.segment_start is not None:
-                t_start = stream.segment_start
-                sync_time = stream.segment_sync
-                stream.segment_start = None
-                return self._complete_segment(stream, t_start, t, sync_time)
-        return None
 
     # .. steady-state path (vectorised chunk processor) ................
 
@@ -681,7 +725,7 @@ class StreamingAnalyzer:
         t_stop: float,
         sync_time: float,
     ) -> StreamAlert | None:
-        """Record one completed segment (scalar path: warm-up loop)."""
+        """Record one completed segment (per-event machine)."""
         stream.seg_start.append(t_start)
         stream.seg_stop.append(t_stop)
         stream.seg_sync.append(sync_time)

@@ -284,6 +284,8 @@ class EventList:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            if index.step is None or index.step == 1:
+                return self._contiguous_slice(index)
             loaded = self.loaded_columns
             if len(loaded) != len(_FIELDS):
                 return EventList.projected(
@@ -302,6 +304,22 @@ class EventList:
             tag=int(self.tag[i]),
             value=float(self.value[i]),
         )
+
+    def _contiguous_slice(self, index: slice) -> "EventList":
+        """Unit-step slice without re-validation.
+
+        A contiguous run of a validated, read-only list is itself
+        time-ordered, canonically typed and read-only (NumPy views of a
+        read-only array are read-only), so only the columns are sliced;
+        missing-column placeholders are shared.
+        """
+        sliced = object.__new__(EventList)
+        for name in _FIELDS:
+            column = getattr(self, name)
+            if not isinstance(column, _MissingColumn):
+                column = column[index]
+            object.__setattr__(sliced, name, column)
+        return sliced
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventList):

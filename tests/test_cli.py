@@ -257,6 +257,19 @@ class TestProcess:
         result = run_cli_script(script, str(trace_path), stdout=subprocess.DEVNULL)
         assert result.returncode == 0, result.stderr
 
+    def test_monitor_imports_only_what_it_runs(self, trace_path):
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['monitor', sys.argv[1]]) == 0\n"
+            "unused = ('numpy.ma', 'repro.core.sos', 'repro.profiles',\n"
+            "          'scipy', 'repro.core.session')\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
+        )
+        result = run_cli_script(script, str(trace_path), stdout=subprocess.DEVNULL)
+        assert result.returncode == 0, result.stderr
+
     def test_closed_stdout_exits_quietly(self, trace_path):
         # The reader is gone before the command writes a byte, so every
         # write to stdout (including the flush at exit) hits EPIPE.

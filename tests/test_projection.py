@@ -92,6 +92,27 @@ class TestProjectionEqualsSlicing:
         with pytest.raises(ColumnNotLoadedError):
             chunk.partner[0]
 
+    def test_slice_stays_read_only(self, trace_file):
+        """Slices are views, not revalidated copies: they must keep the
+        parent's freeze and its missing-column placeholders."""
+        proj = TraceIndex(trace_file).load(None, columns=STREAM_COLUMNS)
+        full = TraceIndex(trace_file).load()
+        rank = proj.ranks[0]
+        for events in (proj.events_of(rank), full.events_of(rank)):
+            chunk = events[2:9][1:4]
+            assert len(chunk) == 3
+            assert chunk.loaded_columns == events.loaded_columns
+            for name in chunk.loaded_columns:
+                column = getattr(chunk, name)
+                np.testing.assert_array_equal(
+                    column, getattr(events, name)[3:6]
+                )
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
+        with pytest.raises(ColumnNotLoadedError, match="'value'"):
+            proj.events_of(rank)[2:9].value[0]
+
 
 class TestUnknownColumns:
     def test_reader_rejects_unknown(self, trace_file):

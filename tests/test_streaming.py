@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import analyze_trace
-from repro.core.streaming import StreamingAnalyzer
+from repro.core.streaming import _VECTOR_MIN_EVENTS, StreamingAnalyzer
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
@@ -216,7 +216,7 @@ class TestStreamDiagnostics:
         p.leave(3.0)
         events = tb.freeze().events_of(0)
         keep = np.asarray([True, True, False, True])
-        for dominant in ("a", None):  # vectorised and warm-up paths
+        for dominant in ("a", None):  # pinned and warm-up
             analyzer = StreamingAnalyzer(tb.freeze().regions, 1,
                                          dominant=dominant)
             with pytest.raises(StreamStructureError, match="does not match") as err:
@@ -443,3 +443,253 @@ class TestMetricWindow:
         trace = self._metric_trace()
         with pytest.raises(ValueError, match="metric_window"):
             StreamingAnalyzer(trace.regions, 1, metric_window=0.0)
+
+
+# -- both processors: per-event machine and vectorised long chunks ---------
+
+T = _VECTOR_MIN_EVENTS
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """Ranks longer than 4T events, with a planted slow rank and outliers."""
+    trace = generate(
+        SyntheticConfig(
+            ranks=4,
+            iterations=240,
+            slow_ranks={3: 1.4},
+            outliers={(1, 150): 0.08, (2, 40): 0.1},
+            jitter_sigma=0.005,
+            seed=3,
+        )
+    )
+    assert min(len(trace.events_of(r)) for r in trace.ranks) > 4 * T
+    return trace
+
+
+def feed_sizes(analyzer, rank, events, sizes):
+    """Feed ``events`` in consecutive chunks, cycling through ``sizes``."""
+    i = 0
+    k = 0
+    while i < len(events):
+        step = sizes[k % len(sizes)]
+        analyzer.feed(rank, events[i : i + step])
+        i += step
+        k += 1
+
+
+def outcome(analyzer, ranks):
+    """Everything a run produces, in a form compared bitwise."""
+    return (
+        analyzer.dominant,
+        {r: analyzer.segments(r) for r in ranks},
+        list(analyzer.alerts),
+        {
+            r: (s.total_sos.hex(), s.total_count)
+            for r, s in sorted(analyzer._streams.items())
+        },
+        {r: v.hex() for r, v in analyzer.per_rank_total().items()},
+    )
+
+
+def spy_processors(analyzer, monkeypatch):
+    """Count the chunks each processor handles."""
+    calls = {"events": 0, "vector": 0}
+    for name, key in (("_feed_events", "events"), ("_feed_chunk", "vector")):
+        original = getattr(analyzer, name)
+
+        def wrapped(*args, _original=original, _key=key):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(analyzer, name, wrapped)
+    return calls
+
+
+class TestProcessorSelection:
+    @pytest.mark.parametrize("dominant,warmup", [("iteration", 500), (None, 300)])
+    def test_chunk_size_matrix_bitwise(self, long_trace, dominant, warmup):
+        ranks = long_trace.ranks
+        results = []
+        for chunk in (1, 7, T - 1, T, 4 * T, None):
+            analyzer = StreamingAnalyzer(
+                long_trace.regions, long_trace.num_processes,
+                dominant=dominant, warmup_invocations=warmup,
+            )
+            for rank in ranks:
+                events = long_trace.events_of(rank)
+                feed_sizes(analyzer, rank, events, [chunk or len(events)])
+            results.append(outcome(analyzer, ranks))
+        assert results[0][0] == long_trace.regions.id_of("iteration")
+        assert results[0][2], "the planted outliers must alert"
+        for other in results[1:]:
+            assert other == results[0]
+
+    def test_vectorised_only_on_long_chunks(self, long_trace, monkeypatch):
+        events = long_trace.events_of(0)
+        analyzer = StreamingAnalyzer(
+            long_trace.regions, long_trace.num_processes, dominant="iteration"
+        )
+        calls = spy_processors(analyzer, monkeypatch)
+        analyzer.feed(0, events[: T - 1])
+        analyzer.feed(0, events[T - 1 : 2 * T - 1])
+        assert calls == {"events": 1, "vector": 1}
+
+        warming = StreamingAnalyzer(
+            long_trace.regions, long_trace.num_processes
+        )
+        calls = spy_processors(warming, monkeypatch)
+        warming.feed(0, events[: 2 * T])  # long, but nothing selected yet
+        assert calls == {"events": 1, "vector": 0}
+
+    def test_mixed_chunks_on_one_rank(self, long_trace, monkeypatch):
+        ranks = long_trace.ranks
+        reference = StreamingAnalyzer(
+            long_trace.regions, long_trace.num_processes, dominant="iteration"
+        )
+        mixed = StreamingAnalyzer(
+            long_trace.regions, long_trace.num_processes, dominant="iteration"
+        )
+        calls = spy_processors(mixed, monkeypatch)
+        for rank in ranks:
+            events = long_trace.events_of(rank)
+            reference.feed(rank, events)
+            feed_sizes(mixed, rank, events, [T + 5, 3, 2 * T, 1, T - 1, 40])
+        assert calls["events"] and calls["vector"]
+        assert outcome(mixed, ranks) == outcome(reference, ranks)
+
+
+def _padded(defect, before=T, after=0):
+    """``defect`` (kind, region) pairs between runs of balanced ``b`` calls
+    (``before`` and ``after`` events long)."""
+    from repro.trace.definitions import RegionRegistry
+    from repro.trace.events import EventKind, EventListBuilder
+
+    regions = RegionRegistry()
+    regions.register("a")
+    regions.register("b")
+    builder = EventListBuilder()
+    t = 0.0
+
+    def pad(n_events):
+        nonlocal t
+        for _ in range(n_events // 2):
+            builder.append(t, EventKind.ENTER, ref=1)
+            builder.append(t + 0.5, EventKind.LEAVE, ref=1)
+            t += 1.0
+
+    pad(before)
+    for kind, region in defect:
+        builder.append(t, kind, ref=region)
+        t += 1.0
+    pad(after)
+    return regions, builder.freeze()
+
+
+class TestStructureErrorsBothProcessors:
+    """TL001/TL003 come out the same from either processor."""
+
+    @pytest.mark.parametrize("sizes", [[7], [10 * T]], ids=["events", "vector"])
+    @pytest.mark.parametrize(
+        "defect,code",
+        [
+            ([(0, 0), (0, 1), (1, 0)], "TL003"),  # leave a while b is open
+            ([(1, 0)], "TL001"),  # leave with an empty stack
+        ],
+        ids=["TL003", "TL001"],
+    )
+    def test_error_inside_chunk(self, sizes, defect, code, monkeypatch):
+        from repro.core.streaming import StreamStructureError
+
+        regions, events = _padded(defect)
+        analyzer = StreamingAnalyzer(regions, 1, dominant="a")
+        calls = spy_processors(analyzer, monkeypatch)
+        with pytest.raises(StreamStructureError) as err:
+            feed_sizes(analyzer, 0, events, sizes)
+        assert err.value.code == code
+        long = sizes[0] > T
+        assert calls["vector" if long else "events"]
+        assert calls["events" if long else "vector"] == 0
+
+    @pytest.mark.parametrize("before", [0, T], ids=["short", "long"])
+    @pytest.mark.parametrize("after", [0, T], ids=["short", "long"])
+    def test_error_across_chunk_boundary(self, before, after):
+        """A leave closing a frame carried over from an earlier chunk is
+        checked against that frame, whichever processor saw each side."""
+        from repro.core.streaming import StreamStructureError
+
+        regions, events = _padded(
+            [(0, 0), (0, 1), (1, 0)], before=before, after=after
+        )
+        analyzer = StreamingAnalyzer(regions, 1, dominant="a")
+        analyzer.feed(0, events[: before + 2])  # ends with enter a, b
+        with pytest.raises(StreamStructureError) as err:
+            analyzer.feed(0, events[before + 2 :])  # leave a against b
+        assert err.value.code == "TL003"
+
+
+class TestSelectionInsideOpenFrame:
+    """Warm-up selection can fire while ranks are inside dominant frames.
+
+    Two ranks run ``step { work }`` iterations and are fed interleaved.
+    Selection fires on rank 1's leave of ``work``, with rank 1 inside
+    ``step`` and rank 0 paused inside ``step``/``work``.  The frames
+    open at selection close without a segment; every ``step`` that
+    opens afterwards is one segment, on both ranks.
+    """
+
+    @staticmethod
+    def _iterations(t0, n):
+        from repro.trace.events import EventKind
+
+        enter, leave = EventKind.ENTER, EventKind.LEAVE
+        rows = []
+        for t in (t0 + i for i in range(n)):
+            rows += [(t, enter, 0), (t + 0.1, enter, 1),
+                     (t + 0.6, leave, 1), (t + 0.9, leave, 0)]
+        return rows
+
+    @staticmethod
+    def _events(rows):
+        from repro.trace.events import EventListBuilder
+
+        builder = EventListBuilder()
+        for t, kind, ref in rows:
+            builder.append(t, kind, ref=ref)
+        return builder.freeze()
+
+    @pytest.mark.parametrize("after", [5, 4 * T], ids=["events", "vector"])
+    def test_ranks_keep_segmenting(self, after):
+        from repro.trace.definitions import RegionRegistry
+        from repro.trace.events import EventKind
+
+        enter, leave = EventKind.ENTER, EventKind.LEAVE
+        regions = RegionRegistry()
+        regions.register("step")
+        regions.register("work")
+        later = 300
+        # 2p = 4 invocations make "step" eligible; the 9th completed
+        # invocation (rank 1's second "work") triggers selection.
+        analyzer = StreamingAnalyzer(regions, 2, warmup_invocations=9)
+        analyzer.feed(0, self._events(
+            self._iterations(0.0, 3) + [(3.0, enter, 0), (3.1, enter, 1)]
+        ))
+        analyzer.feed(1, self._events(
+            self._iterations(0.0, 1)
+            + [(1.0, enter, 0), (1.1, enter, 1), (1.6, leave, 1)]
+        ))
+        assert analyzer.dominant_name == "step"
+
+        resumed = {
+            1: [(1.9, leave, 0)] + self._iterations(2.0, later),
+            0: [(3.6, leave, 1), (3.9, leave, 0)]
+            + self._iterations(4.0, later),
+        }
+        for rank, rows in resumed.items():
+            feed_sizes(analyzer, rank, self._events(rows), [after])
+
+        for rank, t0 in ((0, 4.0), (1, 2.0)):
+            segments = analyzer.segments(rank)
+            assert len(segments) == later
+            assert segments[0].t_start == t0
+            assert segments[-1].t_stop == t0 + later - 1 + 0.9
