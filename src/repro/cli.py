@@ -278,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="print trace summary")
     info.add_argument("trace")
 
-    val = sub.add_parser("validate", help="check trace well-formedness")
-    val.add_argument("trace")
-
     lint = sub.add_parser(
         "lint",
         help="static analysis over the event stream (tracelint)",
@@ -407,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz the analysis engines with random scenarios",
         description=(
             "Generate seeded random simulation scenarios and run each "
-            "through the differential oracle: fused, legacy and "
-            "incremental engines, shard counts, chunk sizes and both "
+            "through the differential oracle: the incremental kernel "
+            "(whole-rank and chunked) against the staged reference, "
+            "shard counts, chunk sizes and both "
             ".rpt container versions must agree bitwise.  Failures are "
             "minimized and written as self-contained repro scripts."
         ),
@@ -700,18 +698,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    from .trace import validate_trace
-
-    report = validate_trace(_load_trace(args.trace))
-    if report.ok:
-        print("trace is well-formed")
-        return 0
-    for issue in report.issues:
-        print(issue)
-    return 1
-
-
 def _lint_cli_config(args):
     """Assemble a LintConfig from --config file and command-line flags."""
     from .lint import LintConfig
@@ -919,6 +905,10 @@ def _cmd_monitor(args) -> int:
                 for alert in analyzer.feed(batch.rank, batch.events):
                     print(f"ALERT {alert}")
                 total += len(batch.events)
+            # A --follow run that stops on --idle-timeout has not seen
+            # the end of the trace: the writer may still be in a frame.
+            if batch.final and (not args.follow or cursor.ended):
+                analyzer.finish_rank(batch.rank)
             lag.set(float(getattr(cursor, "backlog_events", 0)))
             if metrics_col is not None:
                 now = _time.monotonic()
@@ -1184,7 +1174,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "render": _cmd_render,
     "info": _cmd_info,
-    "validate": _cmd_validate,
     "lint": _cmd_lint,
     "baselines": _cmd_baselines,
     "cache": _cmd_cache,
@@ -1258,6 +1247,15 @@ def _run(argv: list[str] | None) -> int:
             _emit_telemetry(args, col, profiler)
         return code
     except CLIError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except ValueError as err:
+        # A failed structural gate (repro.lint.LintError) is bad input.
+        # Looked up, not imported: the lint package is loaded only when
+        # a gate ran, and a warm-cache analyze runs none.
+        lint_model = sys.modules.get("repro.lint.model")
+        if lint_model is None or not isinstance(err, lint_model.LintError):
+            raise
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

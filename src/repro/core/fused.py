@@ -1,9 +1,9 @@
 """Fused single-pass analysis kernel (batch entry point).
 
-The legacy pipeline touches every event stream twice before any
-analysis product exists: once in ``validate_trace`` (which builds the
-lint engine's :class:`~repro.lint.engine.RankView`, including the
-depth-trick enter/leave pairing) and once in
+A staged pipeline touches every event stream twice before any
+analysis product exists: once in the structural lint pass (which
+builds the lint engine's :class:`~repro.lint.engine.RankView`,
+including the depth-trick enter/leave pairing) and once in
 :func:`~repro.profiles.replay.match_invocations` (which re-derives the
 exact same masks and pairing from scratch), and then a third partial
 pass aggregates per-region statistics from the tables.
@@ -16,7 +16,7 @@ rank, finalised immediately.  Outputs are bitwise identical to the
 staged pipeline by construction:
 
 * diagnostics come from the same rules over the same views, finalised
-  and translated exactly like :func:`repro.trace.validate.validate_trace`;
+  exactly like ``lint_trace(trace, config=validate_config())``;
 * tables share :func:`~repro.profiles.replay._build_table` with
   ``match_invocations``;
 * statistics partials merge rank-ascending, which is the definition of

@@ -261,15 +261,15 @@ def analyze_trace(
     lint:
         ``True`` or a :class:`repro.lint.LintConfig` to run the full
         tracelint rule set as the pre-flight gate (instead of only the
-        legacy structural checks); error-severity findings raise
+        structural error rules); error-severity findings raise
         :class:`repro.lint.LintError` before any replay happens.
 
     Raises
     ------
     ValueError
-        If the trace fails structural validation (with ``lint``, a
-        :class:`repro.lint.LintError` subclass of it), or if no
-        dominant-function candidate exists.
+        If the trace fails structural validation (a
+        :class:`repro.lint.LintError`), or if no dominant-function
+        candidate exists.
     """
     from .session import AnalysisSession
 

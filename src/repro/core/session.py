@@ -55,7 +55,6 @@ from ..trace.fingerprint import (
     fingerprint_trace,
 )
 from ..trace.trace import Trace
-from ..trace.validate import ValidationIssue, ValidationReport
 from .classify import SyncClassifier
 from .dominant import DominantSelection, select_dominant
 from .imbalance import ImbalanceReport, detect_imbalances
@@ -325,8 +324,8 @@ class AnalysisSession:
     lint:
         ``True`` or a :class:`repro.lint.LintConfig` to make the
         pre-flight gate run the *full* tracelint rule set (structural +
-        MPI-semantic + paper-precondition rules) instead of the legacy
-        structural subset; error-severity findings raise
+        MPI-semantic + paper-precondition rules) instead of the
+        structural error rules; error-severity findings raise
         :class:`repro.lint.LintError`.  See also :meth:`preflight`.
 
     Examples
@@ -359,7 +358,7 @@ class AnalysisSession:
 
             lint = LintConfig()
         #: optional LintConfig; when set, the pre-flight gate runs the
-        #: full tracelint rule set instead of the legacy validate subset
+        #: full tracelint rule set instead of the structural error rules
         self.lint_config = lint or None
         self.shards = shards
         self.max_memory_mb = max_memory_mb
@@ -489,10 +488,12 @@ class AnalysisSession:
             return self._boot
         with obs.span("shard.bootstrap"):
             boot = self._shard_engine().bootstrap()
-        if self.config.validate and boot.issues:
-            ValidationReport(
-                issues=[ValidationIssue(*i) for i in boot.issues]
-            ).raise_if_invalid()
+        if self.config.validate and boot.diagnostics:
+            from ..lint import LintReport, validate_subset_codes
+
+            LintReport(
+                tuple(boot.diagnostics), validate_subset_codes()
+            ).raise_for_errors()
         if self._fingerprint is None:
             self._fingerprint = combine_fingerprint(
                 fingerprint_definitions(self.trace),
@@ -890,7 +891,7 @@ class AnalysisSession:
                 self.trace, validate=validate, table_ranks=table_ranks
             )
         if validate:
-            boot.report.raise_if_invalid()
+            boot.report.raise_for_errors()
             self.stats._bump(self.stats.computed, "validate")
             self._validated = True
         if table_ranks is None:

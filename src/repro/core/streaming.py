@@ -47,8 +47,9 @@ same order.
 
 Malformed streams raise :class:`StreamOrderError` (out-of-order chunk;
 tracelint rule ``TL004``) or :class:`StreamStructureError` (unmatched
-or mismatched leave; ``TL001``/``TL003``) — the same diagnostics the
-offline validator emits for the same defects.
+or mismatched leave, ``TL001``/``TL003``; a frame still open at
+:meth:`StreamingAnalyzer.finish_rank`, ``TL002``) — the codes
+``repro lint`` reports for the same defects.
 """
 
 from __future__ import annotations
@@ -115,39 +116,38 @@ def _small_median(ordered: list) -> float:
 class StreamOrderError(ValueError):
     """A fed chunk starts before the rank's last seen timestamp.
 
-    The stream equivalent of tracelint's ``TL004`` (``time-order``):
-    every analysis assumption — replay, segmentation, windows — needs
-    time-sorted streams per rank.
+    The stream equivalent of tracelint's ``TL004``: every analysis
+    assumption — replay, segmentation, windows — needs time-sorted
+    streams per rank.
     """
 
     code = "TL004"
-    legacy_code = "time-order"
 
     def __init__(self, rank: int, t: float, last: float) -> None:
         super().__init__(
-            f"rank {rank}: chunk not time-ordered ({t} after {last})"
+            f"[{self.code}] rank {rank}: chunk not time-ordered "
+            f"({t} after {last})"
         )
         self.rank = rank
 
 
 class StreamStructureError(ValueError):
-    """A leave event does not close the currently open region.
+    """A rank's enter/leave events are not properly nested.
 
-    The stream equivalent of tracelint's ``TL001``
-    (``unmatched-leave``, empty stack) and ``TL003``
-    (``mismatched-leave``, wrong region); :attr:`code` carries which.
+    The stream equivalent of tracelint's ``TL001`` (leave on an empty
+    stack), ``TL002`` (stream ends inside ``region``) and ``TL003``
+    (leave of a region that is not the open one); :attr:`code`
+    carries which.
     """
 
     def __init__(self, rank: int, region: int, code: str) -> None:
-        super().__init__(
-            f"rank {rank}: leave of region {region} does not "
-            "match the open region"
-        )
+        if code == "TL002":
+            what = f"region {region} still open at end of stream"
+        else:
+            what = f"leave of region {region} does not match the open region"
+        super().__init__(f"[{code}] rank {rank}: {what}")
         self.rank = rank
         self.code = code
-        self.legacy_code = (
-            "unmatched-leave" if code == "TL001" else "mismatched-leave"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,6 +348,16 @@ class StreamingAnalyzer:
             self._feed_metrics(rank, times, kinds, refs, events)
         self.alerts.extend(new_alerts)
         return new_alerts
+
+    def finish_rank(self, rank: int) -> None:
+        """Declare ``rank``'s stream complete.
+
+        Raises :class:`StreamStructureError` (``TL002``) if the rank
+        still has an open frame.
+        """
+        stream = self._streams.get(rank)
+        if stream is not None and stream.stack:
+            raise StreamStructureError(rank, stream.stack[-1][0], "TL002")
 
     def consume(self, cursor) -> int:
         """Pull an :class:`~repro.trace.cursor.EventCursor` dry.

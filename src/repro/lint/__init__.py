@@ -6,8 +6,8 @@ trace.  Rules span three categories:
 
 ``structural`` (TL0xx)
     Well-formedness of the event streams: enter/leave balance,
-    timestamp order, dangling definition references.  These subsume
-    the legacy ``validate_trace`` checks.
+    timestamp order, dangling definition references.  Those of error
+    severity gate every analysis (:func:`validate_config`).
 ``mpi`` (TL1xx)
     Message semantics: send/receive count matching per rank pair,
     uniform collective participation, self-messages, zero-duration

@@ -490,8 +490,8 @@ def lint_trace(
 
 
 def validate_config(allow_empty_streams: bool = False) -> LintConfig:
-    """Config reproducing the legacy ``validate_trace`` behaviour: only
-    the error-severity structural subset of the registry."""
+    """Config of the structural error rules only: the gate every
+    analysis runs before replay."""
     from .registry import validate_subset_codes
 
     return LintConfig(

@@ -71,8 +71,6 @@ class Rule:
     scope: str  # "rank" | "trace" | "hb"
     default_severity: Severity
     check: Callable[..., Iterable[Finding]]
-    #: legacy ``validate_trace`` issue code this rule subsumes, if any
-    legacy_code: str | None = None
     #: event columns the check reads beyond the view baseline
     #: (time/kind/ref/partner); drives lazy column projection
     columns: tuple[str, ...] = ()
@@ -96,7 +94,6 @@ def register_rule(
     category: str,
     scope: str,
     severity: Severity,
-    legacy_code: str | None = None,
     name: str | None = None,
     columns: tuple[str, ...] = (),
 ) -> Callable[[Callable[..., Iterable[Finding]]], Callable[..., Iterable[Finding]]]:
@@ -124,7 +121,6 @@ def register_rule(
             scope=scope,
             default_severity=severity,
             check=fn,
-            legacy_code=legacy_code,
             columns=tuple(columns),
         )
         return fn
@@ -161,5 +157,13 @@ def enabled_rules(config: LintConfig, scope: str | None = None) -> Iterator[Rule
 
 
 def validate_subset_codes() -> tuple[str, ...]:
-    """Codes of the rules subsuming the legacy ``validate_trace`` checks."""
-    return tuple(r.code for r in all_rules() if r.legacy_code is not None)
+    """Codes of the structural rules of error default severity.
+
+    These are the checks every analysis runs before replay: a stream
+    that fails one cannot be replayed.
+    """
+    return tuple(
+        r.code
+        for r in all_rules()
+        if r.category == "structural" and r.default_severity >= Severity.ERROR
+    )

@@ -1,11 +1,8 @@
 """Built-in structural rules (TL0xx): well-formedness of event streams.
 
-These subsume the legacy :func:`repro.trace.validate.validate_trace`
-checks — each rule that replaces a legacy check declares the old issue
-code as ``legacy_code`` so the compatibility shim can translate
-diagnostics back.  Rules whose ``legacy_code`` is ``None`` (duplicate
-events, negative timestamps) are new, warning-severity checks that the
-old validator never performed.
+The error-severity rules gate every analysis before replay
+(:func:`~repro.lint.engine.validate_config`); the warning-severity
+ones (duplicate events, negative timestamps) only report.
 
 Every check function receives a :class:`~repro.lint.engine.RankView`
 and yields :class:`~repro.lint.registry.Finding` objects.  The view
@@ -31,7 +28,6 @@ __all__: list[str] = []
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="unmatched-leave",
 )
 def unmatched_leave(view) -> Iterator[Finding]:
     """Leave event with no region open on the stack.
@@ -55,7 +51,6 @@ def unmatched_leave(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="unclosed-regions",
 )
 def unclosed_regions(view) -> Iterator[Finding]:
     """Regions still open at the end of the stream.
@@ -76,7 +71,6 @@ def unclosed_regions(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="mismatched-leave",
 )
 def mismatched_leave(view) -> Iterator[Finding]:
     """Leave references a different region than the one open.
@@ -104,7 +98,6 @@ def mismatched_leave(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="time-order",
 )
 def time_order(view) -> Iterator[Finding]:
     """Timestamps are not sorted in non-decreasing order.
@@ -182,7 +175,6 @@ def negative_time(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="bad-region-ref",
 )
 def bad_region_ref(view) -> Iterator[Finding]:
     """Enter/leave references a region id missing from the definitions.
@@ -205,7 +197,6 @@ def bad_region_ref(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="bad-metric-ref",
 )
 def bad_metric_ref(view) -> Iterator[Finding]:
     """Metric sample references an undefined metric id.
@@ -228,7 +219,6 @@ def bad_metric_ref(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="bad-partner",
 )
 def bad_partner(view) -> Iterator[Finding]:
     """Message event references an unknown partner location.
@@ -267,7 +257,6 @@ def bad_partner(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.ERROR,
-    legacy_code="empty-stream",
 )
 def empty_stream(view) -> Iterator[Finding]:
     """Location defined but carries no events.
@@ -284,7 +273,6 @@ def empty_stream(view) -> Iterator[Finding]:
     category="structural",
     scope="trace",
     severity=Severity.ERROR,
-    legacy_code="no-processes",
 )
 def no_processes(tview) -> Iterator[Finding]:
     """Trace defines no locations at all.

@@ -43,15 +43,7 @@ def _rule_descriptor(rule) -> dict[str, Any]:
         "shortDescription": {"text": rule.short_help},
         "fullDescription": {"text": rule.full_help},
         "defaultConfiguration": {"level": rule.default_severity.sarif_level},
-        "properties": {
-            "category": rule.category,
-            "scope": rule.scope,
-            **(
-                {"legacyCode": rule.legacy_code}
-                if rule.legacy_code is not None
-                else {}
-            ),
-        },
+        "properties": {"category": rule.category, "scope": rule.scope},
     }
 
 

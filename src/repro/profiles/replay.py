@@ -274,7 +274,7 @@ def match_invocations(events: EventList) -> InvocationTable:
     ------
     ValueError
         If the stream's enter/leave events are unbalanced or not
-        properly nested (run :func:`repro.trace.validate_trace` for a
+        properly nested (run :func:`repro.lint.lint_trace` for a
         precise diagnosis).
     """
     is_enter = events.kind == EventKind.ENTER

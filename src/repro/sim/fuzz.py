@@ -1,8 +1,9 @@
 """Seeded scenario fuzzer, differential oracle and trace minimizer.
 
-The repo carries four ways to compute the same analysis — the legacy
-staged pipeline (validate → replay → statistics), the fused
-single-pass kernel, the cursor-driven incremental kernel, and the
+The repo computes the same analysis three ways — the staged reference
+(structural lint → replay → statistics), the incremental kernel
+(:func:`~repro.core.fused.fused_bootstrap` is this kernel fed one
+whole-rank chunk per rank; cursors feed it smaller chunks), and the
 sharded multi-process engine — over two ``.rpt`` container versions.
 Their contract is *bitwise* agreement, locked so far by differential
 tests over a handful of hand-written scenarios.  This module grows the
@@ -21,8 +22,8 @@ Three pieces:
 * :func:`run_oracle` — simulates the spec and checks (a) structural
   invariants (monotone per-rank clocks, lint-clean structure,
   internally consistent statistics tables, v1/v2 fingerprint parity)
-  and (b) the differential matrix: fused and incremental engines
-  against the independent legacy implementation, and the sharded
+  and (b) the differential matrix: the incremental kernel, whole-rank
+  and chunked, against the staged reference, and the sharded
   session engine across shard counts × chunk sizes × container
   versions against the unsharded reference analysis.
 * :func:`minimize` — greedy scenario shrinking (drop ranks, drop
@@ -514,16 +515,16 @@ _STAT_COLUMNS = (
 _TABLE_COLUMNS = ("region", "t_enter", "t_leave", "depth", "parent")
 
 
-def _issue_keys(issues) -> list[tuple]:
-    return [(i.rank, i.code, i.message, i.position, i.time) for i in issues]
+def _diagnostic_keys(diagnostics) -> list[tuple]:
+    return [(d.rank, d.code, d.message, d.position, d.time) for d in diagnostics]
 
 
 def _diff_bootstrap(reference, got) -> list[str]:
-    """Compare a FusedBootstrap against legacy (tables, partials, issues)."""
-    tables, partials, issues = reference
+    """Compare a FusedBootstrap against reference (tables, partials, keys)."""
+    tables, partials, diagnostics = reference
     out: list[str] = []
-    if _issue_keys(got.report.issues) != issues:
-        out.append("validation issues differ from legacy validate_trace")
+    if _diagnostic_keys(got.report.diagnostics) != diagnostics:
+        out.append("diagnostics differ from the structural lint reference")
     if sorted(got.tables) != sorted(tables):
         out.append(
             f"table rank set differs: {sorted(got.tables)} vs {sorted(tables)}"
@@ -695,9 +696,10 @@ def run_oracle_trace(
 ) -> OracleReport:
     """Run the full differential matrix over one trace.
 
-    The reference products come from the independent legacy
-    implementations (``validate_trace``, ``replay_trace``,
-    ``rank_statistics_arrays``, and the in-memory ``analyze_trace``);
+    The reference products come from the staged implementations
+    (``lint_trace`` with :func:`~repro.lint.validate_config`,
+    ``replay_trace``, ``rank_statistics_arrays``, and the in-memory
+    ``analyze_trace``);
     each matrix cell recomputes them through a different engine/IO
     combination and any byte of disagreement is a failure.
     """
@@ -705,12 +707,12 @@ def run_oracle_trace(
     from ..core.fused import fused_bootstrap
     from ..core.incremental import incremental_bootstrap
     from ..core.session import AnalysisSession
+    from ..lint import lint_trace, validate_config
     from ..profiles.replay import replay_trace
     from ..profiles.stats import rank_statistics_arrays
     from ..trace import write_binary
     from ..trace.fingerprint import fingerprint_trace
     from ..trace.reader import TraceIndex
-    from ..trace.validate import validate_trace
 
     report = OracleReport(spec=spec)
 
@@ -723,12 +725,16 @@ def run_oracle_trace(
             detail = traceback.format_exception_only(type(err), err)[-1].strip()
             report.failures.append(OracleFailure(cell, f"crash: {detail}"))
 
-    # Reference products (legacy staged path + production analysis).
+    # Reference products (staged path + production analysis).
     try:
-        legacy_issues = _issue_keys(validate_trace(trace).issues)
-        legacy_tables = replay_trace(trace)
-        legacy_partials = {
-            rank: rank_statistics_arrays(legacy_tables[rank], len(trace.regions))
+        reference_diagnostics = _diagnostic_keys(
+            lint_trace(trace, config=validate_config()).diagnostics
+        )
+        reference_tables = replay_trace(trace)
+        reference_partials = {
+            rank: rank_statistics_arrays(
+                reference_tables[rank], len(trace.regions)
+            )
             for rank in trace.ranks
         }
         reference = analyze_trace(trace)
@@ -739,9 +745,11 @@ def run_oracle_trace(
         report.failures.append(OracleFailure("reference", f"crash: {detail}"))
         return report
 
-    legacy_ref = (legacy_tables, legacy_partials, legacy_issues)
+    reference_products = (
+        reference_tables, reference_partials, reference_diagnostics
+    )
     report.failures.extend(
-        _check_invariants(trace, legacy_tables, legacy_partials)
+        _check_invariants(trace, reference_tables, reference_partials)
     )
 
     with tempfile.TemporaryDirectory() as tmp, _inprocess_workers():
@@ -772,7 +780,9 @@ def run_oracle_trace(
             index = TraceIndex(paths[version])
 
             def fused_cell(index=index):
-                return _diff_bootstrap(legacy_ref, fused_bootstrap(index.load()))
+                return _diff_bootstrap(
+                    reference_products, fused_bootstrap(index.load())
+                )
 
             run_cell(f"fused/v{version}", fused_cell)
 
@@ -782,7 +792,7 @@ def run_oracle_trace(
                     got = incremental_bootstrap(
                         index.cursor(chunk_events=chunk)
                     )
-                    return _diff_bootstrap(legacy_ref, got)
+                    return _diff_bootstrap(reference_products, got)
 
                 run_cell(
                     f"incremental/v{version}/chunk={_chunk_label(chunk)}",

@@ -11,7 +11,9 @@ Public surface:
   :func:`write_binary`.
 * Transformations: :func:`clip_trace`, :func:`filter_regions`,
   :func:`select_ranks`, :func:`merge_traces`.
-* Validation: :func:`validate_trace`.
+
+Structural validation lives in :mod:`repro.lint`
+(``lint_trace(trace, config=validate_config())``).
 """
 
 from .binio import write_binary
@@ -46,7 +48,6 @@ from .fingerprint import (
 from .merge import merge_traces
 from .reader import TraceIndex, read_trace
 from .trace import ProcessTrace, Trace
-from .validate import ValidationIssue, ValidationReport, validate_trace
 from .writer import write_jsonl
 
 __all__ = [
@@ -76,8 +77,6 @@ __all__ = [
     "TraceBuilder",
     "TraceFingerprint",
     "TraceIndex",
-    "ValidationIssue",
-    "ValidationReport",
     "clip_trace",
     "default_role",
     "filter_regions",
@@ -87,7 +86,6 @@ __all__ = [
     "merge_traces",
     "read_trace",
     "select_ranks",
-    "validate_trace",
     "write_binary",
     "write_jsonl",
 ]

@@ -375,6 +375,11 @@ class TailCursor(EventCursor):
         """Events parsed from the file but not yet yielded."""
         return sum(len(b.events) for b in self._pending)
 
+    @property
+    def ended(self) -> bool:
+        """True once the ``{"record": "end"}`` sentinel has been read."""
+        return self._protocol.ended
+
     def wait_definitions(self, timeout: float | None = None) -> Trace:
         """Block (polling) until the definition records are complete.
 

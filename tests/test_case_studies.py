@@ -16,14 +16,14 @@ from repro.core.metrics import (
 )
 from repro.sim.countermodel import FPU_EXCEPTIONS, PAPI_TOT_CYC
 from repro.sim.workloads.cosmo_specs import HOT_RANKS, PEAK_RANK
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 
 
 class TestCosmoSpecs:
     """Case A: load imbalance from static decomposition (Fig 4)."""
 
     def test_trace_is_valid(self, cosmo_trace):
-        assert validate_trace(cosmo_trace).ok
+        assert lint_trace(cosmo_trace, config=validate_config()).ok
 
     def test_100_processes(self, cosmo_trace):
         assert cosmo_trace.num_processes == 100
@@ -86,7 +86,7 @@ class TestCosmoSpecsFD4:
     """Case B: single OS interruption under dynamic balancing (Fig 5)."""
 
     def test_trace_is_valid(self, fd4_result):
-        assert validate_trace(fd4_result.trace).ok
+        assert lint_trace(fd4_result.trace, config=validate_config()).ok
 
     def test_200_processes(self, fd4_result):
         assert fd4_result.trace.num_processes == 200
@@ -140,7 +140,7 @@ class TestWRF:
     """Case C: floating-point exceptions on one rank (Fig 6)."""
 
     def test_trace_is_valid(self, wrf_trace):
-        assert validate_trace(wrf_trace).ok
+        assert lint_trace(wrf_trace, config=validate_config()).ok
 
     def test_64_processes(self, wrf_trace):
         assert wrf_trace.num_processes == 64

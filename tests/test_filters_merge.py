@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.lint import lint_trace, validate_config
 from repro.trace import (
     clip_trace,
     filter_regions,
     merge_traces,
     select_ranks,
-    validate_trace,
 )
 from repro.trace.builder import TraceBuilder
 
@@ -16,7 +16,7 @@ from repro.trace.builder import TraceBuilder
 class TestClipTrace:
     def test_clip_preserves_wellformedness(self, fig3):
         clipped = clip_trace(fig3, 2.0, 8.0)
-        assert validate_trace(clipped).ok
+        assert lint_trace(clipped, config=validate_config()).ok
 
     def test_clip_synthesises_boundary_events(self, fig3):
         clipped = clip_trace(fig3, 2.0, 4.0)
@@ -58,7 +58,7 @@ class TestClipTrace:
 class TestFilterRegions:
     def test_drop_one_region(self, fig3):
         filtered = filter_regions(fig3, lambda r: r.name != "calc")
-        assert validate_trace(filtered).ok
+        assert lint_trace(filtered, config=validate_config()).ok
         from repro.profiles import profile_trace
 
         prof = profile_trace(filtered)
@@ -106,7 +106,7 @@ class TestMergeTraces:
     def test_merge_disjoint_ranks(self):
         merged = merge_traces([self._half([0, 1]), self._half([2, 3])])
         assert merged.ranks == [0, 1, 2, 3]
-        assert validate_trace(merged).ok
+        assert lint_trace(merged, config=validate_config()).ok
 
     def test_definitions_unified_by_name(self):
         a = self._half([0], names=("main", "x"))

@@ -7,7 +7,7 @@ from repro.core import analyze_trace
 from repro.htmlreport import render_html_report
 from repro.sim.workloads import hybrid_openmp
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def hybrid_analysis(hybrid_trace):
 
 class TestHybridWorkload:
     def test_trace_valid(self, hybrid_trace):
-        assert validate_trace(hybrid_trace).ok
+        assert lint_trace(hybrid_trace, config=validate_config()).ok
 
     def test_openmp_regions_classified(self, hybrid_trace):
         from repro.trace.definitions import Paradigm, RegionRole

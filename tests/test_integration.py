@@ -20,12 +20,12 @@ from repro.core import (
 )
 from repro.core.streaming import StreamingAnalyzer
 from repro.htmlreport import render_html_report
+from repro.lint import lint_trace, validate_config
 from repro.profiles import write_profile_csv, write_rank_summary_csv, write_segments_csv
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 from repro.trace import (
     clip_trace,
     read_trace,
-    validate_trace,
     write_binary,
     write_jsonl,
 )
@@ -57,7 +57,7 @@ class TestGoldenPath:
         trace, binary, text, _root = scenario
         for path in (binary, text):
             back = read_trace(path)
-            assert validate_trace(back).ok
+            assert lint_trace(back, config=validate_config()).ok
             assert back.num_events == trace.num_events
             for rank in trace.ranks:
                 assert back.events_of(rank) == trace.events_of(rank)
@@ -128,7 +128,7 @@ class TestGoldenPath:
         window = clip_trace(
             trace, float(seg.t_start[8]), float(seg.t_stop[10])
         )
-        assert validate_trace(window).ok
+        assert lint_trace(window, config=validate_config()).ok
         # The clipped window still contains the outlier invocation.
         sub = analyze_trace(window, AnalysisConfig(validate=False))
         assert sub.segmentation.total_segments > 0

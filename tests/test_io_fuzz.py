@@ -47,9 +47,9 @@ class TestBinaryFuzz:
             return
         # If it still parses, the result must be structurally sound or
         # the validator must catch it; no crash either way.
-        from repro.trace import validate_trace
+        from repro.lint import lint_trace, validate_config
 
-        validate_trace(trace)
+        lint_trace(trace, config=validate_config())
 
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=40, deadline=None)
@@ -85,9 +85,9 @@ class TestJsonlFuzz:
             trace = read_trace(path)
         except TraceFormatError:
             return
-        from repro.trace import validate_trace
+        from repro.lint import lint_trace, validate_config
 
-        validate_trace(trace)
+        lint_trace(trace, config=validate_config())
 
     @given(st.lists(st.text(max_size=40), max_size=5))
     @settings(max_examples=40, deadline=None)
@@ -107,9 +107,9 @@ class TestJsonlFuzz:
                 trace = read_trace(path)
             except TraceFormatError:
                 continue
-            from repro.trace import validate_trace
+            from repro.lint import lint_trace, validate_config
 
-            validate_trace(trace)
+            lint_trace(trace, config=validate_config())
 
 
 def _rewrite_rpt_header(data: bytes, mutate) -> bytes:

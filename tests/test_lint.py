@@ -2,8 +2,8 @@
 
 Covers: each built-in rule firing on a minimal broken trace and
 staying silent on a well-formed one, diagnostic determinism across
-shard counts, SARIF output shape, config handling, the legacy
-``validate_trace`` shim, pre-flight wiring, and hypothesis-driven
+shard counts, SARIF output shape, config handling, the structural
+``validate_config`` subset, pre-flight wiring, and hypothesis-driven
 mutation robustness (lint never crashes on broken input and flags
 every mutation class).
 """
@@ -31,7 +31,7 @@ from repro.lint import (
     validate_config,
 )
 from repro.lint.registry import _REGISTRY
-from repro.trace import Location, Trace, validate_trace, write_jsonl
+from repro.trace import Location, Trace, write_jsonl
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
 from repro.trace.events import EventKind, EventList, EventListBuilder
@@ -102,7 +102,6 @@ class TestRegistry:
         rule = get_rule("TL001")
         assert rule.category == "structural"
         assert rule.scope == "rank"
-        assert rule.legacy_code == "unmatched-leave"
         assert rule.short_help.endswith(".")
         assert rule.short_help in rule.full_help
 
@@ -493,10 +492,13 @@ class TestSarif:
 
 
 class TestValidateShim:
-    def test_legacy_codes_preserved(self):
+    """``validate_config``: the structural error rules every analysis
+    runs before replay (formerly wrapped by a ``validate_trace`` shim)."""
+
+    def test_reports_lint_codes(self):
         trace = trace_of({0: stream([(0.0, EventKind.LEAVE, 0)])})
-        report = validate_trace(trace)
-        assert {i.code for i in report.issues} == {"unmatched-leave"}
+        report = lint_trace(trace, config=validate_config())
+        assert codes(report) == {"TL001"}
 
     def test_shim_excludes_warning_rules(self):
         # Duplicate events are a lint warning, not a validation failure.
@@ -506,28 +508,33 @@ class TestValidateShim:
             (1.0, EventKind.LEAVE, 0),
         ]
         trace = trace_of({0: stream(rows)})
-        report = validate_trace(trace)
-        assert {i.code for i in report.issues} == {"unmatched-leave"}
+        report = lint_trace(trace, config=validate_config())
+        assert codes(report) == {"TL001"}
 
     def test_issue_position_and_time(self):
         trace = trace_of({0: stream([(0.0, EventKind.ENTER, 0), (2.5, EventKind.LEAVE, 1)])},
                          regions=("a", "b"))
-        issue = next(
-            i for i in validate_trace(trace).issues if i.code == "mismatched-leave"
-        )
-        assert issue.position == 1
-        assert issue.time == 2.5
-        assert "@ event 1" in str(issue)
-        assert "t=2.5" in str(issue)
-        payload = issue.to_dict()
+        report = lint_trace(trace, config=validate_config())
+        diag = next(d for d in report.diagnostics if d.code == "TL003")
+        assert diag.position == 1
+        assert diag.time == 2.5
+        assert "@ event 1" in str(diag)
+        assert "t=2.5" in str(diag)
+        payload = diag.to_dict()
         assert payload["position"] == 1
         assert payload["time"] == 2.5
 
     def test_validate_config_selects_legacy_subset(self):
-        cfg = validate_config()
-        selected = set(cfg.select)
+        selected = set(validate_config().select)
         for rule in all_rules():
-            assert (rule.code in selected) == (rule.legacy_code is not None)
+            assert (rule.code in selected) == (
+                rule.category == "structural"
+                and rule.default_severity is Severity.ERROR
+            )
+        assert selected == {
+            "TL001", "TL002", "TL003", "TL004", "TL007",
+            "TL008", "TL009", "TL010", "TL011",
+        }
 
 
 class TestPreflightWiring:
@@ -568,7 +575,7 @@ class TestPreflightWiring:
         from repro.core.session import AnalysisSession
 
         broken = trace_of({0: stream([(0.0, EventKind.LEAVE, 0)])})
-        with pytest.raises(ValueError, match="unmatched-leave"):
+        with pytest.raises(LintError, match=r"error\[TL001\] rank 0 "):
             AnalysisSession(broken).replay()
 
 
@@ -745,4 +752,4 @@ class TestMutationRobustness:
     def test_mutated_traces_shim_never_crashes(self, mutation, seed):
         rng = np.random.default_rng(seed)
         mutated = _mutate(healthy_trace(ranks=2, iterations=4), mutation, rng)
-        validate_trace(mutated)  # must never raise
+        lint_trace(mutated, config=validate_config())  # must never raise

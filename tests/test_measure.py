@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import analyze_trace
 from repro.measure import ManualClock, Measurement, WallClock
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 from repro.trace.definitions import MetricMode, Paradigm
 
 
@@ -50,7 +50,7 @@ class TestMeasurement:
                 clock.advance(2.0)
             clock.advance(1.0)
         trace = m.finish()
-        assert validate_trace(trace).ok
+        assert lint_trace(trace, config=validate_config()).ok
         from repro.profiles import profile_trace
 
         stats = profile_trace(trace).stats
@@ -67,7 +67,7 @@ class TestMeasurement:
                 clock.advance(1.0)
                 raise RuntimeError("boom")
         assert rec.depth == 0
-        assert validate_trace(m.finish()).ok
+        assert lint_trace(m.finish(), config=validate_config()).ok
 
     def test_instrument_decorator(self):
         clock = ManualClock()

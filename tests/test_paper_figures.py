@@ -11,7 +11,7 @@ from repro.paper import (
     figure3_trace,
 )
 from repro.profiles import profile_trace
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 
 
 class TestFigure1:
@@ -31,7 +31,7 @@ class TestFigure1:
         assert stats.of("bar").exclusive_sum == 2.0
 
     def test_trace_is_valid(self):
-        assert validate_trace(figure1_trace()).ok
+        assert lint_trace(figure1_trace(), config=validate_config()).ok
 
 
 class TestFigure2:

@@ -152,8 +152,8 @@ class TestDeclaredColumnSets:
         assert got.diagnostics == want.diagnostics
 
     def test_validate_subset_needs_only_baseline(self):
-        # The legacy-validate rule subset reads no column beyond the
-        # view baseline; TL005 (all seven columns) is not part of it.
+        # The structural error rules read no column beyond the
+        # view baseline; TL005 (all seven columns) is not one of them.
         assert lint_columns(validate_config()) == LINT_COLUMNS
 
     def test_per_rule_declarations_sufficient(self, rich_trace, trace_file):

@@ -22,6 +22,7 @@ from repro.core.shard import (
     shard_workers,
 )
 from repro.core.classify import default_classifier
+from repro.lint import LintError
 from repro.profiles import (
     FunctionStatistics,
     merge_statistics_arrays,
@@ -336,7 +337,9 @@ class TestShardEngine:
         p.leave(2.0, "main")  # one enter never closed
         trace = tb.freeze(check_stacks=False)
         session = AnalysisSession(trace, shards=1)
-        with pytest.raises(ValueError, match="invalid trace"):
+        with pytest.raises(
+            LintError, match=r"invalid trace:\nerror\[TL002\] rank 0 "
+        ):
             session.analysis()
 
     def test_cross_shard_partners_not_flagged(self, fig3):

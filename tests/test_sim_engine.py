@@ -7,7 +7,7 @@ from repro.sim import ops
 from repro.sim.countermodel import CounterSet, CounterSpec, PAPI_TOT_CYC
 from repro.sim.engine import DeadlockError, Simulator, simulate
 from repro.sim.network import NetworkModel
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 from repro.trace.definitions import MetricMode
 
 FAST_NET = NetworkModel(latency=1e-3, bandwidth=1e6, eager_threshold=1000)
@@ -75,7 +75,7 @@ class TestComputeAndRegions:
             yield ops.Leave("main")
 
         result = run(3, program)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
 
 
 class TestCollectives:
@@ -188,7 +188,7 @@ class TestPointToPoint:
                 yield ops.Recv(0, tag=9)
 
         result = run(2, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         # Sizes on the RECV events follow send order.
         from repro.trace.events import EventKind
 
@@ -207,7 +207,7 @@ class TestPointToPoint:
                 yield ops.Recv(0, tag=1)
 
         result = run(2, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
 
     def test_rendezvous_blocks_sender(self):
         def program(rank, size):
@@ -243,7 +243,7 @@ class TestPointToPoint:
             yield ops.Compute(0.1)
 
         result = run(2, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         assert result.messages == 2
 
     def test_wait_single_request(self):
@@ -256,7 +256,7 @@ class TestPointToPoint:
                 yield ops.Wait(req)
 
         result = run(2, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
 
     def test_wait_blocks_until_message(self):
         def program(rank, size):
@@ -386,7 +386,7 @@ class TestNewCollectivesAndSendrecv:
             yield ops.Scatter(size=1024, root=0)
 
         result = run(4, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         names = {r.name for r in result.trace.regions}
         assert {"MPI_Gather", "MPI_Scatter"} <= names
         # Synchronizing: all end together.
@@ -409,7 +409,7 @@ class TestNewCollectivesAndSendrecv:
             )
 
         result = run(5, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         assert result.messages == 5
 
     def test_sendrecv_blocks_until_message_arrives(self):
@@ -429,7 +429,7 @@ class TestNewCollectivesAndSendrecv:
             )
 
         result = run(2, program, network=FAST_NET)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         # Both transfers complete: 0.5s at 1 MB/s plus overheads.
         assert result.makespan >= 0.5
 

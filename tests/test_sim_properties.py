@@ -15,7 +15,7 @@ from repro.profiles import profile_trace
 from repro.sim import ops
 from repro.sim.engine import simulate
 from repro.sim.network import NetworkModel
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 from repro.trace.events import EventKind
 
 NET = NetworkModel(latency=1e-4, bandwidth=1e8, eager_threshold=4096)
@@ -79,7 +79,7 @@ def test_random_spmd_programs_produce_valid_traces(spec, size):
     phases, iterations, compute_scale = spec
     result = simulate(size, build_program(*spec), network=NET)
     trace = result.trace
-    assert validate_trace(trace).ok
+    assert lint_trace(trace, config=validate_config()).ok
 
     # Physical sanity: every rank's end time covers its own compute.
     own_compute = {

@@ -153,9 +153,9 @@ class TestGridTopology:
             yield ops.Leave("main")
 
         result = simulate(4, program)
-        from repro.trace import validate_trace
+        from repro.lint import lint_trace, validate_config
 
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         assert result.messages == 8
 
     def test_halo_exchange_no_region(self):

@@ -184,7 +184,7 @@ class TestStreamValidation:
 
 
 class TestStreamDiagnostics:
-    """Malformed streams raise the offline validator's diagnostics."""
+    """Malformed streams raise the codes ``repro lint`` reports."""
 
     def test_out_of_order_after_empty_chunk(self, stream_trace):
         """Regression: an empty ``feed()`` must not reset the rank's
@@ -198,10 +198,11 @@ class TestStreamDiagnostics:
         events = stream_trace.events_of(0)
         analyzer.feed(0, events[10:20])
         analyzer.feed(0, events[0:0])  # empty chunk: a no-op
-        with pytest.raises(StreamOrderError, match="not time-ordered") as err:
+        with pytest.raises(
+            StreamOrderError, match=r"^\[TL004\] rank 0: chunk not time-ordered"
+        ) as err:
             analyzer.feed(0, events[0:5])
         assert err.value.code == "TL004"
-        assert err.value.legacy_code == "time-order"
 
     def test_mismatched_leave_code(self):
         from repro.core.streaming import StreamStructureError
@@ -219,10 +220,11 @@ class TestStreamDiagnostics:
         for dominant in ("a", None):  # pinned and warm-up
             analyzer = StreamingAnalyzer(tb.freeze().regions, 1,
                                          dominant=dominant)
-            with pytest.raises(StreamStructureError, match="does not match") as err:
+            with pytest.raises(
+                StreamStructureError, match=r"^\[TL003\] rank 0: .*does not match"
+            ) as err:
                 analyzer.feed(0, events.select(keep))
             assert err.value.code == "TL003"
-            assert err.value.legacy_code == "mismatched-leave"
 
     def test_unmatched_leave_code(self):
         from repro.core.streaming import StreamStructureError
@@ -239,7 +241,6 @@ class TestStreamDiagnostics:
             with pytest.raises(StreamStructureError) as err:
                 analyzer.feed(0, events[1:])  # bare leave, empty stack
             assert err.value.code == "TL001"
-            assert err.value.legacy_code == "unmatched-leave"
 
     def test_mismatch_across_chunk_boundary(self):
         """A leave closing a frame carried over from an earlier chunk
@@ -626,6 +627,29 @@ class TestStructureErrorsBothProcessors:
         with pytest.raises(StreamStructureError) as err:
             analyzer.feed(0, events[before + 2 :])  # leave a against b
         assert err.value.code == "TL003"
+
+    @pytest.mark.parametrize("sizes", [[7], [10 * T]], ids=["events", "vector"])
+    def test_open_frame_at_finish_rank(self, sizes, monkeypatch):
+        """Frames either processor leaves open are TL002 at the end."""
+        from repro.core.streaming import StreamStructureError
+
+        regions, events = _padded([(0, 0)], after=T)  # a never closes
+        analyzer = StreamingAnalyzer(regions, 1, dominant="a")
+        calls = spy_processors(analyzer, monkeypatch)
+        feed_sizes(analyzer, 0, events, sizes)
+        assert calls["vector" if sizes[0] > T else "events"]
+        with pytest.raises(
+            StreamStructureError, match=r"^\[TL002\] rank 0: region 0 "
+        ) as err:
+            analyzer.finish_rank(0)
+        assert err.value.code == "TL002"
+
+    def test_finish_rank_on_closed_stream(self):
+        regions, events = _padded([(0, 0), (1, 0)], after=T)
+        analyzer = StreamingAnalyzer(regions, 2, dominant="a")
+        analyzer.feed(0, events)
+        analyzer.finish_rank(0)
+        analyzer.finish_rank(1)  # never fed: nothing is open
 
 
 class TestSelectionInsideOpenFrame:

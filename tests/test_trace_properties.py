@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import compute_sos, segment_trace
 from repro.profiles import compute_statistics, replay_trace
-from repro.trace import clip_trace, filter_regions, merge_traces, validate_trace
+from repro.lint import lint_trace, validate_config
+from repro.trace import clip_trace, filter_regions, merge_traces
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
 
@@ -97,7 +98,9 @@ class TestClipInvariants:
         t1 = trace.t_min + hi * trace.duration
         assume(t1 > t0)
         clipped = clip_trace(trace, t0, t1)
-        report = validate_trace(clipped, allow_empty_streams=True)
+        report = lint_trace(
+            clipped, config=validate_config(allow_empty_streams=True)
+        )
         assert report.ok
 
     @given(iterative_trace(), st.floats(min_value=0.05, max_value=0.95))
@@ -118,7 +121,8 @@ class TestFilterInvariants:
     def test_filter_any_single_region_stays_valid(self, data, drop_id):
         trace, _ = data
         filtered = filter_regions(trace, lambda r: r.id != drop_id)
-        assert validate_trace(filtered, allow_empty_streams=True).ok
+        config = validate_config(allow_empty_streams=True)
+        assert lint_trace(filtered, config=config).ok
         stats = compute_statistics(filtered)
         assert stats.count[drop_id] == 0
 
@@ -155,7 +159,7 @@ class TestMergeInvariants:
                 proc.events,
             )
         merged = merge_traces([a, b2])
-        assert validate_trace(merged).ok
+        assert lint_trace(merged, config=validate_config()).ok
         assert merged.num_events == a.num_events + b.num_events
         # Aggregated statistics add up.
         sa = compute_statistics(a)

@@ -1,8 +1,9 @@
-"""Tests for structural trace validation."""
+"""Tests for structural trace validation (the lint gate of every analysis)."""
 
 import pytest
 
-from repro.trace import Location, Trace, validate_trace
+from repro.lint import LintError, lint_trace, validate_config
+from repro.trace import Location, Trace
 from repro.trace.events import EventKind, EventList, EventListBuilder
 
 
@@ -24,72 +25,78 @@ def single_process_trace(events, regions=("main",), metrics=()):
     return trace
 
 
+def validate(trace, allow_empty_streams=False):
+    return lint_trace(
+        trace, config=validate_config(allow_empty_streams=allow_empty_streams)
+    )
+
+
 def codes(report):
-    return {issue.code for issue in report.issues}
+    return {d.code for d in report.diagnostics}
 
 
 class TestValidateTrace:
     def test_valid_trace(self, fig2):
-        assert validate_trace(fig2).ok
+        assert validate(fig2).ok
 
     def test_no_processes(self):
-        report = validate_trace(Trace(name="empty"))
-        assert codes(report) == {"no-processes"}
+        report = validate(Trace(name="empty"))
+        assert codes(report) == {"TL011"}
 
     def test_empty_stream_flagged_and_suppressed(self):
         trace = single_process_trace(EventList.empty())
-        assert codes(validate_trace(trace)) == {"empty-stream"}
-        assert validate_trace(trace, allow_empty_streams=True).ok
+        assert codes(validate(trace)) == {"TL010"}
+        assert validate(trace, allow_empty_streams=True).ok
 
     def test_unmatched_leave(self):
         trace = single_process_trace(stream([(0.0, EventKind.LEAVE, 0)]))
-        assert "unmatched-leave" in codes(validate_trace(trace))
+        assert "TL001" in codes(validate(trace))
 
     def test_mismatched_leave(self):
         trace = single_process_trace(
             stream([(0.0, EventKind.ENTER, 0), (1.0, EventKind.LEAVE, 1)]),
             regions=("a", "b"),
         )
-        assert "mismatched-leave" in codes(validate_trace(trace))
+        assert "TL003" in codes(validate(trace))
 
     def test_unclosed_regions(self):
         trace = single_process_trace(stream([(0.0, EventKind.ENTER, 0)]))
-        assert "unclosed-regions" in codes(validate_trace(trace))
+        assert "TL002" in codes(validate(trace))
 
     def test_bad_region_ref(self):
         trace = single_process_trace(
             stream([(0.0, EventKind.ENTER, 7), (1.0, EventKind.LEAVE, 7)])
         )
-        assert "bad-region-ref" in codes(validate_trace(trace))
+        assert "TL007" in codes(validate(trace))
 
     def test_bad_metric_ref(self):
         b = EventListBuilder()
         b.metric(0.0, metric=5, value=1.0)
         trace = single_process_trace(b.freeze())
-        report = validate_trace(trace, allow_empty_streams=True)
-        assert "bad-metric-ref" in codes(report)
+        report = validate(trace, allow_empty_streams=True)
+        assert "TL008" in codes(report)
 
     def test_bad_partner(self):
         b = EventListBuilder()
         b.send(0.0, partner=9)
         trace = single_process_trace(b.freeze())
-        assert "bad-partner" in codes(validate_trace(trace))
+        assert "TL009" in codes(validate(trace))
 
-    def test_raise_if_invalid(self):
+    def test_raise_for_errors(self):
         trace = single_process_trace(stream([(0.0, EventKind.ENTER, 0)]))
-        report = validate_trace(trace)
-        with pytest.raises(ValueError, match="invalid trace"):
-            report.raise_if_invalid()
+        report = validate(trace)
+        with pytest.raises(LintError, match=r"invalid trace:\nerror\[TL002\]"):
+            report.raise_for_errors()
 
     def test_report_bool_and_len(self, fig1):
-        report = validate_trace(fig1)
-        assert bool(report) and len(report) == 0
-        report.raise_if_invalid()  # no-op on valid traces
+        report = validate(fig1)
+        assert report.ok and len(report) == 0
+        report.raise_for_errors()  # no-op on valid traces
 
     def test_issue_str_includes_rank(self):
         trace = single_process_trace(stream([(0.0, EventKind.LEAVE, 0)]))
-        text = str(validate_trace(trace).issues[0])
-        assert "rank 0" in text
+        text = str(validate(trace).diagnostics[0])
+        assert text.startswith("error[TL001] rank 0 @ event 0 (t=0)")
 
     def test_time_order_detected(self):
         # The builder cannot create unsorted streams, so corrupt a valid
@@ -98,4 +105,4 @@ class TestValidateTrace:
         good.time.setflags(write=True)
         good.time[:] = [1.0, 0.5]
         trace = single_process_trace(good)
-        assert "time-order" in codes(validate_trace(trace))
+        assert "TL004" in codes(validate(trace))

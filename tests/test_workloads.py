@@ -7,7 +7,7 @@ from repro.core import analyze_trace
 from repro.sim.workloads.base import CloudField, per_rank_cost
 from repro.sim.workloads.cosmo_specs import CosmoSpecsConfig
 from repro.sim.workloads.synthetic import SyntheticConfig, generate, generate_result
-from repro.trace import validate_trace
+from repro.lint import lint_trace, validate_config
 
 
 class TestCloudField:
@@ -89,7 +89,7 @@ class TestCosmoSpecsConfig:
 
         config = CosmoSpecsConfig(px=4, py=4, iterations=15)
         result = cosmo_specs.generate_result(config)
-        assert validate_trace(result.trace).ok
+        assert lint_trace(result.trace, config=validate_config()).ok
         analysis = analyze_trace(result.trace)
         assert analysis.dominant_name == "timeloop_iteration"
 
@@ -117,7 +117,7 @@ class TestFD4Workload:
             interrupt_substep=1,
             interrupt_seconds=0.1,
         )
-        assert validate_trace(trace).ok
+        assert lint_trace(trace, config=validate_config()).ok
         analysis = analyze_trace(trace)
         hot = analysis.imbalance.hottest_segment()
         assert hot.rank == 3 and hot.segment_index == 2
@@ -168,7 +168,7 @@ class TestSyntheticWorkload:
             trace = generate(
                 SyntheticConfig(ranks=3, iterations=3, collective=collective)
             )
-            assert validate_trace(trace).ok
+            assert lint_trace(trace, config=validate_config()).ok
 
     def test_bad_collective(self):
         with pytest.raises(ValueError, match="unknown collective"):
@@ -177,7 +177,7 @@ class TestSyntheticWorkload:
     def test_no_halo_single_rank(self):
         trace = generate(SyntheticConfig(ranks=1, iterations=3, use_halo=False,
                                          collective="none"))
-        assert validate_trace(trace).ok
+        assert lint_trace(trace, config=validate_config()).ok
 
     def test_subiters(self):
         trace = generate(SyntheticConfig(ranks=2, iterations=4, subiters=3))
