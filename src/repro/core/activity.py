@@ -51,20 +51,6 @@ class ActivityShares:
         return float(np.mean(self.of(label)))
 
 
-def _innermost_region_grid(
-    trace: Trace, tables: dict[int, InvocationTable], bins: int,
-    t0: float, t1: float
-) -> np.ndarray:
-    """(ranks, bins) innermost region id per bin centre (-1 = idle)."""
-    from ..viz.timeline import region_strip
-
-    ranks = trace.ranks
-    grid = np.full((len(ranks), bins), -1, dtype=np.int32)
-    for i, rank in enumerate(ranks):
-        grid[i] = region_strip(tables[rank], t0, t1, bins)
-    return grid
-
-
 def activity_shares(
     trace: Trace,
     tables: dict[int, InvocationTable] | None = None,
@@ -83,6 +69,8 @@ def activity_shares(
         ...); ``"region"`` keeps the ``top_regions`` most visible
         regions individually and folds the rest into ``"other"``.
     """
+    from ..viz.timeline import region_grid
+
     if by not in ("paradigm", "region"):
         raise ValueError(f"unknown grouping {by!r}")
     if tables is None:
@@ -92,7 +80,7 @@ def activity_shares(
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    grid = _innermost_region_grid(trace, tables, bins, lo, hi)
+    grid = region_grid(tables, trace.ranks, lo, hi, bins)
     n_ranks = max(grid.shape[0], 1)
 
     n_regions = len(trace.regions)

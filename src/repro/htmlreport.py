@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import obs
+
 if TYPE_CHECKING:  # pragma: no cover
     from .core.pipeline import VariationAnalysis
 
@@ -157,25 +159,30 @@ def render_html_report(
     )
 
     sections.append("<h2>SOS heat map (blue = fast, red = slow)</h2>")
-    svg = render_sos_svg(analysis, width=1100.0)
-    sections.append(svg.tostring().split("?>", 1)[1])  # strip XML decl
+    with obs.span("viz.heatmap"):
+        svg = render_sos_svg(analysis, width=1100.0)
+        sections.append(svg.tostring().split("?>", 1)[1])  # strip XML decl
 
     sections.append("<h2>Master timeline</h2>")
-    timeline = render_timeline_png(
-        trace, tables=analysis.profile.tables, width=1100
-    )
-    sections.append(_png_tag(timeline, "master timeline"))
+    with obs.span("viz.timeline"):
+        timeline = render_timeline_png(
+            trace, tables=analysis.profile.tables, width=1100
+        )
+        sections.append(_png_tag(timeline, "master timeline"))
 
     sections.append("<h2>Activity shares over time</h2>")
-    shares = activity_shares(trace, analysis.profile.tables, bins=min(bins, 256))
-    area = render_area_png(shares, width=1100)
-    sections.append(_png_tag(area, "activity shares"))
+    with obs.span("core.activity"):
+        shares = activity_shares(trace, analysis.profile.tables, bins=min(bins, 256))
+    with obs.span("viz.area"):
+        area = render_area_png(shares, width=1100)
+        sections.append(_png_tag(area, "activity shares"))
 
     if include_counters and len(trace.metrics):
         sections.append("<h2>Hardware counters</h2>")
-        for metric in trace.metrics:
-            chart = render_counter_png(trace, metric.id, bins=bins, width=1100)
-            sections.append(_png_tag(chart, metric.name))
+        with obs.span("viz.counter"):
+            for metric in trace.metrics:
+                chart = render_counter_png(trace, metric.id, bins=bins, width=1100)
+                sections.append(_png_tag(chart, metric.name))
 
     sections.append("<h2>Dominant-function candidates</h2>")
     sections.append(_candidates_table(analysis))
@@ -191,6 +198,6 @@ def render_html_report(
         + "</body></html>"
     )
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fp:
+        with obs.span("html.write"), open(path, "w", encoding="utf-8") as fp:
             fp.write(doc)
     return doc

@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .canvas import Canvas
-from .colors import COLD_HOT, Colormap, hex_color
+from .colors import COLD_HOT, Colormap
 from .figure import (
     ChartLayout,
     draw_time_axis,
@@ -131,7 +131,10 @@ def render_sos_svg(
     analysis:
         A :class:`repro.core.pipeline.VariationAnalysis`.
     max_rects:
-        Safety cap; beyond it segments are batched per pixel column.
+        Safety cap.  Beyond it, consecutive segments of a rank that
+        start in one pixel column merge into one rect, coloured and
+        titled by the segment with the largest SOS, so a hot segment is
+        never hidden.
     """
     sos = analysis.sos
     seg = analysis.segmentation
@@ -156,27 +159,34 @@ def render_sos_svg(
     t0, t1 = seg.t_min, seg.t_max
     span = (t1 - t0) or 1.0
 
-    total = seg.total_segments
-    stride = max(1, int(np.ceil(total / max_rects)))
+    rgb = cmap(matrix, lo, hi).astype(np.int64)
+    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    aggregate = seg.total_segments > max_rects
+    h = plot_h / n_ranks
     for row, rank in enumerate(ranks):
         rs = seg[rank]
-        values = sos[rank].sos
-        y = top + row * (plot_h / n_ranks)
-        h = plot_h / n_ranks
-        for j in range(0, len(rs), stride):
-            x = left + (rs.t_start[j] - t0) / span * plot_w
-            w = max((rs.t_stop[j] - rs.t_start[j]) / span * plot_w, 0.3)
-            color = cmap(np.asarray([values[j]]), lo, hi)[0]
+        if len(rs) == 0:
+            continue
+        values = matrix[row, : len(rs)]
+        start = (rs.t_start - t0) / span
+        first = hot = np.arange(len(rs))
+        if aggregate:
+            col = (start * plot_w).astype(np.int64)
+            new_run = np.r_[True, col[1:] != col[:-1]]
+            first = first[new_run]
+            # Per run, the first segment of largest SOS (NaN sorts last).
+            hot = np.lexsort((-values, np.cumsum(new_run)))[first]
+        last = np.r_[first[1:], len(rs)] - 1
+        x = left + start[first] * plot_w
+        w = np.maximum((rs.t_stop[last] - rs.t_start[first]) / span * plot_w, 0.3)
+        y = top + row * h
+        for xi, wi, j, v, c in zip(
+            x.tolist(), w.tolist(), hot.tolist(),
+            values[hot].tolist(), packed[row, hot].tolist(),
+        ):
             svg.rect(
-                x,
-                y,
-                w,
-                h,
-                hex_color(tuple(color)),
-                title=(
-                    f"rank {rank}, segment {j}: SOS "
-                    f"{format_seconds(float(values[j]))}"
-                ),
+                xi, y, wi, h, f"#{c:06x}",
+                title=f"rank {rank}, segment {j}: SOS {format_seconds(v)}",
             )
     svg.rect(left, top, plot_w, plot_h, "none", stroke="#787878")
     # Time axis labels.

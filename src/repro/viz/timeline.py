@@ -23,7 +23,7 @@ from .figure import ChartLayout, draw_time_axis, draw_title, rank_tick_rows
 from .legend import draw_region_legend
 from .png import write_png
 
-__all__ = ["render_timeline_png", "match_messages", "region_strip"]
+__all__ = ["render_timeline_png", "match_messages", "region_grid", "region_strip"]
 
 
 def region_strip(
@@ -34,9 +34,11 @@ def region_strip(
 ) -> np.ndarray:
     """Innermost-region id per time bin for one process (-1 = idle).
 
-    Painter's algorithm: rows are ordered parents-first, so assigning
-    each invocation's pixel span in row order leaves the deepest region
-    visible, exactly like a timeline chart.
+    A pixel shows the region of the last table row whose ``[px0, px1)``
+    span covers it, as if rows were painted in order: parents first, so
+    the deepest region shows, and the later of two rows sharing a pixel
+    wins.  Rows at one depth are disjoint and time-sorted, so one
+    ``searchsorted`` per depth finds each pixel's last covering row.
     """
     strip = np.full(bins, -1, dtype=np.int32)
     if len(table) == 0 or t1 <= t0:
@@ -44,12 +46,32 @@ def region_strip(
     scale = bins / (t1 - t0)
     px0 = np.clip(((table.t_enter - t0) * scale).astype(np.int64), 0, bins)
     px1 = np.clip(np.ceil((table.t_leave - t0) * scale).astype(np.int64), 0, bins)
-    regions = table.region
-    for i in range(len(table)):
-        a, b = px0[i], px1[i]
-        if b > a:
-            strip[a:b] = regions[i]
+    rows = np.flatnonzero(px1 > px0)
+    start, stop, depth = px0[rows], px1[rows], table.depth[rows]
+    pixels = np.arange(bins)
+    top = np.full(bins, -1, dtype=np.int64)
+    for level in np.unique(depth):
+        at = np.flatnonzero(depth == level)
+        last = at[np.maximum(np.searchsorted(start[at], pixels, side="right") - 1, 0)]
+        hit = (start[last] <= pixels) & (stop[last] > pixels)
+        np.maximum(top, np.where(hit, rows[last], -1), out=top)
+    painted = top >= 0
+    strip[painted] = table.region[top[painted]]
     return strip
+
+
+def region_grid(
+    tables: dict[int, InvocationTable],
+    ranks,
+    t0: float,
+    t1: float,
+    bins: int,
+) -> np.ndarray:
+    """``(len(ranks), bins)`` grid of :func:`region_strip` rows."""
+    grid = np.full((len(ranks), bins), -1, dtype=np.int32)
+    for row, rank in enumerate(ranks):
+        grid[row] = region_strip(tables[rank], t0, t1, bins)
+    return grid
 
 
 def match_messages(
@@ -124,19 +146,15 @@ def render_timeline_png(
     palette = region_palette(len(trace.regions), mpi_mask)
 
     bins = layout.plot_w
-    strips = np.full((n_ranks, bins), -1, dtype=np.int32)
-    for row, rank in enumerate(ranks):
-        strips[row] = region_strip(tables[rank], lo, hi, bins)
+    strips = region_grid(tables, ranks, lo, hi, bins)
 
-    # Expand to plot height and map region ids to colors.
+    # Expand to plot height and map region ids to colors; idle (-1)
+    # picks the idle colour appended after the palette.
     rows = np.minimum(
         (np.arange(layout.plot_h) * n_ranks) // layout.plot_h, n_ranks - 1
     )
-    expanded = strips[rows]  # (plot_h, bins)
-    image = np.empty((layout.plot_h, bins, 3), dtype=np.uint8)
-    idle = expanded < 0
-    image[idle] = (240, 240, 238)
-    image[~idle] = palette[expanded[~idle]]
+    colors = np.vstack([palette, np.asarray([(240, 240, 238)], dtype=np.uint8)])
+    image = colors[strips[rows]]  # (plot_h, bins, 3)
     canvas.blit(layout.plot_x, layout.plot_y, image)
     canvas.rect(
         layout.plot_x - 1,

@@ -236,6 +236,16 @@ class TestCompareAndHtml:
         assert content.startswith("<!DOCTYPE html>")
         assert "data:image/png;base64," in content
 
+    def test_html_stats_rows_cover_rendering(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "report.html"
+        assert main(["analyze", str(trace_path), "--html", str(out),
+                     "--bins", "32", "--stats"]) == 0
+        rows = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.strip()}
+        for layer in ("viz.heatmap", "viz.timeline", "core.activity",
+                      "viz.area", "viz.counter", "html.write"):
+            assert layer in rows
+
     def test_simulate_hybrid(self, tmp_path):
         out = tmp_path / "hy.rpt"
         assert main(["simulate", "hybrid_openmp", "--processes", "4",

@@ -1,10 +1,13 @@
 """Tests for chart renderers: timeline, heat maps, counters, profile, ASCII."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import analyze_trace
-from repro.profiles import profile_trace, replay_trace
+from repro.profiles import InvocationTable, profile_trace, replay_trace
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 from repro.viz import (
     heat_image,
@@ -22,6 +25,7 @@ from repro.viz import (
     sparkline,
 )
 from repro.viz.figure import format_seconds, rank_tick_rows
+from repro.viz.timeline import region_grid
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,51 @@ class TestHeatChart:
         assert int(cold[2]) - int(cold[0]) > 50  # blue dominant
 
 
+def painter_strip(table, t0, t1, bins):
+    """Reference: paint every row's pixel span in row order."""
+    strip = np.full(bins, -1, dtype=np.int32)
+    if len(table) == 0 or t1 <= t0:
+        return strip
+    scale = bins / (t1 - t0)
+    for region, enter, leave in zip(table.region, table.t_enter, table.t_leave):
+        a = min(max(int((enter - t0) * scale), 0), bins)
+        b = min(max(math.ceil((leave - t0) * scale), 0), bins)
+        if b > a:
+            strip[a:b] = region
+    return strip
+
+
+def _table(rows):
+    """InvocationTable from ``(region, t_enter, t_leave, depth)`` rows."""
+    def col(i, dtype):
+        return np.asarray([row[i] for row in rows], dtype=dtype)
+
+    n = len(rows)
+    zeros = np.zeros(n, dtype=np.int64)
+    return InvocationTable(
+        region=col(0, np.int32), t_enter=col(1, np.float64),
+        t_leave=col(2, np.float64), inclusive=np.zeros(n),
+        exclusive=np.zeros(n), depth=col(3, np.int32), parent=zeros,
+        outermost=np.ones(n, dtype=bool), enter_index=zeros, leave_index=zeros,
+    )
+
+
+def _nested_table(ops):
+    """Replay ``(enter?, region, dt)`` ops on a stack; rows in enter order."""
+    rows, stack, now = [], [], 0.0
+    for enter, region, dt in ops:
+        now += dt
+        if enter or not stack:
+            stack.append(len(rows))
+            rows.append([region, now, None, len(stack)])
+        else:
+            rows[stack.pop()][2] = now
+    for row in reversed(stack):
+        now += 0.5
+        rows[row][2] = now
+    return _table(rows)
+
+
 class TestTimeline:
     def test_region_strip_painter_order(self, fig1):
         tables = replay_trace(fig1)
@@ -122,6 +171,39 @@ class TestTimeline:
         tables = replay_trace(fig1)
         strip = region_strip(tables[0], 0.0, 12.0, 12)
         assert strip[-1] == -1  # after the program ends
+
+    def test_later_sibling_beats_deeper_child(self):
+        # The child C of A and A's next sibling B share pixel 4: B is the
+        # later row, so B shows there even though C is deeper.
+        table = _table([(1, 0.0, 10.0, 1), (2, 0.0, 4.5, 2),
+                        (3, 3.0, 4.5, 3), (4, 4.5, 8.0, 2)])
+        strip = region_strip(table, 0.0, 10.0, 10)
+        assert list(strip) == [2, 2, 2, 3, 4, 4, 4, 4, 1, 1]
+        assert list(strip) == list(painter_strip(table, 0.0, 10.0, 10))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 5),
+                          st.sampled_from([0.0, 1e-4, 0.3, 0.5, 1.0, 2.25])),
+                max_size=40,
+            ),
+            min_size=1, max_size=4,
+        ),
+        window=st.tuples(
+            st.floats(-2.0, 20.0),
+            st.one_of(st.floats(-3.0, 0.0), st.floats(1e-3, 30.0)),
+        ),
+        bins=st.one_of(st.integers(1, 40), st.integers(1, 5000)),
+    )
+    def test_grid_matches_painter(self, ops, window, bins):
+        tables = {rank: _nested_table(rank_ops) for rank, rank_ops in enumerate(ops)}
+        t0, length = window
+        t1 = t0 + length
+        grid = region_grid(tables, list(tables), t0, t1, bins)
+        for rank, table in tables.items():
+            np.testing.assert_array_equal(grid[rank], painter_strip(table, t0, t1, bins))
 
     def test_render_timeline(self, viz_trace, tmp_path):
         path = tmp_path / "tl.png"
@@ -185,6 +267,30 @@ class TestSOSSvg:
     def test_tooltips_present(self, viz_analysis):
         svg = render_sos_svg(viz_analysis)
         assert "rank 2, segment" in svg.tostring()
+
+    def test_hot_segment_survives_the_cap(self):
+        # 20 ranks x 3001 segments exceed the default cap of 60000.  In
+        # the 940-px plot, segments 1501-1503 start in one pixel column;
+        # the hot one is the last of them, so neither a stride nor a
+        # first-segment-per-column rule shows it.
+        from repro.trace.builder import TraceBuilder
+
+        tb = TraceBuilder(name="many-segments")
+        tb.region("main")
+        tb.region("step")
+        for rank in range(20):
+            p = tb.process(rank)
+            p.enter(0.0, "main")
+            for j in range(3001):
+                p.call(j * 6.0, j * 6.0 + (5.0 if (rank, j) == (7, 1503) else 1.0),
+                       "step")
+            p.leave(3001 * 6.0, "main")
+        analysis = analyze_trace(tb.freeze())
+        assert analysis.segmentation.total_segments > 60000
+        text = render_sos_svg(analysis).tostring()
+        assert "rank 7, segment 1503:" in text
+        assert "rank 7, segment 1501:" not in text  # merged into 1503's rect
+        assert text.count("<title>rank ") <= 20 * 941
 
 
 class TestAsciiArt:
