@@ -4,12 +4,13 @@ The trace *generators* became the bottleneck once analysis went fused
 (E16: 504k events analysed in ~50 ms but simulated in ~1.8 s).  This
 PR rebuilds the emission pipeline:
 
-* the engine records through preallocated NumPy column buffers
-  (``ColumnarTraceSink``) instead of per-event Python objects;
+* the engine records through the ``TraceBuilder``'s preallocated NumPy
+  column buffers instead of per-event Python objects;
 * declarative iteration structure (``LoopSpec``) lets the engine skip
   the generator protocol entirely and compute whole timestamp columns
   with array arithmetic — proven bitwise-identical to the interpreted
-  path by ``tests/test_sim_sink.py`` and the fuzz oracle;
+  path by ``tests/test_sim_sink.py`` and pinned by the golden
+  fingerprints in ``tests/test_recorder_golden.py``;
 * ``SimResult.write`` serialises the buffers straight into ``.rpt`` v2
   codec blobs without ever building a ``Trace``.
 

@@ -18,7 +18,7 @@ end to end:
 3. regenerates the scenario unconstrained in the parent and fails if
    the capped child's file does not load back bitwise-identical.
 
-The legacy object path would need hundreds of bytes per event (tens of
+A per-event object path would need hundreds of bytes per event (tens of
 GiB at this scale) before even reaching the writer; the cap is sized
 so only the columnar pipeline fits.
 

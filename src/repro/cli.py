@@ -228,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--iterations", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument(
-        "--sink", choices=("columnar", "objects"), default=None,
-        help="trace emission path: columnar (vectorized, default) or "
-             "objects (legacy per-event builder)")
-    sim.add_argument(
         "--out-version", type=int, choices=(1, 2), default=None,
         help=".rpt format version to write (default: newest)")
     sim.add_argument(
@@ -550,59 +546,36 @@ def _parse_codec_args(specs):
 
 
 def _cmd_simulate(args) -> int:
-    import contextlib
-
     from .sim import workloads
-    from .sim.engine import use_sink
 
     module = getattr(workloads, args.workload)
-    kwargs = {}
-    if args.processes is not None:
-        kwargs["processes"] = args.processes
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    sink_ctx = (
-        use_sink(args.sink) if args.sink else contextlib.nullcontext()
+    if args.workload in _PHENOMENON_WORKLOADS and args.seed is not None:
+        raise CLIError(
+            f"--seed does not apply to {args.workload} "
+            "(the phenomenon is deterministic)"
+        )
+    # Case studies take ``processes``; the configurable workloads take
+    # ``ranks``.
+    ranks_key = (
+        "ranks"
+        if args.workload in ("hybrid_openmp", "synthetic", *_PHENOMENON_WORKLOADS)
+        else "processes"
     )
-    with sink_ctx:
-        if args.workload == "hybrid_openmp":
-            from .sim.workloads import hybrid_openmp
+    kwargs = {
+        key: value
+        for key, value in (
+            (ranks_key, args.processes),
+            ("iterations", args.iterations),
+            ("seed", args.seed),
+        )
+        if value is not None
+    }
+    if args.workload == "synthetic":
+        from .sim.workloads.synthetic import SyntheticConfig
 
-            cfg_kwargs = {}
-            if args.processes is not None:
-                cfg_kwargs["ranks"] = args.processes
-            if args.iterations is not None:
-                cfg_kwargs["iterations"] = args.iterations
-            if args.seed is not None:
-                cfg_kwargs["seed"] = args.seed
-            trace = hybrid_openmp.generate(**cfg_kwargs)
-        elif args.workload in _PHENOMENON_WORKLOADS:
-            if args.seed is not None:
-                raise CLIError(
-                    f"--seed does not apply to {args.workload} "
-                    "(the phenomenon is deterministic)"
-                )
-            cfg_kwargs = {}
-            if args.processes is not None:
-                cfg_kwargs["ranks"] = args.processes
-            if args.iterations is not None:
-                cfg_kwargs["iterations"] = args.iterations
-            trace = module.generate(**cfg_kwargs)
-        elif args.workload == "synthetic":
-            from .sim.workloads.synthetic import SyntheticConfig
-
-            cfg_kwargs = {}
-            if args.processes is not None:
-                cfg_kwargs["ranks"] = args.processes
-            if args.iterations is not None:
-                cfg_kwargs["iterations"] = args.iterations
-            if args.seed is not None:
-                cfg_kwargs["seed"] = args.seed
-            trace = module.generate(SyntheticConfig(**cfg_kwargs))
-        else:
-            trace = module.generate(**kwargs)
+        trace = module.generate(SyntheticConfig(**kwargs))
+    else:
+        trace = module.generate(**kwargs)
     codec = _parse_codec_args(args.codec)
     _write_trace(trace, args.output, version=args.out_version, codec=codec)
     print(

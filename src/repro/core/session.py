@@ -840,21 +840,21 @@ class AnalysisSession:
         from ..lint import LintConfig, lint_path, lint_trace
 
         cfg = config or self.lint_config or LintConfig()
-        if self.sharded and self.source_path is not None:
-            return lint_path(
-                self.source_path,
-                config=cfg,
-                shards=self.shards,
-                max_memory_mb=self.max_memory_mb,
-            )
-        return lint_trace(self.trace, config=cfg, source=self.source_path)
+        with obs.span("session.preflight"):
+            if self.sharded and self.source_path is not None:
+                return lint_path(
+                    self.source_path,
+                    config=cfg,
+                    shards=self.shards,
+                    max_memory_mb=self.max_memory_mb,
+                )
+            return lint_trace(self.trace, config=cfg, source=self.source_path)
 
     def _ensure_valid(self) -> None:
         if not self.config.validate or self._validated:
             return
         if self.lint_config is not None:
-            with obs.span("session.preflight"):
-                self.preflight().raise_for_errors()
+            self.preflight().raise_for_errors()
             self.stats._bump(self.stats.computed, "validate")
             self._validated = True
             return

@@ -2,7 +2,7 @@
 
 from . import ops
 from .countermodel import CounterSet, CounterSpec, FPU_EXCEPTIONS, PAPI_TOT_CYC
-from .engine import DeadlockError, SimResult, Simulator, simulate, use_sink
+from .engine import DeadlockError, SimResult, Simulator, simulate
 from .fastpath import HaloRing, LoopSpec
 from .network import (
     DragonflyTopology,
@@ -25,10 +25,8 @@ from .noise import (
     vector_noise,
 )
 from .program import grid_coords, grid_rank, halo_exchange, neighbors_2d
-from .sink import ColumnarTraceSink, ObjectTraceSink
 
 __all__ = [
-    "ColumnarTraceSink",
     "CompositeNoise",
     "CounterSet",
     "CounterSpec",
@@ -44,7 +42,6 @@ __all__ = [
     "NoNoise",
     "NoiseBursts",
     "NoiseModel",
-    "ObjectTraceSink",
     "PAPI_TOT_CYC",
     "ScheduledInterruptions",
     "SimResult",
@@ -60,6 +57,5 @@ __all__ = [
     "ops",
     "scalar_noise",
     "simulate",
-    "use_sink",
     "vector_noise",
 ]

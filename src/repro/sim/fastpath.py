@@ -10,15 +10,17 @@ an optional eager halo ring exchange, and an optional collective.
 :class:`LoopSpec` declares that shape; :func:`run_fast` then computes
 every rank's clock for a whole iteration as one NumPy vector — noise,
 halo matching (a ``roll`` against each neighbour's send availability)
-and collective synchronization included — and writes event rows
-straight into shared column templates.  Per-event cost becomes a few
+and collective synchronization included — and hands each rank's finished
+columns to the simulator's :class:`~repro.trace.builder.TraceBuilder`
+(:meth:`~repro.trace.builder.TraceBuilder.adopt`).  Per-event cost becomes a few
 array stores instead of a generator resumption plus dispatch.
 
 The fast path replicates the engine's floating-point expressions
 operation for operation (same association, same ``max`` fold order,
 same noise formulas via :func:`repro.sim.noise.vector_noise`), so its
 traces are **bitwise identical** to the general interpreter's — the
-differential tests in ``tests/test_sim_sink.py`` hold it to that.
+differential tests in ``tests/test_sim_sink.py`` and the golden
+fingerprints in ``tests/test_recorder_golden.py`` hold it to that.
 Anything it cannot reproduce exactly (unknown noise models, rendezvous
 halos, topology networks, mixed-zero counter rates) makes it return
 ``None`` and the general engine runs instead.  ``REPRO_SIM_NO_FASTPATH=1``
@@ -36,7 +38,6 @@ import numpy as np
 from ..trace.definitions import Paradigm
 from .network import NetworkModel
 from .noise import vector_noise
-from .sink import ColumnarTraceSink
 
 if TYPE_CHECKING:
     from .engine import SimResult, Simulator
@@ -97,11 +98,8 @@ def run_fast(sim: "Simulator") -> "SimResult | None":
     if os.environ.get("REPRO_SIM_NO_FASTPATH", "").strip() not in ("", "0"):
         return None
     spec: LoopSpec = sim.loop
-    sink = sim.sink
     net = sim.network
     size = sim.size
-    if type(sink) is not ColumnarTraceSink:
-        return None
     if type(net) is not NetworkModel:
         # Topology/congestion models are history-dependent per message;
         # only the flat analytic model is vectorizable.
@@ -378,7 +376,7 @@ def run_fast(sim: "Simulator") -> "SimResult | None":
     del T
 
     for r in range(size):
-        sink.adopt(
+        sim.tb.adopt(
             r,
             f"Rank {r}",
             {
@@ -395,11 +393,11 @@ def run_fast(sim: "Simulator") -> "SimResult | None":
     from .engine import SimResult
 
     return SimResult(
-        trace=None,  # frozen lazily from the sink on first access
+        trace=None,  # frozen lazily from the builder on first access
         end_times={r: float(c[r]) for r in range(size)},
         messages=messages,
         collectives=iters if coll != "none" else 0,
         events=n * size,
         sched_ops=2 * size,
-        sink=sink,
+        builder=sim.tb,
     )

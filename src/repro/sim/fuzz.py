@@ -823,45 +823,6 @@ def run_oracle_trace(
     return report
 
 
-def _check_sink_parity(spec: ScenarioSpec, trace) -> list[OracleFailure]:
-    """Re-simulate with the legacy object sink: bytes must not change.
-
-    The production engine emits events into columnar buffers; the
-    object sink is the original per-event ``TraceBuilder`` path.  Both
-    must produce bitwise-identical traces for every scenario, which
-    makes the sink itself part of the differential matrix rather than
-    a trusted component.
-    """
-    from ..trace.fingerprint import fingerprint_trace
-
-    from .engine import use_sink
-
-    failures: list[OracleFailure] = []
-    try:
-        with use_sink("objects"):
-            legacy = build_trace(spec)
-    except Exception as err:  # noqa: BLE001 - a crash IS the finding
-        detail = traceback.format_exception_only(type(err), err)[-1].strip()
-        return [OracleFailure("sink/objects", f"crash: {detail}")]
-    fp, fp_legacy = fingerprint_trace(trace), fingerprint_trace(legacy)
-    if fp.hexdigest != fp_legacy.hexdigest:
-        failures.append(
-            OracleFailure(
-                "sink/objects",
-                "columnar and object sinks disagree on the trace fingerprint",
-            )
-        )
-        for rank in trace.ranks:
-            if fp.rank_digest(rank) != fp_legacy.rank_digest(rank):
-                failures.append(
-                    OracleFailure(
-                        "sink/objects", f"rank {rank} digest differs"
-                    )
-                )
-                break
-    return failures
-
-
 def run_oracle(
     spec: ScenarioSpec,
     workdir: str | os.PathLike | None = None,
@@ -877,7 +838,7 @@ def run_oracle(
         report = OracleReport(spec=spec)
         report.failures.append(OracleFailure("simulate", f"crash: {detail}"))
         return report
-    report = run_oracle_trace(
+    return run_oracle_trace(
         trace,
         spec=spec,
         workdir=workdir,
@@ -885,9 +846,6 @@ def run_oracle(
         chunk_sizes=chunk_sizes,
         versions=versions,
     )
-    report.cells += 1
-    report.failures.extend(_check_sink_parity(spec, trace))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,11 @@ def write_binary_arrays(
 
     ``locations`` yields ``(Location, n, {column: ndarray})`` triples in
     the order they should appear on disk.  This is the array-level core
-    of :func:`write_binary` — sinks that already hold column buffers
-    (e.g. the simulator's ``ColumnarTraceSink``) call it directly and
-    skip ``Trace``/``EventList`` construction entirely; the bytes
-    produced are identical either way.
+    of :func:`write_binary` — a :class:`~repro.trace.builder.TraceBuilder`
+    that already holds column buffers calls it directly
+    (:meth:`~repro.trace.builder.TraceBuilder.write`) and skips
+    ``Trace``/``EventList`` construction entirely; the bytes produced
+    are identical either way.
     """
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(f"unsupported binary version {version}")

@@ -124,6 +124,12 @@ class TestAnalyze:
     def test_level(self, trace_path, capsys):
         assert main(["analyze", str(trace_path), "--level", "1"]) == 0
 
+    def test_preflight_stats_row(self, trace_path, capsys):
+        assert main(["analyze", str(trace_path), "--preflight", "--stats"]) == 0
+        rows = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.strip()}
+        assert "session.preflight" in rows
+
 
 class TestShardFlags:
     def test_analyze_sharded_matches_unsharded(self, trace_path, capsys,
@@ -549,20 +555,18 @@ class TestMonitor:
 
 @pytest.fixture(scope="module")
 def corrupt_traces(tmp_path_factory):
-    """Broken copies of a zlib-coded trace, one per corruption kind."""
+    """Broken copies of a zlib-coded trace and of its JSONL copy, one per
+    corruption kind."""
     import struct
 
     from repro.sim.workloads.synthetic import SyntheticConfig, generate
-    from repro.trace import write_binary
+    from repro.trace import write_binary, write_jsonl
     from repro.trace.binio import payload_start
 
     base = tmp_path_factory.mktemp("corrupt")
     clean = base / "clean.rpt"
-    write_binary(
-        generate(SyntheticConfig(ranks=4, iterations=6, seed=5)),
-        clean,
-        codec="zlib",
-    )
+    trace = generate(SyntheticConfig(ranks=4, iterations=6, seed=5))
+    write_binary(trace, clean, codec="zlib")
     data = clean.read_bytes()
     version, hlen = struct.unpack_from("<HI", data, 4)
     # One flipped byte in the middle of rank 0's zlib-coded time column,
@@ -581,6 +585,27 @@ def corrupt_traces(tmp_path_factory):
     for name, blob in variants.items():
         paths[name] = base / f"{name}.rpt"
         paths[name].write_bytes(blob)
+
+    write_jsonl(trace, base / "clean.jsonl")
+    lines = (base / "clean.jsonl").read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if '"record": "events"' in line)
+    record = json.loads(lines[at])
+
+    def with_events(**fields):
+        edited = json.dumps({**record, **fields}) + "\n"
+        return "".join(lines[:at] + [edited] + lines[at + 1 :])
+
+    jsonl_variants = {
+        # A writer killed mid-line: the last events record is cut in half.
+        "jsonl-torn": "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2],
+        "jsonl-time-str": with_events(
+            time=[record["time"][0], "late", *record["time"][2:]]
+        ),
+        "jsonl-kind-str": with_events(kind="enter"),
+    }
+    for name, text in jsonl_variants.items():
+        paths[name] = base / f"{name}.jsonl"
+        paths[name].write_text(text)
     return paths
 
 
@@ -596,7 +621,17 @@ class TestCorruptInput:
         ["convert", "-o", "{out}"],
     )
 
-    @pytest.mark.parametrize("kind", ["truncated", "bitflip", "missing-key"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "truncated",
+            "bitflip",
+            "missing-key",
+            "jsonl-torn",
+            "jsonl-time-str",
+            "jsonl-kind-str",
+        ],
+    )
     def test_exit_2_without_traceback(
         self, corrupt_traces, kind, tmp_path, capsys
     ):

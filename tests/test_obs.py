@@ -362,6 +362,7 @@ class TestExport:
         assert sorted(r.name for r in trace.regions) == ["phase.a", "phase.b"]
         assert [m.name for m in trace.metrics] == ["analysis.events",
                                                    "shard.queue_depth"]
+        assert {p.location.group for p in trace.processes()} == {"OBS"}
         events = trace.events_of(trace.ranks[0])
         # 3 spans -> 6 enter/leave events + 2 metric samples.
         assert len(events) == 8

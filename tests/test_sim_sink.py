@@ -1,17 +1,19 @@
-"""Differential tests: columnar sink vs legacy object sink vs fast path.
+"""Differential tests: fast path vs general interpreter, one recorder.
 
-The vectorized emission pipeline is only allowed to exist because it is
-bitwise-indistinguishable from the original per-event builder.  These
-tests pin that equivalence three ways — trace fingerprints across
-engines and sinks, file bytes across ``.rpt`` versions and codecs, and
-error messages of the recorder protocol — plus the topology network
-models feeding the congestion workload.
+The vectorized fast path is only allowed to exist because it is
+bitwise-indistinguishable from the general interpreter, which records
+event by event through :class:`repro.trace.builder.TraceBuilder`.  These
+tests pin that equivalence — trace fingerprints across engines, file
+bytes across ``.rpt`` versions and codecs — plus the recorder's error
+messages and the topology network models feeding the congestion
+workload.  ``tests/test_recorder_golden.py`` pins the fingerprints
+themselves.
 """
 
 import pytest
 
-from repro.sim.engine import simulate, use_sink
-from repro.sim.fuzz import build_trace, generate_spec
+from repro.sim import ops
+from repro.sim.engine import simulate
 from repro.sim.network import (
     DragonflyTopology,
     FatTreeTopology,
@@ -19,7 +21,6 @@ from repro.sim.network import (
     TopologyNetworkModel,
     TorusTopology,
 )
-from repro.sim.sink import ColumnarTraceSink
 from repro.sim.workloads import congestion, idle_wave, late_sender, serialization
 from repro.sim.workloads.synthetic import SyntheticConfig, generate_result
 from repro.trace import read_trace, write_binary
@@ -44,6 +45,13 @@ SYNTHETIC_VARIANTS = {
     "jitter": SyntheticConfig(ranks=6, iterations=10, jitter_sigma=0.001),
 }
 
+PHENOMENON_CASES = [
+    (idle_wave, {"ranks": 12, "iterations": 10}),
+    (late_sender, {"ranks": 8, "iterations": 10}),
+    (serialization, {}),
+    (congestion, {"ranks": 24, "iterations": 6}),
+]
+
 
 def _fingerprints(trace):
     fp = fingerprint_trace(trace)
@@ -60,65 +68,31 @@ def _general(fn, monkeypatch):
 
 
 class TestSinkParity:
+    """Fast path == general interpreter, both recording through the one
+    ``TraceBuilder`` (test ids predate the single recorder)."""
+
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_VARIANTS))
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_synthetic_three_way(self, name, seed, monkeypatch):
-        """fast+columnar == general+columnar == general+objects."""
+        """Fingerprints, event counts and run statistics agree."""
         from dataclasses import replace
 
         config = replace(SYNTHETIC_VARIANTS[name], seed=seed)
         fast = generate_result(config)
-        fast_fp = _fingerprints(fast.trace)
-
         general = _general(lambda: generate_result(config), monkeypatch)
-        assert _fingerprints(general.trace) == fast_fp
+        assert _fingerprints(general.trace) == _fingerprints(fast.trace)
         assert general.events == fast.events
         assert general.makespan == fast.makespan
         assert general.messages == fast.messages
         assert general.collectives == fast.collectives
 
-        def objects():
-            with use_sink("objects"):
-                return generate_result(config)
-
-        legacy = _general(objects, monkeypatch)
-        assert _fingerprints(legacy.trace) == fast_fp
-        assert legacy.events == fast.events
-
-    @pytest.mark.parametrize(
-        "module,kwargs",
-        [
-            (idle_wave, {"ranks": 12, "iterations": 10}),
-            (late_sender, {"ranks": 8, "iterations": 10}),
-            (serialization, {}),
-            (congestion, {"ranks": 24, "iterations": 6}),
-        ],
-    )
+    @pytest.mark.parametrize("module,kwargs", PHENOMENON_CASES)
     def test_phenomenon_workloads(self, module, kwargs, monkeypatch):
         fast_fp = _fingerprints(module.generate(**kwargs))
         general_fp = _fingerprints(
             _general(lambda: module.generate(**kwargs), monkeypatch)
         )
         assert general_fp == fast_fp
-
-        def objects():
-            with use_sink("objects"):
-                return module.generate(**kwargs)
-
-        assert _fingerprints(_general(objects, monkeypatch)) == fast_fp
-
-    @pytest.mark.parametrize("seed", [0, 11, 29])
-    def test_fuzz_scenarios(self, seed):
-        spec = generate_spec(seed)
-        columnar = build_trace(spec)
-        with use_sink("objects"):
-            legacy = build_trace(spec)
-        assert _fingerprints(columnar) == _fingerprints(legacy)
-
-    def test_use_sink_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            with use_sink("parquet"):
-                pass
 
 
 class TestDirectWrite:
@@ -131,7 +105,6 @@ class TestDirectWrite:
             pytest.skip("v1 has no codecs")
         config = SyntheticConfig(ranks=6, iterations=10)
         result = generate_result(config)
-        assert isinstance(result.sink, ColumnarTraceSink)
 
         direct = tmp_path / "direct.rpt"
         kwargs = {"version": version}
@@ -144,6 +117,17 @@ class TestDirectWrite:
         write_binary(result.trace, staged, **kwargs)
         assert direct.read_bytes() == staged.read_bytes()
 
+    def test_general_run_bytes_identical(self, tmp_path, monkeypatch):
+        result = _general(
+            lambda: generate_result(SyntheticConfig(ranks=4, iterations=5)),
+            monkeypatch,
+        )
+        result.write(tmp_path / "direct.rpt")
+        write_binary(result.trace, tmp_path / "staged.rpt")
+        assert (tmp_path / "direct.rpt").read_bytes() == (
+            tmp_path / "staged.rpt"
+        ).read_bytes()
+
     def test_written_trace_round_trips(self, tmp_path):
         result = idle_wave.generate_result()
         path = tmp_path / "iw.rpt"
@@ -153,62 +137,63 @@ class TestDirectWrite:
 
 
 class TestRecorderErrorParity:
-    """ColumnarRecorder raises the exact ProcessBuilder messages."""
+    """The recorder's error messages, verbatim."""
 
-    def _pair(self):
-        tb_obj, tb_col = TraceBuilder(), TraceBuilder()
-        for tb in (tb_obj, tb_col):
-            tb.region("main")
-            tb.region("work")
-        return tb_obj.process(0), ColumnarTraceSink(tb_col).recorder(0)
+    def _recorder(self):
+        tb = TraceBuilder()
+        tb.region("main")
+        tb.region("work")
+        return tb, tb.process(0)
 
-    def _messages(self, drive):
-        out = []
-        for rec in self._pair():
-            with pytest.raises(ValueError) as err:
-                drive(rec)
-            out.append(str(err.value))
-        assert out[0] == out[1]
-        return out[0]
+    def _message(self, drive):
+        tb, rec = self._recorder()
+        with pytest.raises(ValueError) as err:
+            drive(tb, rec)
+        return str(err.value)
 
     def test_leave_on_empty_stack(self):
-        msg = self._messages(lambda rec: rec.leave(1.0))
-        assert "stack is empty" in msg
+        msg = self._message(lambda tb, rec: rec.leave(1.0))
+        assert msg == "leave at t=1.0 on Process 0: stack is empty"
 
     def test_leave_mismatch(self):
-        def drive(rec):
+        def drive(tb, rec):
             rec.enter(0.0, "main")
             rec.leave(1.0, "work")
 
-        msg = self._messages(drive)
-        assert "does not match open region" in msg
+        msg = self._message(drive)
+        assert msg == "leave('work') at t=1.0 does not match open region 'main'"
 
     def test_non_monotonic_time(self):
-        def drive(rec):
+        def drive(tb, rec):
             rec.enter(1.0, "main")
             rec.enter(0.5, "work")
 
-        msg = self._messages(drive)
-        assert "non-monotonic" in msg
+        msg = self._message(drive)
+        assert msg == "non-monotonic timestamp 0.5 after 1.0"
 
     def test_negative_call_duration(self):
-        msg = self._messages(lambda rec: rec.call(2.0, 1.0, "main"))
-        assert "negative duration" in msg
+        msg = self._message(lambda tb, rec: rec.call(2.0, 1.0, "main"))
+        assert msg == "negative duration: [2.0, 1.0]"
 
     def test_unclosed_regions_at_freeze(self):
-        def run():
-            def program(rank, size):
-                from repro.sim import ops
+        def drive(tb, rec):
+            rec.enter(0.0, "main")
+            rec.enter(0.5, "work")
+            tb.freeze()
 
-                yield ops.Enter("main")
+        msg = self._message(drive)
+        assert msg == (
+            "Process 0: unclosed regions at end of trace: ['main', 'work']"
+        )
 
-            return simulate(1, program).trace
+        def program(rank, size):
+            yield ops.Enter("main")
 
-        with pytest.raises(ValueError, match="unclosed regions"):
-            run()
-        with use_sink("objects"):
-            with pytest.raises(ValueError, match="unclosed regions"):
-                run()
+        with pytest.raises(ValueError) as err:
+            simulate(1, program)
+        assert str(err.value) == (
+            "Rank 0: unclosed regions at end of trace: ['main']"
+        )
 
 
 class TestTopologies:
