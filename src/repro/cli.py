@@ -110,14 +110,12 @@ def _session(trace, args, config=None, source_path=None):
 def _session_for_path(path: str, args, config=None):
     """Session over the trace at ``path``.
 
-    Without sharding flags the trace is read eagerly (as before).  With
-    ``--shards``/``--max-memory-mb`` only the file's chunk index is
-    parsed here; worker processes load their own rank groups, so the
-    parent never holds the full event data.
+    Without sharding flags the session reads the whole trace itself, so
+    a warm ``--cache-dir`` run can find its fingerprint by the file's
+    stat key.  With ``--shards``/``--max-memory-mb`` only the file's
+    chunk index is parsed here; worker processes load their own rank
+    groups, so the parent never holds the full event data.
     """
-    kwargs = _shard_kwargs(args)
-    if kwargs["shards"] is None and kwargs["max_memory_mb"] is None:
-        return _session(_load_trace(path), args, config)
     with _reading(path):
         return _session(None, args, config, source_path=path)
 

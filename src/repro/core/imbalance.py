@@ -15,7 +15,6 @@ each with a severity score (robust z-score based on median/MAD).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -34,6 +33,48 @@ __all__ = [
 ]
 
 _MAD_SCALE = 1.4826  # MAD → σ for normal data
+
+
+# NumPy's median functions import numpy.ma on first use (~15 ms of a
+# warm ``analyze``): ``np.median`` touches ``np.ma`` in its NaN check and
+# ``np.nanmedian`` masks short rows.  The two helpers below select the
+# same order statistics and add them the way NumPy's reductions do,
+# starting from +0.0, so every result — a zero median's sign included —
+# is bitwise NumPy's.
+
+
+def finite_median(values: np.ndarray, overwrite_input: bool = False) -> np.float64:
+    """``np.median`` of a finite 1-D array, bitwise (NaN when empty).
+
+    ``overwrite_input`` partitions ``values`` in place, as NumPy does.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        return np.float64(np.nan)
+    half, odd = divmod(v.size, 2)
+    kth = half if odd else [half - 1, half]
+    if overwrite_input:
+        v.partition(kth)
+    else:
+        v = np.partition(v, kth)
+    if odd:
+        return v[half] + 0.0
+    return (v[half - 1] + v[half] + 0.0) / 2
+
+
+def _nanmedian_rows(matrix: np.ndarray) -> np.ndarray:
+    """``np.nanmedian(matrix, axis=1)`` for rows without infinities and
+    with at least one finite value, bitwise.
+
+    NaN sorts last, so the finite count locates the middle pair; an odd
+    count pairs the middle element with itself.
+    """
+    ordered = np.sort(matrix, axis=1)
+    count = np.count_nonzero(~np.isnan(matrix), axis=1)
+    half = count // 2
+    hi = np.take_along_axis(ordered, half[:, None], axis=1)[:, 0]
+    lo = np.take_along_axis(ordered, (half - 1 + count % 2)[:, None], axis=1)[:, 0]
+    return (lo + hi + 0.0) / 2
 
 
 def robust_zscores(values: np.ndarray, rel_floor: float = 0.01) -> np.ndarray:
@@ -57,8 +98,8 @@ def robust_zscores(values: np.ndarray, rel_floor: float = 0.01) -> np.ndarray:
     if not np.any(finite):
         return out
     v = values[finite]
-    med = np.median(v)
-    mad = np.median(np.abs(v - med)) * _MAD_SCALE
+    med = finite_median(v)
+    mad = finite_median(np.abs(v - med), overwrite_input=True) * _MAD_SCALE
     scale = max(mad, rel_floor * abs(med))
     if scale <= 0:
         std = np.std(v)
@@ -77,11 +118,12 @@ def _robust_zscores_rows(matrix: np.ndarray, rel_floor: float = 0.01) -> np.ndar
     Bitwise-identical to ``np.apply_along_axis(robust_zscores, 1, m)``
     but without the per-row Python dispatch (the dominant cost of
     segment-level detection on long traces).  The identity holds
-    because ``np.nanmedian`` over a row computes the median of exactly
-    the same value multiset as ``np.median(row[finite])``, and the
-    per-element ``(x - med) / scale`` then sees identical operands.
-    Rows that hit a degenerate branch — infinities (which ``nanmedian``
-    would treat as finite), zero scale, or no finite values — are
+    because :func:`_nanmedian_rows` over a row computes the median of
+    exactly the same value multiset as ``finite_median(row[finite])``,
+    and the per-element ``(x - med) / scale`` then sees identical
+    operands.  Rows that hit a degenerate branch — infinities (which
+    NaN-skipping would treat as finite), zero scale, or no finite
+    values — are
     delegated to the exact scalar implementation.
     """
     m = np.asarray(matrix, dtype=np.float64)
@@ -93,10 +135,8 @@ def _robust_zscores_rows(matrix: np.ndarray, rel_floor: float = 0.01) -> np.ndar
     simple = any_finite & ~np.any(np.isinf(m), axis=1)
     if np.any(simple):
         sub = m[simple]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            med = np.nanmedian(sub, axis=1)
-            mad = np.nanmedian(np.abs(sub - med[:, None]), axis=1) * _MAD_SCALE
+        med = _nanmedian_rows(sub)
+        mad = _nanmedian_rows(np.abs(sub - med[:, None])) * _MAD_SCALE
         scale = np.maximum(mad, rel_floor * np.abs(med))
         good = scale > 0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -217,7 +257,7 @@ def detect_imbalances(
     totals = sos.per_rank_total()
     report.imbalance_pct = imbalance_percentage(totals)
     z_totals = robust_zscores(totals)
-    median_total = float(np.median(totals[np.isfinite(totals)]))
+    median_total = float(finite_median(totals[np.isfinite(totals)]))
     materiality = median_total * (1.0 + min_relative_excess)
     hot = np.flatnonzero((z_totals > rank_threshold) & (totals > materiality))
     rank_hotspots = [

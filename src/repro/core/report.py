@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..trace.definitions import Paradigm
+from .imbalance import finite_median
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import VariationAnalysis
@@ -66,7 +67,7 @@ def format_report(analysis: "VariationAnalysis", max_rows: int = 10) -> str:
     if totals.size:
         push(
             f"  per-rank total SOS: min={totals.min():.6g} "
-            f"median={np.median(totals):.6g} max={totals.max():.6g}"
+            f"median={finite_median(totals):.6g} max={totals.max():.6g}"
         )
     push(f"  load imbalance: {imb.imbalance_pct:.1f}% (max-mean)/max of total SOS")
     push(f"  trend (SOS): {analysis.trend.describe()}")

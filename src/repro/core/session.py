@@ -20,10 +20,12 @@ products, strong references for replay/profile which everything needs)
 and, when a ``cache_dir`` is given, persisted as ``.npz`` artifacts
 keyed by the trace's content fingerprint
 (:mod:`repro.trace.fingerprint`).  A second session over the same
-trace — even in a new process — loads replay tables, statistics and
-SOS-times from disk and performs **zero** replay or profile
-recomputation; replayed invocation tables are keyed per rank by the
-rank's event digest, so traces sharing event streams share artifacts.
+trace — even in a new process — loads statistics and SOS-times from
+disk and performs **zero** replay or profile recomputation; replayed
+invocation tables load only when a drill-down path indexes them, and
+are keyed per rank by the rank's event digest, so traces sharing event
+streams share artifacts.  A session that reads its own file finds the
+fingerprint through a ``stat-`` artifact instead of hashing the events.
 
 :func:`repro.core.pipeline.analyze_trace` is a thin facade over this
 class; use a session directly when analysing the same trace more than
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import time
 import zipfile
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -274,21 +277,81 @@ def _digest(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-class _LazyTables(Mapping):
-    """``rank -> InvocationTable`` view backed by the shard spill.
+#: A file whose mtime or ctime is this recent may still change within
+#: the same timestamp tick, so its stat key is not recorded.
+_RACY_NS = 2_000_000_000
 
-    Handed to :class:`~repro.profiles.profile.TraceProfile` in sharded
-    mode so drill-down paths (call tree, windowed MPI fraction) can
-    still reach invocation tables — loaded per rank on demand through
-    a small LRU instead of being held for the whole trace at once.
+
+def _stat_key(path: str) -> tuple | None:
+    """``(realpath, size, mtime_ns, ctime_ns, inode, device)`` of
+    ``path``, or None when it cannot be stat-ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (
+        os.path.realpath(path),
+        st.st_size,
+        st.st_mtime_ns,
+        st.st_ctime_ns,
+        st.st_ino,
+        st.st_dev,
+    )
+
+
+def _fingerprint_to_arrays(key: tuple, fp: TraceFingerprint) -> dict[str, np.ndarray]:
+    return {
+        "key": np.array(repr(key)),
+        "definitions": np.array(fp.definitions),
+        "ranks": np.array([rank for rank, _ in fp.per_rank], dtype=np.int64),
+        "digests": np.array([digest for _, digest in fp.per_rank], dtype=str),
+        "hexdigest": np.array(fp.hexdigest),
+    }
+
+
+def _fingerprint_from_arrays(
+    key: tuple, arrays: dict[str, np.ndarray]
+) -> TraceFingerprint | None:
+    """The recorded fingerprint, or None unless the entry is intact and
+    recorded for exactly ``key``."""
+    try:
+        if str(arrays["key"]) != repr(key):
+            return None
+        per_rank = tuple(
+            zip(arrays["ranks"].tolist(), arrays["digests"].tolist())
+        )
+        fp = combine_fingerprint(str(arrays["definitions"]), per_rank)
+        intact = fp.hexdigest == str(arrays["hexdigest"])
+    except (KeyError, ValueError, TypeError):
+        return None
+    return fp if intact else None
+
+
+class _LazyTables(Mapping):
+    """``rank -> InvocationTable`` view that loads tables on first use.
+
+    Handed to :class:`~repro.profiles.profile.TraceProfile` so that an
+    analysis whose statistics and SOS-times come from the disk cache
+    never loads invocation tables, while drill-down paths (call tree,
+    windowed MPI fraction, timelines, baselines) can still reach them.
+    A non-sharded session materialises every table with
+    :meth:`AnalysisSession.replay` on first access; a sharded one loads
+    each rank from the shard spill through a small LRU instead of
+    holding the whole trace at once.
     """
 
     def __init__(self, session: "AnalysisSession", max_cached: int = 4) -> None:
         self._session = session
-        self._ranks = sorted(session._shard_bootstrap().digests)
+        self._ranks = (
+            sorted(session._shard_bootstrap().digests)
+            if session.sharded
+            else list(session.trace.ranks)
+        )
         self._cache = _LRU(max_cached)
 
     def __getitem__(self, rank: int) -> InvocationTable:
+        if not self._session.sharded:
+            return self._session.replay()[rank]
         table = self._cache.get(rank)
         if table is not _MISS:
             return table
@@ -371,21 +434,25 @@ class AnalysisSession:
         self.sharded = shards is not None or max_memory_mb is not None
         self._index = None  # TraceIndex over source_path (lazy)
         self._engine = None  # ShardEngine (lazy)
+        #: stat key of the file this session read itself, taken before
+        #: the read; keys the ``stat-`` shortcut to the fingerprint
+        self._stat: tuple | None = None
         if trace is None:
             if self.source_path is None:
                 raise ValueError(
                     "AnalysisSession needs a trace or a source_path"
                 )
-            from ..trace.reader import TraceIndex
+            from ..trace.reader import TraceIndex, read_trace
 
-            self._index = TraceIndex(self.source_path)
-            # In sharded mode the parent never materialises event
-            # streams — workers do; definitions suffice up here.
-            trace = (
-                self._index.definitions_trace()
-                if self.sharded
-                else self._index.load()
-            )
+            if self.sharded:
+                # The parent never materialises event streams — workers
+                # do; definitions suffice up here.
+                self._index = TraceIndex(self.source_path)
+                trace = self._index.definitions_trace()
+            else:
+                if cache_dir is not None:
+                    self._stat = _stat_key(self.source_path)
+                trace = read_trace(self.source_path)
         self.trace = trace
         self.cache = (
             ArtifactCache(os.path.expanduser(str(cache_dir)))
@@ -409,14 +476,44 @@ class AnalysisSession:
 
         In sharded mode the per-rank event digests come back from the
         phase-1 workers (the parent may hold only definitions) and are
-        combined by the same code as :func:`fingerprint_trace`.
+        combined by the same code as :func:`fingerprint_trace`.  A
+        session that read its own file looks the digests up by the
+        file's stat key first (see :meth:`_stat_fingerprint`).
         """
         if self._fingerprint is None:
             if self.sharded:
                 self._shard_bootstrap()  # assembles the fingerprint
             else:
-                self._fingerprint = fingerprint_trace(self.trace)
+                self._fingerprint = self._stat_fingerprint()
         return self._fingerprint
+
+    def _stat_fingerprint(self) -> TraceFingerprint:
+        """:func:`fingerprint_trace`, short-cut by a ``stat-`` artifact.
+
+        As in git's index, a file whose path, size, mtime, ctime, inode
+        and device all equal a recorded entry's is taken to hold the
+        recorded content, so a warm session need not hash its events.
+        Any miss, mismatch or corrupt entry falls back to hashing.  An
+        entry is recorded only when the file's stat did not change
+        across the read and the hash, and when neither its mtime nor
+        its ctime lies within :data:`_RACY_NS` of now: a later write
+        then always lands in a later timestamp tick and changes the
+        ctime, which no program can set back.
+        """
+        key = self._stat
+        if key is None or _stat_key(self.source_path) != key:
+            return fingerprint_trace(self.trace)
+        name = f"stat-{_digest(repr(key))}"
+        arrays = self.cache.load(name)
+        if arrays is not None:
+            fp = _fingerprint_from_arrays(key, arrays)
+            if fp is not None:
+                return fp
+        fp = fingerprint_trace(self.trace)
+        settled = time.time_ns() - max(key[2], key[3]) >= _RACY_NS
+        if settled and _stat_key(self.source_path) == key:
+            self.cache.store(name, _fingerprint_to_arrays(key, fp))
+        return fp
 
     @property
     def num_events(self) -> int:
@@ -609,21 +706,21 @@ class AnalysisSession:
         self._ensure_valid()
         if self.sharded:
             boot = self._shard_bootstrap()
-            tables: Mapping[int, InvocationTable] = _LazyTables(self)
             compute = lambda: FunctionStatistics.from_partials(  # noqa: E731
                 self.trace, boot.partials
             )
         else:
-            tables = self.replay()
-            if self._partials is not None:
-                partials = self._partials
-                compute = lambda: FunctionStatistics.from_partials(  # noqa: E731
-                    self.trace, partials
-                )
-            else:
-                compute = lambda: compute_statistics(  # noqa: E731
-                    self.trace, tables
-                )
+
+            def compute() -> FunctionStatistics:
+                # Only a stats- miss gets here, so a disk hit never
+                # touches tables.
+                tables = self.replay()
+                if self._partials is not None:
+                    return FunctionStatistics.from_partials(
+                        self.trace, self._partials
+                    )
+                return compute_statistics(self.trace, tables)
+
         stats = self._stage(
             "stats",
             (),
@@ -639,6 +736,11 @@ class AnalysisSession:
             from_arrays=lambda arrays: FunctionStatistics.from_arrays(
                 self.trace, arrays
             ),
+        )
+        # A cold run's fused pass already holds every table; otherwise
+        # tables load only when a drill-down path first indexes them.
+        tables: Mapping[int, InvocationTable] = (
+            self._tables if self._tables is not None else _LazyTables(self)
         )
         self._profile = TraceProfile(self.trace, tables, stats)
         return self._profile

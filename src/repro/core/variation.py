@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imbalance import finite_median
 from .sos import SOSResult
 
 __all__ = [
@@ -165,7 +166,7 @@ def _theil_sen_slope(series: np.ndarray) -> float:
         np.subtract(series[d:], series[:-d], out=out)
         out /= d
         pos += m
-    return float(np.median(slopes, overwrite_input=True))
+    return float(finite_median(slopes, overwrite_input=True))
 
 
 #: Public alias — the perf regression radar (:mod:`repro.perf`) runs
@@ -224,7 +225,7 @@ def detect_trend(sos: SOSResult, use_plain_duration: bool = False) -> TrendResul
         return TrendResult(0.0, 0.0, 0.0, 1.0, n)
     slope = _theil_sen_slope(series)
     tau, p = mann_kendall(series)
-    med = float(np.median(series))
+    med = float(finite_median(series))
     rel = float(slope) / med if med else 0.0
     return TrendResult(
         slope=float(slope),

@@ -98,7 +98,7 @@ class LintShared:
     region_paradigm: np.ndarray  # int8 per region
     region_role: np.ndarray  # int8 per region
     sync_mask: np.ndarray  # bool per region (classifier-selected)
-    known_ranks: frozenset[int]
+    known_ranks: np.ndarray  # sorted int64, for np.searchsorted lookups
     config: LintConfig
 
     @classmethod
@@ -120,7 +120,7 @@ class LintShared:
             region_paradigm=paradigm,
             region_role=role,
             sync_mask=config.classifier.mask_registry(regions),
-            known_ranks=frozenset(int(r) for r in known_ranks),
+            known_ranks=np.array(sorted({int(r) for r in known_ranks}), dtype=np.int64),
             config=config,
         )
 

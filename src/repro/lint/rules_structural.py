@@ -238,13 +238,13 @@ def bad_partner(view) -> Iterator[Finding]:
     if not np.any(checked):
         return
     partners = ev.partner[checked]
-    known = view.shared.known_ranks
-    unknown = sorted(
-        int(p) for p in np.unique(partners) if int(p) not in known
-    )
-    if unknown:
-        bad = checked & np.isin(ev.partner, unknown)
-        first = int(np.argmax(bad))
+    ranks = view.shared.known_ranks
+    at = np.searchsorted(ranks, partners)
+    known = at < len(ranks)
+    known[known] = ranks[at[known]] == partners[known]
+    if not known.all():
+        unknown = np.unique(partners[~known]).tolist()
+        first = int(np.flatnonzero(checked)[np.argmax(~known)])
         yield Finding(
             f"messages reference unknown locations {unknown}",
             position=first,

@@ -267,7 +267,7 @@ class TestProcess:
             "from repro.cli import main\n"
             "assert main(['analyze', sys.argv[1]]) == 0\n"
             "unused = ('scipy', 'importlib.metadata', 'xml.sax',\n"
-            "          'repro.core.streaming', 'repro.core.shard')\n"
+            "          'repro.core.streaming', 'repro.core.shard', 'numpy.ma')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -294,7 +294,7 @@ class TestProcess:
             "import sys\n"
             "from repro.cli import main\n"
             "assert main(['analyze', sys.argv[1], '--cache-dir', sys.argv[2]]) == 0\n"
-            "unused = ('repro.lint', 'repro.trace.validate')\n"
+            "unused = ('repro.lint', 'repro.trace.validate', 'numpy.ma')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -395,6 +395,56 @@ class TestSessionCacheCLI:
         # Second run is warm and must still succeed.
         assert main(["analyze", str(trace_path), "--cache-dir",
                      str(cache)]) == 0
+
+    def test_warm_analyze_reads_only_what_it_prints(
+        self, trace_path, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core import session as session_mod
+
+        trace = tmp_path / "t.rpt"
+        trace.write_bytes(trace_path.read_bytes())
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+
+        def analyze(cache, *extra):
+            assert main(["analyze", str(trace), "--cache-dir", str(cache), *extra]) == 0
+            return capsys.readouterr().out
+
+        def split(out):
+            head, line, tail = out.partition("\ncache: ")
+            count = int(re.match(r"\S+ (\d+) artifacts", tail).group(1))
+            return head, count
+
+        rich = ("--json", str(tmp_path / "a.json"), "--html", str(tmp_path / "a.html"))
+        # Cold runs: the fused pass computes every product; the file is
+        # too new for a stat key.
+        monkeypatch.setattr(session_mod, "_RACY_NS", 10**30)
+        cold_text = split(analyze(warm))
+        cold_rich = split(analyze(cold, *rich))
+        cold_files = [(tmp_path / f"a.{ext}").read_bytes() for ext in ("json", "html")]
+        assert not list(warm.glob("stat-*"))
+
+        monkeypatch.setattr(session_mod, "_RACY_NS", 0)
+        read = []
+        load = session_mod.ArtifactCache.load
+
+        def recording_load(self, key):
+            read.append(key)
+            return load(self, key)
+
+        monkeypatch.setattr(session_mod.ArtifactCache, "load", recording_load)
+        out = analyze(warm, "--stats")
+        head, count = split(out)
+        assert (head, count) == (cold_text[0], cold_text[1] + 1)
+        assert len(list(warm.glob("stat-*"))) == 1
+        assert read and not [k for k in read if k.startswith("inv-")]
+        assert float(re.search(r"cache\.bytes_read\s+(\S+)", out).group(1)) < 500_000
+
+        # Warm --json/--html: the stat key hits, tables load for the
+        # timeline, and every byte matches the cold run.
+        assert split(analyze(warm, *rich)) == (cold_rich[0], cold_rich[1] + 1)
+        assert [
+            (tmp_path / f"a.{ext}").read_bytes() for ext in ("json", "html")
+        ] == cold_files
 
     def test_analyze_parallel_zero_rejected(self, trace_path, capsys):
         # The replay thread pool is gone; argparse rejects the flag.

@@ -206,7 +206,10 @@ class TestPathBasedSharding:
         warm = AnalysisSession(trace, cache_dir=cache)
         assert_identical_analysis(reference, warm.analysis())
         assert warm.stats.computed.get("replay", 0) == 0
+        # Tables load on first access, from the shard workers' spill.
+        warm.profile().tables[trace.ranks[0]]
         assert warm.stats.disk_hits.get("replay") == len(trace.ranks)
+        assert warm.stats.computed.get("replay", 0) == 0
 
 
 class TestHypothesisTraces:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.imbalance import (
+    _nanmedian_rows,
     detect_imbalances,
+    finite_median,
     imbalance_percentage,
     robust_zscores,
 )
@@ -78,6 +80,66 @@ class TestRobustZscores:
     def test_all_nan(self):
         z = robust_zscores(np.asarray([np.nan, np.nan]))
         assert np.all(np.isnan(z))
+
+
+_MAGNITUDE = st.builds(
+    lambda mantissa, exp, sign: sign * mantissa * 10.0**exp,
+    st.floats(1.0, 9.999),
+    st.integers(-5, 5),
+    st.sampled_from([1.0, -1.0]),
+)
+#: Finite values with ties and both zeros, as SOS columns have them.
+_FINITE = st.one_of(_MAGNITUDE, st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]))
+
+
+@st.composite
+def _nan_rows(draw):
+    """(rows, cols) matrix; NaN anywhere, but every row keeps a finite."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 41))
+    values = draw(
+        st.lists(
+            st.one_of(st.just(np.nan), _FINITE),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    m = np.asarray(values, dtype=np.float64).reshape(rows, cols)
+    for r in range(rows):
+        m[r, draw(st.integers(0, cols - 1))] = draw(_FINITE)
+    return m
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestMedianHelpers:
+    """The numpy.ma-free medians equal NumPy's, bit for bit."""
+
+    @given(_nan_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_nanmedian(self, m):
+        assert _bits(_nanmedian_rows(m)) == _bits(np.nanmedian(m, axis=1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_rows_match_nanmedian(self, seed):
+        # From 600 columns on, np.nanmedian partitions row by row
+        # instead of sorting a masked array.
+        rng = np.random.default_rng(seed)
+        m = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, np.nan], size=(3, 650))
+        m[:, 0] = rng.normal(size=3)
+        assert _bits(_nanmedian_rows(m)) == _bits(np.nanmedian(m, axis=1))
+
+    @given(st.lists(_FINITE, min_size=1, max_size=60), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_finite_median_matches_median(self, values, overwrite):
+        v = np.asarray(values, dtype=np.float64)
+        want = np.median(v)
+        assert _bits(finite_median(v.copy(), overwrite_input=overwrite)) == _bits(want)
+
+    def test_finite_median_of_nothing_is_nan(self):
+        assert np.isnan(finite_median(np.empty(0)))
 
 
 class TestImbalancePercentage:

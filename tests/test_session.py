@@ -6,6 +6,9 @@ refinement), a warm disk cache performs zero replay/profile
 recomputation, and fingerprints are stable under codec round-trips.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,7 +151,12 @@ class TestZeroRecomputation:
         assert warm.stats.total_computed("replay") == 0
         assert warm.stats.total_computed("stats") == 0
         assert warm.stats.total_computed("sos") == 0
+        # Statistics and SOS come from disk: no table is loaded until a
+        # drill-down path indexes one.
+        assert warm.stats.disk_hits.get("replay", 0) == 0
+        warm.profile().tables[fig3.ranks[0]]
         assert warm.stats.disk_hits["replay"] == len(fig3.ranks)
+        assert warm.stats.total_computed("replay") == 0
 
     def test_repeated_products_are_memory_hits(self, fig3):
         session = AnalysisSession(fig3)
@@ -307,3 +315,125 @@ class TestLRUAndStats:
         stats = SessionStats()
         assert stats.total_computed("replay") == 0
         assert stats.describe().count("\n") == 0
+
+
+def _spmd(calc: float):
+    """Two-rank trace whose shape (and raw file size) ignores ``calc``."""
+    tb = TraceBuilder(name="stat")
+    tb.region("main")
+    tb.region("calc")
+    tb.region("MPI_Barrier", paradigm=Paradigm.MPI)
+    for rank in range(2):
+        pb = tb.process(rank)
+        pb.enter(0.0, "main")
+        for it in range(4):
+            t = float(it)
+            pb.call(t, t + calc * (rank + 1), "calc")
+            pb.call(t + calc * (rank + 1), t + 0.9, "MPI_Barrier")
+        pb.leave(4.0, "main")
+    return tb.freeze()
+
+
+class TestStatKey:
+    """The ``stat-`` shortcut from a file's stat to its fingerprint."""
+
+    @pytest.fixture()
+    def settled(self, monkeypatch):
+        # Treat every file as old enough to record; the racy-file rule
+        # has its own test below.
+        monkeypatch.setattr("repro.core.session._RACY_NS", 0)
+
+    @staticmethod
+    def _stat_keys(cache):
+        return [k for k in ArtifactCache(cache).keys() if k.startswith("stat-")]
+
+    @staticmethod
+    def _write(trace, path):
+        write_binary(trace, path, codec="raw")
+
+    def test_warm_session_skips_the_hash(self, settled, tmp_path, monkeypatch):
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        self._write(_spmd(0.2), path)
+        cold = AnalysisSession(None, source_path=path, cache_dir=cache)
+        assert cold.fingerprint == fingerprint_trace(read_trace(path))
+        assert len(self._stat_keys(cache)) == 1
+
+        def no_hashing(trace):
+            raise AssertionError("warm session hashed the trace")
+
+        monkeypatch.setattr("repro.core.session.fingerprint_trace", no_hashing)
+        warm = AnalysisSession(None, source_path=path, cache_dir=cache)
+        assert warm.fingerprint == cold.fingerprint
+
+    def test_in_place_rewrite_with_restored_mtime(self, settled, tmp_path):
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        self._write(_spmd(0.2), path)
+        old = AnalysisSession(None, source_path=path, cache_dir=cache).fingerprint
+        before = os.stat(path)
+        other = tmp_path / "other.rpt"
+        self._write(_spmd(0.3), other)
+        time.sleep(0.05)  # past a timestamp tick, so the ctime moves
+        path.write_bytes(other.read_bytes())
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_ino) == (before.st_size, before.st_ino)
+        assert after.st_mtime_ns == before.st_mtime_ns
+        assert after.st_ctime_ns != before.st_ctime_ns
+        fresh = AnalysisSession(None, source_path=path, cache_dir=cache)
+        assert fresh.fingerprint == fingerprint_trace(read_trace(other))
+        assert fresh.fingerprint != old
+
+    def test_replaced_by_rename(self, settled, tmp_path):
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        self._write(_spmd(0.2), path)
+        old = AnalysisSession(None, source_path=path, cache_dir=cache).fingerprint
+        before = os.stat(path)
+        other = tmp_path / "other.rpt"
+        self._write(_spmd(0.3), other)
+        os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(other, path)
+        assert os.stat(path).st_ino != before.st_ino
+        fresh = AnalysisSession(None, source_path=path, cache_dir=cache)
+        assert fresh.fingerprint == fingerprint_trace(read_trace(path))
+        assert fresh.fingerprint != old
+
+    def test_racy_new_file_is_not_recorded(self, tmp_path):
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        self._write(_spmd(0.2), path)
+        session = AnalysisSession(None, source_path=path, cache_dir=cache)
+        session.analysis()
+        assert session.fingerprint == fingerprint_trace(read_trace(path))
+        assert self._stat_keys(cache) == []
+
+    @pytest.mark.parametrize("damage", ["garbage", "digest"])
+    def test_corrupt_entry_falls_back_to_hashing(self, settled, tmp_path, damage):
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        self._write(_spmd(0.2), path)
+        want = AnalysisSession(None, source_path=path, cache_dir=cache).fingerprint
+        (key,) = self._stat_keys(cache)
+        entry = cache / f"{key}.npz"
+        if damage == "garbage":
+            entry.write_bytes(b"not a zipfile")
+        else:
+            arrays = ArtifactCache(cache).load(key)
+            arrays["digests"] = np.array(["0" * 32] * 2)
+            ArtifactCache(cache).store(key, arrays)
+        again = AnalysisSession(None, source_path=path, cache_dir=cache)
+        assert again.fingerprint == want
+        # The fallback re-records a sound entry.
+        assert ArtifactCache(cache).load(key)["digests"].tolist() == [
+            d for _, d in want.per_rank
+        ]
+
+    def test_sharded_and_in_memory_sessions_record_nothing(
+        self, settled, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        self._write(_spmd(0.2), path)
+        sharded = AnalysisSession(None, source_path=path, shards=2, cache_dir=cache)
+        sharded.analysis()
+        in_memory = AnalysisSession(read_trace(path), cache_dir=cache)
+        in_memory.analysis()
+        assert sharded.fingerprint == in_memory.fingerprint
+        assert self._stat_keys(cache) == []
