@@ -1,9 +1,9 @@
 """Fused single-pass analysis kernel (batch entry point).
 
 A staged pipeline touches every event stream twice before any
-analysis product exists: once in the structural lint pass (which
-builds the lint engine's :class:`~repro.lint.engine.RankView`,
-including the depth-trick enter/leave pairing) and once in
+analysis product exists: once in the lint pass (which builds the lint
+engine's :class:`~repro.lint.engine.RankView`, including the
+depth-trick enter/leave pairing) and once in
 :func:`~repro.profiles.replay.match_invocations` (which re-derives the
 exact same masks and pairing from scratch), and then a third partial
 pass aggregates per-region statistics from the tables.
@@ -12,11 +12,14 @@ pass aggregates per-region statistics from the tables.
 per-rank work lives in :class:`~repro.core.incremental.IncrementalKernel`
 — the cursor-driven engine behind streaming and the sharded workers —
 and this function is simply the batch driver: one whole-rank chunk per
-rank, finalised immediately.  Outputs are bitwise identical to the
-staged pipeline by construction:
+rank.  The scan runs any :class:`~repro.lint.model.LintConfig`: the
+structural gate by default, the full rule set for
+``analyze --preflight``, whose report then comes out of the same pass
+that builds the tables.  Outputs are bitwise identical to the staged
+pipeline by construction:
 
 * diagnostics come from the same rules over the same views, finalised
-  exactly like ``lint_trace(trace, config=validate_config())``;
+  exactly like ``lint_trace(trace, config=lint)``;
 * tables share :func:`~repro.profiles.replay._build_table` with
   ``match_invocations``;
 * statistics partials merge rank-ascending, which is the definition of
@@ -29,8 +32,13 @@ the batch/streaming engine parity at the same time.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Literal
+
 from ..trace.trace import Trace
 from .incremental import FusedBootstrap, IncrementalKernel
+
+if TYPE_CHECKING:
+    from ..lint.model import LintConfig
 
 __all__ = ["FusedBootstrap", "fused_bootstrap"]
 
@@ -38,32 +46,33 @@ __all__ = ["FusedBootstrap", "fused_bootstrap"]
 def fused_bootstrap(
     trace: Trace,
     *,
-    validate: bool = True,
-    allow_empty_streams: bool = False,
+    lint: LintConfig | None | Literal[False] = None,
     known_ranks=None,
     table_ranks=None,
 ) -> FusedBootstrap:
-    """Validate, replay and profile-aggregate ``trace`` in one pass.
+    """Lint-scan, replay and profile-aggregate ``trace`` in one pass.
 
-    With ``validate=False`` the lint scan is skipped and tables come
-    straight from :func:`~repro.profiles.replay.match_invocations`
-    (still fused with the statistics aggregation).  ``table_ranks``
-    restricts table/partial construction to a subset of ranks
-    (validation still scans all of them) — the shard workers use this
-    to skip replay for ranks whose products are already spilled.
+    ``lint`` is the :class:`~repro.lint.model.LintConfig` every rank is
+    scanned with: ``None`` runs the structural gate
+    (:func:`~repro.lint.engine.validate_config`), ``False`` skips the
+    scan and takes tables straight from
+    :func:`~repro.profiles.replay.match_invocations` (still fused with
+    the statistics aggregation).  ``table_ranks`` restricts
+    table/partial construction to a subset of ranks (the scan still
+    covers all of them) — the shard workers use this to skip replay
+    for ranks whose products are already spilled.  Every rank is fed
+    before any finishes, so an hb-rule match graph is sized once.
     """
     kernel = IncrementalKernel(
         trace.regions,
         trace.metrics,
         trace.num_processes,
         trace.ranks,
-        validate=validate,
-        allow_empty_streams=allow_empty_streams,
+        lint=lint,
         known_ranks=known_ranks,
         table_ranks=table_ranks,
         trace_name=trace.name,
     )
     for rank in trace.ranks:
         kernel.feed(rank, trace.events_of(rank))
-        kernel.finish_rank(rank)
     return kernel.finalize()

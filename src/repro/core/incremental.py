@@ -37,7 +37,7 @@ asymptotically: the invocation table itself is Θ(events).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 import numpy as np
 
@@ -46,15 +46,17 @@ from ..profiles.replay import InvocationTable, match_invocations, table_from_pai
 from ..profiles.stats import rank_statistics_arrays
 from ..trace.cursor import EventCursor
 from ..trace.definitions import MetricRegistry, RegionRegistry
-from ..trace.events import EventList
+from ..trace.events import EventKind, EventList
 
 if TYPE_CHECKING:
-    from ..lint.model import LintReport
+    from ..lint.model import LintConfig, LintReport
 
 __all__ = ["FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"]
 
 #: Events pushed through the fused per-rank pass (telemetry).
 _C_EVENTS = obs.counter("analysis.events")
+_SEND = np.uint8(EventKind.SEND)
+_RECV = np.uint8(EventKind.RECV)
 
 
 @dataclass
@@ -67,7 +69,8 @@ class FusedBootstrap:
     matching :func:`~repro.profiles.stats.rank_statistics_arrays`
     outputs, ready for rank-ascending merging.  Ranks handed to a
     ``table_sink`` do not appear in ``tables``.  ``report`` holds the
-    structural error rules' findings (``None`` with ``validate=False``).
+    findings of the ``lint`` config the ranks were scanned with
+    (``None`` with ``lint=False``).
     """
 
     tables: dict[int, InvocationTable]
@@ -99,15 +102,23 @@ def _concat_chunks(chunks: list[EventList]) -> EventList:
 
 
 class IncrementalKernel:
-    """Per-rank validate+replay+stats over incrementally fed chunks.
+    """Per-rank lint scan + replay + stats over incrementally fed chunks.
 
     Parameters mirror :func:`~repro.core.fused.fused_bootstrap`:
     ``ranks`` is the universe of ranks the pass covers (every one is
-    finalised, fed or not), ``known_ranks`` overrides the rank set the
-    lint rules consider defined (shard workers scan a subgroup of a
-    larger trace), ``table_ranks`` restricts table/partial construction,
-    and ``table_sink(rank, table)`` — when given — receives each
+    finalised, fed or not), ``lint`` the config every rank's view is
+    scanned with, ``known_ranks`` overrides the rank set the lint
+    rules consider defined (shard workers scan a subgroup of a larger
+    trace), ``table_ranks`` restricts table/partial construction, and
+    ``table_sink(rank, table)`` — when given — receives each
     invocation table instead of it being retained in the result.
+
+    Tables come from the scan's pairing only when ``lint`` gates
+    replay (:func:`~repro.lint.engine.gates_replay`), and only for
+    ranks without an error.  With hb-scope rules enabled, each rank's
+    message rows go straight into one
+    :class:`~repro.lint.hb.MatchGraphWriter`, sized from the SEND/RECV
+    counts fed so far.
 
     Protocol: any number of :meth:`feed` calls per rank (chunks in
     time order), then :meth:`finish_rank` once; :meth:`finalize`
@@ -122,8 +133,7 @@ class IncrementalKernel:
         num_processes: int,
         ranks: Iterable[int],
         *,
-        validate: bool = True,
-        allow_empty_streams: bool = False,
+        lint: LintConfig | None | Literal[False] = None,
         known_ranks=None,
         table_ranks=None,
         trace_name: str = "trace",
@@ -131,7 +141,6 @@ class IncrementalKernel:
     ) -> None:
         self._n_regions = len(regions)
         self._ranks = list(ranks)
-        self._validate = validate
         self._trace_name = trace_name
         self._table_sink = table_sink
         self._wanted = (
@@ -148,17 +157,27 @@ class IncrementalKernel:
         self._diags: list = []
         self._summaries: dict[int, object] = {}
         self._shared = None
-        if validate:
-            from ..lint.engine import LintShared, validate_config
+        self._graph = None  # MatchGraphWriter when hb-scope rules run
+        #: SEND and RECV events fed so far (sizes ``_graph``)
+        self._messages = [0, 0]
+        if lint is False:
+            return
+        from ..lint.engine import LintShared, gates_replay, hb_rules_enabled, validate_config
 
-            config = validate_config(allow_empty_streams=allow_empty_streams)
-            self._shared = LintShared.from_definitions(
-                regions,
-                metrics,
-                num_processes,
-                self._ranks if known_ranks is None else known_ranks,
-                config,
-            )
+        config = validate_config() if lint is None else lint
+        self._shared = LintShared.from_definitions(
+            regions,
+            metrics,
+            num_processes,
+            self._ranks if known_ranks is None else known_ranks,
+            config,
+        )
+        if not gates_replay(config):
+            self._wanted = set()
+        if hb_rules_enabled(config):
+            from ..lint.hb import MatchGraphWriter
+
+            self._graph = MatchGraphWriter(num_processes)
 
     # -- feeding -------------------------------------------------------
 
@@ -177,6 +196,9 @@ class IncrementalKernel:
             raise StreamOrderError(rank, t0, last)
         self._last_time[rank] = float(events.time[-1])
         self._buffers.setdefault(rank, []).append(events)
+        if self._graph is not None:
+            self._messages[0] += int(np.count_nonzero(events.kind == _SEND))
+            self._messages[1] += int(np.count_nonzero(events.kind == _RECV))
 
     def finish_rank(self, rank: int) -> None:
         """Finalise ``rank``: validate, replay, aggregate, drop buffers."""
@@ -191,7 +213,7 @@ class IncrementalKernel:
                 float(events.time[0]),
                 float(events.time[-1]),
             )
-        if not self._validate:
+        if self._shared is None:
             if rank not in self._wanted:
                 return
             with obs.span("fused.rank"):
@@ -199,6 +221,7 @@ class IncrementalKernel:
                 self._emit(rank, match_invocations(events))
             return
         from ..lint.engine import RankView, scan_view
+        from ..lint.model import Severity
 
         with obs.span("fused.rank"):
             _C_EVENTS.add(len(events))
@@ -206,8 +229,13 @@ class IncrementalKernel:
             rank_diags, summary = scan_view(view)
             self._diags.extend(rank_diags)
             self._summaries[rank] = summary
+            if self._graph is not None:
+                from ..lint.hb import extract_match_records
+
+                self._graph.reserve(*self._messages)
+                self._graph.add(extract_match_records(view))
             if (
-                rank_diags
+                any(d.severity >= Severity.ERROR for d in rank_diags)
                 or (len(view.el_idx) and not view.balanced)
                 or rank not in self._wanted
             ):
@@ -239,13 +267,14 @@ class IncrementalKernel:
         for rank in self._ranks:
             if rank not in self._finished:
                 self.finish_rank(rank)
-        if not self._validate:
+        if self._shared is None:
             return FusedBootstrap(self.tables, self.partials, None)
         from ..lint.engine import finalize_report
 
         report = finalize_report(
             self._shared, self._diags, self._summaries,
             trace_name=self._trace_name,
+            match_records=None if self._graph is None else self._graph.finish(),
         )
         return FusedBootstrap(self.tables, self.partials, report)
 
@@ -253,8 +282,7 @@ class IncrementalKernel:
 def incremental_bootstrap(
     cursor: EventCursor,
     *,
-    validate: bool = True,
-    allow_empty_streams: bool = False,
+    lint: LintConfig | None | Literal[False] = None,
     known_ranks=None,
     table_ranks=None,
     table_sink: Callable[[int, InvocationTable], None] | None = None,
@@ -279,8 +307,7 @@ def incremental_bootstrap(
             defs.metrics,
             defs.num_processes,
             cursor.ranks,
-            validate=validate,
-            allow_empty_streams=allow_empty_streams,
+            lint=lint,
             known_ranks=known_ranks,
             table_ranks=table_ranks,
             trace_name=defs.name,

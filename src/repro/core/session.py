@@ -41,7 +41,7 @@ import time
 import zipfile
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -602,15 +602,19 @@ class AnalysisSession:
         if boot.replayed:
             self.stats._bump(self.stats.disk_writes, "replay", boot.replayed)
         if self.config.validate:
-            self.stats._bump(self.stats.computed, "validate")
-            self._validated = True
-            if self.cache is not None:
-                self.cache.store(
-                    f"valid-{self.fingerprint.hexdigest}",
-                    {"ok": np.ones(1, dtype=np.int8)},
-                )
+            self._mark_valid()
         self._boot = boot
         return boot
+
+    def _mark_valid(self) -> None:
+        """Record a passed structural gate, on disk too when cached."""
+        self.stats._bump(self.stats.computed, "validate")
+        self._validated = True
+        if self.cache is not None:
+            key = f"valid-{self.fingerprint.hexdigest}"
+            if not self.cache.contains(key):
+                self.cache.store(key, {"ok": np.ones(1, dtype=np.int8)})
+                self.stats._bump(self.stats.disk_writes, "validate")
 
     def _classifier_key(self, classifier: SyncClassifier) -> str:
         return _digest(repr(classifier))
@@ -690,7 +694,7 @@ class AnalysisSession:
             # Validity is settled (or waived) by now: replay without the
             # lint scan, and only the ranks no artifact covers.
             boot = self._fused_run(
-                validate=False,
+                False,
                 table_ranks=None if len(missing) == len(ranks) else missing,
             )
             tables.update(boot.tables)
@@ -932,34 +936,41 @@ class AnalysisSession:
     def preflight(self, config=None):
         """Run the tracelint static-analysis pass over this session's trace.
 
-        Returns a :class:`repro.lint.LintReport`.  In sharded path mode
-        the per-rank scans fan out to the same worker pool the analysis
-        uses (:func:`repro.lint.lint_path`), so the parent never
-        materialises event streams.  Pass a
+        Returns a :class:`repro.lint.LintReport`.  Pass a
         :class:`repro.lint.LintConfig` to override the session's
-        ``lint`` configuration for this call.
+        ``lint`` configuration for this call.  In sharded path mode the
+        per-rank scans fan out to the same worker pool the analysis
+        uses (:func:`repro.lint.lint_path`).  Otherwise the scan is the
+        fused kernel's (see :meth:`_fused_run`), so a clean preflight
+        leaves :meth:`analysis` nothing to pair; with a disk cache it
+        builds no tables, as a warm analysis reads none.
         """
         from ..lint import LintConfig, lint_path, lint_trace
 
         cfg = config or self.lint_config or LintConfig()
         with obs.span("session.preflight"):
-            if self.sharded and self.source_path is not None:
-                return lint_path(
-                    self.source_path,
-                    config=cfg,
-                    shards=self.shards,
-                    max_memory_mb=self.max_memory_mb,
-                )
-            return lint_trace(self.trace, config=cfg, source=self.source_path)
+            if self.sharded:
+                if self.source_path is not None:
+                    return lint_path(
+                        self.source_path,
+                        config=cfg,
+                        shards=self.shards,
+                        max_memory_mb=self.max_memory_mb,
+                    )
+                return lint_trace(self.trace, config=cfg)
+            boot = self._fused_run(
+                cfg, table_ranks=() if self.cache is not None else None
+            )
+            return replace(boot.report, source=self.source_path)
 
     def _ensure_valid(self) -> None:
         if not self.config.validate or self._validated:
             return
         if self.lint_config is not None:
             self.preflight().raise_for_errors()
-            self.stats._bump(self.stats.computed, "validate")
-            self._validated = True
-            return
+            if self._validated:
+                return
+            # The config does not cover the structural gate: run it too.
         if self.sharded and self.trace.num_processes > 0:
             # Workers validate their sub-traces against the global rank
             # set during bootstrap; issues raise there.
@@ -974,38 +985,38 @@ class AnalysisSession:
             self.stats._bump(self.stats.disk_hits, "validate")
             self._validated = True
             return
-        boot = self._fused_run(validate=True)
-        self._tables = {rank: boot.tables[rank] for rank in self.trace.ranks}
+        self._fused_run(None).report.raise_for_errors()
 
-    def _fused_run(self, *, validate: bool, table_ranks=None):
+    def _fused_run(self, lint, table_ranks=None):
         """One :func:`repro.core.fused.fused_bootstrap` pass.
 
-        Validation (when asked), stack replay and the per-rank
-        statistics partials share one enter/leave pairing per rank.
-        With a cache, the validity marker and one ``inv-`` table per
-        replayed rank are stored as well.  ``table_ranks`` limits the
-        replay to ranks whose artifacts are missing.
+        The lint scan (``lint`` as in ``fused_bootstrap``), stack replay
+        and the per-rank statistics partials share one enter/leave
+        pairing per rank.  A report without errors from a config that
+        gates replay (:func:`repro.lint.engine.gates_replay`) validates
+        the session; a validated or unscanned pass hands the session
+        its tables and partials, and with a cache stores one ``inv-``
+        table per replayed rank.  ``table_ranks`` limits the replay to
+        ranks whose artifacts are missing.
         """
         from .fused import fused_bootstrap
 
         with obs.span("fused.bootstrap"):
-            boot = fused_bootstrap(
-                self.trace, validate=validate, table_ranks=table_ranks
-            )
-        if validate:
-            boot.report.raise_for_errors()
-            self.stats._bump(self.stats.computed, "validate")
-            self._validated = True
+            boot = fused_bootstrap(self.trace, lint=lint, table_ranks=table_ranks)
+        if lint is not False:
+            from ..lint.engine import gates_replay, validate_config
+
+            if boot.report.counts()["error"] or not gates_replay(
+                lint or validate_config()
+            ):
+                return boot
+            self._mark_valid()
         if table_ranks is None:
+            self._tables = {rank: boot.tables[rank] for rank in self.trace.ranks}
             self._partials = boot.partials
-        self.stats._bump(self.stats.computed, "replay", len(boot.tables))
+        if boot.tables:
+            self.stats._bump(self.stats.computed, "replay", len(boot.tables))
         if self.cache is not None:
-            if validate:
-                self.cache.store(
-                    f"valid-{self.fingerprint.hexdigest}",
-                    {"ok": np.ones(1, dtype=np.int8)},
-                )
-                self.stats._bump(self.stats.disk_writes, "validate")
             for rank, table in boot.tables.items():
                 self.cache.store(
                     f"inv-{self.fingerprint.rank_digest(rank)}",

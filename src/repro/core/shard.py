@@ -313,10 +313,12 @@ def _phase1_shard_impl(payload: dict) -> dict:
         else:
             need.append(rank)
 
+    # The structural gate (lint=None) or no scan at all (lint=False).
+    lint = None if payload["validate"] else False
     if trace is not None:
         boot = fused_bootstrap(
             trace,
-            validate=payload["validate"],
+            lint=lint,
             known_ranks=frozenset(payload["known_ranks"]),
             table_ranks=need,
         )
@@ -344,7 +346,7 @@ def _phase1_shard_impl(payload: dict) -> dict:
             index.metrics,
             len(ranks),
             ranks,
-            validate=payload["validate"],
+            lint=lint,
             known_ranks=frozenset(payload["known_ranks"]),
             table_ranks=need,
             trace_name=index.name,

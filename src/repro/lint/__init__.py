@@ -55,7 +55,6 @@ from .engine import (
     hb_rules_enabled,
     lint_path,
     lint_trace,
-    scan_rank,
     validate_config,
 )
 from .hb import (
@@ -97,7 +96,6 @@ __all__ = [
     "RankSummary",
     "RankView",
     "TraceView",
-    "scan_rank",
     "finalize_report",
     "lint_trace",
     "lint_path",

@@ -16,8 +16,9 @@ Entry points:
 * :func:`lint_path` — lint a trace file through the chunked reader,
   optionally fanning the per-rank scans out to worker processes
   (``shards``/``max_memory_mb`` mirror the analysis engine's knobs);
-* :func:`scan_rank` — the per-rank kernel, reused by the sharded
-  analysis engine's phase-1 workers for ``--preflight``.
+* :func:`scan_view` — the per-rank kernel; the fused analysis kernel
+  (:mod:`repro.core.incremental`) runs it on its own views, so
+  ``analyze --preflight`` lints and replays in one pass.
 
 Diagnostics are sorted by ``(code, rank, position, message)`` before
 the report is assembled, so output is byte-identical regardless of
@@ -47,10 +48,10 @@ __all__ = [
     "TraceView",
     "lint_trace",
     "lint_path",
-    "scan_rank",
     "scan_view",
     "finalize_report",
     "validate_config",
+    "gates_replay",
     "LINT_COLUMNS",
     "lint_columns",
     "hb_rules_enabled",
@@ -335,10 +336,10 @@ def _stamp(
 
 
 def scan_view(view: RankView) -> tuple[list[Diagnostic], RankSummary]:
-    """Run every enabled rank-scoped rule over an existing view.
+    """Run every enabled rank-scoped rule over one rank's view.
 
-    Split out of :func:`scan_rank` so the fused analysis kernel can
-    build the view once and reuse its pairing for stack replay.
+    The fused analysis kernel builds the view once and reuses its
+    pairing for stack replay.
     """
     shared = view.shared
     diags: list[Diagnostic] = []
@@ -356,13 +357,6 @@ def scan_view(view: RankView) -> tuple[list[Diagnostic], RankSummary]:
     return diags, view.summary()
 
 
-def scan_rank(
-    shared: LintShared, rank: int, events: EventList
-) -> tuple[list[Diagnostic], RankSummary]:
-    """Run every enabled rank-scoped rule over one rank's stream."""
-    return scan_view(RankView(shared, rank, events))
-
-
 def _trace_scope_diagnostics(
     shared: LintShared, summaries: dict[int, RankSummary]
 ) -> list[Diagnostic]:
@@ -374,11 +368,10 @@ def _trace_scope_diagnostics(
     return diags
 
 
-def _hb_scope_diagnostics(shared: LintShared, match_records) -> list[Diagnostic]:
-    """Assemble the global match graph and run the hb-scoped rules."""
-    from .hb import HBView, MatchGraph
+def _hb_scope_diagnostics(shared: LintShared, graph) -> list[Diagnostic]:
+    """Run the hb-scoped rules over the global match graph."""
+    from .hb import HBView
 
-    graph = MatchGraph.from_records(match_records, shared.num_processes)
     hbview = HBView(shared, graph)
     diags: list[Diagnostic] = []
     timed = obs.enabled()
@@ -404,27 +397,33 @@ def finalize_report(
     """Run trace- and hb-scoped rules and assemble the sorted report.
 
     ``match_records`` maps every rank to its
-    :class:`~repro.lint.hb.MatchRecords`.  When hb-scoped rules are
-    enabled it is *required*: raising here (instead of quietly running
-    the remaining rules) is what guarantees a cross-rank rule can
-    never under-report off a partial, per-shard view of the trace.
+    :class:`~repro.lint.hb.MatchRecords`, or is the
+    :class:`~repro.lint.hb.MatchGraph` already assembled from them (the
+    fused kernel writes its scan's rows straight into one).  When
+    hb-scoped rules are enabled it is *required*: raising here (instead
+    of quietly running the remaining rules) is what guarantees a
+    cross-rank rule can never under-report off a partial, per-shard
+    view of the trace.
     """
     diags = list(rank_diags)
     diags.extend(_trace_scope_diagnostics(shared, summaries))
     if hb_rules_enabled(shared.config):
-        if match_records is None:
-            raise ValueError(
-                "hb-scope rules are enabled but no match records were "
-                "provided; cross-rank rules cannot run on a partial trace"
-            )
-        missing = sorted(set(summaries) - set(match_records))
-        if missing:
+        from .hb import MatchGraph
+
+        graph = match_records if isinstance(match_records, MatchGraph) else None
+        missing = sorted(
+            set(summaries)
+            - set(graph.ranks if graph is not None else match_records or ())
+        )
+        if missing or match_records is None:
             raise ValueError(
                 f"hb-scope rules are enabled but match records are missing "
                 f"for ranks {missing}; cross-rank rules cannot run on a "
                 f"partial trace"
             )
-        diags.extend(_hb_scope_diagnostics(shared, match_records))
+        if graph is None:
+            graph = MatchGraph.from_records(match_records, shared.num_processes)
+        diags.extend(_hb_scope_diagnostics(shared, graph))
     diags.sort(key=lambda d: d.sort_key)
     return LintReport(
         diagnostics=tuple(diags),
@@ -500,6 +499,21 @@ def validate_config(allow_empty_streams: bool = False) -> LintConfig:
     )
 
 
+def gates_replay(config: LintConfig) -> bool:
+    """True when ``config`` runs every structural gate rule
+    (:func:`validate_config`) at error severity, so its report without
+    errors admits replay."""
+    from .model import Severity
+    from .registry import get_rule, validate_subset_codes
+
+    return all(
+        config.rule_enabled(code)
+        and config.severity_of(code, get_rule(code).default_severity)
+        >= Severity.ERROR
+        for code in validate_subset_codes()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Sharded path-mode linting
 # ---------------------------------------------------------------------------
@@ -566,6 +580,52 @@ def _lint_shard_worker_impl(payload: dict) -> dict:
     return res
 
 
+def _scan_shards(
+    path: str,
+    config: LintConfig,
+    shards: int | None,
+    max_memory_mb: float | None,
+    workers: int | None,
+    **extra,
+):
+    """Fan a trace file's per-rank scans out to :func:`_lint_shard_worker`.
+
+    The partitioning is the analysis engine's
+    (:func:`repro.core.shard.plan_shards`); ``extra`` goes into every
+    payload.  Returns the file's index, the global rank set and the
+    worker results in shard order (their telemetry already merged).
+    """
+    from ..core.shard import (
+        _merge_worker_obs,
+        _run_shard_tasks,
+        plan_shards,
+        shard_workers,
+    )
+    from ..trace.reader import TraceIndex
+
+    index = TraceIndex(path)
+    counts = index.event_counts()
+    plan = plan_shards(counts, shards=shards, max_memory_mb=max_memory_mb)
+    payloads = [
+        {
+            "path": path,
+            "ranks": tuple(group),
+            "known_ranks": plan.ranks,
+            "num_processes": len(counts),
+            "config": config,
+            "shard": shard,
+            "obs": obs.current_context(),
+            **extra,
+        }
+        for shard, group in enumerate(plan.groups)
+    ]
+    nworkers = shard_workers(plan.num_shards) if workers is None else workers
+    results = _run_shard_tasks(_lint_shard_worker, payloads, nworkers)
+    for res in results:
+        _merge_worker_obs(res)
+    return index, plan.ranks, results
+
+
 def lint_path(
     path: str | os.PathLike,
     config: LintConfig | None = None,
@@ -580,52 +640,25 @@ def lint_path(
     partitioning the analysis engine uses (:func:`repro.core.shard.plan_shards`).
     Diagnostics are byte-identical for any shard count.
     """
-    from ..core.shard import (
-        _merge_worker_obs,
-        _run_shard_tasks,
-        plan_shards,
-        shard_workers,
-    )
-    from ..trace.reader import TraceIndex
-
     config = config if config is not None else LintConfig()
     path = os.fspath(path)
     with obs.span("lint.path"):
-        index = TraceIndex(path)
-        counts = index.event_counts()
-        plan = plan_shards(counts, shards=shards, max_memory_mb=max_memory_mb)
-        known = plan.ranks
-        payloads = [
-            {
-                "path": path,
-                "ranks": tuple(group),
-                "known_ranks": known,
-                "num_processes": len(counts),
-                "config": config,
-                "shard": shard,
-                "obs": obs.current_context(),
-            }
-            for shard, group in enumerate(plan.groups)
-        ]
-        nworkers = (
-            shard_workers(plan.num_shards) if workers is None else workers
+        index, known, results = _scan_shards(
+            path, config, shards, max_memory_mb, workers
         )
         diags: list[Diagnostic] = []
         summaries: dict[int, RankSummary] = {}
         records: dict[int, object] | None = (
             {} if hb_rules_enabled(config) else None
         )
-        name = ""
-        for res in _run_shard_tasks(_lint_shard_worker, payloads, nworkers):
-            _merge_worker_obs(res)
+        for res in results:
             diags.extend(res["diags"])
             summaries.update(res["summaries"])
             if records is not None:
                 records.update(res.get("records", {}))
-            name = res["name"] or name
         defs = index.definitions_trace()
         shared = LintShared.from_definitions(
-            defs.regions, defs.metrics, len(counts), known, config
+            defs.regions, defs.metrics, len(index.ranks), known, config
         )
         return finalize_report(
             shared,
@@ -651,39 +684,15 @@ def hb_graph_path(
     only :class:`~repro.lint.hb.MatchRecords` and the parent assembles
     one :class:`~repro.lint.hb.MatchGraph`.
     """
-    from ..core.shard import (
-        _merge_worker_obs,
-        _run_shard_tasks,
-        plan_shards,
-        shard_workers,
-    )
-    from ..trace.reader import TraceIndex
     from .hb import MatchGraph
 
     config = config if config is not None else LintConfig()
-    path = os.fspath(path)
     with obs.span("lint.hb_graph"):
-        index = TraceIndex(path)
-        counts = index.event_counts()
-        plan = plan_shards(counts, shards=shards, max_memory_mb=max_memory_mb)
-        payloads = [
-            {
-                "path": path,
-                "ranks": tuple(group),
-                "known_ranks": plan.ranks,
-                "num_processes": len(counts),
-                "config": config,
-                "shard": shard,
-                "obs": obs.current_context(),
-                "records_only": True,
-            }
-            for shard, group in enumerate(plan.groups)
-        ]
-        nworkers = (
-            shard_workers(plan.num_shards) if workers is None else workers
+        index, _known, results = _scan_shards(
+            os.fspath(path), config, shards, max_memory_mb, workers,
+            records_only=True,
         )
         records: dict[int, object] = {}
-        for res in _run_shard_tasks(_lint_shard_worker, payloads, nworkers):
-            _merge_worker_obs(res)
-            records.update(res.get("records", {}))
-        return MatchGraph.from_records(records, len(counts))
+        for res in results:
+            records.update(res["records"])
+        return MatchGraph.from_records(records, len(index.ranks))

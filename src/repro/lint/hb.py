@@ -35,8 +35,8 @@ topology for external viewers (ROADMAP item 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "HB_COLUMNS",
     "MatchRecords",
     "MatchGraph",
+    "MatchGraphWriter",
     "HBView",
     "VectorClockEngine",
     "collective_region_mask",
@@ -286,20 +287,159 @@ def _group_ids(*cols: np.ndarray) -> np.ndarray:
     return gid
 
 
-def _cumcount(gid: np.ndarray) -> np.ndarray:
-    """Occurrence index of each row within its group, in row order."""
-    n = len(gid)
-    if n == 0:
-        return np.empty(0, dtype=_I64)
-    order = np.argsort(gid, kind="stable")
-    srt = gid[order]
-    boundaries = np.flatnonzero(np.diff(srt)) + 1
-    starts = np.concatenate([[0], boundaries])
-    lengths = np.diff(np.concatenate([starts, [n]]))
-    within = np.arange(n, dtype=_I64) - np.repeat(starts, lengths)
-    out = np.empty(n, dtype=_I64)
-    out[order] = within
-    return out
+def _channel_keys(
+    sends: tuple[np.ndarray, ...], recvs: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 key per row for its ``(src, dst, tag)`` channel.
+
+    Equal channels get equal keys on both sides.  Each component is
+    offset by its minimum over both sides and packed mixed-radix; when
+    the product of the component ranges would overflow int64 (wild
+    partner or tag values), dense ids from :func:`_group_ids` stand in.
+    """
+    lows: list[int] = []
+    widths: list[int] = []
+    for s, r in zip(sends, recvs):
+        lo = min(int(s.min()), int(r.min()))
+        lows.append(lo)
+        widths.append(max(int(s.max()), int(r.max())) - lo + 1)
+    if widths[0] * widths[1] * widths[2] > 2**63:
+        gid = _group_ids(*(np.concatenate(pair) for pair in zip(sends, recvs)))
+        return gid[: len(sends[0])], gid[len(sends[0]):]
+
+    def pack(cols: tuple[np.ndarray, ...]) -> np.ndarray:
+        key = np.subtract(cols[0], lows[0], dtype=_I64)
+        digit = np.empty_like(key)
+        for col, lo, width in zip(cols[1:], lows[1:], widths[1:]):
+            key *= width
+            key += np.subtract(col, lo, out=digit, dtype=_I64)
+        return key
+
+    return pack(sends), pack(recvs)
+
+
+def _fifo_pairs(
+    key_s: np.ndarray, key_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the k-th send with the k-th recv of each key.
+
+    A stable argsort keeps row (queue) order within a key, so a recv's
+    occurrence index within its key, added to the first send row of
+    that key, names its partner.  Returns ``(send_rows, recv_rows)``.
+    Sorts both key arrays in place.
+    """
+    order_s = np.argsort(key_s, kind="stable")
+    key_s.sort()
+    order_r = np.argsort(key_r, kind="stable")
+    key_r.sort()
+    at = np.searchsorted(key_s, key_r, side="left")
+    at += np.arange(len(key_r), dtype=_I64)
+    at -= np.searchsorted(key_r, key_r, side="left")
+    beyond = at >= len(key_s)
+    np.minimum(at, len(key_s) - 1, out=at)
+    hit = key_s[at] == key_r
+    hit &= ~beyond
+    return order_s[at[hit]], order_r[hit]
+
+
+#: ``MatchRecords`` p2p fields per side; ``send_dst`` lands in the
+#: graph's ``s_dst`` column, ``recv_src`` in ``r_src`` and so on.
+_P2P_FIELDS = {
+    side: tuple(f.name for f in fields(MatchRecords) if f.name.startswith(prefix))
+    for side, prefix in (("s", "send_"), ("r", "recv_"))
+}
+_EMPTY_P2P = {
+    name: getattr(MatchRecords.empty(-1), name)
+    for names in _P2P_FIELDS.values()
+    for name in names
+}
+_COLUMN = {name: f"{name[0]}_{name.split('_', 1)[1]}" for name in _EMPTY_P2P}
+
+
+class MatchGraphWriter:
+    """Writes ranks' match records straight into one graph's flat columns.
+
+    The one construction path of :class:`MatchGraph`:
+    :meth:`MatchGraph.from_records` feeds it record sets, the fused
+    kernel each rank as its scan finishes.  :meth:`reserve` sizes the
+    columns from SEND/RECV counts up front; :meth:`add` copies a rank's
+    rows in and keeps only its collectives and extent, so no per-rank
+    p2p copy outlives the call.
+    """
+
+    def __init__(self, num_processes: int | None = None) -> None:
+        self.num_processes = num_processes
+        self._cols = {"s_rank": np.empty(0, dtype=_I32),
+                      "r_rank": np.empty(0, dtype=_I32)}
+        self._cols.update((_COLUMN[f], a) for f, a in _EMPTY_P2P.items())
+        self._used = {"s": 0, "r": 0}
+        #: rank -> its records with the p2p fields emptied, in add order
+        self._records: dict[int, MatchRecords] = {}
+
+    def reserve(self, sends: int, recvs: int) -> None:
+        """Grow the columns to hold at least ``sends``/``recvs`` rows."""
+        for side, need in (("s", sends), ("r", recvs)):
+            capacity = len(self._cols[f"{side}_rank"])
+            if need <= capacity:
+                continue
+            used = self._used[side]
+            for name in [n for n in self._cols if n[0] == side]:
+                grown = np.empty(max(need, 2 * capacity), self._cols[name].dtype)
+                grown[:used] = self._cols[name][:used]
+                self._cols[name] = grown
+
+    def add(self, rec: MatchRecords) -> None:
+        """Copy one rank's p2p rows into the columns."""
+        lo = dict(self._used)
+        hi = {"s": lo["s"] + len(rec.send_dst), "r": lo["r"] + len(rec.recv_src)}
+        self.reserve(hi["s"], hi["r"])
+        for side, names in _P2P_FIELDS.items():
+            self._cols[f"{side}_rank"][lo[side]:hi[side]] = rec.rank
+            for name in names:
+                self._cols[_COLUMN[name]][lo[side]:hi[side]] = getattr(rec, name)
+        self._used = hi
+        self._records[rec.rank] = replace(rec, **_EMPTY_P2P)
+
+    def finish(self) -> "MatchGraph":
+        """Assemble the graph, rows rank-major, and match it."""
+        cols = {n: c[: self._used[n[0]]] for n, c in self._cols.items()}
+        ranks = tuple(sorted(self._records))
+        if tuple(self._records) != ranks:
+            # Added out of rank order: a stable sort keeps stream order.
+            for side in self._used:
+                order = np.argsort(cols[f"{side}_rank"], kind="stable")
+                for name in [n for n in cols if n[0] == side]:
+                    cols[name] = cols[name][order]
+        # Each rank's records carry its p2p rows as views of the columns.
+        ids = np.asarray(ranks, dtype=_I32)
+        bounds = {
+            side: np.stack([np.searchsorted(cols[f"{side}_rank"], ids, how)
+                            for how in ("left", "right")], axis=1).tolist()
+            for side in _P2P_FIELDS
+        }
+        records: dict[int, MatchRecords] = {}
+        for i, rank in enumerate(ranks):
+            records[rank] = replace(self._records[rank], **{
+                name: cols[_COLUMN[name]][slice(*bounds[side][i])]
+                for side, names in _P2P_FIELDS.items()
+                for name in names
+            })
+        active = [rec for rec in records.values() if rec.n_events]
+        nproc = self.num_processes
+        graph = MatchGraph(
+            ranks=ranks,
+            num_processes=len(ranks) if nproc is None else nproc,
+            complete=all(rec.ok for rec in records.values()),
+            t_min=float(min((rec.t_first for rec in active), default=0.0)),
+            t_max=float(max((rec.t_last for rec in active), default=0.0)),
+            records=records,
+            r_wildcard=cols["r_src"] < 0,
+            s_match=np.empty(0, dtype=_I64),
+            r_match=np.empty(0, dtype=_I64),
+            **cols,
+        )
+        graph._match()
+        return graph
 
 
 @dataclass
@@ -309,7 +449,8 @@ class MatchGraph:
     Flattened send/recv arrays (rank-major, stream order within each
     rank) plus the match relation: ``s_match[i]`` is the recv row the
     i-th send pairs with (-1 unmatched) and vice versa.  Collective
-    sequences stay per rank in ``records``.
+    sequences stay per rank in ``records``, whose p2p fields are views
+    of the flat columns.  Built by :class:`MatchGraphWriter`.
     """
 
     ranks: tuple[int, ...]
@@ -361,56 +502,14 @@ class MatchGraph:
         records: Mapping[int, MatchRecords],
         num_processes: int | None = None,
     ) -> "MatchGraph":
-        ranks = tuple(sorted(records))
-        recs = [records[r] for r in ranks]
-        complete = all(rec.ok for rec in recs)
-        active = [rec for rec in recs if rec.n_events]
-        t_min = min((rec.t_first for rec in active), default=0.0)
-        t_max = max((rec.t_last for rec in active), default=0.0)
-
-        def cat(field: str, dtype) -> np.ndarray:
-            parts = [getattr(rec, field) for rec in recs]
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        s_rank = np.concatenate(
-            [np.full(len(rec.send_dst), rec.rank, dtype=_I32) for rec in recs]
-        ) if recs else np.empty(0, dtype=_I32)
-        r_rank = np.concatenate(
-            [np.full(len(rec.recv_src), rec.rank, dtype=_I32) for rec in recs]
-        ) if recs else np.empty(0, dtype=_I32)
-
-        graph = cls(
-            ranks=ranks,
-            num_processes=(
-                num_processes if num_processes is not None else len(ranks)
-            ),
-            complete=complete,
-            t_min=float(t_min),
-            t_max=float(t_max),
-            records=dict(records),
-            s_rank=s_rank,
-            s_dst=cat("send_dst", _I32),
-            s_tag=cat("send_tag", _I32),
-            s_pos=cat("send_pos", _I64),
-            s_time=cat("send_time", _F64),
-            s_size=cat("send_size", _I64),
-            s_region=cat("send_region", _I32),
-            r_rank=r_rank,
-            r_src=cat("recv_src", _I32),
-            r_tag=cat("recv_tag", _I32),
-            r_pos=cat("recv_pos", _I64),
-            r_time=cat("recv_time", _F64),
-            r_region=cat("recv_region", _I32),
-            r_wait=cat("recv_wait", _F64),
-            r_wildcard=np.empty(0, dtype=bool),
-            s_match=np.empty(0, dtype=_I64),
-            r_match=np.empty(0, dtype=_I64),
+        writer = MatchGraphWriter(num_processes)
+        writer.reserve(
+            sum(len(rec.send_dst) for rec in records.values()),
+            sum(len(rec.recv_src) for rec in records.values()),
         )
-        graph.r_wildcard = graph.r_src < 0
-        graph._match()
-        return graph
+        for rank in sorted(records):
+            writer.add(records[rank])
+        return writer.finish()
 
     def _match(self) -> None:
         """FIFO-match sends to recvs per (src, dst, tag) channel."""
@@ -419,33 +518,28 @@ class MatchGraph:
         self.r_match = np.full(nr, -1, dtype=_I64)
         if ns == 0 or nr == 0:
             return
-        spec = np.flatnonzero(~self.r_wildcard)
-        # Joint channel factorization so send and recv rows of the same
-        # (src, dst, tag) triple land in the same group.
-        chan = _group_ids(
-            np.concatenate([self.s_rank[:ns], self.r_src[spec]]),
-            np.concatenate([self.s_dst[:ns], self.r_rank[spec]]),
-            np.concatenate([self.s_tag[:ns], self.r_tag[spec]]),
-        )
-        chan_s, chan_r = chan[:ns], chan[ns:]
-        # Rows are rank-major + stream-ordered, and every send (recv)
-        # of one channel lives on a single rank, so row order IS queue
-        # order: the occurrence index within each side is the FIFO
-        # sequence number, and the k-th send pairs with the k-th recv.
-        code_width = _I64(max(ns, nr) + 1)
-        code_s = chan_s * code_width + _cumcount(chan_s)
-        code_r = chan_r * code_width + _cumcount(chan_r)
-        _, si, ri = np.intersect1d(
-            code_s, code_r, assume_unique=True, return_indices=True
-        )
-        self.s_match[si] = spec[ri]
-        self.r_match[spec[ri]] = si
+        # Rows are rank-major + stream-ordered, and every send (recv) of
+        # one channel lives on a single rank, so row order IS queue
+        # order: the k-th send pairs with the k-th recv.
+        wild = np.flatnonzero(self.r_wildcard)
+        if len(wild):
+            spec = np.flatnonzero(~self.r_wildcard)
+            recvs = (self.r_src[spec], self.r_rank[spec], self.r_tag[spec])
+        else:
+            recvs = (self.r_src, self.r_rank, self.r_tag)
+        if len(recvs[0]):
+            si, ri = _fifo_pairs(
+                *_channel_keys((self.s_rank, self.s_dst, self.s_tag), recvs)
+            )
+            if len(wild):
+                ri = spec[ri]
+            self.s_match[si] = ri
+            self.r_match[ri] = si
 
         # Wildcard receives: drain the leftover sends to (dst, tag) in
         # deterministic (time, src, pos) arrival order against the
         # wildcard queue in stream order.  Wildcards are adversarial /
         # debugging territory, so the per-queue Python loop is fine.
-        wild = np.flatnonzero(self.r_wildcard)
         if not len(wild):
             return
         queues = sorted(
@@ -645,59 +739,6 @@ class HBView:
 # ---------------------------------------------------------------------------
 
 
-def _channel_rows(graph: MatchGraph) -> list[dict[str, Any]]:
-    """Aggregate the p2p sends into (src, dst, tag) channel rows."""
-    rows: list[dict[str, Any]] = []
-    ns = graph.num_sends
-    if ns:
-        chan = _group_ids(graph.s_rank, graph.s_dst, graph.s_tag)
-        for g in np.unique(chan).tolist():
-            sel = np.flatnonzero(chan == g)
-            matched = int(np.sum(graph.s_match[sel] >= 0))
-            rows.append(
-                {
-                    "src": int(graph.s_rank[sel[0]]),
-                    "dst": int(graph.s_dst[sel[0]]),
-                    "tag": int(graph.s_tag[sel[0]]),
-                    "sends": len(sel),
-                    "matched": matched,
-                    "orphan_sends": len(sel) - matched,
-                    "bytes": int(graph.s_size[sel].sum()),
-                }
-            )
-    # Receive-only channels (orphan recvs with no send at all).
-    nr = graph.num_recvs
-    if nr:
-        orphan = np.flatnonzero((graph.r_match < 0) & ~graph.r_wildcard)
-        if len(orphan):
-            chan = _group_ids(
-                graph.r_src[orphan], graph.r_rank[orphan], graph.r_tag[orphan]
-            )
-            seen = {(row["src"], row["dst"], row["tag"]) for row in rows}
-            for g in np.unique(chan).tolist():
-                sel = orphan[np.flatnonzero(chan == g)]
-                key = (
-                    int(graph.r_src[sel[0]]),
-                    int(graph.r_rank[sel[0]]),
-                    int(graph.r_tag[sel[0]]),
-                )
-                if key in seen:
-                    continue
-                rows.append(
-                    {
-                        "src": key[0],
-                        "dst": key[1],
-                        "tag": key[2],
-                        "sends": 0,
-                        "matched": 0,
-                        "orphan_sends": 0,
-                        "bytes": 0,
-                    }
-                )
-    rows.sort(key=lambda row: (row["src"], row["dst"], row["tag"]))
-    return rows
-
-
 def graph_to_json_dict(graph: MatchGraph) -> dict[str, Any]:
     """Machine-readable export of the match graph (stable schema)."""
     orphan_recvs: dict[tuple[int, int, int], int] = {}
@@ -708,11 +749,31 @@ def graph_to_json_dict(graph: MatchGraph) -> dict[str, Any]:
             int(graph.r_tag[i]),
         )
         orphan_recvs[key] = orphan_recvs.get(key, 0) + 1
-    channels = _channel_rows(graph)
-    for row in channels:
-        row["orphan_recvs"] = orphan_recvs.pop(
-            (row["src"], row["dst"], row["tag"]), 0
-        )
+    # One row per send channel; receive-only channels (orphan recvs
+    # with no send at all) come from the leftover orphan counts.
+    channels: list[dict[str, Any]] = []
+    if graph.num_sends:
+        chan = _group_ids(graph.s_rank, graph.s_dst, graph.s_tag)
+        for g in np.unique(chan).tolist():
+            sel = np.flatnonzero(chan == g)
+            matched = int(np.sum(graph.s_match[sel] >= 0))
+            key = (
+                int(graph.s_rank[sel[0]]),
+                int(graph.s_dst[sel[0]]),
+                int(graph.s_tag[sel[0]]),
+            )
+            channels.append(
+                {
+                    "src": key[0],
+                    "dst": key[1],
+                    "tag": key[2],
+                    "sends": len(sel),
+                    "matched": matched,
+                    "orphan_sends": len(sel) - matched,
+                    "bytes": int(graph.s_size[sel].sum()),
+                    "orphan_recvs": orphan_recvs.pop(key, 0),
+                }
+            )
     for (src, dst, tag), count in sorted(orphan_recvs.items()):
         channels.append(
             {
@@ -798,23 +859,3 @@ def match_graph_for_trace(trace, config=None) -> MatchGraph:
     records, shared = match_records_for_trace(trace, config)
     return MatchGraph.from_records(records, shared.num_processes)
 
-
-def _iter_chain_parents(
-    recv_by_rank: dict[int, np.ndarray],
-    recv_pos_by_rank: dict[int, np.ndarray],
-    s_rank: Iterable[int],
-    s_pos: Iterable[int],
-) -> Iterable[int]:
-    """For each send, the latest qualifying waited recv before it (-1 none).
-
-    Helper for the TL305 wait-chain linker: ``recv_by_rank`` maps a
-    rank to the (chain-significant) recv row ids on that rank sorted by
-    position, ``recv_pos_by_rank`` to their positions.
-    """
-    for rank, pos in zip(s_rank, s_pos):
-        cand_pos = recv_pos_by_rank.get(int(rank))
-        if cand_pos is None or not len(cand_pos):
-            yield -1
-            continue
-        k = int(np.searchsorted(cand_pos, int(pos), side="left")) - 1
-        yield int(recv_by_rank[int(rank)][k]) if k >= 0 else -1

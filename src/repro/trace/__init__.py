@@ -13,7 +13,10 @@ Public surface:
   :func:`select_ranks`, :func:`merge_traces`.
 
 Structural validation lives in :mod:`repro.lint`
-(``lint_trace(trace, config=validate_config())``).
+(``lint_trace(trace, config=validate_config())``); analyses run it
+inside the fused kernel's one scan per rank
+(:func:`repro.core.fused.fused_bootstrap`), which also pairs the
+rank's enter/leave events for replay.
 """
 
 from .binio import write_binary

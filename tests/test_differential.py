@@ -283,7 +283,7 @@ class TestFusedEqualsLegacy:
         from repro.core.fused import fused_bootstrap
 
         name, trace, reference = scenario
-        boot = fused_bootstrap(trace, validate=False)
+        boot = fused_bootstrap(trace, lint=False)
         assert boot.report is None
         legacy_tables = replay_trace(trace)
         for rank in trace.ranks:
@@ -343,16 +343,77 @@ class TestFusedEqualsLegacy:
         """With allow_empty_streams=True a genuinely empty stream gets
         an empty table/partial rather than being silently dropped."""
         from repro.core.fused import fused_bootstrap
+        from repro.lint import validate_config
         from repro.trace import Location
         from repro.trace.events import EventList
 
         trace = self._trace_with_p2p_only_rank()
         trace.add_process(Location(2, "P2"), EventList.empty())
-        boot = fused_bootstrap(trace, allow_empty_streams=True)
+        boot = fused_bootstrap(
+            trace, lint=validate_config(allow_empty_streams=True)
+        )
         assert boot.report.ok
         assert sorted(boot.tables) == [0, 1, 2]
         assert len(boot.tables[2].region) == 0
         assert sorted(boot.partials) == [0, 1, 2]
+
+
+class TestPreflightScan:
+    """``analyze --preflight`` is the fused kernel scanning with the full
+    rule set, so its report must equal ``lint_trace``'s (the independent
+    per-rank loop the fuzz oracle also trusts), and the tables and
+    partials the session keeps from it must equal the staged replay's.
+    """
+
+    @staticmethod
+    def _assert_same_report(trace, path):
+        from repro.core.fused import fused_bootstrap
+        from repro.core.incremental import incremental_bootstrap
+        from repro.lint import LintConfig, lint_trace
+        from repro.trace.reader import TraceIndex
+
+        want = lint_trace(trace).to_json()
+        assert fused_bootstrap(trace, lint=LintConfig()).report.to_json() == want
+        write_binary(trace, path, version=2, codec="raw")
+        chunked = incremental_bootstrap(
+            TraceIndex(path).cursor(chunk_events=5), lint=LintConfig()
+        )
+        assert chunked.report.to_json() == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_report_equals_lint_trace_adversarial(self, seed, tmp_path):
+        from repro.sim.fuzz import build_adversarial_traces, generate_adversarial
+
+        traces = build_adversarial_traces(generate_adversarial(seed))
+        for i, trace in enumerate(traces):
+            self._assert_same_report(trace, tmp_path / f"adv{i}.rpt")
+
+    @pytest.mark.parametrize("code", ["TL002", "TL003"])
+    def test_report_equals_lint_trace_structural(self, code, tmp_path):
+        from test_cli import _structural_trace
+
+        self._assert_same_report(_structural_trace(code), tmp_path / "s.rpt")
+
+    def test_tables_partials_equal_staged(self, scenario):
+        from repro.profiles.replay import match_invocations
+        from repro.profiles.stats import rank_statistics_arrays
+
+        name, trace, reference = scenario
+        session = AnalysisSession(trace)
+        assert not session.preflight().counts()["error"]
+        assert session.stats.computed["replay"] == len(trace.ranks)
+        n_regions = len(trace.regions)
+        for rank in trace.ranks:
+            table = match_invocations(trace.events_of(rank))
+            for col in ("region", "t_enter", "t_leave", "depth", "parent"):
+                assert np.array_equal(
+                    getattr(session._tables[rank], col), getattr(table, col)
+                ), f"rank {rank} table column {col} differs"
+            want = rank_statistics_arrays(table, n_regions)
+            assert sorted(session._partials[rank]) == sorted(want)
+            for stat, arr in want.items():
+                assert np.array_equal(session._partials[rank][stat], arr)
+        assert_identical_analysis(reference, session.analysis())
 
 
 class TestFormatPathParity:

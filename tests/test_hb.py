@@ -11,7 +11,10 @@ golden-corpus silence contract, graph export and the ``repro deps`` /
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +31,13 @@ from repro.lint import (
     hb_rules_enabled,
 )
 from repro.lint.engine import finalize_report, lint_columns
-from repro.lint.hb import HBView, MatchGraph, match_records_for_trace
+from repro.lint.hb import (
+    HBView,
+    MatchGraph,
+    MatchGraphWriter,
+    MatchRecords,
+    match_records_for_trace,
+)
 from repro.sim.fuzz import (
     ADVERSARY_EXPECT,
     ADVERSARY_KINDS,
@@ -185,6 +194,123 @@ class TestMatching:
         assert sorted(records) == [0, 1, 2]
         for rank, rec in records.items():
             assert rec.ok and rec.rank == rank
+
+
+def fifo_reference(g):
+    """Plain per-channel FIFO queues, then the wildcard drain.
+
+    Written from the matching rules, sharing no code with
+    :meth:`MatchGraph._match`: the k-th recv of a channel takes the
+    oldest unmatched send of that channel; each wildcard queue
+    ``(dst, tag)`` then takes the leftover sends to it in
+    ``(time, src, pos)`` order.
+    """
+    s_match = [-1] * g.num_sends
+    r_match = [-1] * g.num_recvs
+    queues: dict = {}
+    for i in range(g.num_sends):
+        key = (int(g.s_rank[i]), int(g.s_dst[i]), int(g.s_tag[i]))
+        queues.setdefault(key, deque()).append(i)
+    for j in range(g.num_recvs):
+        if g.r_src[j] < 0:
+            continue
+        queue = queues.get((int(g.r_src[j]), int(g.r_rank[j]), int(g.r_tag[j])))
+        if queue:
+            i = queue.popleft()
+            s_match[i], r_match[j] = j, i
+    wild = [j for j in range(g.num_recvs) if g.r_src[j] < 0]
+    for dst, tag in sorted({(int(g.r_rank[j]), int(g.r_tag[j])) for j in wild}):
+        waiting = [j for j in wild if (g.r_rank[j], g.r_tag[j]) == (dst, tag)]
+        leftover = sorted(
+            (float(g.s_time[i]), int(g.s_rank[i]), int(g.s_pos[i]), i)
+            for i in range(g.num_sends)
+            if s_match[i] < 0 and (g.s_dst[i], g.s_tag[i]) == (dst, tag)
+        )
+        for j, (*_, i) in zip(waiting, leftover):
+            s_match[i], r_match[j] = j, i
+    return s_match, r_match
+
+
+#: Partner/tag values whose ranges multiply past int64, forcing the
+#: dense-id fallback of the packed channel key.
+_WIDE = (-(2**31), 2**31 - 1)
+
+
+@st.composite
+def message_records(draw):
+    """Per-rank match records: orphans, wildcards, many and negative
+    tags, cross-rank time ties, and optionally int32-extreme values."""
+    ranks = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True))
+    wide = draw(st.booleans())
+    partner = st.integers(-1, 6) | (st.sampled_from(_WIDE) if wide else st.nothing())
+    tag = st.integers(-3, 3) | (st.sampled_from(_WIDE) if wide else st.nothing())
+    op = st.tuples(st.booleans(), partner, tag)
+    records = {}
+    for rank in ranks:
+        ops = draw(st.lists(op, max_size=12))
+        sends = [(pos, p, t) for pos, (is_send, p, t) in enumerate(ops) if is_send]
+        recvs = [(pos, p, t) for pos, (is_send, p, t) in enumerate(ops) if not is_send]
+
+        def col(rows, i, dtype):
+            return np.array([row[i] for row in rows], dtype=dtype)
+
+        records[rank] = replace(
+            MatchRecords.empty(rank, len(ops), t_last=float(len(ops))),
+            send_dst=col(sends, 1, np.int32),
+            send_tag=col(sends, 2, np.int32),
+            send_pos=col(sends, 0, np.int64),
+            send_time=col(sends, 0, np.float64),
+            send_size=np.ones(len(sends), dtype=np.int64),
+            send_region=np.full(len(sends), -1, dtype=np.int32),
+            recv_src=col(recvs, 1, np.int32),
+            recv_tag=col(recvs, 2, np.int32),
+            recv_pos=col(recvs, 0, np.int64),
+            recv_time=col(recvs, 0, np.float64),
+            recv_region=np.full(len(recvs), -1, dtype=np.int32),
+            recv_wait=np.zeros(len(recvs), dtype=np.float64),
+        )
+    return records
+
+
+class TestMatchGraphConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(records=message_records())
+    def test_match_equals_fifo_reference(self, records):
+        g = MatchGraph.from_records(records)
+        s_match, r_match = fifo_reference(g)
+        assert g.s_match.tolist() == s_match
+        assert g.r_match.tolist() == r_match
+
+    @settings(max_examples=50, deadline=None)
+    @given(records=message_records())
+    def test_rows_are_rank_major_records(self, records):
+        g = MatchGraph.from_records(records)
+        ranks = sorted(records)
+        assert np.array_equal(
+            g.s_rank,
+            np.concatenate([np.full(len(records[r].send_dst), r) for r in ranks]),
+        )
+        for col, field in (("s_dst", "send_dst"), ("s_tag", "send_tag"),
+                           ("r_src", "recv_src"), ("r_pos", "recv_pos")):
+            want = np.concatenate([getattr(records[r], field) for r in ranks])
+            assert np.array_equal(getattr(g, col), want)
+        for rank in ranks:
+            assert np.array_equal(g.records[rank].send_dst, records[rank].send_dst)
+            assert np.array_equal(g.records[rank].recv_src, records[rank].recv_src)
+
+    @settings(max_examples=50, deadline=None)
+    @given(records=message_records())
+    def test_writer_in_any_rank_order(self, records):
+        """The kernel adds ranks as they finish, without sizing first."""
+        want = MatchGraph.from_records(records)
+        writer = MatchGraphWriter()
+        for rank in sorted(records, reverse=True):
+            writer.add(records[rank])
+        got = writer.finish()
+        for col in ("s_rank", "s_dst", "s_tag", "s_pos", "r_rank", "r_src",
+                    "r_tag", "r_pos", "r_wildcard", "s_match", "r_match"):
+            assert np.array_equal(getattr(got, col), getattr(want, col)), col
+        assert graph_to_json_dict(got) == graph_to_json_dict(want)
 
 
 class TestVectorClocks:
@@ -415,6 +541,77 @@ class TestCLI:
         out = tmp_path / "deps.dot"
         assert self.run("deps", str(path), "-o", str(out)) == 0
         assert out.read_text().startswith("digraph deps {")
+
+    @staticmethod
+    def deps_trace():
+        """A deadlocked pair, a negative-tag ping, a wildcard receive, an
+        orphan receive and one barrier epoch on four ranks."""
+        tb = TraceBuilder(name="deps")
+        tb.region("main")
+        tb.region("MPI_Barrier", paradigm=Paradigm.MPI)
+        script = {
+            0: [("send", 1.0, 1, 4, 1), ("recv", 2.0, 1, 4, 2),
+                ("recv", 3.0, -1, 8, 5)],
+            1: [("send", 1.0, 0, 4, 1), ("recv", 2.0, 0, 4, 2)],
+            2: [("send", 1.0, 3, 16, -3), ("recv", 2.5, 1, 4, 7)],
+            3: [("recv", 1.5, 2, 16, -3), ("send", 2.0, 0, 8, 5)],
+        }
+        for rank, ops in script.items():
+            p = tb.process(rank)
+            p.enter(0.0, "main")
+            for op, t, partner, size, tag in ops:
+                getattr(p, op)(t, partner, size=size, tag=tag)
+            p.call(4.0, 4.5, "MPI_Barrier")
+            p.leave(5.0)
+        return tb.freeze()
+
+    DEPS_DOT = """\
+digraph deps {
+  rankdir=LR;
+  node [shape=box, fontname="monospace"];
+  r0 [label="rank 0\\n7 events"];
+  r1 [label="rank 1\\n6 events"];
+  r2 [label="rank 2\\n6 events"];
+  r3 [label="rank 3\\n6 events"];
+  r0 -> r1 [label="tag 1: 0/1", color="red"];
+  r0 -> r1 [label="tag 2: 0/0", color="red"];
+  r1 -> r0 [label="tag 1: 0/1", color="red"];
+  r1 -> r0 [label="tag 2: 0/0", color="red"];
+  r1 -> r2 [label="tag 7: 0/0", color="red"];
+  r2 -> r3 [label="tag -3: 1/1"];
+  r3 -> r0 [label="tag 5: 1/1"];
+}
+
+"""
+    #: sha256 of the ``deps --format json`` bytes
+    DEPS_JSON_SHA256 = (
+        "ffc97ee549e38dd7fae334bd04d555039048fa6d4aa92028563f4e317c729408"
+    )
+
+    def test_deps_output_pinned(self, tmp_path, capsys):
+        path = tmp_path / "deps.jsonl"
+        write_jsonl(self.deps_trace(), path)
+        dot, doc = tmp_path / "deps.dot", tmp_path / "deps.json"
+        assert self.run("deps", str(path), "-o", str(dot)) == 0
+        assert self.run(
+            "deps", str(path), "--format", "json", "--shards", "2",
+            "-o", str(doc),
+        ) == 0
+        assert dot.read_text() == self.DEPS_DOT
+        data = json.loads(doc.read_text())
+        assert [
+            (c["src"], c["dst"], c["tag"], c["sends"], c["matched"],
+             c["orphan_recvs"])
+            for c in data["channels"]
+        ] == [
+            (0, 1, 1, 1, 0, 0), (0, 1, 2, 0, 0, 1), (1, 0, 1, 1, 0, 0),
+            (1, 0, 2, 0, 0, 1), (1, 2, 7, 0, 0, 1), (2, 3, -3, 1, 1, 0),
+            (3, 0, 5, 1, 1, 0),
+        ]
+        assert data["summary"]["wildcard_recvs"] == 1
+        assert hashlib.sha256(doc.read_bytes()).hexdigest() == (
+            self.DEPS_JSON_SHA256
+        )
 
     def test_deps_missing_file(self, capsys):
         from repro.cli import main

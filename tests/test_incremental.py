@@ -104,8 +104,8 @@ class TestChunkedFeeds:
         _assert_same_boot(kernel.finalize(), want)
 
     def test_validate_false(self, trace):
-        want = fused_bootstrap(trace, validate=False)
-        kernel = _kernel(trace, validate=False)
+        want = fused_bootstrap(trace, lint=False)
+        kernel = _kernel(trace, lint=False)
         for rank in trace.ranks:
             events = trace.events_of(rank)
             for i in range(0, len(events), 7):

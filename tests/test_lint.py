@@ -578,6 +578,142 @@ class TestPreflightWiring:
         with pytest.raises(LintError, match=r"error\[TL001\] rank 0 "):
             AnalysisSession(broken).replay()
 
+    @pytest.mark.parametrize(
+        "lint, code",
+        [
+            (None, "TL001"),
+            (True, "TL001"),
+            (LintConfig(select=("TL1*",)), "TL001"),
+            (LintConfig(ignore=("TL001",)), "TL201"),
+        ],
+        ids=["plain", "default", "select-TL1", "ignore-TL001"],
+    )
+    def test_lint_config_keeps_structural_gate(self, lint, code):
+        """A ``lint=`` config that skips structural rules still gets the
+        structural verdict, not a bare replay ``ValueError``."""
+        from repro.core.session import AnalysisSession
+
+        broken = trace_of({0: stream([(0.0, EventKind.LEAVE, 0)])})
+        with pytest.raises(LintError, match=rf"error\[{code}\]"):
+            AnalysisSession(broken, lint=lint).analysis()
+
+    @pytest.fixture()
+    def pairings(self, monkeypatch):
+        """Count every enter/leave pairing: lint views and plain replay."""
+        from repro.core import incremental
+        from repro.lint import engine
+        from repro.profiles import replay
+
+        calls = {"view": 0, "match_invocations": 0}
+        view_init = engine.RankView.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls["view"] += 1
+            view_init(self, *args, **kwargs)
+
+        def counting(module):
+            real = module.match_invocations
+
+            def match_invocations(*args, **kwargs):
+                calls["match_invocations"] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "match_invocations", match_invocations)
+
+        monkeypatch.setattr(engine.RankView, "__init__", counting_init)
+        counting(incremental)
+        counting(replay)
+        return calls
+
+    @pytest.mark.parametrize("warn", [False, True], ids=["clean", "warning"])
+    def test_clean_preflight_feeds_analysis(self, warn, pairings):
+        """A report without errors (warnings allowed) hands the scan's
+        tables to the analysis, which then pairs no rank again."""
+        from repro.core.session import AnalysisSession
+
+        tb = TraceBuilder(name="warn" if warn else "clean")
+        tb.region("main")
+        tb.region("iter")
+        for rank in range(3):
+            p = tb.process(rank)
+            p.enter(0.0, "main")
+            for i in range(4):
+                p.call(i + 1.0, i + 1.5 + 0.1 * rank, "iter")
+            if warn and rank == 1:  # TL103: a message to itself
+                p.send(6.0, 1, size=8, tag=0)
+                p.recv(6.5, 1, size=8, tag=0)
+            p.leave(7.0)
+        trace = tb.freeze()
+        session = AnalysisSession(trace)
+        report = session.preflight()
+        assert not report.counts()["error"]
+        assert {d.code for d in report.diagnostics} == ({"TL103"} if warn else set())
+        assert pairings["view"] == len(trace.ranks)
+        pairings.update(view=0, match_invocations=0)
+        session.analysis()
+        assert pairings == {"view": 0, "match_invocations": 0}
+        assert session.stats.computed["validate"] == 1
+        assert session.stats.computed["replay"] == len(trace.ranks)
+
+    def test_preflight_with_errors_adopts_nothing(self):
+        from repro.core.session import AnalysisSession
+
+        broken = trace_of(
+            {0: stream(balanced_rows(3)), 1: stream([(0.0, EventKind.LEAVE, 0)])}
+        )
+        session = AnalysisSession(broken)
+        assert session.preflight().counts()["error"]
+        assert session._tables is None and session._partials is None
+        assert session.stats.computed == {}
+        with pytest.raises(LintError, match="TL001"):
+            session.analysis()
+
+    def test_preflight_without_structural_rules_adopts_nothing(self):
+        """A scan that skips the structural rules builds no tables: it
+        cannot tell a stream replay would choke on (here a region id
+        of -1, balanced) from a sound one."""
+        from repro.core.fused import fused_bootstrap
+        from repro.core.session import AnalysisSession
+
+        bad_ref = [(0.0, EventKind.ENTER, -1), (1.0, EventKind.LEAVE, -1)]
+        trace = trace_of({0: stream(bad_ref), 1: stream(balanced_rows(3))})
+        boot = fused_bootstrap(trace, lint=LintConfig(select=("TL1*",)))
+        assert boot.tables == {} and boot.partials == {}
+        session = AnalysisSession(trace, lint=LintConfig(select=("TL1*",)))
+        assert session.preflight().ok
+        assert session._tables is None and session._partials is None
+        assert session.stats.computed == {}
+        with pytest.raises(LintError, match=r"error\[TL00\d\] rank 0 "):
+            session.analysis()
+
+    def test_cached_preflight_builds_no_tables(
+        self, tiny_trace, tmp_path, pairings, monkeypatch
+    ):
+        from repro.core import incremental
+        from repro.core.session import AnalysisSession
+
+        built = []
+        real = incremental.table_from_pairing
+        monkeypatch.setattr(
+            incremental,
+            "table_from_pairing",
+            lambda *args: built.append(1) or real(*args),
+        )
+        cold = AnalysisSession(tiny_trace, cache_dir=tmp_path)
+        report = cold.preflight()
+        assert built == [] and cold._tables is None
+        assert cold.cache.contains(f"valid-{cold.fingerprint.hexdigest}")
+        want = cold.analysis().report()
+
+        built.clear()
+        pairings.update(view=0, match_invocations=0)
+        warm = AnalysisSession(tiny_trace, cache_dir=tmp_path)
+        assert warm.preflight() == report
+        assert warm.analysis().report() == want
+        assert built == [] and pairings["match_invocations"] == 0
+        assert pairings["view"] == len(tiny_trace.ranks)  # the lint scan
+        assert warm.stats.disk_writes == {}
+
 
 class TestLintCLI:
     @pytest.fixture()
