@@ -110,11 +110,13 @@ def _session(trace, args, config=None, source_path=None):
 def _session_for_path(path: str, args, config=None):
     """Session over the trace at ``path``.
 
-    Without sharding flags the session reads the whole trace itself, so
-    a warm ``--cache-dir`` run can find its fingerprint by the file's
-    stat key.  With ``--shards``/``--max-memory-mb`` only the file's
-    chunk index is parsed here; worker processes load their own rank
-    groups, so the parent never holds the full event data.
+    Only the file's header and chunk index are parsed here.  Without
+    sharding flags the session decodes the events itself on first use,
+    which a warm ``--cache-dir`` run that finds its fingerprint by the
+    file's stat key never makes; a decode error raised then exits 2
+    from :func:`_run`.  With ``--shards``/``--max-memory-mb`` worker
+    processes load their own rank groups, so the parent never holds
+    the full event data.
     """
     with _reading(path):
         return _session(None, args, config, source_path=path)
@@ -1025,7 +1027,12 @@ def _cmd_perf(args) -> int:
 
 
 def _configure_cli_logging(args) -> None:
-    """Route -v/-q/--log-level (or env fallbacks) through repro.obs."""
+    """Route -v/-q/--log-level (or env fallbacks) through repro.obs.
+
+    Without any of them the default configuration waits for the first
+    logger a command asks for, so a command that logs nothing never
+    imports :mod:`logging`.
+    """
     from . import obs
 
     level = getattr(args, "log_level", None)
@@ -1035,7 +1042,10 @@ def _configure_cli_logging(args) -> None:
         if verbose or quiet:
             level = obs.verbosity_level(verbose, quiet)
     try:
-        obs.configure_logging(level=level)
+        if level is None:
+            obs.configure_logging_on_use()
+        else:
+            obs.configure_logging(level=level)
     except ValueError as err:
         raise CLIError(str(err))
 
@@ -1221,10 +1231,16 @@ def _run(argv: list[str] | None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValueError as err:
-        # A failed structural gate (repro.lint.LintError) is bad input.
-        # Looked up, not imported: the lint package is loaded only when
-        # a gate ran, and a warm-cache analyze runs none.
+        # A failed structural gate (repro.lint.LintError) is bad input,
+        # and so is a trace that fails to decode after _reading let go
+        # of it (a session decodes its file on first use).  Looked up,
+        # not imported: neither module need be loaded by now.
         lint_model = sys.modules.get("repro.lint.model")
+        reader = sys.modules.get("repro.trace.reader")
+        if reader is not None and isinstance(err, reader.TraceFormatError):
+            where = f"cannot read trace {err.path}: " if err.path else ""
+            print(f"error: {where}{err}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         if lint_model is None or not isinstance(err, lint_model.LintError):
             raise
         print(f"error: {err}", file=sys.stderr)

@@ -24,8 +24,10 @@ trace — even in a new process — loads statistics and SOS-times from
 disk and performs **zero** replay or profile recomputation; replayed
 invocation tables load only when a drill-down path indexes them, and
 are keyed per rank by the rank's event digest, so traces sharing event
-streams share artifacts.  A session that reads its own file finds the
-fingerprint through a ``stat-`` artifact instead of hashing the events.
+streams share artifacts.  A session that reads its own file parses
+only its header up front and decodes the event columns on first use;
+a ``stat-`` artifact gives it the fingerprint and time extent, so a
+warm report that needs nothing else decodes no event at all.
 
 :func:`repro.core.pipeline.analyze_trace` is a thin facade over this
 class; use a session directly when analysing the same trace more than
@@ -299,21 +301,25 @@ def _stat_key(path: str) -> tuple | None:
     )
 
 
-def _fingerprint_to_arrays(key: tuple, fp: TraceFingerprint) -> dict[str, np.ndarray]:
+def _fingerprint_to_arrays(
+    key: tuple, fp: TraceFingerprint, extent: tuple[float, float]
+) -> dict[str, np.ndarray]:
     return {
         "key": np.array(repr(key)),
         "definitions": np.array(fp.definitions),
         "ranks": np.array([rank for rank, _ in fp.per_rank], dtype=np.int64),
         "digests": np.array([digest for _, digest in fp.per_rank], dtype=str),
         "hexdigest": np.array(fp.hexdigest),
+        "extent": np.array(extent, dtype=np.float64),
     }
 
 
 def _fingerprint_from_arrays(
     key: tuple, arrays: dict[str, np.ndarray]
-) -> TraceFingerprint | None:
-    """The recorded fingerprint, or None unless the entry is intact and
-    recorded for exactly ``key``."""
+) -> tuple[TraceFingerprint, tuple[float, float]] | None:
+    """The recorded fingerprint and ``(t_min, t_max)``, or None unless
+    the entry is intact, carries the extent and was recorded for
+    exactly ``key``."""
     try:
         if str(arrays["key"]) != repr(key):
             return None
@@ -322,9 +328,85 @@ def _fingerprint_from_arrays(
         )
         fp = combine_fingerprint(str(arrays["definitions"]), per_rank)
         intact = fp.hexdigest == str(arrays["hexdigest"])
+        t_min, t_max = arrays["extent"].astype(np.float64).tolist()
     except (KeyError, ValueError, TypeError):
         return None
-    return fp if intact else None
+    return (fp, (t_min, t_max)) if intact else None
+
+
+def _read_unchanged(path: str, key: tuple | None) -> Trace:
+    """:func:`read_trace` of ``path``, which must still have stat key
+    ``key`` before and after the read.
+
+    A file replaced or rewritten since ``key`` was taken raises
+    :class:`TraceFormatError` rather than decoding other content than
+    the header parsed then described.
+    """
+    from ..trace.reader import TraceFormatError, read_trace
+
+    def check() -> None:
+        if _stat_key(path) != key:
+            raise TraceFormatError(
+                f"{path} changed after it was opened", path=path
+            )
+
+    check()
+    try:
+        trace = read_trace(path)
+    except TraceFormatError as err:
+        err.path = path
+        raise
+    check()
+    return trace
+
+
+class _PathTrace(Trace):
+    """A session's own trace file, its event streams decoded on first use.
+
+    Definitions, ranks and event counts come from the file's
+    :class:`~repro.trace.reader.TraceIndex`; the time extent comes from
+    ``extent`` once a ``stat-`` artifact hit has set it.  The first
+    access to an event stream decodes the whole file with ``load``.
+    """
+
+    def __init__(self, index, load: Callable[[], Trace]) -> None:
+        super().__init__(index.regions, index.metrics, index.name, index.attributes)
+        # No streams yet: __getattr__ decodes them on first access.
+        del self._processes
+        self._load = load
+        self._ranks = index.ranks
+        self._num_events = index.num_events
+        #: ``(t_min, t_max)`` restored from a ``stat-`` artifact
+        self.extent: tuple[float, float] | None = None
+
+    def __getattr__(self, name: str):
+        if name != "_processes":
+            raise AttributeError(name)
+        self._processes = self._load()._processes
+        return self._processes
+
+    @property
+    def ranks(self) -> list[int]:
+        return list(self._ranks)
+
+    @property
+    def num_processes(self) -> int:
+        return len(self._ranks)
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    @property
+    def num_events(self) -> int:
+        return self._num_events
+
+    @property
+    def t_min(self) -> float:
+        return self.extent[0] if self.extent is not None else super().t_min
+
+    @property
+    def t_max(self) -> float:
+        return self.extent[1] if self.extent is not None else super().t_max
 
 
 class _LazyTables(Mapping):
@@ -434,15 +516,16 @@ class AnalysisSession:
         self.sharded = shards is not None or max_memory_mb is not None
         self._index = None  # TraceIndex over source_path (lazy)
         self._engine = None  # ShardEngine (lazy)
-        #: stat key of the file this session read itself, taken before
-        #: the read; keys the ``stat-`` shortcut to the fingerprint
+        #: stat key of the file this session reads itself, taken before
+        #: its header is parsed; keys the ``stat-`` shortcut to the
+        #: fingerprint and guards the deferred decode
         self._stat: tuple | None = None
         if trace is None:
             if self.source_path is None:
                 raise ValueError(
                     "AnalysisSession needs a trace or a source_path"
                 )
-            from ..trace.reader import TraceIndex, read_trace
+            from ..trace.reader import TraceIndex
 
             if self.sharded:
                 # The parent never materialises event streams — workers
@@ -450,9 +533,11 @@ class AnalysisSession:
                 self._index = TraceIndex(self.source_path)
                 trace = self._index.definitions_trace()
             else:
-                if cache_dir is not None:
-                    self._stat = _stat_key(self.source_path)
-                trace = read_trace(self.source_path)
+                path = self.source_path
+                self._stat = key = _stat_key(path)
+                trace = _PathTrace(
+                    TraceIndex(path), lambda: _read_unchanged(path, key)
+                )
         self.trace = trace
         self.cache = (
             ArtifactCache(os.path.expanduser(str(cache_dir)))
@@ -493,26 +578,35 @@ class AnalysisSession:
         As in git's index, a file whose path, size, mtime, ctime, inode
         and device all equal a recorded entry's is taken to hold the
         recorded content, so a warm session need not hash its events.
-        Any miss, mismatch or corrupt entry falls back to hashing.  An
-        entry is recorded only when the file's stat did not change
-        across the read and the hash, and when neither its mtime nor
-        its ctime lies within :data:`_RACY_NS` of now: a later write
-        then always lands in a later timestamp tick and changes the
-        ctime, which no program can set back.
+        The entry also holds the trace's time extent, which a hit hands
+        to the :class:`_PathTrace`: neither needs an event decoded.
+        Any miss, mismatch, corrupt entry or entry without the extent
+        falls back to hashing.  An entry is recorded only when the
+        file's stat did not change across the read and the hash, and
+        when neither its mtime nor its ctime lies within
+        :data:`_RACY_NS` of now: a later write then always lands in a
+        later timestamp tick and changes the ctime, which no program
+        can set back.
         """
         key = self._stat
-        if key is None or _stat_key(self.source_path) != key:
+        if (
+            self.cache is None
+            or key is None
+            or _stat_key(self.source_path) != key
+        ):
             return fingerprint_trace(self.trace)
         name = f"stat-{_digest(repr(key))}"
         arrays = self.cache.load(name)
         if arrays is not None:
-            fp = _fingerprint_from_arrays(key, arrays)
-            if fp is not None:
+            hit = _fingerprint_from_arrays(key, arrays)
+            if hit is not None:
+                fp, self.trace.extent = hit
                 return fp
         fp = fingerprint_trace(self.trace)
         settled = time.time_ns() - max(key[2], key[3]) >= _RACY_NS
         if settled and _stat_key(self.source_path) == key:
-            self.cache.store(name, _fingerprint_to_arrays(key, fp))
+            extent = (self.trace.t_min, self.trace.t_max)
+            self.cache.store(name, _fingerprint_to_arrays(key, fp, extent))
         return fp
 
     @property

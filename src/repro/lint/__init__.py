@@ -57,16 +57,6 @@ from .engine import (
     lint_trace,
     validate_config,
 )
-from .hb import (
-    HBView,
-    MatchGraph,
-    MatchRecords,
-    VectorClockEngine,
-    extract_match_records,
-    graph_to_dot,
-    graph_to_json_dict,
-    match_graph_for_trace,
-)
 from .model import Diagnostic, LintConfig, LintError, LintReport, Severity
 from .registry import (
     Finding,
@@ -77,7 +67,6 @@ from .registry import (
     register_rule,
     validate_subset_codes,
 )
-from .sarif import sarif_dict
 
 __all__ = [
     "Severity",
@@ -112,3 +101,28 @@ __all__ = [
     "hb_graph_path",
     "hb_rules_enabled",
 ]
+
+#: Names of the happens-before analyzer and the SARIF writer, imported
+#: on first use: the structural gate of every analysis needs neither.
+_LAZY = {
+    "HBView": "hb",
+    "MatchGraph": "hb",
+    "MatchRecords": "hb",
+    "VectorClockEngine": "hb",
+    "extract_match_records": "hb",
+    "graph_to_dot": "hb",
+    "graph_to_json_dict": "hb",
+    "match_graph_for_trace": "hb",
+    "sarif_dict": "sarif",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module 'repro.lint' has no attribute {name!r}")

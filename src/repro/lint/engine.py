@@ -101,6 +101,25 @@ class LintShared:
     sync_mask: np.ndarray  # bool per region (classifier-selected)
     known_ranks: np.ndarray  # sorted int64, for np.searchsorted lookups
     config: LintConfig
+    #: the config's enabled rules by scope, resolved once: every rank's
+    #: scan would otherwise match each rule code against the patterns
+    scoped_rules: dict[str, tuple[Rule, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        scoped: dict[str, list[Rule]] = {}
+        for rule in enabled_rules(self.config):
+            scoped.setdefault(rule.scope, []).append(rule)
+        object.__setattr__(
+            self,
+            "scoped_rules",
+            {scope: tuple(rules) for scope, rules in scoped.items()},
+        )
+
+    def rules(self, scope: str) -> tuple[Rule, ...]:
+        """Enabled rules of ``scope``, in code order."""
+        return self.scoped_rules.get(scope, ())
 
     @classmethod
     def from_definitions(
@@ -344,7 +363,7 @@ def scan_view(view: RankView) -> tuple[list[Diagnostic], RankSummary]:
     shared = view.shared
     diags: list[Diagnostic] = []
     timed = obs.enabled()
-    for rule in enabled_rules(shared.config, scope="rank"):
+    for rule in shared.rules("rank"):
         t0 = time.perf_counter() if timed else 0.0
         for finding in rule.check(view):
             diags.append(
@@ -362,7 +381,7 @@ def _trace_scope_diagnostics(
 ) -> list[Diagnostic]:
     tview = TraceView(shared, summaries)
     diags: list[Diagnostic] = []
-    for rule in enabled_rules(shared.config, scope="trace"):
+    for rule in shared.rules("trace"):
         for finding in rule.check(tview):
             diags.append(_stamp(rule, shared.config, finding))
     return diags
@@ -375,7 +394,7 @@ def _hb_scope_diagnostics(shared: LintShared, graph) -> list[Diagnostic]:
     hbview = HBView(shared, graph)
     diags: list[Diagnostic] = []
     timed = obs.enabled()
-    for rule in enabled_rules(shared.config, scope="hb"):
+    for rule in shared.rules("hb"):
         t0 = time.perf_counter() if timed else 0.0
         for finding in rule.check(hbview):
             diags.append(_stamp(rule, shared.config, finding))
@@ -407,7 +426,7 @@ def finalize_report(
     """
     diags = list(rank_diags)
     diags.extend(_trace_scope_diagnostics(shared, summaries))
-    if hb_rules_enabled(shared.config):
+    if shared.rules("hb"):
         from .hb import MatchGraph
 
         graph = match_records if isinstance(match_records, MatchGraph) else None

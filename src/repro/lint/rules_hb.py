@@ -14,13 +14,15 @@ stream would be phantoms.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .hb import HBView, _group_ids
 from .model import Severity
 from .registry import Finding, register_rule
+
+if TYPE_CHECKING:
+    from .hb import HBView
 
 __all__: list[str] = []
 
@@ -254,6 +256,8 @@ def orphan_messages(hbview: HBView) -> Iterator[Finding]:
     truncated stream); a leftover receive expects a message nobody
     sent.  Reported aggregated per (src, dst, tag) channel.
     """
+    from .hb import _group_ids
+
     g = hbview.graph
     if not g.complete:
         return

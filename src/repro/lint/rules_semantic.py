@@ -20,7 +20,6 @@ from typing import Iterator
 import numpy as np
 
 from ..trace.definitions import Paradigm, RegionRole
-from .hb import COLLECTIVE_NAMES as _COLLECTIVE_NAMES
 from .model import Severity
 from .registry import Finding, register_rule
 
@@ -73,6 +72,8 @@ def collective_mismatch(tview) -> Iterator[Finding]:
     same number of times by every rank; uneven counts indicate a
     deadlock-in-waiting or a torn trace.
     """
+    from .hb import COLLECTIVE_NAMES
+
     shared = tview.shared
     if len(tview.ranks) < 2:
         return
@@ -82,7 +83,7 @@ def collective_mismatch(tview) -> Iterator[Finding]:
     for region in range(shared.num_regions):
         if shared.region_paradigm[region] != int(Paradigm.MPI):
             continue
-        if shared.region_names[region] not in _COLLECTIVE_NAMES:
+        if shared.region_names[region] not in COLLECTIVE_NAMES:
             continue
         col = counts[:, region]
         lo, hi = int(col.min()), int(col.max())

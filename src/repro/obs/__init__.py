@@ -20,6 +20,10 @@ when disabled.  See ``docs/observability.md``.
 
 from __future__ import annotations
 
+import os
+import sys
+from typing import IO
+
 from .core import (
     Collector,
     Counter,
@@ -37,7 +41,6 @@ from .core import (
     span,
     traced,
 )
-from .logs import configure_logging, get_logger, verbosity_level
 
 __all__ = [
     "Collector",
@@ -50,6 +53,7 @@ __all__ = [
     "SpanRecord",
     "collector",
     "configure_logging",
+    "configure_logging_on_use",
     "counter",
     "current_context",
     "disable",
@@ -80,7 +84,54 @@ _LAZY = {
     "Profiler": ("profiler", "Profiler"),
     "render_prometheus": ("metrics", "render_prometheus"),
     "write_metrics_file": ("metrics", "write_metrics_file"),
+    "verbosity_level": ("logs", "verbosity_level"),
 }
+
+#: Set by :func:`configure_logging_on_use`: the default configuration
+#: waits for the first :func:`get_logger` call.
+_default_logging_pending = False
+
+
+def configure_logging(
+    level: int | str | None = None,
+    fmt: str | None = None,
+    stream: IO[str] | None = None,
+):
+    """Configure the ``repro`` loggers; see
+    :func:`repro.obs.logs.configure_logging`."""
+    global _default_logging_pending
+    from .logs import configure_logging
+
+    _default_logging_pending = False
+    return configure_logging(level=level, fmt=fmt, stream=stream)
+
+
+def configure_logging_on_use() -> None:
+    """:func:`configure_logging` with its defaults, applied when
+    :func:`get_logger` is first called.
+
+    A command that logs nothing then never imports :mod:`logging`.
+    When ``REPRO_LOG`` or ``REPRO_LOG_LEVEL`` asks for a format or a
+    level, or logging is configured already, it applies at once.
+    """
+    global _default_logging_pending
+    if "repro.obs.logs" in sys.modules or any(
+        os.environ.get(name, "").strip()
+        for name in ("REPRO_LOG", "REPRO_LOG_LEVEL")
+    ):
+        configure_logging()
+    else:
+        _default_logging_pending = True
+
+
+def get_logger(name: str):
+    """Logger under the ``repro`` hierarchy; see
+    :func:`repro.obs.logs.get_logger`."""
+    from .logs import get_logger
+
+    if _default_logging_pending:
+        configure_logging()
+    return get_logger(name)
 
 
 def __getattr__(name: str):

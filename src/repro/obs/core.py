@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import threading
-import uuid
 from collections import deque
 from typing import Any, Callable, Iterator
 
@@ -214,7 +213,11 @@ class Collector:
         self.clock = clock
         self.origin = origin
         self.pid = os.getpid()
-        self.trace_id = trace_id or uuid.uuid4().hex[:16]
+        if not trace_id:
+            import uuid  # deferred: a command run without telemetry needs none
+
+            trace_id = uuid.uuid4().hex[:16]
+        self.trace_id = trace_id
         self.epoch = float(epoch) if epoch is not None else float(clock.now())
         self.parent_span = parent_span
         self.series_resolution = float(series_resolution)

@@ -62,7 +62,15 @@ _BIN_COLUMNS = ("time", "kind", "ref", "partner", "size", "tag", "value")
 
 
 class TraceFormatError(ValueError):
-    """Raised when a trace file is malformed or has the wrong version."""
+    """Raised when a trace file is malformed or has the wrong version.
+
+    ``path`` names the file when the error surfaces away from the call
+    that opened it, as a deferred decode's does.
+    """
+
+    def __init__(self, *args, path: str | None = None) -> None:
+        super().__init__(*args)
+        self.path = path
 
 
 def _check_header(header) -> None:

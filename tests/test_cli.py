@@ -267,7 +267,8 @@ class TestProcess:
             "from repro.cli import main\n"
             "assert main(['analyze', sys.argv[1]]) == 0\n"
             "unused = ('scipy', 'importlib.metadata', 'xml.sax',\n"
-            "          'repro.core.streaming', 'repro.core.shard', 'numpy.ma')\n"
+            "          'repro.core.streaming', 'repro.core.shard', 'numpy.ma',\n"
+            "          'uuid', 'logging', 'repro.lint.hb', 'repro.lint.sarif')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -294,7 +295,8 @@ class TestProcess:
             "import sys\n"
             "from repro.cli import main\n"
             "assert main(['analyze', sys.argv[1], '--cache-dir', sys.argv[2]]) == 0\n"
-            "unused = ('repro.lint', 'repro.trace.validate', 'numpy.ma')\n"
+            "unused = ('repro.lint', 'repro.trace.validate', 'numpy.ma',\n"
+            "          'uuid', 'logging')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -698,6 +700,84 @@ class TestCorruptInput:
             assert len(lines) == 1 and lines[0].startswith("error: "), err
             verdicts.add(lines[0])
         assert len(verdicts) == 1, verdicts
+
+    def test_cached_route_exit_2_without_traceback(
+        self, corrupt_traces, tmp_path, monkeypatch, capsys
+    ):
+        # A primed cache, then one byte flipped inside a column blob:
+        # the warm run decodes the file on first use, away from the
+        # open, and must still give the cold run's one-line verdict.
+        import shutil
+        import time
+
+        monkeypatch.setattr("repro.core.session._RACY_NS", 0)
+        path, cache = tmp_path / "t.rpt", str(tmp_path / "cache")
+        shutil.copyfile(corrupt_traces["bitflip"].parent / "clean.rpt", path)
+        assert main(["analyze", str(path), "--cache-dir", cache]) == 0
+        time.sleep(0.05)  # past a timestamp tick, so the stat key moves
+        path.write_bytes(corrupt_traces["bitflip"].read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--cache-dir", cache]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == lines[0]
+
+
+class TestWarmAnalyze:
+    """A warm ``analyze`` prints what the cold one does, and one whose
+    file's stat key is recorded decodes no event to do it."""
+
+    @pytest.fixture()
+    def primed(self, trace_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("repro.core.session._RACY_NS", 0)
+        cache = str(tmp_path / "cache")
+        assert main(["analyze", str(trace_path), "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        return cache
+
+    @staticmethod
+    def _no_decode(monkeypatch):
+        def read_trace(path, columns=None):
+            raise AssertionError(f"warm analyze decoded {path}")
+
+        monkeypatch.setattr("repro.trace.reader.read_trace", read_trace)
+
+    def test_stdout_matches_the_cold_run(
+        self, trace_path, primed, monkeypatch, capsys
+    ):
+        assert main(["analyze", str(trace_path)]) == 0
+        cold = capsys.readouterr().out
+        self._no_decode(monkeypatch)
+        assert main(["analyze", str(trace_path), "--cache-dir", primed]) == 0
+        warm = capsys.readouterr().out
+        assert warm.startswith(cold)
+        assert re.fullmatch(r"\ncache: .*\n", warm[len(cold):])
+
+    def test_json_matches_the_cold_run(
+        self, trace_path, primed, tmp_path, monkeypatch, capsys
+    ):
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main(["analyze", str(trace_path), "--json", str(cold)]) == 0
+        self._no_decode(monkeypatch)
+        assert main([
+            "analyze", str(trace_path), "--cache-dir", primed,
+            "--json", str(warm),
+        ]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        capsys.readouterr()
+
+    def test_html_matches_the_cold_run(self, trace_path, primed, tmp_path, capsys):
+        cold, warm = tmp_path / "cold.html", tmp_path / "warm.html"
+        assert main(["analyze", str(trace_path), "--html", str(cold)]) == 0
+        assert main([
+            "analyze", str(trace_path), "--cache-dir", primed,
+            "--html", str(warm),
+        ]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        capsys.readouterr()
 
 
 def _structural_trace(code: str):

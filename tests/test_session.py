@@ -7,12 +7,14 @@ recomputation, and fingerprints are stable under codec round-trips.
 """
 
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.core import AnalysisSession, analyze_trace
 from repro.core.classify import SyncClassifier
 from repro.core.session import ArtifactCache, SessionStats, _LRU
@@ -24,6 +26,7 @@ from repro.trace.fingerprint import (
     fingerprint_events,
     fingerprint_trace,
 )
+from repro.trace.reader import TraceFormatError
 
 
 @st.composite
@@ -437,3 +440,92 @@ class TestStatKey:
         in_memory.analysis()
         assert sharded.fingerprint == in_memory.fingerprint
         assert self._stat_keys(cache) == []
+
+
+class TestDeferredDecode:
+    """A path-mode session decodes its file's events on first use, and
+    a ``stat-`` hit leaves nothing for a report to decode."""
+
+    @pytest.fixture()
+    def settled(self, monkeypatch):
+        monkeypatch.setattr("repro.core.session._RACY_NS", 0)
+
+    @staticmethod
+    def _primed(tmp_path):
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        write_binary(_spmd(0.2), path, codec="raw")
+        AnalysisSession(None, source_path=path, cache_dir=cache).analysis()
+        return path, cache
+
+    @staticmethod
+    def _traced_report(path, cache):
+        """Report of a fresh session, with the spans and counters it
+        recorded."""
+        col = obs.enable()
+        try:
+            session = AnalysisSession(None, source_path=path, cache_dir=cache)
+            report = session.analysis().report()
+        finally:
+            col = obs.disable()
+        return report, {s.name for s in col.iter_spans()}, col.counters()
+
+    def test_stat_hit_decodes_no_event(self, settled, tmp_path):
+        path, cache = self._primed(tmp_path)
+        report, spans, counters = self._traced_report(path, cache)
+        assert not spans & {"io.read", "io.load"}
+        assert "io.events_loaded" not in counters
+        cold = AnalysisSession(None, source_path=path).analysis().report()
+        assert report == cold
+
+    def test_stat_hit_restores_the_extent(self, settled, tmp_path):
+        path, cache = self._primed(tmp_path)
+        warm = AnalysisSession(None, source_path=path, cache_dir=cache)
+        warm.fingerprint
+        trace = read_trace(path)
+        assert warm.trace.extent == (trace.t_min, trace.t_max)
+        assert warm.duration == trace.duration
+        assert warm.num_events == trace.num_events
+
+    def test_entry_without_extent_is_a_miss_and_rewritten(
+        self, settled, tmp_path
+    ):
+        path, cache = self._primed(tmp_path)
+        store = ArtifactCache(cache)
+        (key,) = [k for k in store.keys() if k.startswith("stat-")]
+        arrays = store.load(key)
+        del arrays["extent"]  # an entry as written before it held one
+        store.store(key, arrays)
+        report, spans, _ = self._traced_report(path, cache)
+        assert "io.read" in spans
+        assert report == AnalysisSession(None, source_path=path).analysis().report()
+        trace = read_trace(path)
+        assert store.load(key)["extent"].tolist() == [trace.t_min, trace.t_max]
+        _, spans, _ = self._traced_report(path, cache)
+        assert "io.read" not in spans
+
+    def test_replaced_by_rename_after_open(self, tmp_path):
+        path = tmp_path / "t.rpt"
+        write_binary(_spmd(0.2), path, codec="raw")
+        session = AnalysisSession(None, source_path=path)
+        other = tmp_path / "other.rpt"
+        write_binary(_spmd(0.3), other, codec="raw")
+        before = os.stat(path)
+        os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(other, path)
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))) as err:
+            session.trace.events_of(0)
+        assert err.value.path == str(path)
+
+    def test_in_place_rewrite_after_open(self, tmp_path):
+        path = tmp_path / "t.rpt"
+        write_binary(_spmd(0.2), path, codec="raw")
+        session = AnalysisSession(None, source_path=path)
+        before = os.stat(path)
+        other = tmp_path / "other.rpt"
+        write_binary(_spmd(0.3), other, codec="raw")
+        time.sleep(0.05)  # past a timestamp tick, so the ctime moves
+        path.write_bytes(other.read_bytes())
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))):
+            session.analysis()
