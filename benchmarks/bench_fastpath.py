@@ -14,7 +14,9 @@ The fast path attacks both ends of the pipeline measured in E15:
 Acceptance targets (ISSUE 4): end-to-end analysis of the E15 workload
 (16 ranks × 1500 iterations, 504k events) >= 3x faster than the pre-PR
 324.0 ms baseline, and cold v2 reads of a >= 2M-event trace >= 5x
-faster than the v1 zlib path.
+faster than the v1 zlib path.  The rank-batched kernel adds a scaling
+gate: per event, ``fused_bootstrap`` on 1024 ranks costs at most twice
+what it costs on 16 ranks of about as many events.
 
 Results land in ``benchmarks/results/E16_fastpath.txt`` and
 ``BENCH_fastpath.json``; EXPERIMENTS.md (E16) records the trajectory.
@@ -34,6 +36,9 @@ from repro.trace.reader import TraceIndex
 PRE_PR_ANALYZE_S = 0.324
 ANALYZE_TARGET_SPEEDUP = 3.0
 COLD_READ_TARGET_SPEEDUP = 5.0
+#: Largest allowed ratio of the fused kernel's per-event cost on 1024
+#: ranks to its cost on 16 ranks at about equal events.
+RANK_SCALING_MAX_RATIO = 2.0
 
 
 def _timed(fn, repeats=3):
@@ -54,6 +59,14 @@ def e15_trace():
     trace = generate(SyntheticConfig(ranks=16, iterations=1500, seed=3))
     assert trace.num_events >= 500_000, f"only {trace.num_events} events"
     return trace
+
+
+@pytest.fixture(scope="module")
+def wide_trace():
+    """1024 ranks x 23 iterations: as many events as the E15 trace."""
+    from repro.sim.workloads.synthetic import SyntheticConfig, generate
+
+    return generate(SyntheticConfig(ranks=1024, iterations=23, seed=3))
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +161,50 @@ def test_cold_v2_read_speedup(big_rpt_pair, report, bench_meta):
         f"v2 cold read is only {speedup:.1f}x faster than v1 "
         f"(target {COLD_READ_TARGET_SPEEDUP}x)"
     )
+
+
+def test_fused_rank_scaling(e15_trace, wide_trace, report, bench_meta):
+    from repro.core.fused import fused_bootstrap
+    from repro.lint import LintConfig
+
+    traces = {16: e15_trace, 1024: wide_trace}
+    scans = {"gate": None, "every_rule": LintConfig()}
+    for trace in traces.values():  # warm-up: imports, ufunc dispatch
+        fused_bootstrap(trace)
+    best = {}
+    for _ in range(3):  # best of 3, alternating so drift hits both sides
+        for ranks, trace in traces.items():
+            for scan, lint in scans.items():
+                t0 = time.perf_counter()
+                fused_bootstrap(trace, lint=lint)
+                ns = (time.perf_counter() - t0) / trace.num_events * 1e9
+                best[ranks, scan] = min(best.get((ranks, scan), float("inf")), ns)
+    ratio = {scan: best[1024, scan] / best[16, scan] for scan in scans}
+    bench_meta(
+        wall_s=best[1024, "every_rule"] * wide_trace.num_events * 1e-9,
+        timer="best-of-3",
+        events=wide_trace.num_events,
+        **{f"ns_per_event_{r}r_{scan}": best[r, scan] for r, scan in best},
+        **{f"ratio_{scan}": value for scan, value in ratio.items()},
+    )
+    report(
+        "E16_fastpath_rank_scaling",
+        [
+            f"traces: 16 ranks x 1500 iterations ({e15_trace.num_events} "
+            f"events), 1024 ranks x 23 iterations "
+            f"({wide_trace.num_events} events)",
+            "",
+            "fused_bootstrap, best of 3, ns/event:",
+            *(
+                f"  {scan:<10} 16 ranks {best[16, scan]:6.1f}   "
+                f"1024 ranks {best[1024, scan]:6.1f}   "
+                f"ratio {ratio[scan]:.2f} (max {RANK_SCALING_MAX_RATIO:.0f})"
+                for scan in scans
+            ),
+        ],
+    )
+    for scan, value in ratio.items():
+        assert value <= RANK_SCALING_MAX_RATIO, (
+            f"{scan}: the kernel costs {value:.2f}x more per event on 1024 "
+            f"ranks than on 16 (max {RANK_SCALING_MAX_RATIO})"
+        )

@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="draw message lines on the timeline")
     _add_cache_arg(ren)
 
-    info = sub.add_parser("info", help="print trace summary")
+    info = sub.add_parser(
+        "info", help="print trace summary (structurally invalid: exit 2)"
+    )
     info.add_argument("trace")
 
     lint = sub.add_parser(
@@ -661,7 +663,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .core.fused import fused_bootstrap
+
     trace = _load_trace(args.trace)
+    # The structural gate every analysis runs, without building tables:
+    # a trace analyze would refuse gets the same verdict here.
+    fused_bootstrap(trace, table_ranks=()).report.raise_for_errors()
     for key, value in trace.summary().items():
         print(f"{key:>12}: {value}")
     if trace.attributes:

@@ -1,27 +1,26 @@
 """Fused single-pass analysis kernel (batch entry point).
 
 A staged pipeline touches every event stream twice before any
-analysis product exists: once in the lint pass (which builds the lint
-engine's :class:`~repro.lint.engine.RankView`, including the
-depth-trick enter/leave pairing) and once in
+analysis product exists: once in the lint pass (which pairs enters
+and leaves to check nesting) and once in
 :func:`~repro.profiles.replay.match_invocations` (which re-derives the
 exact same masks and pairing from scratch), and then a third partial
 pass aggregates per-region statistics from the tables.
 
-:func:`fused_bootstrap` does all three per rank in **one** pass.  The
-per-rank work lives in :class:`~repro.core.incremental.IncrementalKernel`
-— the cursor-driven engine behind streaming and the sharded workers —
-and this function is simply the batch driver: one whole-rank chunk per
-rank.  The scan runs any :class:`~repro.lint.model.LintConfig`: the
-structural gate by default, the full rule set for
-``analyze --preflight``, whose report then comes out of the same pass
-that builds the tables.  Outputs are bitwise identical to the staged
-pipeline by construction:
+:func:`fused_bootstrap` does all three in **one** pass.  The work
+lives in :class:`~repro.core.incremental.IncrementalKernel` — the
+cursor-driven engine behind streaming and the sharded workers, which
+runs ranks in batches — and this function is simply the batch driver:
+one whole-rank chunk per rank.  The scan runs any
+:class:`~repro.lint.model.LintConfig`: the structural gate by
+default, the full rule set for ``analyze --preflight``, whose report
+then comes out of the same pass that builds the tables.  Outputs are
+bitwise identical to the staged pipeline by construction:
 
-* diagnostics come from the same rules over the same views, finalised
-  exactly like ``lint_trace(trace, config=lint)``;
-* tables share :func:`~repro.profiles.replay._build_table` with
-  ``match_invocations``;
+* diagnostics come from the same rules, finalised exactly like
+  ``lint_trace(trace, config=lint)``, which scans one-rank batches;
+* tables share :func:`~repro.profiles.replay.table_from_pairing` with
+  ``match_invocations`` (its one-rank batch);
 * statistics partials merge rank-ascending, which is the definition of
   :meth:`~repro.profiles.stats.FunctionStatistics.from_partials`.
 

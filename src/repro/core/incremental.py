@@ -1,37 +1,47 @@
 """Incremental (cursor-driven) analysis kernel.
 
 :func:`~repro.core.fused.fused_bootstrap` fuses validation, replay and
-statistics aggregation into one pass per rank, but it consumes a fully
+statistics aggregation into one pass, but it consumes a fully
 materialised :class:`~repro.trace.trace.Trace`.  This module is the
 same kernel turned inside out: :class:`IncrementalKernel` *accepts*
 event chunks per rank (from any :class:`~repro.trace.cursor.EventCursor`)
-and finalises each rank when its stream ends, so the batch path becomes
+and finalises ranks as their streams end, so the batch path becomes
 "streaming over a finished file" and a live feed is just another
 producer.
+
+Rank batches
+------------
+
+Finished ranks join a pending batch, which runs once it holds
+:data:`_BATCH_EVENTS` events (and at :meth:`IncrementalKernel.finalize`).
+One batch is one pass over its ranks' joined columns: the lint view
+(:class:`~repro.lint.engine.BatchView`, whose
+:func:`~repro.profiles.replay.pair_events` pairing replay reuses), the
+tables (:func:`~repro.profiles.replay.table_from_pairing`), the
+statistics partials
+(:func:`~repro.profiles.stats.batch_statistics_arrays`) and the match
+records — NumPy calls per batch, not per rank.
 
 Identity guarantee
 ------------------
 
-On a completed trace the kernel's products are **bitwise identical**
-to ``fused_bootstrap``: when a rank finishes, its buffered chunks are
-assembled into the exact column arrays the batch path would have
-loaded and run through the very same code
-(:class:`~repro.lint.engine.RankView` → ``scan_view`` →
-:func:`~repro.profiles.replay.table_from_pairing` →
-:func:`~repro.profiles.stats.rank_statistics_arrays`).  There is no
-re-implementation to drift; ``tests/test_differential.py`` locks the
-identity across chunk sizes, shard counts and file formats.
+Every product is split back per rank and is **bitwise identical** to
+processing the rank alone: depth resets at rank boundaries, and every
+sum accumulates per (rank, region) key in the same row order.  So the
+batch size changes nothing but speed; ``tests/test_differential.py``
+locks the identity across batch sizes, chunk sizes, shard counts and
+file formats.
 
 Memory
 ------
 
-Peak memory is bounded by the largest single rank (plus one transient
-copy while chunks are joined), **not** the trace: a rank's buffers are
-dropped as soon as it is finalised.  ``table_sink`` lets callers spill
+Peak memory is bounded by max(largest rank, :data:`_BATCH_EVENTS`
+events) plus the batch's transients, **not** the trace: a rank larger
+than the constant runs as a batch of its own, and a batch's buffers
+are dropped as soon as it has run.  ``table_sink`` lets callers spill
 each rank's invocation table the moment it exists (the shard workers
-do), which keeps resident state to the per-region statistics partials —
-a few KiB per rank.  Chunk-granular replay would not improve on this
-asymptotically: the invocation table itself is Θ(events).
+do), which keeps resident state to the per-region statistics partials
+— a few KiB per rank.
 """
 
 from __future__ import annotations
@@ -42,21 +52,25 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal
 import numpy as np
 
 from .. import obs
-from ..profiles.replay import InvocationTable, match_invocations, table_from_pairing
-from ..profiles.stats import rank_statistics_arrays
+from ..profiles.replay import InvocationTable, pair_events, table_from_pairing
+from ..profiles.stats import batch_statistics_arrays
 from ..trace.cursor import EventCursor
 from ..trace.definitions import MetricRegistry, RegionRegistry
-from ..trace.events import EventKind, EventList
+from ..trace.events import _DTYPES, _FIELDS, EventKind, EventList
 
 if TYPE_CHECKING:
     from ..lint.model import LintConfig, LintReport
 
 __all__ = ["FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"]
 
-#: Events pushed through the fused per-rank pass (telemetry).
+#: Events a pending batch gathers before it runs.  Large enough that
+#: NumPy's per-call cost vanishes at thousands of ranks, small enough
+#: that the batch's transients stay cache-sized and far below the
+#: memory of the tables it produces.
+_BATCH_EVENTS = 1 << 15
+
+#: Events pushed through the fused pass (telemetry).
 _C_EVENTS = obs.counter("analysis.events")
-_SEND = np.uint8(EventKind.SEND)
-_RECV = np.uint8(EventKind.RECV)
 
 
 @dataclass
@@ -78,52 +92,51 @@ class FusedBootstrap:
     report: LintReport | None
 
 
-def _concat_chunks(chunks: list[EventList]) -> EventList:
-    """Join buffered chunks into the rank's full event list.
+class _JoinedEvents:
+    """Event columns of a batch's chunks, joined on first access.
 
-    Single-chunk ranks pass through without copying.  The joined
-    columns are value-identical to a whole-rank load, so everything
-    computed from them is bitwise equal to the batch path.
+    A batch reads only the columns its scan needs; a column a
+    projected load left out stays a placeholder and fails on use.
     """
-    if not chunks:
-        return EventList.empty()
-    if len(chunks) == 1:
-        return chunks[0]
-    from ..trace.events import _FIELDS
 
-    loaded = chunks[0].loaded_columns
-    arrays = {
-        col: np.concatenate([getattr(c, col) for c in chunks])
-        for col in loaded
-    }
-    if len(loaded) == len(_FIELDS):
-        return EventList(*(arrays[col] for col in _FIELDS))
-    return EventList.projected(arrays)
+    def __init__(self, chunks: list[EventList]) -> None:
+        self._chunks = chunks
+
+    def __getattr__(self, name: str):
+        if name not in _FIELDS:
+            raise AttributeError(name)
+        cols = [getattr(c, name) for c in self._chunks]
+        if len(cols) == 1:
+            col = cols[0]
+        else:
+            col = np.concatenate(cols) if cols else np.empty(0, _DTYPES[name])
+        setattr(self, name, col)
+        return col
 
 
 class IncrementalKernel:
-    """Per-rank lint scan + replay + stats over incrementally fed chunks.
+    """Lint scan + replay + stats over incrementally fed chunks.
 
     Parameters mirror :func:`~repro.core.fused.fused_bootstrap`:
     ``ranks`` is the universe of ranks the pass covers (every one is
-    finalised, fed or not), ``lint`` the config every rank's view is
-    scanned with, ``known_ranks`` overrides the rank set the lint
-    rules consider defined (shard workers scan a subgroup of a larger
+    finalised, fed or not), ``lint`` the config every rank is scanned
+    with, ``known_ranks`` overrides the rank set the lint rules
+    consider defined (shard workers scan a subgroup of a larger
     trace), ``table_ranks`` restricts table/partial construction, and
     ``table_sink(rank, table)`` — when given — receives each
     invocation table instead of it being retained in the result.
 
     Tables come from the scan's pairing only when ``lint`` gates
     replay (:func:`~repro.lint.engine.gates_replay`), and only for
-    ranks without an error.  With hb-scope rules enabled, each rank's
+    ranks without an error.  With hb-scope rules enabled, each batch's
     message rows go straight into one
     :class:`~repro.lint.hb.MatchGraphWriter`, sized from the SEND/RECV
     counts fed so far.
 
     Protocol: any number of :meth:`feed` calls per rank (chunks in
     time order), then :meth:`finish_rank` once; :meth:`finalize`
-    finishes whatever is still open and returns the
-    :class:`FusedBootstrap`.
+    finishes whatever is still open, runs the last batch and returns
+    the :class:`FusedBootstrap`.
     """
 
     def __init__(
@@ -154,12 +167,15 @@ class IncrementalKernel:
         self._buffers: dict[int, list[EventList]] = {}
         self._last_time: dict[int, float] = {}
         self._finished: set[int] = set()
+        #: finished ranks waiting for their batch: rank, chunks, events
+        self._pending: list[tuple[int, list[EventList], int]] = []
+        self._pending_events = 0
         self._diags: list = []
         self._summaries: dict[int, object] = {}
         self._shared = None
         self._graph = None  # MatchGraphWriter when hb-scope rules run
-        #: SEND and RECV events fed so far (sizes ``_graph``)
-        self._messages = [0, 0]
+        #: events fed so far per kind (sizes ``_graph``)
+        self._kinds = np.zeros(len(EventKind), dtype=np.int64)
         if lint is False:
             return
         from ..lint.engine import LintShared, gates_replay, hb_rules_enabled, validate_config
@@ -197,76 +213,117 @@ class IncrementalKernel:
         self._last_time[rank] = float(events.time[-1])
         self._buffers.setdefault(rank, []).append(events)
         if self._graph is not None:
-            self._messages[0] += int(np.count_nonzero(events.kind == _SEND))
-            self._messages[1] += int(np.count_nonzero(events.kind == _RECV))
+            self._kinds += np.bincount(events.kind, minlength=len(EventKind))
 
     def finish_rank(self, rank: int) -> None:
-        """Finalise ``rank``: validate, replay, aggregate, drop buffers."""
+        """Finalise ``rank``: it joins the pending batch, which runs
+        once it holds :data:`_BATCH_EVENTS` events."""
         if rank in self._finished:
             return
         self._finished.add(rank)
-        events = _concat_chunks(self._buffers.pop(rank, []))
+        chunks = self._buffers.pop(rank, [])
         self._last_time.pop(rank, None)
-        if len(events):
+        n = sum(len(c) for c in chunks)
+        if n:
             self.extents[rank] = (
-                len(events),
-                float(events.time[0]),
-                float(events.time[-1]),
+                n, float(chunks[0].time[0]), float(chunks[-1].time[-1])
             )
-        if self._shared is None:
-            if rank not in self._wanted:
-                return
-            with obs.span("fused.rank"):
-                _C_EVENTS.add(len(events))
-                self._emit(rank, match_invocations(events))
+        if self._shared is None and rank not in self._wanted:
             return
-        from ..lint.engine import RankView, scan_view
+        if n > _BATCH_EVENTS:
+            self._run_batch()  # a rank this large is a batch of its own
+        self._pending.append((rank, chunks, n))
+        self._pending_events += n
+        if self._pending_events >= _BATCH_EVENTS:
+            self._run_batch()
+
+    def _run_batch(self) -> None:
+        """Scan, replay and aggregate the pending ranks in one pass."""
+        if not self._pending:
+            return
+        batch, self._pending = self._pending, []
+        self._pending_events = 0
+        ranks = [rank for rank, _, _ in batch]
+        starts = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum([n for _, _, n in batch], out=starts[1:])
+        events = _JoinedEvents([c for _, chunks, _ in batch for c in chunks])
+        with obs.span("fused.batch"):
+            _C_EVENTS.add(int(starts[-1]))
+            if self._shared is None:
+                pairing = pair_events(events.time, events.kind, starts)
+                self._emit(ranks, pairing, events, range(len(ranks)))
+                return
+            self._scan(ranks, events, starts)
+
+    def _scan(self, ranks: list[int], events, starts: np.ndarray) -> None:
+        from ..lint.engine import BatchView, scan_batch
         from ..lint.model import Severity
 
-        with obs.span("fused.rank"):
-            _C_EVENTS.add(len(events))
-            view = RankView(self._shared, rank, events)
-            rank_diags, summary = scan_view(view)
-            self._diags.extend(rank_diags)
-            self._summaries[rank] = summary
-            if self._graph is not None:
-                from ..lint.hb import extract_match_records
+        view = BatchView(self._shared, ranks, events, starts)
+        diags, summaries = scan_batch(view)
+        self._diags.extend(diags)
+        self._summaries.update(summaries)
+        if self._graph is not None:
+            from ..lint.hb import extract_match_records
 
-                self._graph.reserve(*self._messages)
-                self._graph.add(extract_match_records(view))
-            if (
-                any(d.severity >= Severity.ERROR for d in rank_diags)
-                or (len(view.el_idx) and not view.balanced)
-                or rank not in self._wanted
-            ):
-                # Broken stream: the report makes the caller raise, so
-                # there is no table to build (and building one could
-                # legitimately fail on the very defect just diagnosed).
-                # A stream with no ENTER/LEAVE events at all (p2p or
-                # metric only, or empty under allow_empty_streams) is
-                # *not* broken — replay of it is well-defined and
-                # yields an empty table, as in ``match_invocations``.
-                return
-            table = table_from_pairing(
-                events, view.el_idx, view.enter_pos, view.leave_pos,
-                view.depth_after
+            self._graph.reserve(
+                self._kinds[EventKind.SEND], self._kinds[EventKind.RECV]
             )
-            self._emit(rank, table)
+            self._graph.add(extract_match_records(view))
+        # Broken streams make the caller raise from the report, so they
+        # get no table (building one could legitimately fail on the
+        # very defect just diagnosed).  A stream with no ENTER/LEAVE
+        # events at all (p2p or metric only, or empty under
+        # allow_empty_streams) is *not* broken — replay of it is
+        # well-defined and yields an empty table.
+        broken = {d.rank for d in diags if d.severity >= Severity.ERROR}
+        p = view.pairing
+        del view  # its frame arrays can go before the tables are built
+        unpaired = ~p.balanced & (np.diff(p.el_starts) > 0)
+        slots = [
+            slot
+            for slot, rank in enumerate(ranks)
+            if rank in self._wanted and rank not in broken and not unpaired[slot]
+        ]
+        if slots:
+            self._emit(ranks, p, events, slots)
 
-    def _emit(self, rank: int, table: InvocationTable) -> None:
-        self.partials[rank] = rank_statistics_arrays(table, self._n_regions)
-        if self._table_sink is not None:
-            self._table_sink(rank, table)
+    def _emit(self, ranks, pairing, events, slots) -> None:
+        """Tables and statistics partials of the batch's ``slots``."""
+        built = table_from_pairing(pairing, events.time, events.ref)
+        tables = built.split(slots)
+        if len(tables) == len(ranks):
+            partials = batch_statistics_arrays(
+                built.table, built.frame_starts, self._n_regions
+            )
         else:
-            self.tables[rank] = table
+            # Other ranks' rows may carry the very references that
+            # broke them; aggregate the wanted rows only.
+            rows = np.concatenate(
+                [np.arange(*built.frame_starts[s:s + 2]) for s in slots]
+            ).astype(np.int64)
+            bounds = np.zeros(len(slots) + 1, dtype=np.int64)
+            np.cumsum([len(t) for t in tables], out=bounds[1:])
+            partials = batch_statistics_arrays(
+                built.table.rows(rows), bounds, self._n_regions
+            )
+        for slot, table, partial in zip(slots, tables, partials):
+            rank = ranks[slot]
+            self.partials[rank] = partial
+            if self._table_sink is not None:
+                self._table_sink(rank, table)
+            else:
+                self.tables[rank] = table
 
     # -- completion ----------------------------------------------------
 
     def finalize(self) -> FusedBootstrap:
-        """Finish all remaining ranks and assemble the result."""
+        """Finish all remaining ranks, run the last batch and assemble
+        the result."""
         for rank in self._ranks:
             if rank not in self._finished:
                 self.finish_rank(rank)
+        self._run_batch()
         if self._shared is None:
             return FusedBootstrap(self.tables, self.partials, None)
         from ..lint.engine import finalize_report

@@ -35,20 +35,22 @@ or from the command line::
 
 Custom rules register through the same decorator the built-ins use::
 
-    from repro.lint import Finding, register_rule, Severity
+    import numpy as np
+    from repro.lint import register_rule, Severity
 
     @register_rule("TL900", category="site", scope="rank",
                    severity=Severity.WARNING)
     def my_check(view):
         "One-line help shown in --format sarif and docs."
-        if view.n > 10**9:
-            yield Finding("suspiciously gigantic stream")
+        # ``view`` is a BatchView over several ranks: name each rank.
+        for slot in np.flatnonzero(view.counts > 10**9).tolist():
+            yield view.finding(slot, "suspiciously gigantic stream")
 """
 
 from .engine import (
+    BatchView,
     LintShared,
     RankSummary,
-    RankView,
     TraceView,
     finalize_report,
     hb_graph_path,
@@ -81,9 +83,9 @@ __all__ = [
     "get_rule",
     "enabled_rules",
     "validate_subset_codes",
+    "BatchView",
     "LintShared",
     "RankSummary",
-    "RankView",
     "TraceView",
     "finalize_report",
     "lint_trace",

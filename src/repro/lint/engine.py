@@ -1,12 +1,13 @@
 """The tracelint execution engine.
 
-Linting is a single streaming pass over each rank's event columns —
-no stack replay, no segmentation.  Per rank the engine computes one
-:class:`RankView` (vectorised enter/leave pairing, reference masks)
-and one :class:`RankSummary` (cheap cross-rank partials: per-region
-invocation counts and times, message counts per partner, stream
-extent).  Rank-scoped rules consume the view; trace-scoped rules
-consume the merged summaries.  This split is exactly what makes
+Linting is a single streaming pass over batches of ranks' event
+columns — no stack replay, no segmentation.  Per batch the engine
+computes one :class:`BatchView` (vectorised enter/leave pairing,
+reference masks) and per rank one :class:`RankSummary` (cheap
+cross-rank partials: per-region invocation counts and times, message
+counts per partner, stream extent).  Rank-scoped rules consume the
+view and name the rank of each finding; trace-scoped rules consume
+the merged summaries.  This split is exactly what makes
 linting shardable: workers scan their own ranks on chunked reads and
 ship back only diagnostics plus summaries, never event data.
 
@@ -16,9 +17,10 @@ Entry points:
 * :func:`lint_path` — lint a trace file through the chunked reader,
   optionally fanning the per-rank scans out to worker processes
   (``shards``/``max_memory_mb`` mirror the analysis engine's knobs);
-* :func:`scan_view` — the per-rank kernel; the fused analysis kernel
-  (:mod:`repro.core.incremental`) runs it on its own views, so
-  ``analyze --preflight`` lints and replays in one pass.
+* :func:`scan_batch` — the batch kernel; the fused analysis kernel
+  (:mod:`repro.core.incremental`) runs it on batches of many ranks,
+  so ``analyze --preflight`` lints and replays in one pass, while the
+  two entry points above scan one-rank batches (:func:`rank_view`).
 
 Diagnostics are sorted by ``(code, rank, position, message)`` before
 the report is assembled, so output is byte-identical regardless of
@@ -35,6 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .. import obs
+from ..profiles.replay import pair_events
 from ..trace.definitions import MetricRegistry, RegionRegistry
 from ..trace.events import EventKind, EventList
 from ..trace.trace import Trace
@@ -44,11 +47,11 @@ from .registry import Finding, Rule, enabled_rules
 __all__ = [
     "LintShared",
     "RankSummary",
-    "RankView",
+    "BatchView",
     "TraceView",
     "lint_trace",
     "lint_path",
-    "scan_view",
+    "scan_batch",
     "finalize_report",
     "validate_config",
     "gates_replay",
@@ -63,6 +66,9 @@ __all__ = [
 #: ``register_rule(..., columns=...)``; the projection tests keep both
 #: declarations truthful.
 LINT_COLUMNS = ("time", "kind", "ref", "partner")
+
+_SEND = np.uint8(EventKind.SEND)
+_RECV = np.uint8(EventKind.RECV)
 
 
 def lint_columns(config: LintConfig) -> tuple[str, ...]:
@@ -168,138 +174,126 @@ class RankSummary:
     recvs: dict[int, int] = field(default_factory=dict)
 
 
-class RankView:
-    """Vectorised single-pass products over one rank's event stream.
+class BatchView:
+    """Vectorised products over a batch of ranks' event streams.
 
-    Computed once per rank and handed to every rank-scoped rule, so no
-    rule re-derives the enter/leave pairing.  All computations guard
-    against unsorted, unbalanced or reference-broken streams — linting
-    must never crash on the inputs it exists to reject.
+    ``events`` holds the columns of ``ranks`` joined end to end and
+    ``starts`` their R + 1 offsets.  The view is computed once per
+    batch and handed to every rank-scoped rule, so no rule re-derives
+    the enter/leave pairing (:func:`~repro.profiles.replay.pair_events`
+    in its diagnostic mode).  Per-rank flags are length-R arrays in
+    batch order ("slots").  Frame arrays (``inv_*``) cover the sorted,
+    balanced ranks, ordered by (depth, rank, enter position).  All
+    computations guard against unsorted, unbalanced or
+    reference-broken streams — linting must never crash on the inputs
+    it exists to reject.
     """
 
-    def __init__(self, shared: LintShared, rank: int, events: EventList) -> None:
+    def __init__(self, shared: LintShared, ranks, events, starts) -> None:
         self.shared = shared
-        self.rank = rank
+        self.ranks = [int(r) for r in ranks]
         self.events = events
-        n = len(events)
-        self.n = n
-        ev = events
-        self.sorted = bool(n < 2 or not np.any(np.diff(ev.time) < 0))
-        self.first_unsorted = (
-            -1
-            if self.sorted
-            else int(np.argmax(np.diff(ev.time) < 0)) + 1
-        )
-
-        kind = ev.kind
-        self.enter_mask = kind == np.uint8(EventKind.ENTER)
-        self.leave_mask = kind == np.uint8(EventKind.LEAVE)
-        self.enter_leave = self.enter_mask | self.leave_mask
-        self.metric_mask = kind == np.uint8(EventKind.METRIC)
-        self.p2p_mask = (kind == np.uint8(EventKind.SEND)) | (
-            kind == np.uint8(EventKind.RECV)
-        )
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.counts = np.diff(self.starts)
+        self.n = int(self.starts[-1])
+        kind = events.kind
+        self.pairing = p = pair_events(events.time, kind, self.starts, lint=True)
+        self.sorted = p.sorted
+        self.balanced = p.balanced
+        self.el_idx = p.el_idx
+        self.p2p_idx = np.flatnonzero((kind == _SEND) | (kind == _RECV))
+        self.metric_idx = np.flatnonzero(kind == np.uint8(EventKind.METRIC))
+        rows = p.by_depth
+        refs = events.ref[p.el_idx]
+        self.inv_region = refs[p.enter_pos[rows]]
+        self.inv_leave_region = refs[p.leave_pos[rows]]
+        self.inv_enter_index = p.el_idx[p.enter_pos[rows]]  # batch positions
+        self.inv_leave_index = p.el_idx[p.leave_pos[rows]]
+        self.inv_rank = p.frame_slot()[rows]  # slot of each frame
+        t = events.time
+        self.inv_duration = t[self.inv_leave_index] - t[self.inv_enter_index]
         nr = shared.num_regions
-        self.bad_region = self.enter_leave & ((ev.ref < 0) | (ev.ref >= nr))
-        nm = shared.num_metrics
-        self.bad_metric = self.metric_mask & ((ev.ref < 0) | (ev.ref >= nm))
+        self.inv_valid = (self.inv_region >= 0) & (self.inv_region < nr)
 
-        # -- enter/leave pairing (depth trick, as validate used to do) --
-        self.el_idx = np.flatnonzero(self.enter_leave)
-        self.underflow_index = -1  # absolute index of first orphan leave
-        self.open_count = 0  # regions still open at end of stream
-        self.first_unclosed = -1  # absolute index of first unmatched enter
-        self.balanced = False
-        self.enter_pos = np.empty(0, dtype=np.int64)  # into el_idx
-        self.leave_pos = np.empty(0, dtype=np.int64)
-        #: running enter/leave depth over el_idx; kept on balanced
-        #: streams so the fused kernel can reuse the pairing for replay
-        self.depth_after = np.empty(0, dtype=np.int64)
-        if self.sorted and len(self.el_idx):
-            kind_pm = np.where(
-                self.enter_mask[self.el_idx], 1, -1
-            ).astype(np.int64)
-            depth_after = np.cumsum(kind_pm)
-            underflow = np.flatnonzero(depth_after < 0)
-            if len(underflow):
-                self.underflow_index = int(self.el_idx[underflow[0]])
-            elif depth_after[-1] != 0:
-                self.open_count = int(depth_after[-1])
-                # An enter is unmatched iff the depth never drops below
-                # its own frame depth afterwards (reverse running min).
-                suffix_min = np.minimum.accumulate(depth_after[::-1])[::-1]
-                shifted = np.empty_like(suffix_min)
-                shifted[:-1] = suffix_min[1:]
-                shifted[-1] = np.iinfo(np.int64).max
-                unmatched = (kind_pm > 0) & (shifted >= depth_after)
-                first = np.flatnonzero(unmatched)
-                if len(first):
-                    self.first_unclosed = int(self.el_idx[first[0]])
-            else:
-                self.balanced = True
-                self.depth_after = depth_after
-                frame_depth = np.where(kind_pm > 0, depth_after, depth_after + 1)
-                order = np.argsort(frame_depth, kind="stable")
-                self.enter_pos = order[0::2]
-                self.leave_pos = order[1::2]
+    def slot_of(self, index: np.ndarray) -> np.ndarray:
+        """Slot of the rank owning each of the ascending batch event
+        positions ``index``."""
+        counts = np.diff(np.searchsorted(index, self.starts))
+        return np.repeat(np.arange(len(self.ranks)), counts)
 
-        # -- per-invocation arrays (balanced streams only) --------------
-        if self.balanced:
-            refs = ev.ref[self.el_idx]
-            self.inv_region = refs[self.enter_pos]
-            self.inv_leave_region = refs[self.leave_pos]
-            t = ev.time[self.el_idx]
-            self.inv_enter_index = self.el_idx[self.enter_pos]
-            self.inv_leave_index = self.el_idx[self.leave_pos]
-            self.inv_duration = t[self.leave_pos] - t[self.enter_pos]
-            self.inv_valid = (self.inv_region >= 0) & (self.inv_region < nr)
-        else:
-            self.inv_region = np.empty(0, dtype=np.int32)
-            self.inv_leave_region = np.empty(0, dtype=np.int32)
-            self.inv_enter_index = np.empty(0, dtype=np.int64)
-            self.inv_leave_index = np.empty(0, dtype=np.int64)
-            self.inv_duration = np.empty(0, dtype=np.float64)
-            self.inv_valid = np.empty(0, dtype=bool)
+    def by_rank(self, index: np.ndarray):
+        """``(slot, first, count)`` per rank among ascending batch
+        positions ``index``; ``first`` is rank-local."""
+        if not len(index):
+            return []
+        slot = self.slot_of(index)
+        head = np.flatnonzero(np.diff(slot, prepend=-1))
+        counts = np.diff(np.append(head, len(index)))
+        first = index[head] - self.starts[slot[head]]
+        return list(zip(slot[head].tolist(), first.tolist(), counts.tolist()))
 
-    def time_at(self, index: int) -> float | None:
-        if 0 <= index < self.n:
-            return float(self.events.time[index])
-        return None
+    def first_frame(self, mask: np.ndarray) -> dict[int, int]:
+        """Slot → first frame (in ``inv_*`` order) where ``mask`` holds."""
+        idx = np.flatnonzero(mask)
+        first = np.full(len(self.ranks), len(mask), dtype=np.int64)
+        np.minimum.at(first, self.inv_rank[idx], idx)
+        return {s: int(first[s]) for s in np.flatnonzero(first < len(mask)).tolist()}
 
-    def summary(self) -> RankSummary:
-        ev = self.events
-        nr = self.shared.num_regions
-        enter_refs = ev.ref[self.enter_mask]
-        valid_enters = enter_refs[(enter_refs >= 0) & (enter_refs < nr)]
-        enter_counts = np.bincount(valid_enters, minlength=nr).astype(np.int64)
-        region_time = np.zeros(nr, dtype=np.float64)
-        if self.balanced and len(self.inv_region):
-            sel = self.inv_valid
-            region_time = np.bincount(
-                self.inv_region[sel],
-                weights=self.inv_duration[sel],
-                minlength=nr,
-            ).astype(np.float64)
-        sends: dict[int, int] = {}
-        recvs: dict[int, int] = {}
-        send_mask = ev.kind == np.uint8(EventKind.SEND)
-        recv_mask = ev.kind == np.uint8(EventKind.RECV)
-        for mask, out in ((send_mask, sends), (recv_mask, recvs)):
-            if np.any(mask):
-                partners, counts = np.unique(ev.partner[mask], return_counts=True)
-                for p, c in zip(partners.tolist(), counts.tolist()):
-                    out[int(p)] = int(c)
-        return RankSummary(
-            rank=self.rank,
-            n_events=self.n,
-            t_first=float(ev.time[0]) if self.n else 0.0,
-            t_last=float(ev.time[-1]) if self.n else 0.0,
-            enter_counts=enter_counts,
-            region_time=region_time,
-            balanced=self.balanced,
-            sends=sends,
-            recvs=recvs,
+    def finding(self, slot: int, message: str, position: int = -1) -> Finding:
+        """A finding on the ``slot``-th rank at rank-local ``position``."""
+        time: float | None = None
+        if 0 <= position < self.counts[slot]:
+            time = float(self.events.time[self.starts[slot] + position])
+        return Finding(
+            message, rank=self.ranks[slot], position=position, time=time
         )
+
+    def summaries(self) -> dict[int, RankSummary]:
+        """Each rank's :class:`RankSummary`, from per-(rank, region) keys."""
+        ev = self.events
+        p = self.pairing
+        nr = self.shared.num_regions
+        n_ranks = len(self.ranks)
+        slots = np.arange(n_ranks)
+        enter_el = np.flatnonzero(p.is_enter)
+        enter_slot = np.repeat(slots, np.diff(np.searchsorted(enter_el, p.el_starts)))
+        refs = ev.ref[p.el_idx[enter_el]]
+        ok = (refs >= 0) & (refs < nr)
+        enter_counts = np.bincount(
+            enter_slot[ok] * nr + refs[ok], minlength=n_ranks * nr
+        ).reshape(n_ranks, nr)
+        sel = self.inv_valid
+        region_time = np.bincount(
+            self.inv_rank[sel] * nr + self.inv_region[sel],
+            weights=self.inv_duration[sel],
+            minlength=n_ranks * nr,
+        ).reshape(n_ranks, nr)
+        # Messages per (rank, SEND/RECV, partner), partners ascending.
+        talk: list[dict[int, int]] = [{} for _ in range(2 * n_ranks)]
+        if len(self.p2p_idx):
+            idx = self.p2p_idx
+            partner = ev.partner[idx].astype(np.int64)
+            lo = int(partner.min())
+            span = int(partner.max()) - lo + 1
+            lane = self.slot_of(idx) * 2 + (ev.kind[idx] == _RECV)
+            keys, counts = np.unique(lane * span + (partner - lo), return_counts=True)
+            lane, peer = np.divmod(keys, span)
+            for i, q, c in zip(lane.tolist(), (peer + lo).tolist(), counts.tolist()):
+                talk[i][q] = c
+        n = self.counts.tolist()
+        t_first = t_last = [0.0] * n_ranks
+        if self.n:
+            t_first = ev.time[np.minimum(self.starts[:-1], self.n - 1)].tolist()
+            t_last = ev.time[np.maximum(self.starts[1:] - 1, 0)].tolist()
+        balanced = self.balanced.tolist()
+        return {
+            rank: RankSummary(
+                rank, n[i], t_first[i] if n[i] else 0.0, t_last[i] if n[i] else 0.0,
+                enter_counts[i], region_time[i], balanced[i],
+                talk[2 * i], talk[2 * i + 1],
+            )
+            for i, rank in enumerate(self.ranks)
+        }
 
 
 @dataclass(frozen=True)
@@ -336,29 +330,27 @@ class TraceView:
         return float(max(highs)) if highs else 0.0
 
 
-def _stamp(
-    rule: Rule, config: LintConfig, finding: Finding, default_rank: int = -1
-) -> Diagnostic:
+def _stamp(rule: Rule, config: LintConfig, finding: Finding) -> Diagnostic:
     severity = finding.severity
     if severity is None:
         severity = config.severity_of(rule.code, rule.default_severity)
-    rank = finding.rank if finding.rank >= 0 else default_rank
     return Diagnostic(
         code=rule.code,
         severity=severity,
         message=finding.message,
-        rank=rank,
+        rank=finding.rank,
         position=finding.position,
         time=finding.time,
         category=rule.category,
     )
 
 
-def scan_view(view: RankView) -> tuple[list[Diagnostic], RankSummary]:
-    """Run every enabled rank-scoped rule over one rank's view.
+def scan_batch(view: BatchView) -> tuple[list[Diagnostic], dict[int, RankSummary]]:
+    """Run every enabled rank-scoped rule over one batch's view.
 
-    The fused analysis kernel builds the view once and reuses its
-    pairing for stack replay.
+    Returns the diagnostics and each rank's summary.  The fused
+    analysis kernel builds the view once and reuses its pairing for
+    stack replay.
     """
     shared = view.shared
     diags: list[Diagnostic] = []
@@ -366,14 +358,18 @@ def scan_view(view: RankView) -> tuple[list[Diagnostic], RankSummary]:
     for rule in shared.rules("rank"):
         t0 = time.perf_counter() if timed else 0.0
         for finding in rule.check(view):
-            diags.append(
-                _stamp(rule, shared.config, finding, default_rank=view.rank)
-            )
+            diags.append(_stamp(rule, shared.config, finding))
         if timed:
             obs.counter(f"lint.rule.{rule.code}.s").add(
                 time.perf_counter() - t0
             )
-    return diags, view.summary()
+    return diags, view.summaries()
+
+
+def rank_view(shared: LintShared, rank: int, events: EventList) -> BatchView:
+    """The one-rank batch: how the in-memory and per-file scans see
+    each rank."""
+    return BatchView(shared, (rank,), events, (0, len(events)))
 
 
 def _trace_scope_diagnostics(
@@ -491,12 +487,14 @@ def lint_trace(
     summaries: dict[int, RankSummary] = {}
     records: dict[int, object] | None = {} if want_hb else None
     for rank in ranks:
-        view = RankView(shared, rank, trace.events_of(rank))
-        rank_diags, summary = scan_view(view)
+        view = rank_view(shared, rank, trace.events_of(rank))
+        rank_diags, summary = scan_batch(view)
         diags.extend(rank_diags)
-        summaries[rank] = summary
+        summaries.update(summary)
         if records is not None:
-            records[rank] = extract_match_records(view)
+            records.update(
+                (rec.rank, rec) for rec in extract_match_records(view).records()
+            )
     return finalize_report(
         shared,
         diags,
@@ -586,13 +584,15 @@ def _lint_shard_worker_impl(payload: dict) -> dict:
     summaries: dict[int, RankSummary] = {}
     records: dict[int, object] = {}
     for rank in sorted(payload["ranks"]):
-        view = RankView(shared, rank, sub.events_of(rank))
+        view = rank_view(shared, rank, sub.events_of(rank))
         if not records_only:
-            rank_diags, summary = scan_view(view)
+            rank_diags, summary = scan_batch(view)
             diags.extend(rank_diags)
-            summaries[rank] = summary
+            summaries.update(summary)
         if want_hb:
-            records[rank] = extract_match_records(view)
+            records.update(
+                (rec.rank, rec) for rec in extract_match_records(view).records()
+            )
     res = {"diags": diags, "summaries": summaries, "name": sub.name}
     if want_hb:
         res["records"] = records

@@ -5,8 +5,8 @@ deadlock cycles, wildcard-receive races, collective divergence, orphan
 messages, wait-chain origins — statically, without replaying the
 trace.  The machinery here is split to fit the sharded lint engine:
 
-1. :func:`extract_match_records` runs *per rank* (inside shard
-   workers, over lazily projected columns): it pulls every SEND/RECV
+1. :func:`extract_match_records` runs per batch of ranks (inside
+   shard workers, over lazily projected columns): it pulls every SEND/RECV
    with its tag, payload size and innermost enclosing region, plus the
    rank's collective-invocation sequence, into a few flat NumPy arrays
    (:class:`MatchRecords`, picklable, a few bytes per message).
@@ -35,21 +35,22 @@ topology for external viewers (ROADMAP item 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
 from ..trace.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import LintShared, RankView
+    from .engine import BatchView, LintShared
 
 __all__ = [
     "COLLECTIVE_NAMES",
     "HB_COLUMNS",
     "MatchRecords",
     "MatchGraph",
+    "MatchBatch",
     "MatchGraphWriter",
     "HBView",
     "VectorClockEngine",
@@ -160,108 +161,111 @@ class MatchRecords:
         )
 
 
-def _enclosing_frames(
-    view: "RankView", pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Innermost open region (ref, enter time) for each event position.
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (``np.unique`` without its import of
+    ``numpy.ma``)."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
-    Vectorised over the view's depth profile: the frame open at depth
-    ``d`` when event ``p`` executes is the *last* ENTER at frame depth
-    ``d`` before ``p`` (any earlier same-depth frame must have closed
-    for the depth to return to ``d``).  Loops only over the distinct
-    depths present among the queries — nesting is shallow in practice.
+
+def _enclosing_frames(
+    view: "BatchView", runs: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Innermost open region (ref, enter time) for each batch position
+    of the concatenated ascending runs of positions ``runs``.
+
+    Read off the pairing: after the last ENTER/LEAVE before an event,
+    the innermost open frame is the one that ENTER opened, or the
+    parent of the one that LEAVE closed.  Outside any frame the answer
+    is (-1, the rank's first timestamp).
     """
     ev = view.events
-    n_q = len(pos)
-    region = np.full(n_q, -1, dtype=_I32)
-    t0 = float(ev.time[0]) if view.n else 0.0
-    enter_time = np.full(n_q, t0, dtype=_F64)
-    if not n_q or not view.balanced or not len(view.el_idx):
+    p = view.pairing
+    slot = np.concatenate([view.slot_of(run) for run in runs])
+    pos = np.concatenate(runs)
+    region = np.full(len(pos), -1, dtype=_I32)
+    enter_time = np.asarray(ev.time[view.starts[slot]], dtype=_F64)
+    if not len(pos) or not len(p.enter_pos):
         return region, enter_time
-    # j = number of enter/leave events strictly before each query.
-    j = np.searchsorted(view.el_idx, pos, side="left")
-    depth_at = np.where(j > 0, view.depth_after[np.maximum(j - 1, 0)], 0)
-    enter_sel = np.flatnonzero(view.enter_mask[view.el_idx])
-    enter_depth = view.depth_after[enter_sel]
-    for d in np.unique(depth_at[depth_at > 0]).tolist():
-        cand = enter_sel[enter_depth == d]
-        q = np.flatnonzero(depth_at == d)
-        k = np.searchsorted(cand, j[q], side="left") - 1
-        valid = k >= 0
-        qi = q[valid]
-        abs_enter = view.el_idx[cand[k[valid]]]
-        region[qi] = ev.ref[abs_enter]
-        enter_time[qi] = ev.time[abs_enter]
+    last = np.searchsorted(p.el_idx, pos, side="left") - 1
+    inside = np.flatnonzero((last >= p.el_starts[slot]) & p.balanced[slot])
+    last = last[inside]
+    frame_of = np.empty(len(p.el_idx), dtype=np.int64)  # the row each opens/closes
+    frame_of[p.enter_pos] = frame_of[p.leave_pos] = np.arange(len(p.enter_pos))
+    frame = frame_of[last]
+    frame = np.where(p.is_enter[last], frame, p.parent[frame])
+    open_ = frame >= 0
+    at = p.el_idx[p.enter_pos[frame[open_]]]
+    inside = inside[open_]
+    region[inside] = ev.ref[at]
+    enter_time[inside] = ev.time[at]
     return region, enter_time
 
 
-def extract_match_records(view: "RankView") -> MatchRecords:
-    """Pull one rank's match records out of an existing lint view.
+def extract_match_records(view: "BatchView") -> "MatchBatch":
+    """Pull the match records of a batch's ranks out of its lint view.
 
     Reads ``time``/``kind``/``ref``/``partner`` plus the extra
     :data:`HB_COLUMNS`; runs inside shard workers on projected reads.
     """
     ev = view.events
-    rank = view.rank
-    if view.n == 0:
-        return MatchRecords.empty(rank, 0, ok=True)
-    t_first = float(ev.time[0])
-    t_last = float(ev.time[-1])
-    # A stream without any enter/leave events is trivially balanced
-    # (the view only computes ``balanced`` when el_idx is non-empty).
-    if not view.sorted or (len(view.el_idx) and not view.balanced):
-        return MatchRecords.empty(
-            rank, view.n, ok=False, t_first=t_first, t_last=t_last
-        )
+    p = view.pairing
+    starts = view.starts
     kind = ev.kind
-    send_pos = np.flatnonzero(kind == np.uint8(EventKind.SEND))
-    recv_pos = np.flatnonzero(kind == np.uint8(EventKind.RECV))
-    p2p_pos = np.concatenate([send_pos, recv_pos])
-    enc_region, enc_enter = _enclosing_frames(view, p2p_pos)
+    # A stream without any enter/leave events is trivially balanced.
+    ok = view.sorted & (p.balanced | (np.diff(p.el_starts) == 0))
+    p2p = view.p2p_idx
+    if not ok.all():
+        p2p = p2p[ok[view.slot_of(p2p)]]
+    is_send = kind[p2p] == np.uint8(EventKind.SEND)
+    send_pos, recv_pos = p2p[is_send], p2p[~is_send]
+    enc_region, enc_enter = _enclosing_frames(view, (send_pos, recv_pos))
     ns = len(send_pos)
+    ranks = np.asarray(view.ranks, dtype=_I32)
+    columns: dict[str, np.ndarray] = {}
+    cuts: dict[str, np.ndarray] = {}  # per side: R + 1 row offsets
+    for side, pos in (("s", send_pos), ("r", recv_pos)):
+        cut = np.searchsorted(pos, starts)
+        counts = np.diff(cut)
+        cuts[side] = cut
+        columns[f"{side}_rank"] = np.repeat(ranks, counts)
+        columns[f"{side}_pos"] = pos - np.repeat(starts[:-1], counts)
+        columns[f"{side}_tag"] = ev.tag[pos].astype(_I32)
+        columns[f"{side}_time"] = ev.time[pos].astype(_F64)
+    columns["s_dst"] = ev.partner[send_pos].astype(_I32)
+    columns["s_size"] = ev.size[send_pos].astype(_I64)
+    columns["s_region"] = enc_region[:ns]
+    columns["r_src"] = ev.partner[recv_pos].astype(_I32)
+    columns["r_region"] = enc_region[ns:]
+    columns["r_wait"] = np.maximum(columns["r_time"] - enc_enter[ns:], 0.0)
 
     # Collective invocations, in program (enter) order.
     nr = view.shared.num_regions
-    coll_mask = collective_region_mask(view.shared)
     if len(view.inv_region) and nr:
+        coll_mask = collective_region_mask(view.shared)
         sel = view.inv_valid & coll_mask[np.clip(view.inv_region, 0, nr - 1)]
         idx = np.flatnonzero(sel)
         idx = idx[np.argsort(view.inv_enter_index[idx], kind="stable")]
-        coll_pos = view.inv_enter_index[idx].astype(_I64)
-        coll_ref = view.inv_region[idx].astype(_I32)
-        coll_enter = ev.time[coll_pos].astype(_F64)
-        coll_leave = ev.time[view.inv_leave_index[idx]].astype(_F64)
     else:
-        coll_pos = np.empty(0, dtype=_I64)
-        coll_ref = np.empty(0, dtype=_I32)
-        coll_enter = np.empty(0, dtype=_F64)
-        coll_leave = np.empty(0, dtype=_F64)
+        idx = np.empty(0, dtype=_I64)
+    coll_at = view.inv_enter_index[idx].astype(_I64)
+    cut = np.searchsorted(coll_at, starts)
+    cuts["c"] = cut
+    columns["c_pos"] = coll_at - np.repeat(starts[:-1], np.diff(cut))
+    columns["c_ref"] = view.inv_region[idx].astype(_I32)
+    columns["c_enter"] = ev.time[coll_at].astype(_F64)
+    columns["c_leave"] = ev.time[view.inv_leave_index[idx]].astype(_F64)
 
-    return MatchRecords(
-        rank=rank,
-        n_events=view.n,
-        ok=True,
-        t_first=t_first,
-        t_last=t_last,
-        send_dst=ev.partner[send_pos].astype(_I32),
-        send_tag=ev.tag[send_pos].astype(_I32),
-        send_pos=send_pos.astype(_I64),
-        send_time=ev.time[send_pos].astype(_F64),
-        send_size=ev.size[send_pos].astype(_I64),
-        send_region=enc_region[:ns],
-        recv_src=ev.partner[recv_pos].astype(_I32),
-        recv_tag=ev.tag[recv_pos].astype(_I32),
-        recv_pos=recv_pos.astype(_I64),
-        recv_time=ev.time[recv_pos].astype(_F64),
-        recv_region=enc_region[ns:],
-        recv_wait=np.maximum(
-            ev.time[recv_pos].astype(_F64) - enc_enter[ns:], 0.0
-        ),
-        coll_ref=coll_ref,
-        coll_pos=coll_pos,
-        coll_enter=coll_enter,
-        coll_leave=coll_leave,
-    )
+    n = view.counts
+    t_first = t_last = np.zeros(len(n))
+    if view.n:
+        t_first = np.where(n > 0, ev.time[np.minimum(starts[:-1], view.n - 1)], 0.0)
+        t_last = np.where(n > 0, ev.time[np.maximum(starts[1:] - 1, 0)], 0.0)
+    extents = list(zip(n.tolist(), ok.tolist(), t_first.tolist(), t_last.tolist()))
+    return MatchBatch(list(view.ranks), extents, columns, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -342,39 +346,114 @@ def _fifo_pairs(
     return order_s[at[hit]], order_r[hit]
 
 
-#: ``MatchRecords`` p2p fields per side; ``send_dst`` lands in the
-#: graph's ``s_dst`` column, ``recv_src`` in ``r_src`` and so on.
-_P2P_FIELDS = {
+#: ``MatchRecords`` row fields per side: sends, receives and
+#: collectives; ``send_dst`` lands in the ``s_dst`` column,
+#: ``recv_src`` in ``r_src``, ``coll_ref`` in ``c_ref`` and so on.
+#: The graph keeps the p2p sides (``s``, ``r``) as flat columns.
+_ROW_FIELDS = {
     side: tuple(f.name for f in fields(MatchRecords) if f.name.startswith(prefix))
-    for side, prefix in (("s", "send_"), ("r", "recv_"))
+    for side, prefix in (("s", "send_"), ("r", "recv_"), ("c", "coll_"))
 }
-_EMPTY_P2P = {
+_P2P_FIELDS = {side: _ROW_FIELDS[side] for side in ("s", "r")}
+_EMPTY_ROWS = {
     name: getattr(MatchRecords.empty(-1), name)
-    for names in _P2P_FIELDS.values()
+    for names in _ROW_FIELDS.values()
     for name in names
 }
-_COLUMN = {name: f"{name[0]}_{name.split('_', 1)[1]}" for name in _EMPTY_P2P}
+_COLUMN = {name: f"{name[0]}_{name.split('_', 1)[1]}" for name in _EMPTY_ROWS}
+
+
+@dataclass(frozen=True)
+class MatchBatch:
+    """The match records of a batch of ranks, kept flat.
+
+    ``ranks`` lists the ranks in batch order and ``extents`` their
+    ``(n_events, ok, t_first, t_last)``.  ``columns`` holds the rows
+    of every rank under the graph's column names: sends (``s_rank``,
+    ``s_dst``, ...), receives (``r_...``) and collectives (``c_ref``,
+    ``c_pos``, ...); rank ``i``'s rows of side ``"s"`` are
+    ``cuts["s"][i]:cuts["s"][i + 1]``.
+    """
+
+    ranks: list[int]
+    extents: list[tuple[int, bool, float, float]]
+    columns: dict[str, np.ndarray]
+    cuts: dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, records: Iterable[MatchRecords]) -> "MatchBatch":
+        """Pack whole records into a batch."""
+        records = list(records)
+        ranks = [rec.rank for rec in records]
+        columns: dict[str, np.ndarray] = {}
+        cuts: dict[str, np.ndarray] = {}
+        for side, names in _ROW_FIELDS.items():
+            counts = [len(getattr(rec, names[0])) for rec in records]
+            cuts[side] = np.concatenate([[0], np.cumsum(counts)]).astype(_I64)
+            if side != "c":
+                columns[f"{side}_rank"] = np.repeat(
+                    np.asarray(ranks, dtype=_I32), counts
+                )
+            for name in names:
+                columns[_COLUMN[name]] = np.concatenate(
+                    [_EMPTY_ROWS[name]] + [getattr(rec, name) for rec in records]
+                )
+        extents = [(r.n_events, r.ok, r.t_first, r.t_last) for r in records]
+        return cls(ranks, extents, columns, cuts)
+
+    def records(self) -> list[MatchRecords]:
+        """Each rank's whole record; row fields are column views."""
+        cuts = {side: cut.tolist() for side, cut in self.cuts.items()}
+        return [
+            _record(rank, extent, self.columns, {
+                side: slice(cut[i], cut[i + 1]) for side, cut in cuts.items()
+            })
+            for i, (rank, extent) in enumerate(zip(self.ranks, self.extents))
+        ]
+
+
+def _record(
+    rank: int,
+    extent: tuple[int, bool, float, float],
+    columns: dict[str, np.ndarray],
+    rows: dict[str, slice],
+) -> MatchRecords:
+    """A rank's record whose row fields are ``rows`` of ``columns``.
+
+    Skips the frozen dataclass ``__init__`` (one ``object.__setattr__``
+    per field), which dominates when thousands of ranks each get one.
+    """
+    rec = object.__new__(MatchRecords)
+    fields_ = rec.__dict__
+    fields_["rank"] = rank
+    fields_["n_events"], fields_["ok"], fields_["t_first"], fields_["t_last"] = extent
+    for side, names in _ROW_FIELDS.items():
+        for name in names:
+            fields_[name] = columns[_COLUMN[name]][rows[side]]
+    return rec
 
 
 class MatchGraphWriter:
     """Writes ranks' match records straight into one graph's flat columns.
 
     The one construction path of :class:`MatchGraph`:
-    :meth:`MatchGraph.from_records` feeds it record sets, the fused
-    kernel each rank as its scan finishes.  :meth:`reserve` sizes the
-    columns from SEND/RECV counts up front; :meth:`add` copies a rank's
-    rows in and keeps only its collectives and extent, so no per-rank
-    p2p copy outlives the call.
+    :meth:`MatchGraph.from_records` feeds it one batch of record sets,
+    the fused kernel each batch of ranks as its scan finishes.
+    :meth:`reserve` sizes the columns from SEND/RECV counts up front;
+    :meth:`add` copies a batch's rows in and keeps only each rank's
+    collectives and extent, so no p2p copy outlives the call.
     """
 
     def __init__(self, num_processes: int | None = None) -> None:
         self.num_processes = num_processes
         self._cols = {"s_rank": np.empty(0, dtype=_I32),
                       "r_rank": np.empty(0, dtype=_I32)}
-        self._cols.update((_COLUMN[f], a) for f, a in _EMPTY_P2P.items())
+        self._cols.update(
+            (_COLUMN[f], _EMPTY_ROWS[f]) for names in _P2P_FIELDS.values() for f in names
+        )
         self._used = {"s": 0, "r": 0}
-        #: rank -> its records with the p2p fields emptied, in add order
-        self._records: dict[int, MatchRecords] = {}
+        #: rank -> (extent, collective rows, slot), in add order
+        self._heads: dict[int, tuple] = {}
 
     def reserve(self, sends: int, recvs: int) -> None:
         """Grow the columns to hold at least ``sends``/``recvs`` rows."""
@@ -388,23 +467,26 @@ class MatchGraphWriter:
                 grown[:used] = self._cols[name][:used]
                 self._cols[name] = grown
 
-    def add(self, rec: MatchRecords) -> None:
-        """Copy one rank's p2p rows into the columns."""
+    def add(self, batch: "MatchBatch | MatchRecords") -> None:
+        """Copy a batch's (or one rank's) p2p rows into the columns."""
+        if isinstance(batch, MatchRecords):
+            batch = MatchBatch.of([batch])
         lo = dict(self._used)
-        hi = {"s": lo["s"] + len(rec.send_dst), "r": lo["r"] + len(rec.recv_src)}
+        hi = {side: lo[side] + len(batch.columns[f"{side}_rank"]) for side in lo}
         self.reserve(hi["s"], hi["r"])
-        for side, names in _P2P_FIELDS.items():
-            self._cols[f"{side}_rank"][lo[side]:hi[side]] = rec.rank
-            for name in names:
-                self._cols[_COLUMN[name]][lo[side]:hi[side]] = getattr(rec, name)
+        for name, col in self._cols.items():
+            col[lo[name[0]]:hi[name[0]]] = batch.columns[name]
         self._used = hi
-        self._records[rec.rank] = replace(rec, **_EMPTY_P2P)
+        coll = {_COLUMN[name]: batch.columns[_COLUMN[name]] for name in _ROW_FIELDS["c"]}
+        cut = batch.cuts["c"].tolist()
+        for i, (rank, extent) in enumerate(zip(batch.ranks, batch.extents)):
+            self._heads[rank] = (extent, coll, slice(cut[i], cut[i + 1]))
 
     def finish(self) -> "MatchGraph":
         """Assemble the graph, rows rank-major, and match it."""
         cols = {n: c[: self._used[n[0]]] for n, c in self._cols.items()}
-        ranks = tuple(sorted(self._records))
-        if tuple(self._records) != ranks:
+        ranks = tuple(sorted(self._heads))
+        if tuple(self._heads) != ranks:
             # Added out of rank order: a stable sort keeps stream order.
             for side in self._used:
                 order = np.argsort(cols[f"{side}_rank"], kind="stable")
@@ -417,12 +499,15 @@ class MatchGraphWriter:
                             for how in ("left", "right")], axis=1).tolist()
             for side in _P2P_FIELDS
         }
-        records: dict[int, MatchRecords] = {}
+        records = {}
+        merged: dict[int, dict[str, np.ndarray]] = {}  # per added batch
         for i, rank in enumerate(ranks):
-            records[rank] = replace(self._records[rank], **{
-                name: cols[_COLUMN[name]][slice(*bounds[side][i])]
-                for side, names in _P2P_FIELDS.items()
-                for name in names
+            extent, coll, rows = self._heads[rank]
+            columns = merged.get(id(coll))
+            if columns is None:
+                columns = merged[id(coll)] = {**cols, **coll}
+            records[rank] = _record(rank, extent, columns, {
+                "s": slice(*bounds["s"][i]), "r": slice(*bounds["r"][i]), "c": rows,
             })
         active = [rec for rec in records.values() if rec.n_events]
         nproc = self.num_processes
@@ -503,12 +588,7 @@ class MatchGraph:
         num_processes: int | None = None,
     ) -> "MatchGraph":
         writer = MatchGraphWriter(num_processes)
-        writer.reserve(
-            sum(len(rec.send_dst) for rec in records.values()),
-            sum(len(rec.recv_src) for rec in records.values()),
-        )
-        for rank in sorted(records):
-            writer.add(records[rank])
+        writer.add(MatchBatch.of(records[rank] for rank in sorted(records)))
         return writer.finish()
 
     def _match(self) -> None:
@@ -754,7 +834,7 @@ def graph_to_json_dict(graph: MatchGraph) -> dict[str, Any]:
     channels: list[dict[str, Any]] = []
     if graph.num_sends:
         chan = _group_ids(graph.s_rank, graph.s_dst, graph.s_tag)
-        for g in np.unique(chan).tolist():
+        for g in sorted_unique(chan).tolist():
             sel = np.flatnonzero(chan == g)
             matched = int(np.sum(graph.s_match[sel] >= 0))
             key = (
@@ -840,7 +920,7 @@ def match_records_for_trace(
     trace, config=None
 ) -> tuple[dict[int, MatchRecords], "LintShared"]:
     """Extract every rank's match records from an in-memory trace."""
-    from .engine import LintShared, RankView
+    from .engine import LintShared, rank_view
     from .model import LintConfig
 
     config = config if config is not None else LintConfig()
@@ -848,7 +928,9 @@ def match_records_for_trace(
         trace.regions, trace.metrics, trace.num_processes, trace.ranks, config
     )
     records = {
-        rank: extract_match_records(RankView(shared, rank, trace.events_of(rank)))
+        rank: extract_match_records(
+            rank_view(shared, rank, trace.events_of(rank))
+        ).records()[0]
         for rank in trace.ranks
     }
     return records, shared

@@ -207,34 +207,44 @@ def collective_order_mismatch(hbview: HBView) -> Iterator[Finding]:
     seqs = g.collective_sequences()
     if len(seqs) < 2:
         return
-    length = max(len(s) for s in seqs.values())
-    for epoch in range(length):
-        by_op: dict[int, list[int]] = {}
-        absent: list[int] = []
-        for rank, seq in seqs.items():
-            if epoch < len(seq):
-                by_op.setdefault(int(seq[epoch]), []).append(rank)
-            else:
-                absent.append(rank)
-        if len(by_op) == 1 and not absent:
-            continue
-        parts = [
-            f"ranks {_rank_set(ranks)} call "
-            f"{hbview.region_name(ref)!r}"
-            for ref, ranks in sorted(by_op.items())
-        ]
-        if absent:
-            parts.append(f"ranks {_rank_set(absent)} call nothing")
-        some_rank = min(r for ranks in by_op.values() for r in ranks)
-        rec = g.records[some_rank]
-        yield Finding(
-            f"collective sequences diverge at epoch {epoch}: "
-            + "; ".join(parts),
-            rank=some_rank,
-            position=int(rec.coll_pos[epoch]),
-            time=float(rec.coll_enter[epoch]),
-        )
-        return  # later epochs are skewed by the first divergence
+    # The first epoch where some rank leaves the first rank's sequence
+    # (a different operation, or one side has stopped calling); later
+    # epochs are skewed by the first divergence.
+    lead = next(iter(seqs.values()))
+    lens = np.asarray([len(seq) for seq in seqs.values()])
+    flat = np.concatenate(list(seqs.values()))
+    # Each call's epoch, and whether it leaves the lead sequence there.
+    epochs = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    differ = epochs >= len(lead)
+    inside = ~differ
+    differ[inside] = flat[inside] != lead[epochs[inside]]
+    candidates = np.concatenate([epochs[differ], lens[lens < len(lead)]])
+    if not len(candidates):
+        return
+    epoch = int(candidates.min())
+    by_op: dict[int, list[int]] = {}
+    absent: list[int] = []
+    for rank, seq in seqs.items():
+        if epoch < len(seq):
+            by_op.setdefault(int(seq[epoch]), []).append(rank)
+        else:
+            absent.append(rank)
+    parts = [
+        f"ranks {_rank_set(ranks)} call "
+        f"{hbview.region_name(ref)!r}"
+        for ref, ranks in sorted(by_op.items())
+    ]
+    if absent:
+        parts.append(f"ranks {_rank_set(absent)} call nothing")
+    some_rank = min(r for ranks in by_op.values() for r in ranks)
+    rec = g.records[some_rank]
+    yield Finding(
+        f"collective sequences diverge at epoch {epoch}: "
+        + "; ".join(parts),
+        rank=some_rank,
+        position=int(rec.coll_pos[epoch]),
+        time=float(rec.coll_enter[epoch]),
+    )
 
 
 def _rank_set(ranks: list[int]) -> str:
@@ -256,7 +266,7 @@ def orphan_messages(hbview: HBView) -> Iterator[Finding]:
     truncated stream); a leftover receive expects a message nobody
     sent.  Reported aggregated per (src, dst, tag) channel.
     """
-    from .hb import _group_ids
+    from .hb import _group_ids, sorted_unique
 
     g = hbview.graph
     if not g.complete:
@@ -266,7 +276,7 @@ def orphan_messages(hbview: HBView) -> Iterator[Finding]:
         chan = _group_ids(
             g.s_rank[orphan_s], g.s_dst[orphan_s], g.s_tag[orphan_s]
         )
-        for gid in np.unique(chan).tolist():
+        for gid in sorted_unique(chan).tolist():
             sel = orphan_s[np.flatnonzero(chan == gid)]
             first = int(sel[np.argmin(g.s_pos[sel])])
             src, dst = int(g.s_rank[first]), int(g.s_dst[first])
@@ -283,7 +293,7 @@ def orphan_messages(hbview: HBView) -> Iterator[Finding]:
         chan = _group_ids(
             g.r_src[orphan_r], g.r_rank[orphan_r], g.r_tag[orphan_r]
         )
-        for gid in np.unique(chan).tolist():
+        for gid in sorted_unique(chan).tolist():
             sel = orphan_r[np.flatnonzero(chan == gid)]
             first = int(sel[np.argmin(g.r_pos[sel])])
             src, dst = int(g.r_src[first]), int(g.r_rank[first])
@@ -297,7 +307,7 @@ def orphan_messages(hbview: HBView) -> Iterator[Finding]:
             )
     orphan_w = np.flatnonzero((g.r_match < 0) & g.r_wildcard)
     if len(orphan_w):
-        for dst in np.unique(g.r_rank[orphan_w]).tolist():
+        for dst in sorted_unique(g.r_rank[orphan_w]).tolist():
             sel = orphan_w[g.r_rank[orphan_w] == dst]
             first = int(sel[np.argmin(g.r_pos[sel])])
             yield Finding(
@@ -327,6 +337,8 @@ def wait_chain_origin(hbview: HBView) -> Iterator[Finding]:
     the send at its root: the place to look for the bottleneck, not
     the places that merely inherited the wait.
     """
+    from .hb import sorted_unique
+
     g = hbview.graph
     if not g.complete:
         return
@@ -344,7 +356,7 @@ def wait_chain_origin(hbview: HBView) -> Iterator[Finding]:
     # the sender's rank that completed before the send was posted.
     by_rank: dict[int, np.ndarray] = {}
     pos_by_rank: dict[int, np.ndarray] = {}
-    for rank in np.unique(g.r_rank[sig]).tolist():
+    for rank in sorted_unique(g.r_rank[sig]).tolist():
         rows = sig[g.r_rank[sig] == rank]
         order = np.argsort(g.r_pos[rows], kind="stable")
         by_rank[int(rank)] = rows[order]

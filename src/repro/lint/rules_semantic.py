@@ -110,15 +110,15 @@ def self_message(view) -> Iterator[Finding]:
     in the measurement layer, and they inflate the communication
     matrix diagonal.
     """
-    ev = view.events
-    selfish = view.p2p_mask & (ev.partner == view.rank)
-    if np.any(selfish):
-        first = int(np.argmax(selfish))
-        yield Finding(
-            f"{int(np.sum(selfish))} message events have the rank itself "
+    idx = view.p2p_idx
+    own = np.asarray(view.ranks, dtype=np.int64)[view.slot_of(idx)]
+    selfish = idx[view.events.partner[idx] == own]
+    for slot, first, count in view.by_rank(selfish):
+        yield view.finding(
+            slot,
+            f"{count} message events have the rank itself "
             f"as partner (first at event {first})",
-            position=first,
-            time=view.time_at(first),
+            first,
         )
 
 
@@ -135,25 +135,30 @@ def zero_duration_sync_storm(view) -> Iterator[Finding]:
     resolution was too coarse for the measurement — SOS-time then
     subtracts nothing and variations are blamed on compute.
     """
-    if not view.balanced or not len(view.inv_region):
+    if not len(view.inv_region):
         return
     cfg = view.shared.config
     sel = view.inv_valid & view.shared.sync_mask[
         np.clip(view.inv_region, 0, view.shared.num_regions - 1)
     ]
-    total = int(np.sum(sel))
-    if total == 0:
-        return
     zero = sel & (view.inv_duration == 0.0)
-    nzero = int(np.sum(zero))
-    if nzero >= max(cfg.zero_sync_min, 1) and nzero >= cfg.zero_sync_fraction * total:
-        first = int(view.inv_enter_index[int(np.argmax(zero))])
-        yield Finding(
-            f"{nzero} of {total} synchronization invocations have zero "
-            f"duration (first at event {first})",
-            position=first,
-            time=view.time_at(first),
-        )
+    n_ranks = len(view.ranks)
+    total = np.bincount(view.inv_rank[sel], minlength=n_ranks)
+    nzero = np.bincount(view.inv_rank[zero], minlength=n_ranks)
+    storm = (nzero >= max(cfg.zero_sync_min, 1)) & (
+        nzero >= cfg.zero_sync_fraction * total
+    )
+    if not storm.any():
+        return
+    for slot, k in view.first_frame(zero).items():
+        if storm[slot]:
+            first = int(view.inv_enter_index[k] - view.starts[slot])
+            yield view.finding(
+                slot,
+                f"{int(nzero[slot])} of {int(total[slot])} synchronization "
+                f"invocations have zero duration (first at event {first})",
+                first,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,13 @@ def clock_skew(tview) -> Iterator[Finding]:
     if duration <= 0.0:
         return
     starts = np.asarray([tview.summaries[r].t_first for r in active])
-    median = float(np.median(starts))
+    # np.median's NaN check would import numpy.ma: the mean of the
+    # middle one or two sorted starts is the same number.
+    ordered = np.sort(starts)
+    mid = (len(ordered) - 1) // 2
+    median = float(np.mean(ordered[mid:len(ordered) // 2 + 1]))
+    if np.isnan(ordered[-1]):
+        median = float("nan")
     tolerance = shared.config.clock_skew_tolerance * duration
     for rank, start in zip(active, starts.tolist()):
         if abs(start - median) > tolerance:

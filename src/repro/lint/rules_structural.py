@@ -4,10 +4,11 @@ The error-severity rules gate every analysis before replay
 (:func:`~repro.lint.engine.validate_config`); the warning-severity
 ones (duplicate events, negative timestamps) only report.
 
-Every check function receives a :class:`~repro.lint.engine.RankView`
-and yields :class:`~repro.lint.registry.Finding` objects.  The view
-guards against broken inputs, so rules stay crash-free on exactly the
-traces they are meant to reject.
+Every rank-scoped check receives a :class:`~repro.lint.engine.BatchView`
+over several ranks, computes its masks once for the whole batch and
+yields one :class:`~repro.lint.registry.Finding` per offending rank.
+The view guards against broken inputs, so rules stay crash-free on
+exactly the traces they are meant to reject.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ def unmatched_leave(view) -> Iterator[Finding]:
     the start of the stream); stack replay over such a stream is
     undefined.
     """
-    if view.underflow_index >= 0:
-        i = view.underflow_index
-        yield Finding(
-            f"leave at event {i} with empty stack",
-            position=i,
-            time=view.time_at(i),
-        )
+    under = view.pairing.underflow
+    for slot in np.flatnonzero(under >= 0).tolist():
+        i = int(under[slot])
+        yield view.finding(slot, f"leave at event {i} with empty stack", i)
 
 
 @register_rule(
@@ -58,11 +56,12 @@ def unclosed_regions(view) -> Iterator[Finding]:
     Enter/leave events must balance over the whole stream; leftover
     open regions usually mean the trace was truncated mid-run.
     """
-    if view.open_count:
-        yield Finding(
-            f"{view.open_count} regions still open at end of stream",
-            position=view.first_unclosed,
-            time=view.time_at(view.first_unclosed),
+    p = view.pairing
+    for slot in np.flatnonzero(p.open_count).tolist():
+        yield view.finding(
+            slot,
+            f"{int(p.open_count[slot])} regions still open at end of stream",
+            int(p.first_unclosed[slot]),
         )
 
 
@@ -79,17 +78,14 @@ def mismatched_leave(view) -> Iterator[Finding]:
     leave for region B while region A is open indicates interleaved or
     corrupted enter/leave pairs.
     """
-    if not view.balanced or not len(view.inv_region):
-        return
-    mismatched = view.inv_region != view.inv_leave_region
-    if np.any(mismatched):
-        first = int(np.argmax(mismatched))
-        i = int(view.inv_leave_index[first])
-        yield Finding(
-            f"event {i} leaves region {int(view.inv_leave_region[first])} "
-            f"but region {int(view.inv_region[first])} is open",
-            position=i,
-            time=view.time_at(i),
+    firsts = view.first_frame(view.inv_region != view.inv_leave_region)
+    for slot, k in firsts.items():
+        i = int(view.inv_leave_index[k] - view.starts[slot])
+        yield view.finding(
+            slot,
+            f"event {i} leaves region {int(view.inv_leave_region[k])} "
+            f"but region {int(view.inv_region[k])} is open",
+            i,
         )
 
 
@@ -106,13 +102,9 @@ def time_order(view) -> Iterator[Finding]:
     replay) assumes time-sorted streams; an unsorted stream makes all
     downstream positions meaningless.
     """
-    if not view.sorted:
-        i = view.first_unsorted
-        yield Finding(
-            "timestamps not sorted",
-            position=i,
-            time=view.time_at(i),
-        )
+    first = view.pairing.first_unsorted
+    for slot in np.flatnonzero(~view.sorted).tolist():
+        yield view.finding(slot, "timestamps not sorted", int(first[slot]))
 
 
 @register_rule(
@@ -131,20 +123,25 @@ def duplicate_events(view) -> Iterator[Finding]:
     volumes.
     """
     ev = view.events
-    if view.n < 2 or not view.sorted:
+    if view.n < 2:
         return
-    same = np.ones(view.n - 1, dtype=bool)
-    for name in ("time", "kind", "ref", "partner", "size", "tag", "value"):
+    # Events i that repeat event i - 1: equal times first, then each
+    # other column on those candidates only.
+    same = np.flatnonzero(ev.time[1:] == ev.time[:-1]) + 1
+    for name in ("kind", "ref", "partner", "size", "tag", "value"):
         col = getattr(ev, name)
-        same &= col[1:] == col[:-1]
-    if np.any(same):
-        first = int(np.argmax(same)) + 1
-        yield Finding(
-            f"{int(np.sum(same))} events are exact duplicates of their "
-            f"predecessor (first at event {first})",
-            position=first,
-            time=view.time_at(first),
-        )
+        same = same[col[same] == col[same - 1]]
+    # A rank's first event repeats nothing.
+    at = np.minimum(np.searchsorted(view.starts, same), len(view.starts) - 1)
+    same = same[view.starts[at] != same]
+    for slot, first, count in view.by_rank(same):
+        if view.sorted[slot]:
+            yield view.finding(
+                slot,
+                f"{count} events are exact duplicates of their "
+                f"predecessor (first at event {first})",
+                first,
+            )
 
 
 @register_rule(
@@ -160,13 +157,25 @@ def negative_time(view) -> Iterator[Finding]:
     correction gone wrong or an integer-underflow in the writer, and
     they land events outside the trace extent every view assumes.
     """
-    neg = view.events.time < 0
-    if np.any(neg):
-        first = int(np.argmax(neg))
-        yield Finding(
-            f"{int(np.sum(neg))} events before t=0 (first at event {first})",
-            position=first,
-            time=view.time_at(first),
+    neg = np.flatnonzero(view.events.time < 0)
+    for slot, first, count in view.by_rank(neg):
+        yield view.finding(
+            slot, f"{count} events before t=0 (first at event {first})", first
+        )
+
+
+def _bad_refs(view, index: np.ndarray, limit: int, what: str):
+    """One finding per rank whose events at ``index`` reference an id
+    outside ``[0, limit)``."""
+    ref = view.events.ref
+    refs = ref[index]
+    bad = index[(refs < 0) | (refs >= limit)]
+    for slot, first, _count in view.by_rank(bad):
+        yield view.finding(
+            slot,
+            f"event {first} references undefined {what} "
+            f"{int(ref[view.starts[slot] + first])}",
+            first,
         )
 
 
@@ -182,14 +191,7 @@ def bad_region_ref(view) -> Iterator[Finding]:
     Orphan region references make profile accumulation impossible —
     there is no name, paradigm or role to attribute the time to.
     """
-    if np.any(view.bad_region):
-        first = int(np.argmax(view.bad_region))
-        yield Finding(
-            f"event {first} references undefined region "
-            f"{int(view.events.ref[first])}",
-            position=first,
-            time=view.time_at(first),
-        )
+    yield from _bad_refs(view, view.el_idx, view.shared.num_regions, "region")
 
 
 @register_rule(
@@ -204,14 +206,7 @@ def bad_metric_ref(view) -> Iterator[Finding]:
     Counter analysis indexes metric samples by definition id; a
     dangling id would silently drop or misattribute samples.
     """
-    if np.any(view.bad_metric):
-        first = int(np.argmax(view.bad_metric))
-        yield Finding(
-            f"event {first} references undefined metric "
-            f"{int(view.events.ref[first])}",
-            position=first,
-            time=view.time_at(first),
-        )
+    yield from _bad_refs(view, view.metric_idx, view.shared.num_metrics, "metric")
 
 
 @register_rule(
@@ -231,24 +226,22 @@ def bad_partner(view) -> Iterator[Finding]:
     error.
     """
     ev = view.events
-    if not np.any(view.p2p_mask):
+    idx = view.p2p_idx
+    if not len(idx):
         return
-    recv_mask = ev.kind == np.uint8(EventKind.RECV)
-    checked = view.p2p_mask & ~(recv_mask & (ev.partner == -1))
-    if not np.any(checked):
-        return
-    partners = ev.partner[checked]
+    partners = ev.partner[idx]
+    wildcard = (ev.kind[idx] == np.uint8(EventKind.RECV)) & (partners == -1)
+    idx, partners = idx[~wildcard], partners[~wildcard]
     ranks = view.shared.known_ranks
     at = np.searchsorted(ranks, partners)
     known = at < len(ranks)
     known[known] = ranks[at[known]] == partners[known]
-    if not known.all():
-        unknown = np.unique(partners[~known]).tolist()
-        first = int(np.flatnonzero(checked)[np.argmax(~known)])
-        yield Finding(
-            f"messages reference unknown locations {unknown}",
-            position=first,
-            time=view.time_at(first),
+    unknown = idx[~known]
+    for slot, first, count in view.by_rank(unknown):
+        lo = np.searchsorted(unknown, view.starts[slot])
+        peers = sorted(set(ev.partner[unknown[lo:lo + count]].tolist()))
+        yield view.finding(
+            slot, f"messages reference unknown locations {peers}", first
         )
 
 
@@ -264,8 +257,10 @@ def empty_stream(view) -> Iterator[Finding]:
     Usually a measurement failure on that rank; suppressed via
     ``allow_empty_streams`` for legitimately filtered traces.
     """
-    if view.n == 0 and not view.shared.config.allow_empty_streams:
-        yield Finding("location has no events")
+    if view.shared.config.allow_empty_streams:
+        return
+    for slot in np.flatnonzero(view.counts == 0).tolist():
+        yield view.finding(slot, "location has no events")
 
 
 @register_rule(

@@ -20,6 +20,7 @@ __all__ = [
     "FunctionStatistics",
     "compute_statistics",
     "rank_statistics_arrays",
+    "batch_statistics_arrays",
     "merge_statistics_arrays",
 ]
 
@@ -66,6 +67,46 @@ def _empty_statistics_arrays(n_regions: int) -> dict[str, np.ndarray]:
     }
 
 
+def batch_statistics_arrays(
+    table: InvocationTable, frame_starts, n_regions: int
+) -> list[dict[str, np.ndarray]]:
+    """Per-region statistics of each rank of a batch.
+
+    ``table`` holds the rows of several ranks back to back, rank
+    ``i`` owning rows ``frame_starts[i]:frame_starts[i + 1]``.  Every
+    column accumulates over one (rank, region) key in row order, so
+    each rank's partial is bitwise identical to
+    :func:`rank_statistics_arrays` of its own table.
+    """
+    frame_starts = np.asarray(frame_starts, dtype=np.int64)
+    n_ranks = len(frame_starts) - 1
+    flat = _empty_statistics_arrays(n_ranks * n_regions)
+    region = table.region
+    if len(region):
+        lo, hi = int(region.min()), int(region.max())
+        if lo < -n_regions or hi >= n_regions:
+            raise IndexError(
+                f"region id {lo if lo < -n_regions else hi} out of range "
+                f"for {n_regions} regions"
+            )
+        if lo < 0:  # negative ids count from the end, as in NumPy
+            region = np.where(region < 0, region + n_regions, region)
+        key = region.astype(np.int64)
+        if n_ranks > 1:
+            key += np.repeat(
+                np.arange(n_ranks, dtype=np.int64) * n_regions,
+                np.diff(frame_starts),
+            )
+        flat["count"] = np.bincount(key, minlength=n_ranks * n_regions)
+        outer = table.outermost
+        np.add.at(flat["inclusive_sum"], key[outer], table.inclusive[outer])
+        np.add.at(flat["exclusive_sum"], key, table.exclusive)
+        np.minimum.at(flat["inclusive_min"], key, table.inclusive)
+        np.maximum.at(flat["inclusive_max"], key, table.inclusive)
+    rows = zip(*[col.reshape(n_ranks, n_regions) for col in flat.values()])
+    return [dict(zip(flat, row)) for row in rows]
+
+
 def rank_statistics_arrays(
     table: InvocationTable, n_regions: int
 ) -> dict[str, np.ndarray]:
@@ -76,18 +117,10 @@ def rank_statistics_arrays(
     these per-rank partials (see :func:`merge_statistics_arrays`), so
     any process that holds only some ranks can compute its partials
     independently and the combined result is bit-identical no matter
-    how ranks were grouped into shards.
+    how ranks were grouped into shards.  It is the one-rank case of
+    :func:`batch_statistics_arrays`.
     """
-    out = _empty_statistics_arrays(n_regions)
-    if len(table) == 0:
-        return out
-    np.add.at(out["count"], table.region, 1)
-    outer = table.outermost
-    np.add.at(out["inclusive_sum"], table.region[outer], table.inclusive[outer])
-    np.add.at(out["exclusive_sum"], table.region, table.exclusive)
-    np.minimum.at(out["inclusive_min"], table.region, table.inclusive)
-    np.maximum.at(out["inclusive_max"], table.region, table.inclusive)
-    return out
+    return batch_statistics_arrays(table, (0, len(table)), n_regions)[0]
 
 
 def merge_statistics_arrays(

@@ -528,7 +528,7 @@ class TraceIndex:
         arrays: dict[str, np.ndarray] = {}
         for col in (_BIN_COLUMNS if columns is None else columns):
             offset, length, dtype_str, codec = chunk.columns[col]
-            where = f"location {chunk.rank} column {col}"
+            where = _blob_where(chunk.rank, col, offset)
             dtype = parse_dtype(dtype_str, where, TraceFormatError)
             if codec == "raw" and buf is not None:
                 # Blob length == n * itemsize was validated at index
@@ -632,9 +632,11 @@ class TraceIndex:
         with obs.span("io.load"), open(self.path, "rb") as fp:
             for col in project:
                 offset, _length, dtype_str, _codec = chunk.columns[col]
-                where = f"location {rank} column {col}"
-                dtype = parse_dtype(dtype_str, where, TraceFormatError)
+                dtype = parse_dtype(
+                    dtype_str, f"location {rank} column {col}", TraceFormatError
+                )
                 byte_off = offset + start * dtype.itemsize
+                where = _blob_where(rank, col, byte_off)
                 if buf is not None:
                     try:
                         arr = np.frombuffer(
@@ -735,7 +737,7 @@ class TraceIndex:
         with open(self.path, "rb") as fp:
             for col in _BIN_COLUMNS:
                 offset, length, _dtype_str, codec = chunk.columns[col]
-                where = f"location {chunk.rank} column {col}"
+                where = _blob_where(chunk.rank, col, offset)
                 blob = self._read_column_blob(fp, offset, length, where)
                 h.update(col.encode("ascii"))
                 if codec == "raw":
@@ -746,6 +748,11 @@ class TraceIndex:
                     except zlib.error as err:
                         raise TraceFormatError(f"{where}: {err}") from err
         return h.hexdigest()
+
+
+def _blob_where(rank: int, col: str, offset: int) -> str:
+    """Error context of a column blob: location, column, file offset."""
+    return f"location {rank} column {col} at byte {offset}"
 
 
 def read_trace(

@@ -275,6 +275,22 @@ class TestProcess:
         result = run_cli_script(script, str(trace_path), stdout=subprocess.DEVNULL)
         assert result.returncode == 0, result.stderr
 
+    def test_preflight_analyze_imports_only_what_it_runs(self, trace_path, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['analyze', sys.argv[1], '--preflight',\n"
+            "             '--json', sys.argv[2]]) == 0\n"
+            "unused = ('numpy.ma', 'repro.core.streaming', 'repro.core.shard')\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
+        )
+        result = run_cli_script(
+            script, str(trace_path), str(tmp_path / "out.json"),
+            stdout=subprocess.DEVNULL,
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_monitor_imports_only_what_it_runs(self, trace_path):
         script = (
             "import sys\n"
@@ -661,6 +677,18 @@ def corrupt_traces(tmp_path_factory):
     return paths
 
 
+def _blob_offset(path, location: int, column: str) -> int:
+    """File offset of one column blob of a ``.rpt`` file."""
+    import struct
+
+    from repro.trace.binio import payload_start
+
+    data = path.read_bytes()
+    version, hlen = struct.unpack_from("<HI", data, 4)
+    spec = json.loads(data[10 : 10 + hlen])["locations"][location]["columns"]
+    return payload_start(hlen, version) + spec[column]["offset"]
+
+
 class TestCorruptInput:
     """Every trace-reading command gives the same one-line verdict."""
 
@@ -700,6 +728,10 @@ class TestCorruptInput:
             assert len(lines) == 1 and lines[0].startswith("error: "), err
             verdicts.add(lines[0])
         assert len(verdicts) == 1, verdicts
+        if kind == "bitflip":  # the message names the blob's file offset
+            (verdict,) = verdicts
+            offset = _blob_offset(corrupt_traces[kind], 0, "time")
+            assert f"location 0 column time at byte {offset}: " in verdict
 
     def test_cached_route_exit_2_without_traceback(
         self, corrupt_traces, tmp_path, monkeypatch, capsys
@@ -832,6 +864,7 @@ class TestStructuralInput:
         ["baselines"],
         ["compare", "{trace}"],
         ["lint"],
+        ["info"],
         ["monitor"],
         ["monitor", "--chunk", "1"],
         ["monitor", "--chunk", "7"],

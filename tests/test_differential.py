@@ -601,3 +601,147 @@ class TestChunkedShardWorkers:
             None, source_path=path, shards=shards, chunk_events=chunk
         )
         assert_identical_analysis(reference, session.analysis())
+
+
+_MIXED_KINDS = (
+    "clean", "empty", "unsorted", "unclosed", "orphan", "crossed",
+    "bad_ref", "messages", "duplicate",
+)
+
+
+def _mixed_stream(kind: str, rank: int, n: int, n_ranks: int):
+    """One rank's stream: clean nested calls with messages, or one of
+    the broken shapes the structural gate rejects."""
+    from repro.trace.events import EventList, EventListBuilder
+
+    b = EventListBuilder()
+    if kind == "empty":
+        return b.freeze()
+    if kind == "messages":  # no enter/leave at all
+        for i in range(n):
+            b.send(float(i), (rank + 1) % n_ranks, size=8, tag=i)
+            b.recv(i + 0.5, (rank - 1) % n_ranks, size=8, tag=i)
+        return b.freeze()
+    b.enter(0.0, 0)
+    for i in range(n):
+        b.enter(1.0 + i, 1)
+        b.enter(1.25 + i, 2)
+        b.leave(1.25 + i + 0.03 * (rank % 5), 2)
+        b.send(1.5 + i, (rank + 1) % n_ranks, size=8, tag=i)
+        if kind == "duplicate":  # TL005: a buffer flushed twice
+            b.send(1.5 + i, (rank + 1) % n_ranks, size=8, tag=i)
+        b.recv(1.6 + i, (rank - 1) % n_ranks, size=8, tag=i)
+        b.leave(1.75 + i, 1)
+    if kind != "unclosed":
+        b.leave(n + 2.0, 0)
+    if kind == "orphan":
+        b.leave(n + 3.0, 0)
+    ev = b.freeze()
+    cols = {f: getattr(ev, f).copy() for f in ev.loaded_columns}
+    if kind == "crossed":
+        cols["ref"][3] = 1  # the first calc frame closes region 1
+    elif kind == "bad_ref":
+        cols["ref"][2] = cols["ref"][3] = 99
+    elif kind == "unsorted":
+        cols["time"][4] = 0.5
+        return _unchecked(cols)
+    return EventList(*(cols[f] for f in ev.loaded_columns))
+
+
+def _unchecked(cols):
+    """An event list whose time column skips the sortedness check."""
+    from repro.trace.events import EventList
+
+    ordered = np.sort(cols["time"])
+    ev = EventList(ordered, *(cols[f] for f in list(cols)[1:]))
+    ev.time.setflags(write=True)
+    ev.time[:] = cols["time"]
+    ev.time.setflags(write=False)
+    return ev
+
+
+@st.composite
+def mixed_traces(draw):
+    from repro.trace import Location, Trace
+    from repro.trace.definitions import Paradigm
+
+    kinds = draw(st.lists(st.sampled_from(_MIXED_KINDS), min_size=1, max_size=7))
+    trace = Trace(name="mixed")
+    trace.regions.register("main")
+    trace.regions.register("iter")
+    trace.regions.register("MPI_Wait", paradigm=Paradigm.MPI)
+    for rank, kind in enumerate(kinds):
+        n = draw(st.integers(1, 6))
+        trace.add_process(
+            Location(rank, f"P{rank}"), _mixed_stream(kind, rank, n, len(kinds))
+        )
+    return kinds, trace
+
+
+class TestBatchBoundaries:
+    """Batches of any size split back into exactly the one-rank
+    products: the kernel at one rank per batch and at one batch for
+    the whole trace, against ``lint_trace`` and ``match_invocations``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_traces(), full=st.booleans())
+    def test_products_equal_one_rank_batches(self, case, full):
+        from repro.core import incremental
+        from repro.core.fused import fused_bootstrap
+        from repro.lint import LintConfig, lint_trace, validate_config
+        from repro.profiles.replay import match_invocations
+        from repro.profiles.stats import rank_statistics_arrays
+
+        kinds, trace = case
+        lint = LintConfig() if full else None
+        runs = []
+        for size in (1, trace.num_events + 1):
+            saved = incremental._BATCH_EVENTS
+            incremental._BATCH_EVENTS = size
+            try:
+                runs.append(fused_bootstrap(trace, lint=lint))
+            finally:
+                incremental._BATCH_EVENTS = saved
+        want = lint_trace(trace, config=lint or validate_config()).to_json()
+        n_regions = len(trace.regions)
+        for boot in runs:
+            assert boot.report.to_json() == want
+            # Every clean rank keeps its table, whatever its neighbours.
+            clean = [
+                r for r, k in enumerate(kinds)
+                if k in ("clean", "messages", "duplicate")
+            ]
+            assert sorted(boot.tables) == clean
+            for rank in clean:
+                table = match_invocations(trace.events_of(rank))
+                for col in ("region", "t_enter", "t_leave", "inclusive",
+                            "exclusive", "depth", "parent", "outermost",
+                            "enter_index", "leave_index"):
+                    assert np.array_equal(
+                        getattr(boot.tables[rank], col), getattr(table, col)
+                    ), f"rank {rank} ({kinds[rank]}) column {col}"
+                partial = rank_statistics_arrays(table, n_regions)
+                for stat, arr in partial.items():
+                    assert np.array_equal(boot.partials[rank][stat], arr)
+        # Extents, through the cursor-fed kernel at both batch sizes.
+        extents = {
+            r: (len(ev), float(ev.time[0]), float(ev.time[-1]))
+            for r in trace.ranks
+            if len(ev := trace.events_of(r))
+        }
+        for size in (1, trace.num_events + 1):
+            saved = incremental._BATCH_EVENTS
+            incremental._BATCH_EVENTS = size
+            try:
+                kernel = incremental.IncrementalKernel(
+                    trace.regions, trace.metrics, trace.num_processes,
+                    trace.ranks, lint=lint, trace_name=trace.name,
+                )
+                for rank in trace.ranks:
+                    kernel.feed(rank, trace.events_of(rank))
+                    kernel.finish_rank(rank)
+                boot = kernel.finalize()
+            finally:
+                incremental._BATCH_EVENTS = saved
+            assert kernel.extents == extents
+            assert boot.report.to_json() == want

@@ -445,13 +445,13 @@ class TestEngineRouting:
     def test_finalize_refuses_partial_records(self):
         trace = ping_trace([(0, 1), (1, 2)])
         records, shared = match_records_for_trace(trace)
-        from repro.lint.engine import RankView, scan_view
+        from repro.lint.engine import rank_view, scan_batch
 
         diags, summaries = [], {}
         for rank in trace.ranks:
-            d, s = scan_view(RankView(shared, rank, trace.events_of(rank)))
+            d, s = scan_batch(rank_view(shared, rank, trace.events_of(rank)))
             diags.extend(d)
-            summaries[rank] = s
+            summaries.update(s)
         with pytest.raises(ValueError, match="partial trace"):
             finalize_report(shared, diags, summaries, match_records=None)
         del records[1]

@@ -134,11 +134,20 @@ class TestRegistry:
         )
         def always(view):
             """Always fires."""
-            yield Finding("hello", position=0)
+            for slot in range(len(view.ranks)):
+                yield view.finding(slot, "hello", position=0)
 
         try:
-            report = lint_trace(healthy_trace())
-            assert "TL901" in codes(report)
+            trace = healthy_trace()
+            report = lint_trace(trace)
+            fired = [d for d in report.diagnostics if d.code == "TL901"]
+            assert [d.rank for d in fired] == sorted(trace.ranks)
+            assert {d.position for d in fired} == {0}
+            # The kernel scans every rank in one batch: same findings.
+            from repro.core.fused import fused_bootstrap
+
+            batched = fused_bootstrap(trace, lint=LintConfig()).report
+            assert batched.to_json() == report.to_json()
         finally:
             del _REGISTRY["TL901"]
 
@@ -599,30 +608,35 @@ class TestPreflightWiring:
 
     @pytest.fixture()
     def pairings(self, monkeypatch):
-        """Count every enter/leave pairing: lint views and plain replay."""
+        """Count the ranks every enter/leave pairing covers: lint batch
+        views and plain replay (the kernel's no-scan batches and
+        ``match_invocations``)."""
         from repro.core import incremental
         from repro.lint import engine
         from repro.profiles import replay
 
-        calls = {"view": 0, "match_invocations": 0}
-        view_init = engine.RankView.__init__
+        calls = {"view": 0, "replay": 0}
+        view_init = engine.BatchView.__init__
 
-        def counting_init(self, *args, **kwargs):
-            calls["view"] += 1
-            view_init(self, *args, **kwargs)
+        def counting_init(self, shared, ranks, *args, **kwargs):
+            calls["view"] += len(ranks)
+            view_init(self, shared, ranks, *args, **kwargs)
 
-        def counting(module):
-            real = module.match_invocations
+        real_pair = incremental.pair_events
 
-            def match_invocations(*args, **kwargs):
-                calls["match_invocations"] += 1
-                return real(*args, **kwargs)
+        def pair_events(time, kind, starts, **kwargs):
+            calls["replay"] += len(starts) - 1
+            return real_pair(time, kind, starts, **kwargs)
 
-            monkeypatch.setattr(module, "match_invocations", match_invocations)
+        real_match = replay.match_invocations
 
-        monkeypatch.setattr(engine.RankView, "__init__", counting_init)
-        counting(incremental)
-        counting(replay)
+        def match_invocations(*args, **kwargs):
+            calls["replay"] += 1
+            return real_match(*args, **kwargs)
+
+        monkeypatch.setattr(engine.BatchView, "__init__", counting_init)
+        monkeypatch.setattr(incremental, "pair_events", pair_events)
+        monkeypatch.setattr(replay, "match_invocations", match_invocations)
         return calls
 
     @pytest.mark.parametrize("warn", [False, True], ids=["clean", "warning"])
@@ -649,9 +663,9 @@ class TestPreflightWiring:
         assert not report.counts()["error"]
         assert {d.code for d in report.diagnostics} == ({"TL103"} if warn else set())
         assert pairings["view"] == len(trace.ranks)
-        pairings.update(view=0, match_invocations=0)
+        pairings.update(view=0, replay=0)
         session.analysis()
-        assert pairings == {"view": 0, "match_invocations": 0}
+        assert pairings == {"view": 0, "replay": 0}
         assert session.stats.computed["validate"] == 1
         assert session.stats.computed["replay"] == len(trace.ranks)
 
@@ -706,11 +720,11 @@ class TestPreflightWiring:
         want = cold.analysis().report()
 
         built.clear()
-        pairings.update(view=0, match_invocations=0)
+        pairings.update(view=0, replay=0)
         warm = AnalysisSession(tiny_trace, cache_dir=tmp_path)
         assert warm.preflight() == report
         assert warm.analysis().report() == want
-        assert built == [] and pairings["match_invocations"] == 0
+        assert built == [] and pairings["replay"] == 0
         assert pairings["view"] == len(tiny_trace.ranks)  # the lint scan
         assert warm.stats.disk_writes == {}
 

@@ -429,7 +429,7 @@ class TestDogfood:
         AnalysisSession(None, source_path=str(trace_path)).analysis()
         col = obs.disable()
         names = {s.name for s in col.iter_spans()}
-        assert {"session.analysis", "fused.bootstrap", "fused.rank",
+        assert {"session.analysis", "fused.bootstrap", "fused.batch",
                 "io.load", "stage.sos"} <= names
         counters = col.counters()
         assert counters["analysis.events"] > 0
