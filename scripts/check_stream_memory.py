@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="address space allowed on top of the "
                              "interpreter baseline (the bounded run "
                              "peaks ~90 MiB above it; the unbounded "
-                             "reader needs ~220 MiB and trips the cap)")
+                             "reader needs ~150 MiB and trips the cap)")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--trace", help=argparse.SUPPRESS)

@@ -663,12 +663,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from .core.fused import fused_bootstrap
-
-    trace = _load_trace(args.trace)
+    session = _session_for_path(args.trace, args)
     # The structural gate every analysis runs, without building tables:
-    # a trace analyze would refuse gets the same verdict here.
-    fused_bootstrap(trace, table_ranks=()).report.raise_for_errors()
+    # a trace analyze would refuse gets the same verdict here.  The gate
+    # reads the file rank by rank, and its extents complete the summary.
+    session.validate()
+    trace = session.trace
     for key, value in trace.summary().items():
         print(f"{key:>12}: {value}")
     if trace.attributes:

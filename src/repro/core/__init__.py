@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import importlib
+from .._lazy import lazy_exports
 
 # Re-exported lazily so that importing one ``repro.core.*`` module does
 # not pull in its siblings (streaming, sharding with multiprocessing,
@@ -39,19 +39,4 @@ _EXPORTS = {
     "streaming": ("StreamAlert", "StreamedSegment", "StreamingAnalyzer"),
     "variation": ("TrendResult", "binned_matrix", "detect_trend", "mann_kendall", "step_series"),
 }
-_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,7 +11,10 @@ pass aggregates per-region statistics from the tables.
 lives in :class:`~repro.core.incremental.IncrementalKernel` — the
 cursor-driven engine behind streaming and the sharded workers, which
 runs ranks in batches — and this function is simply the batch driver:
-one whole-rank chunk per rank.  The scan runs any
+one whole-rank chunk per rank, taken from
+:meth:`~repro.trace.trace.Trace.event_streams`.  For a cold session's
+own file those streams come rank by rank from the file's cursor, so
+the pass never holds the decoded trace.  The scan runs any
 :class:`~repro.lint.model.LintConfig`: the structural gate by
 default, the full rule set for ``analyze --preflight``, whose report
 then comes out of the same pass that builds the tables.  Outputs are
@@ -59,8 +62,9 @@ def fused_bootstrap(
     the statistics aggregation).  ``table_ranks`` restricts
     table/partial construction to a subset of ranks (the scan still
     covers all of them) — the shard workers use this to skip replay
-    for ranks whose products are already spilled.  Every rank is fed
-    before any finishes, so an hb-rule match graph is sized once.
+    for ranks whose products are already spilled.  Each rank finishes
+    as soon as it is fed, so a trace whose streams decode on demand
+    holds one rank group at a time.
     """
     kernel = IncrementalKernel(
         trace.regions,
@@ -72,6 +76,7 @@ def fused_bootstrap(
         table_ranks=table_ranks,
         trace_name=trace.name,
     )
-    for rank in trace.ranks:
-        kernel.feed(rank, trace.events_of(rank))
+    for rank, events in trace.event_streams():
+        kernel.feed(rank, events)
+        kernel.finish_rank(rank)
     return kernel.finalize()

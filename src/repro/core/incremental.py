@@ -1,13 +1,14 @@
 """Incremental (cursor-driven) analysis kernel.
 
-:func:`~repro.core.fused.fused_bootstrap` fuses validation, replay and
-statistics aggregation into one pass, but it consumes a fully
-materialised :class:`~repro.trace.trace.Trace`.  This module is the
-same kernel turned inside out: :class:`IncrementalKernel` *accepts*
-event chunks per rank (from any :class:`~repro.trace.cursor.EventCursor`)
-and finalises ranks as their streams end, so the batch path becomes
-"streaming over a finished file" and a live feed is just another
-producer.
+One kernel fuses validation, replay and statistics aggregation into
+one pass: :class:`IncrementalKernel` *accepts* event chunks per rank
+and finalises ranks as their streams end.  Its drivers differ only in
+where the chunks come from: :func:`~repro.core.fused.fused_bootstrap`
+feeds a trace's streams one whole rank at a time (for a cold session's
+own file, each rank decoded from the file's cursor as it is reached),
+:func:`incremental_bootstrap` and the shard workers pull them from any
+:class:`~repro.trace.cursor.EventCursor`, and a live feed is just
+another producer.
 
 Rank batches
 ------------
@@ -35,13 +36,14 @@ file formats.
 Memory
 ------
 
-Peak memory is bounded by max(largest rank, :data:`_BATCH_EVENTS`
-events) plus the batch's transients, **not** the trace: a rank larger
-than the constant runs as a batch of its own, and a batch's buffers
-are dropped as soon as it has run.  ``table_sink`` lets callers spill
-each rank's invocation table the moment it exists (the shard workers
-do), which keeps resident state to the per-region statistics partials
-— a few KiB per rank.
+When the driver decodes ranks on demand (a cursor, or a cold
+session's file), peak event memory is bounded by max(largest rank,
+:data:`_BATCH_EVENTS` events) plus the batch's transients, **not** the
+trace: a rank larger than the constant runs as a batch of its own,
+and a batch's buffers are dropped as soon as it has run.
+``table_sink`` lets callers spill each rank's invocation table the
+moment it exists (the shard workers do), which keeps resident state to
+the per-region statistics partials — a few KiB per rank.
 """
 
 from __future__ import annotations
@@ -84,12 +86,33 @@ class FusedBootstrap:
     outputs, ready for rank-ascending merging.  Ranks handed to a
     ``table_sink`` do not appear in ``tables``.  ``report`` holds the
     findings of the ``lint`` config the ranks were scanned with
-    (``None`` with ``lint=False``).
+    (``None`` with ``lint=False``).  ``extents`` maps each fed,
+    non-empty rank to ``(n_events, t_first, t_last)``, in the order
+    the ranks finished.
     """
 
     tables: dict[int, InvocationTable]
     partials: dict[int, dict[str, np.ndarray]]
     report: LintReport | None
+    extents: dict[int, tuple[int, float, float]]
+
+    @property
+    def extent(self) -> tuple[float, float]:
+        """``(t_min, t_max)`` of the fed events (:func:`time_extent`)."""
+        return time_extent(self.extents)
+
+
+def time_extent(extents) -> tuple[float, float]:
+    """``(t_min, t_max)`` over per-rank ``(n_events, t_first, t_last)``
+    extents: what :attr:`Trace.t_min <repro.trace.trace.Trace.t_min>`
+    and ``t_max`` report for the same streams, ``(0.0, 0.0)`` when all
+    are empty."""
+    if not extents:
+        return 0.0, 0.0
+    return (
+        min(lo for _, lo, _ in extents.values()),
+        max(hi for _, _, hi in extents.values()),
+    )
 
 
 class _JoinedEvents:
@@ -325,7 +348,7 @@ class IncrementalKernel:
                 self.finish_rank(rank)
         self._run_batch()
         if self._shared is None:
-            return FusedBootstrap(self.tables, self.partials, None)
+            return FusedBootstrap(self.tables, self.partials, None, self.extents)
         from ..lint.engine import finalize_report
 
         report = finalize_report(
@@ -333,7 +356,7 @@ class IncrementalKernel:
             trace_name=self._trace_name,
             match_records=None if self._graph is None else self._graph.finish(),
         )
-        return FusedBootstrap(self.tables, self.partials, report)
+        return FusedBootstrap(self.tables, self.partials, report, self.extents)
 
 
 def incremental_bootstrap(

@@ -25,9 +25,12 @@ disk and performs **zero** replay or profile recomputation; replayed
 invocation tables load only when a drill-down path indexes them, and
 are keyed per rank by the rank's event digest, so traces sharing event
 streams share artifacts.  A session that reads its own file parses
-only its header up front and decodes the event columns on first use;
-a ``stat-`` artifact gives it the fingerprint and time extent, so a
-warm report that needs nothing else decodes no event at all.
+only its header up front.  Its cold kernel pass decodes the file rank
+by rank and drops each rank with its batch, and the kernel's per-rank
+extents give the time extent; the whole file is decoded only when a
+consumer reads events.  A ``stat-`` artifact gives a warm session the
+fingerprint and time extent, so a warm report that needs nothing else
+decodes no event at all.
 
 :func:`repro.core.pipeline.analyze_trace` is a thin facade over this
 class; use a session directly when analysing the same trace more than
@@ -36,6 +39,7 @@ once or when serving repeated queries.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -334,15 +338,16 @@ def _fingerprint_from_arrays(
     return (fp, (t_min, t_max)) if intact else None
 
 
-def _read_unchanged(path: str, key: tuple | None) -> Trace:
-    """:func:`read_trace` of ``path``, which must still have stat key
-    ``key`` before and after the read.
+@contextlib.contextmanager
+def _unchanged(path: str, key: tuple | None):
+    """Guard a read of ``path``, which must still have stat key ``key``
+    before and after the read.
 
     A file replaced or rewritten since ``key`` was taken raises
     :class:`TraceFormatError` rather than decoding other content than
-    the header parsed then described.
+    the header parsed then described; a decode error names ``path``.
     """
-    from ..trace.reader import TraceFormatError, read_trace
+    from ..trace.reader import TraceFormatError
 
     def check() -> None:
         if _stat_key(path) != key:
@@ -352,12 +357,11 @@ def _read_unchanged(path: str, key: tuple | None) -> Trace:
 
     check()
     try:
-        trace = read_trace(path)
+        yield
     except TraceFormatError as err:
         err.path = path
         raise
     check()
-    return trace
 
 
 class _PathTrace(Trace):
@@ -365,25 +369,63 @@ class _PathTrace(Trace):
 
     Definitions, ranks and event counts come from the file's
     :class:`~repro.trace.reader.TraceIndex`; the time extent comes from
-    ``extent`` once a ``stat-`` artifact hit has set it.  The first
-    access to an event stream decodes the whole file with ``load``.
+    ``extent`` once a ``stat-`` artifact hit or a kernel pass has set
+    it.  The first access to an event stream decodes the whole file;
+    :meth:`event_streams` instead decodes one rank at a time and keeps
+    none.  Both reads require the file to still have the stat key
+    ``key`` taken before its header was parsed.
     """
 
-    def __init__(self, index, load: Callable[[], Trace]) -> None:
+    def __init__(self, index, key: tuple | None) -> None:
         super().__init__(index.regions, index.metrics, index.name, index.attributes)
         # No streams yet: __getattr__ decodes them on first access.
         del self._processes
-        self._load = load
+        self._index = index
+        self._key = key
         self._ranks = index.ranks
         self._num_events = index.num_events
-        #: ``(t_min, t_max)`` restored from a ``stat-`` artifact
+        #: ``(t_min, t_max)`` restored from a ``stat-`` artifact or
+        #: taken from the kernel's per-rank extents
         self.extent: tuple[float, float] | None = None
 
     def __getattr__(self, name: str):
         if name != "_processes":
             raise AttributeError(name)
-        self._processes = self._load()._processes
+        from ..trace.reader import read_trace
+
+        with _unchanged(self._index.path, self._key):
+            self._processes = read_trace(self._index.path)._processes
         return self._processes
+
+    @property
+    def decoded(self) -> bool:
+        """Whether the event streams are in memory."""
+        return "_processes" in self.__dict__
+
+    def event_streams(self):
+        """Every rank's events, in rank order, each decoded as it is
+        reached and dropped with the caller's reference when the
+        streams are not in memory yet.
+
+        This is how the fused kernel reads the file on a cold run
+        (:func:`~repro.core.fused.fused_bootstrap`): one whole-rank
+        batch per rank from the index's cursor, so the pass never holds
+        the decoded trace.
+        """
+        if self.decoded:
+            yield from super().event_streams()
+            return
+        with _unchanged(self._index.path, self._key):
+            for batch in self._index.cursor():
+                yield batch.rank, batch.events
+
+    def adopt(self, boot) -> None:
+        """Take the time extent of a kernel pass over all ranks, and
+        unmap the file: no column view into it outlives the pass, so
+        its pages need not stay resident."""
+        self.extent = boot.extent
+        with contextlib.suppress(BufferError):
+            self._index.close()
 
     @property
     def ranks(self) -> list[int]:
@@ -533,11 +575,8 @@ class AnalysisSession:
                 self._index = TraceIndex(self.source_path)
                 trace = self._index.definitions_trace()
             else:
-                path = self.source_path
-                self._stat = key = _stat_key(path)
-                trace = _PathTrace(
-                    TraceIndex(path), lambda: _read_unchanged(path, key)
-                )
+                self._stat = _stat_key(self.source_path)
+                trace = _PathTrace(TraceIndex(self.source_path), self._stat)
         self.trace = trace
         self.cache = (
             ArtifactCache(os.path.expanduser(str(cache_dir)))
@@ -1057,6 +1096,17 @@ class AnalysisSession:
             )
             return replace(boot.report, source=self.source_path)
 
+    def validate(self) -> None:
+        """Run only the structural gate :meth:`analysis` starts with.
+
+        A trace :meth:`analysis` would refuse raises the same
+        :class:`repro.lint.LintError`; no table is built.  The gate is
+        the in-process kernel's (``repro info``), so a path-mode session
+        learns its time extent from the pass.  Sharded sessions gate in
+        their phase-1 workers instead (:meth:`analysis`).
+        """
+        self._fused_run(None, table_ranks=()).report.raise_for_errors()
+
     def _ensure_valid(self) -> None:
         if not self.config.validate or self._validated:
             return
@@ -1086,7 +1136,10 @@ class AnalysisSession:
 
         The lint scan (``lint`` as in ``fused_bootstrap``), stack replay
         and the per-rank statistics partials share one enter/leave
-        pairing per rank.  A report without errors from a config that
+        pairing per rank.  The kernel reads the session's own file rank
+        by rank (:meth:`_PathTrace.event_streams`) unless its events
+        are already decoded, and its per-rank extents give the trace's
+        time extent.  A report without errors from a config that
         gates replay (:func:`repro.lint.engine.gates_replay`) validates
         the session; a validated or unscanned pass hands the session
         its tables and partials, and with a cache stores one ``inv-``
@@ -1097,6 +1150,8 @@ class AnalysisSession:
 
         with obs.span("fused.bootstrap"):
             boot = fused_bootstrap(self.trace, lint=lint, table_ranks=table_ranks)
+        if isinstance(self.trace, _PathTrace):
+            self.trace.adopt(boot)
         if lint is not False:
             from ..lint.engine import gates_replay, validate_config
 

@@ -56,6 +56,7 @@ from ..trace.fingerprint import fingerprint_events
 from ..trace.filters import select_ranks
 from ..trace.trace import Trace
 from .classify import SyncClassifier
+from .incremental import time_extent
 from .segments import RankSegments, Segmentation, segment_rank
 from .sos import RankSOS, SOSResult, segment_sync_time
 
@@ -554,13 +555,11 @@ class ShardBootstrap:
 
     @property
     def t_min(self) -> float:
-        lows = [lo for _, lo, _ in self.extents.values()]
-        return float(min(lows)) if lows else 0.0
+        return time_extent(self.extents)[0]
 
     @property
     def t_max(self) -> float:
-        highs = [hi for _, _, hi in self.extents.values()]
-        return float(max(highs)) if highs else 0.0
+        return time_extent(self.extents)[1]
 
 
 class ShardEngine:

@@ -1,38 +1,27 @@
 """Profiling substrate: stack replay, flat profiles, call trees."""
 
-from .callpath import CallPathNode, CallTree, build_call_tree
-from .export import (
-    write_analysis_json,
-    write_profile_csv,
-    write_rank_summary_csv,
-    write_segments_csv,
-)
-from .profile import TraceProfile, profile_trace
-from .replay import InvocationTable, match_invocations, replay_trace
-from .stats import (
-    FunctionStatistics,
-    RegionStats,
-    compute_statistics,
-    merge_statistics_arrays,
-    rank_statistics_arrays,
-)
+from __future__ import annotations
 
-__all__ = [
-    "CallPathNode",
-    "CallTree",
-    "FunctionStatistics",
-    "InvocationTable",
-    "RegionStats",
-    "TraceProfile",
-    "build_call_tree",
-    "write_analysis_json",
-    "write_profile_csv",
-    "write_rank_summary_csv",
-    "write_segments_csv",
-    "compute_statistics",
-    "match_invocations",
-    "merge_statistics_arrays",
-    "profile_trace",
-    "rank_statistics_arrays",
-    "replay_trace",
-]
+from .._lazy import lazy_exports
+
+# Re-exported lazily (PEP 562), as in :mod:`repro.core`: replay and
+# statistics load without the call-tree and CSV/JSON export code.
+_EXPORTS = {
+    "callpath": ("CallPathNode", "CallTree", "build_call_tree"),
+    "export": (
+        "write_analysis_json",
+        "write_profile_csv",
+        "write_rank_summary_csv",
+        "write_segments_csv",
+    ),
+    "profile": ("TraceProfile", "profile_trace"),
+    "replay": ("InvocationTable", "match_invocations", "replay_trace"),
+    "stats": (
+        "FunctionStatistics",
+        "RegionStats",
+        "compute_statistics",
+        "merge_statistics_arrays",
+        "rank_statistics_arrays",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,76 +19,46 @@ inside the fused kernel's one scan per rank
 rank's enter/leave events for replay.
 """
 
-from .binio import write_binary
-from .builder import ProcessBuilder, TraceBuilder
-from .cursor import (
-    EventBatch,
-    EventCursor,
-    FeedCursor,
-    IndexCursor,
-    JsonlStreamCursor,
-    TailCursor,
-)
-from .definitions import (
-    Location,
-    Metric,
-    MetricMode,
-    MetricRegistry,
-    Paradigm,
-    Region,
-    RegionRegistry,
-    RegionRole,
-    default_role,
-)
-from .events import Event, EventKind, EventList, EventListBuilder, NO_PARTNER, NO_REF
-from .filters import clip_trace, filter_regions, select_ranks
-from .fingerprint import (
-    TraceFingerprint,
-    fingerprint_definitions,
-    fingerprint_events,
-    fingerprint_trace,
-)
-from .merge import merge_traces
-from .reader import TraceIndex, read_trace
-from .trace import ProcessTrace, Trace
-from .writer import write_jsonl
+from __future__ import annotations
 
-__all__ = [
-    "Event",
-    "EventBatch",
-    "EventCursor",
-    "EventKind",
-    "EventList",
-    "EventListBuilder",
-    "FeedCursor",
-    "IndexCursor",
-    "JsonlStreamCursor",
-    "Location",
-    "Metric",
-    "MetricMode",
-    "MetricRegistry",
-    "NO_PARTNER",
-    "NO_REF",
-    "Paradigm",
-    "ProcessBuilder",
-    "ProcessTrace",
-    "Region",
-    "RegionRegistry",
-    "RegionRole",
-    "TailCursor",
-    "Trace",
-    "TraceBuilder",
-    "TraceFingerprint",
-    "TraceIndex",
-    "clip_trace",
-    "default_role",
-    "filter_regions",
-    "fingerprint_definitions",
-    "fingerprint_events",
-    "fingerprint_trace",
-    "merge_traces",
-    "read_trace",
-    "select_ranks",
-    "write_binary",
-    "write_jsonl",
-]
+from .._lazy import lazy_exports
+
+# Re-exported lazily (PEP 562), as in :mod:`repro.core`: a command
+# compiles and runs only the submodules it touches, not the builder,
+# merge and filter code every ``import repro.trace`` used to load.
+_EXPORTS = {
+    "binio": ("write_binary",),
+    "builder": ("ProcessBuilder", "TraceBuilder"),
+    "cursor": (
+        "EventBatch",
+        "EventCursor",
+        "FeedCursor",
+        "IndexCursor",
+        "JsonlStreamCursor",
+        "TailCursor",
+    ),
+    "definitions": (
+        "Location",
+        "Metric",
+        "MetricMode",
+        "MetricRegistry",
+        "Paradigm",
+        "Region",
+        "RegionRegistry",
+        "RegionRole",
+        "default_role",
+    ),
+    "events": ("Event", "EventKind", "EventList", "EventListBuilder", "NO_PARTNER", "NO_REF"),
+    "filters": ("clip_trace", "filter_regions", "select_ranks"),
+    "fingerprint": (
+        "TraceFingerprint",
+        "fingerprint_definitions",
+        "fingerprint_events",
+        "fingerprint_trace",
+    ),
+    "merge": ("merge_traces",),
+    "reader": ("TraceIndex", "read_trace"),
+    "trace": ("ProcessTrace", "Trace"),
+    "writer": ("write_jsonl",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

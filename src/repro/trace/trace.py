@@ -85,6 +85,12 @@ class Trace:
     def events_of(self, rank: int) -> EventList:
         return self._processes[rank].events
 
+    def event_streams(self) -> Iterator[tuple[int, EventList]]:
+        """``(rank, events)`` of every process in rank order, each
+        once (the fused kernel's input)."""
+        for rank in self.ranks:
+            yield rank, self._processes[rank].events
+
     def processes(self) -> Iterator[ProcessTrace]:
         """Iterate process traces in rank order."""
         for rank in self.ranks:

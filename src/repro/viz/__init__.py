@@ -10,63 +10,37 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .areachart import render_area_png
-from .ascii_art import heat_to_ansi, matrix_sparklines, sparkline
-from .canvas import Canvas
-from .commmatrix import render_comm_matrix_png
-from .colors import (
-    BACKGROUND,
-    COLD_HOT,
-    GRAYS,
-    HEAT,
-    NAN_COLOR,
-    VIRIDIS_LIKE,
-    Colormap,
-    hex_color,
-    region_palette,
-)
-from .counterchart import render_counter_png
-from .figure import ChartLayout, format_seconds, nice_ticks
-from .heatmap import heat_image, render_heat_png, render_sos_svg
-from .png import encode_png, write_png
-from .profilebar import render_profile_png
-from .svg import SVGCanvas
-from .timeline import match_messages, region_strip, render_timeline_png
-from .timeline_svg import render_timeline_svg
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKGROUND",
-    "COLD_HOT",
-    "Canvas",
-    "ChartLayout",
-    "Colormap",
-    "GRAYS",
-    "HEAT",
-    "NAN_COLOR",
-    "SVGCanvas",
-    "VIRIDIS_LIKE",
-    "encode_png",
-    "format_seconds",
-    "heat_image",
-    "heat_to_ansi",
-    "hex_color",
-    "match_messages",
-    "matrix_sparklines",
-    "nice_ticks",
-    "region_palette",
-    "region_strip",
-    "render_analysis",
-    "render_area_png",
-    "render_comm_matrix_png",
-    "render_counter_png",
-    "render_heat_png",
-    "render_profile_png",
-    "render_sos_svg",
-    "render_timeline_png",
-    "render_timeline_svg",
-    "sparkline",
-    "write_png",
-]
+# Re-exported lazily (PEP 562), as in :mod:`repro.core`: an HTML report
+# or a single chart loads only the renderers it calls.
+_EXPORTS = {
+    "areachart": ("render_area_png",),
+    "ascii_art": ("heat_to_ansi", "matrix_sparklines", "sparkline"),
+    "canvas": ("Canvas",),
+    "commmatrix": ("render_comm_matrix_png",),
+    "colors": (
+        "BACKGROUND",
+        "COLD_HOT",
+        "GRAYS",
+        "HEAT",
+        "NAN_COLOR",
+        "VIRIDIS_LIKE",
+        "Colormap",
+        "hex_color",
+        "region_palette",
+    ),
+    "counterchart": ("render_counter_png",),
+    "figure": ("ChartLayout", "format_seconds", "nice_ticks"),
+    "heatmap": ("heat_image", "render_heat_png", "render_sos_svg"),
+    "png": ("encode_png", "write_png"),
+    "profilebar": ("render_profile_png",),
+    "svg": ("SVGCanvas",),
+    "timeline": ("match_messages", "region_strip", "render_timeline_png"),
+    "timeline_svg": ("render_timeline_svg",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted([*__all__, "render_analysis"])
 
 
 def render_analysis(
@@ -84,6 +58,13 @@ def render_analysis(
     ``counter_<name>.png`` per recorded metric.  Returns a mapping of
     view name → file path.
     """
+    from .areachart import render_area_png
+    from .counterchart import render_counter_png
+    from .heatmap import render_heat_png, render_sos_svg
+    from .profilebar import render_profile_png
+    from .timeline import render_timeline_png
+    from .timeline_svg import render_timeline_svg
+
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     trace = analysis.trace
@@ -124,10 +105,7 @@ def render_analysis(
 
     from ..core.variation import binned_matrix
 
-    dur_matrix, dur_edges = binned_matrix(analysis.sos, bins=bins)
     # Plain durations (the view SOS improves upon) for comparison.
-    from .heatmap import render_heat_png as _render
-
     path = out / "duration_heatmap.png"
     seg = analysis.segmentation
     import numpy as np
@@ -150,7 +128,7 @@ def render_analysis(
         analysis.sos.classifier,
     )
     pm, pe = binned_matrix(plain, bins=bins)
-    _render(
+    render_heat_png(
         pm,
         pe,
         path,

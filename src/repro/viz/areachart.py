@@ -61,14 +61,18 @@ def render_area_png(
     plot_x, plot_y = layout.plot_x, layout.plot_y
     plot_w, plot_h = layout.plot_w, layout.plot_h
     cols = np.minimum((np.arange(plot_w) * bins) // plot_w, bins - 1)
-    # Pixel rows per group per column: stack from the bottom up.
-    for px, col in enumerate(cols):
-        x = plot_x + px
-        for g in range(n_groups):
-            y_lo = plot_y + plot_h - int(round(cum[g + 1, col] * plot_h))
-            y_hi = plot_y + plot_h - int(round(cum[g, col] * plot_h))
-            if y_hi > y_lo:
-                canvas.vline(x, y_lo, y_hi - 1, colors[g])
+    # Stacked from the bottom up: group g covers the pixel rows whose
+    # height above the plot's bottom edge lies in (edge[g], edge[g + 1]];
+    # where bands overlap, the later group paints over the earlier.
+    edge = np.rint(cum[:, cols] * plot_h).astype(np.int64)
+    height = plot_h - np.arange(plot_h)[:, None]
+    band = np.full((plot_h, plot_w), -1, dtype=np.int64)
+    for g in range(n_groups):
+        band[(edge[g] < height) & (height <= edge[g + 1])] = g
+    block = canvas.pixels[plot_y:plot_y + plot_h, plot_x:plot_x + plot_w]
+    band = band[: block.shape[0], : block.shape[1]]
+    painted = band >= 0
+    block[painted] = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)[band[painted]]
 
     canvas.rect(plot_x - 1, plot_y - 1, plot_w + 2, plot_h + 2, (120, 120, 120))
     draw_time_axis(canvas, layout, float(shares.edges[0]), float(shares.edges[-1]))

@@ -179,15 +179,14 @@ def render_sos_svg(
         last = np.r_[first[1:], len(rs)] - 1
         x = left + start[first] * plot_w
         w = np.maximum((rs.t_stop[last] - rs.t_start[first]) / span * plot_w, 0.3)
-        y = top + row * h
-        for xi, wi, j, v, c in zip(
-            x.tolist(), w.tolist(), hot.tolist(),
-            values[hot].tolist(), packed[row, hot].tolist(),
-        ):
-            svg.rect(
-                xi, y, wi, h, f"#{c:06x}",
-                title=f"rank {rank}, segment {j}: SOS {format_seconds(v)}",
-            )
+        svg.rects(
+            x.tolist(), top + row * h, w.tolist(), h,
+            [f"#{c:06x}" for c in packed[row, hot].tolist()],
+            [
+                f"rank {rank}, segment {j}: SOS {format_seconds(v)}"
+                for j, v in zip(hot.tolist(), values[hot].tolist())
+            ],
+        )
     svg.rect(left, top, plot_w, plot_h, "none", stroke="#787878")
     # Time axis labels.
     from .figure import nice_ticks

@@ -57,6 +57,17 @@ class SVGCanvas:
         else:
             self._parts.append(f"<rect {attrs}/>")
 
+    def rects(self, xs, y: float, ws, h: float, fills, titles) -> None:
+        """Titled rects sharing ``y`` and ``h``, written as :meth:`rect`
+        writes each but appended as one part (one join per row)."""
+        y_w = f'" y="{_fmt(y)}" width="'
+        h_fill = f'" height="{_fmt(h)}" fill="'
+        self._parts.append("\n".join([
+            f'<rect x="{_fmt(x)}{y_w}{_fmt(w)}{h_fill}{fill}"><title>'
+            f"{escape(title, quote=False)}</title></rect>"
+            for x, w, fill, title in zip(xs, ws, fills, titles)
+        ]))
+
     def line(
         self,
         x0: float,

@@ -50,7 +50,9 @@ def region_strip(
     start, stop, depth = px0[rows], px1[rows], table.depth[rows]
     pixels = np.arange(bins)
     top = np.full(bins, -1, dtype=np.int64)
-    for level in np.unique(depth):
+    # Depths are small non-negative ints; bincount lists the levels
+    # without np.unique, whose masked-array check imports numpy.ma.
+    for level in np.flatnonzero(np.bincount(depth)):
         at = np.flatnonzero(depth == level)
         last = at[np.maximum(np.searchsorted(start[at], pixels, side="right") - 1, 0)]
         hit = (start[last] <= pixels) & (stop[last] > pixels)

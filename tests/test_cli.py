@@ -268,7 +268,9 @@ class TestProcess:
             "assert main(['analyze', sys.argv[1]]) == 0\n"
             "unused = ('scipy', 'importlib.metadata', 'xml.sax',\n"
             "          'repro.core.streaming', 'repro.core.shard', 'numpy.ma',\n"
-            "          'uuid', 'logging', 'repro.lint.hb', 'repro.lint.sarif')\n"
+            "          'uuid', 'logging', 'repro.lint.hb', 'repro.lint.sarif',\n"
+            "          'repro.trace.builder', 'repro.trace.merge',\n"
+            "          'repro.profiles.export')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -281,12 +283,30 @@ class TestProcess:
             "from repro.cli import main\n"
             "assert main(['analyze', sys.argv[1], '--preflight',\n"
             "             '--json', sys.argv[2]]) == 0\n"
-            "unused = ('numpy.ma', 'repro.core.streaming', 'repro.core.shard')\n"
+            "unused = ('numpy.ma', 'repro.core.streaming', 'repro.core.shard',\n"
+            "          'repro.trace.builder', 'repro.trace.merge',\n"
+            "          'repro.profiles.export')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
         result = run_cli_script(
             script, str(trace_path), str(tmp_path / "out.json"),
+            stdout=subprocess.DEVNULL,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_html_analyze_imports_no_masked_arrays(self, trace_path, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['analyze', sys.argv[1], '--html', sys.argv[2]]) == 0\n"
+            "unused = ('numpy.ma', 'repro.trace.builder', 'repro.trace.merge',\n"
+            "          'repro.profiles.export')\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
+        )
+        result = run_cli_script(
+            script, str(trace_path), str(tmp_path / "out.html"),
             stdout=subprocess.DEVNULL,
         )
         assert result.returncode == 0, result.stderr
@@ -297,7 +317,8 @@ class TestProcess:
             "from repro.cli import main\n"
             "assert main(['monitor', sys.argv[1]]) == 0\n"
             "unused = ('numpy.ma', 'repro.core.sos', 'repro.profiles',\n"
-            "          'scipy', 'repro.core.session')\n"
+            "          'scipy', 'repro.core.session', 'repro.trace.builder',\n"
+            "          'repro.trace.merge')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -312,7 +333,8 @@ class TestProcess:
             "from repro.cli import main\n"
             "assert main(['analyze', sys.argv[1], '--cache-dir', sys.argv[2]]) == 0\n"
             "unused = ('repro.lint', 'repro.trace.validate', 'numpy.ma',\n"
-            "          'uuid', 'logging')\n"
+            "          'uuid', 'logging', 'repro.trace.builder',\n"
+            "          'repro.trace.merge', 'repro.profiles.export')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -810,6 +832,82 @@ class TestWarmAnalyze:
         ]) == 0
         assert warm.read_bytes() == cold.read_bytes()
         capsys.readouterr()
+
+
+class TestColdAnalyze:
+    """A cold ``analyze`` feeds the kernel rank by rank from the file's
+    index: it writes what the decode-first route wrote, never calls
+    ``read_trace`` unless a report reads events, and a corrupt late
+    blob still gets the decode's one-line verdict."""
+
+    RUNS = (
+        (),
+        ("--json", "{dir}/out.json"),
+        ("--preflight", "--json", "{dir}/out.json"),
+        ("--html", "{dir}/out.html", "--json", "{dir}/out.json"),
+    )
+
+    @staticmethod
+    def _run(trace, extra, where, capsys):
+        where.mkdir()
+        argv = ["analyze", str(trace), *(a.format(dir=where) for a in extra)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.replace(str(where), "<dir>")
+        return out, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+
+    @pytest.mark.parametrize("extra", RUNS, ids=" ".join)
+    def test_equals_the_decode_first_route(
+        self, trace_path, extra, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core import session as session_mod
+        from repro.trace.trace import Trace
+
+        cold = self._run(trace_path, extra, tmp_path / "cold", capsys)
+        # The route this replaced: decode the whole file, then scan it.
+        monkeypatch.setattr(session_mod._PathTrace, "event_streams", Trace.event_streams)
+        assert self._run(trace_path, extra, tmp_path / "decoded", capsys) == cold
+
+    @pytest.mark.parametrize("extra", RUNS[:3], ids=" ".join)
+    def test_never_decodes_the_whole_trace(
+        self, trace_path, extra, tmp_path, monkeypatch, capsys
+    ):
+        want = self._run(trace_path, extra, tmp_path / "plain", capsys)
+
+        def read_trace(path, columns=None):
+            raise AssertionError(f"cold analyze decoded {path}")
+
+        monkeypatch.setattr("repro.trace.reader.read_trace", read_trace)
+        assert self._run(trace_path, extra, tmp_path / "patched", capsys) == want
+
+    def test_corrupt_late_blob_gets_the_decode_verdict(self, tmp_path, capsys):
+        import struct
+
+        from repro.sim.workloads.synthetic import SyntheticConfig, generate
+        from repro.trace import read_trace, write_binary
+        from repro.trace.binio import payload_start
+        from repro.trace.reader import TraceFormatError
+
+        path = tmp_path / "late.rpt"
+        write_binary(generate(SyntheticConfig(ranks=6, iterations=8, seed=5)), path)
+        data = bytearray(path.read_bytes())
+        version, hlen = struct.unpack_from("<HI", data, 4)
+        spec = json.loads(data[10 : 10 + hlen])["locations"][-1]["columns"]["ref"]
+        assert spec.get("codec", "zlib") == "zlib"
+        data[payload_start(hlen, version) + spec["offset"] + spec["length"] // 2] ^= 0xFF
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError) as decoded:
+            read_trace(path)
+        want = f"error: cannot read trace {path}: {decoded.value}\n"
+        assert re.search(r"location 5 column ref at byte \d+: ", want)
+        out = str(tmp_path / "out.json")
+        for argv in (
+            ["analyze"],
+            ["analyze", "--json", out],
+            ["analyze", "--preflight", "--json", out],
+            ["info"],
+        ):
+            assert main([argv[0], str(path), *argv[1:]]) == 2, argv
+            assert capsys.readouterr().err == want, argv
 
 
 def _structural_trace(code: str):

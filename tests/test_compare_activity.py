@@ -141,3 +141,53 @@ class TestAreaChart:
         canvas = render_area_png(shares, path)
         assert path.exists() and path.stat().st_size > 500
         assert canvas.width == 1100
+
+    @staticmethod
+    def _loop_bands(shares, width, height):
+        """The stacked bands painted one ``vline`` per pixel column and
+        group: the reference for the chart's one array pass."""
+        from repro.viz.areachart import _group_color
+        from repro.viz.canvas import Canvas
+        from repro.viz.figure import ChartLayout
+
+        layout = ChartLayout(width=width, height=height, right=150)
+        canvas = Canvas(width, height)
+        matrix = np.asarray(shares.shares, dtype=np.float64)
+        n_groups, bins = matrix.shape
+        cum = np.clip(np.vstack([np.zeros(bins), np.cumsum(matrix, axis=0)]), 0.0, 1.0)
+        colors = [_group_color(label, i) for i, label in enumerate(shares.labels)]
+        base = layout.plot_y + layout.plot_h
+        cols = np.minimum((np.arange(layout.plot_w) * bins) // layout.plot_w, bins - 1)
+        for px, col in enumerate(cols):
+            for g in range(n_groups):
+                y_lo = base - int(round(cum[g + 1, col] * layout.plot_h))
+                y_hi = base - int(round(cum[g, col] * layout.plot_h))
+                if y_hi > y_lo:
+                    canvas.vline(layout.plot_x + px, y_lo, y_hi - 1, colors[g])
+        return canvas.pixels[layout.plot_y:base, layout.plot_x:layout.plot_x + layout.plot_w]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bands_equal_the_column_loop(self, seed):
+        from types import SimpleNamespace
+
+        from repro.viz import render_area_png
+        from repro.viz.figure import ChartLayout
+
+        rng = np.random.default_rng(seed)
+        groups, bins = int(rng.integers(1, 6)), int(rng.integers(1, 300))
+        matrix = rng.random((groups, bins))
+        if seed % 2:  # negative shares: bands overlap, later ones win
+            matrix *= rng.choice([-1.0, 1.0], size=matrix.shape)
+        else:
+            matrix /= matrix.sum(axis=0)
+        shares = SimpleNamespace(
+            shares=matrix, labels=["MPI", "idle", "a", "b", "c"][:groups],
+            edges=np.linspace(0.0, 1.0, bins + 1),
+        )
+        width, height = [(1100, 320), (300, 100), (170, 60)][seed % 3]
+        layout = ChartLayout(width=width, height=height, right=150)
+        got = render_area_png(shares, width=width, height=height).pixels[
+            layout.plot_y:layout.plot_y + layout.plot_h,
+            layout.plot_x:layout.plot_x + layout.plot_w,
+        ]
+        assert np.array_equal(got, self._loop_bands(shares, width, height))

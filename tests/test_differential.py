@@ -9,6 +9,8 @@ divide the rank count) and every intermediate product is compared with
 batch-equivalent across chunk boundaries that split an invocation.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -745,3 +747,74 @@ class TestBatchBoundaries:
                 incremental._BATCH_EVENTS = saved
             assert kernel.extents == extents
             assert boot.report.to_json() == want
+
+
+class TestSessionCursorRoute:
+    """A cold path-mode session feeds the kernel rank by rank from the
+    file's cursor; its products equal ``fused_bootstrap`` over the
+    decoded file, for the structural gate and for every rule, and the
+    pass decodes no whole trace."""
+
+    @staticmethod
+    def _assert_route_matches(path, lint):
+        from repro.core.fused import fused_bootstrap
+        from repro.trace import read_trace
+        from repro.trace.reader import TraceFormatError
+
+        session = AnalysisSession(None, source_path=path)
+        try:
+            decoded = read_trace(path)
+        except TraceFormatError as err:  # e.g. an unsorted stream
+            with pytest.raises(TraceFormatError) as raised:
+                fused_bootstrap(session.trace, lint=lint)
+            assert str(raised.value) == str(err)
+            assert raised.value.path == str(path)
+            return
+        want = fused_bootstrap(decoded, lint=lint)
+        got = fused_bootstrap(session.trace, lint=lint)
+        assert not session.trace.decoded
+        assert got.report.to_json() == want.report.to_json()
+        assert sorted(got.tables) == sorted(want.tables)
+        for rank, table in want.tables.items():
+            for col in ("region", "t_enter", "t_leave", "inclusive",
+                        "exclusive", "depth", "parent", "outermost",
+                        "enter_index", "leave_index"):
+                assert np.array_equal(
+                    getattr(got.tables[rank], col), getattr(table, col)
+                ), f"rank {rank} column {col}"
+        assert sorted(got.partials) == sorted(want.partials)
+        for rank, partial in want.partials.items():
+            for stat, arr in partial.items():
+                assert np.array_equal(got.partials[rank][stat], arr)
+        assert got.extent == (decoded.t_min, decoded.t_max)
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("fmt", ["v1", "v2", "jsonl"])
+    @pytest.mark.parametrize("golden", sorted(
+        p.stem for p in (Path(__file__).parent / "golden").glob("*.jsonl")
+    ))
+    def test_goldens(self, golden, fmt, full, tmp_path):
+        from repro.lint import LintConfig
+        from repro.trace import read_trace
+
+        src = Path(__file__).parent / "golden" / f"{golden}.jsonl"
+        if fmt == "jsonl":
+            path = src
+        else:
+            path = tmp_path / f"{golden}.rpt"
+            kwargs = {"version": 2, "codec": "raw"} if fmt == "v2" else {}
+            write_binary(read_trace(src), path, **kwargs)
+        self._assert_route_matches(path, LintConfig() if full else None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixed_traces(), full=st.booleans(), raw=st.booleans())
+    def test_hypothesis_traces(self, case, full, raw):
+        import tempfile
+
+        from repro.lint import LintConfig
+
+        _, trace = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mixed.rpt"
+            write_binary(trace, path, **({"version": 2, "codec": "raw"} if raw else {}))
+            self._assert_route_matches(path, LintConfig() if full else None)

@@ -529,3 +529,118 @@ class TestDeferredDecode:
         assert os.stat(path).st_size == before.st_size
         with pytest.raises(TraceFormatError, match=re.escape(str(path))):
             session.analysis()
+
+
+class TestColdCursorPass:
+    """A cold path-mode session's kernel pass reads the file rank by rank
+    from its index: no whole-trace decode, the same products, the same
+    extent and the same guards as the decode it replaces."""
+
+    ROUTES = ("analysis", "preflight", "validate")
+
+    def test_analysis_decodes_each_rank_once(self, tmp_path):
+        path = tmp_path / "t.rpt"
+        trace = _spmd(0.2)
+        write_binary(trace, path)
+        col = obs.enable()
+        try:
+            session = AnalysisSession(None, source_path=path)
+            report = session.analysis().report()
+        finally:
+            col = obs.disable()
+        spans = [s.name for s in col.iter_spans()]
+        assert "io.read" not in spans
+        assert spans.count("io.load") == trace.num_processes
+        assert col.counters()["io.events_loaded"] == trace.num_events
+        assert not session.trace.decoded
+        assert report == AnalysisSession(read_trace(path)).analysis().report()
+
+    @pytest.mark.parametrize(
+        "empty", [(0,), (1,), (3,), (0, 2), (0, 1, 2, 3)], ids=str
+    )
+    def test_extent_with_empty_ranks(self, empty, tmp_path):
+        from repro.core import AnalysisConfig
+        from repro.trace import Location, Trace
+        from repro.trace.events import EventList
+
+        spmd = _spmd(0.2)
+        trace = Trace(spmd.regions, spmd.metrics, "gaps")
+        for rank in range(4):
+            events = (
+                EventList.empty() if rank in empty
+                else spmd.events_of(rank % 2)
+            )
+            trace.add_process(Location(rank, f"P{rank}"), events)
+        path = tmp_path / "gaps.rpt"
+        write_binary(trace, path)
+        session = AnalysisSession(
+            None, source_path=path, config=AnalysisConfig(validate=False)
+        )
+        session.replay()
+        assert not session.trace.decoded
+        decoded = read_trace(path)
+        got = (session.trace.t_min, session.trace.t_max)
+        want = (decoded.t_min, decoded.t_max)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert session.duration == decoded.duration
+
+    @staticmethod
+    def _run(session, route):
+        if route == "analysis":
+            session.analysis()
+        elif route == "preflight":
+            session.preflight()
+        else:
+            session.validate()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_replaced_by_rename_after_open(self, route, tmp_path):
+        path = tmp_path / "t.rpt"
+        write_binary(_spmd(0.2), path, codec="raw")
+        session = AnalysisSession(None, source_path=path)
+        other = tmp_path / "other.rpt"
+        write_binary(_spmd(0.3), other, codec="raw")
+        before = os.stat(path)
+        os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(other, path)
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))) as err:
+            self._run(session, route)
+        assert err.value.path == str(path)
+        assert not session.trace.decoded
+
+    # ``analysis`` is TestDeferredDecode's case of the same name.
+    @pytest.mark.parametrize("route", ROUTES[1:])
+    def test_in_place_rewrite_after_open(self, route, tmp_path):
+        path = tmp_path / "t.rpt"
+        write_binary(_spmd(0.2), path, codec="raw")
+        session = AnalysisSession(None, source_path=path)
+        before = os.stat(path)
+        other = tmp_path / "other.rpt"
+        write_binary(_spmd(0.3), other, codec="raw")
+        time.sleep(0.05)  # past a timestamp tick, so the ctime moves
+        path.write_bytes(other.read_bytes())
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))) as err:
+            self._run(session, route)
+        assert err.value.path == str(path)
+
+    def test_replaced_during_the_pass(self, tmp_path, monkeypatch):
+        from repro.trace.cursor import IndexCursor
+
+        path = tmp_path / "t.rpt"
+        write_binary(_spmd(0.2), path)
+        copy = tmp_path / "copy.rpt"
+        copy.write_bytes(path.read_bytes())
+        batches = IndexCursor._batches
+
+        def replacing(self):
+            for i, batch in enumerate(batches(self)):
+                if i == 1:  # same bytes, new inode
+                    os.replace(copy, path)
+                yield batch
+
+        monkeypatch.setattr(IndexCursor, "_batches", replacing)
+        session = AnalysisSession(None, source_path=path)
+        with pytest.raises(TraceFormatError, match="changed after it was opened"):
+            session.analysis()
