@@ -75,6 +75,7 @@ def fused_bootstrap(
         known_ranks=known_ranks,
         table_ranks=table_ranks,
         trace_name=trace.name,
+        num_events=trace.num_events,
     )
     for rank, events in trace.event_streams():
         kernel.feed(rank, events)

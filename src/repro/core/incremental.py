@@ -58,7 +58,7 @@ from ..profiles.replay import InvocationTable, pair_events, table_from_pairing
 from ..profiles.stats import batch_statistics_arrays
 from ..trace.cursor import EventCursor
 from ..trace.definitions import MetricRegistry, RegionRegistry
-from ..trace.events import _DTYPES, _FIELDS, EventKind, EventList
+from ..trace.events import _DTYPES, _FIELDS, EventList
 
 if TYPE_CHECKING:
     from ..lint.model import LintConfig, LintReport
@@ -148,13 +148,17 @@ class IncrementalKernel:
     trace), ``table_ranks`` restricts table/partial construction, and
     ``table_sink(rank, table)`` — when given — receives each
     invocation table instead of it being retained in the result.
+    ``num_events`` bounds the events the pass will be fed, when known
+    up front.
 
     Tables come from the scan's pairing only when ``lint`` gates
     replay (:func:`~repro.lint.engine.gates_replay`), and only for
     ranks without an error.  With hb-scope rules enabled, each batch's
     message rows go straight into one
-    :class:`~repro.lint.hb.MatchGraphWriter`, sized from the SEND/RECV
-    counts fed so far.
+    :class:`~repro.lint.hb.MatchGraphWriter`, sized once from
+    ``num_events`` (no pass has more SEND or RECV rows than events;
+    rows never written stay unbacked pages), or else grown as the
+    batches' rows arrive.
 
     Protocol: any number of :meth:`feed` calls per rank (chunks in
     time order), then :meth:`finish_rank` once; :meth:`finalize`
@@ -174,6 +178,7 @@ class IncrementalKernel:
         table_ranks=None,
         trace_name: str = "trace",
         table_sink: Callable[[int, InvocationTable], None] | None = None,
+        num_events: int | None = None,
     ) -> None:
         self._n_regions = len(regions)
         self._ranks = list(ranks)
@@ -197,8 +202,6 @@ class IncrementalKernel:
         self._summaries: dict[int, object] = {}
         self._shared = None
         self._graph = None  # MatchGraphWriter when hb-scope rules run
-        #: events fed so far per kind (sizes ``_graph``)
-        self._kinds = np.zeros(len(EventKind), dtype=np.int64)
         if lint is False:
             return
         from ..lint.engine import LintShared, gates_replay, hb_rules_enabled, validate_config
@@ -217,6 +220,8 @@ class IncrementalKernel:
             from ..lint.hb import MatchGraphWriter
 
             self._graph = MatchGraphWriter(num_processes)
+            if num_events is not None:
+                self._graph.reserve(num_events, num_events)
 
     # -- feeding -------------------------------------------------------
 
@@ -235,8 +240,6 @@ class IncrementalKernel:
             raise StreamOrderError(rank, t0, last)
         self._last_time[rank] = float(events.time[-1])
         self._buffers.setdefault(rank, []).append(events)
-        if self._graph is not None:
-            self._kinds += np.bincount(events.kind, minlength=len(EventKind))
 
     def finish_rank(self, rank: int) -> None:
         """Finalise ``rank``: it joins the pending batch, which runs
@@ -289,9 +292,6 @@ class IncrementalKernel:
         if self._graph is not None:
             from ..lint.hb import extract_match_records
 
-            self._graph.reserve(
-                self._kinds[EventKind.SEND], self._kinds[EventKind.RECV]
-            )
             self._graph.add(extract_match_records(view))
         # Broken streams make the caller raise from the report, so they
         # get no table (building one could legitimately fail on the

@@ -58,14 +58,17 @@ def _resolve_metric(trace: Trace, metric: int | str) -> int:
 
 
 def metric_series(trace: Trace, metric: int | str) -> dict[int, MetricSeries]:
-    """Extract the sample series of one metric for every rank."""
+    """Extract the sample series of one metric for every rank.
+
+    Streams are read one at a time, only the columns a sample needs
+    (:meth:`Trace.event_streams`), and only the samples are kept.
+    """
     metric_id = _resolve_metric(trace, metric)
     out: dict[int, MetricSeries] = {}
-    for proc in trace.processes():
-        ev = proc.events
+    for rank, ev in trace.event_streams(columns=("kind", "ref", "value")):
         mask = (ev.kind == EventKind.METRIC) & (ev.ref == metric_id)
-        out[proc.rank] = MetricSeries(
-            rank=proc.rank,
+        out[rank] = MetricSeries(
+            rank=rank,
             metric=metric_id,
             times=ev.time[mask],
             values=ev.value[mask],

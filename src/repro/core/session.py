@@ -25,12 +25,12 @@ disk and performs **zero** replay or profile recomputation; replayed
 invocation tables load only when a drill-down path indexes them, and
 are keyed per rank by the rank's event digest, so traces sharing event
 streams share artifacts.  A session that reads its own file parses
-only its header up front.  Its cold kernel pass decodes the file rank
-by rank and drops each rank with its batch, and the kernel's per-rank
-extents give the time extent; the whole file is decoded only when a
-consumer reads events.  A ``stat-`` artifact gives a warm session the
-fingerprint and time extent, so a warm report that needs nothing else
-decodes no event at all.
+only its header up front.  Its kernel pass, fingerprint and counter
+series each decode the file rank by rank and drop each rank as they go,
+and the first such pass gives the time extent; the whole file is
+decoded only when a drill-down indexes events.  A ``stat-`` artifact
+gives a warm session the fingerprint and time extent, so a warm report
+that needs nothing else decodes no event at all.
 
 :func:`repro.core.pipeline.analyze_trace` is a thin facade over this
 class; use a session directly when analysing the same trace more than
@@ -365,15 +365,17 @@ def _unchanged(path: str, key: tuple | None):
 
 
 class _PathTrace(Trace):
-    """A session's own trace file, its event streams decoded on first use.
+    """A session's own trace file, read rank by rank.
 
-    Definitions, ranks and event counts come from the file's
-    :class:`~repro.trace.reader.TraceIndex`; the time extent comes from
-    ``extent`` once a ``stat-`` artifact hit or a kernel pass has set
-    it.  The first access to an event stream decodes the whole file;
-    :meth:`event_streams` instead decodes one rank at a time and keeps
-    none.  Both reads require the file to still have the stat key
-    ``key`` taken before its header was parsed.
+    Definitions, locations, ranks and event counts come from the file's
+    :class:`~repro.trace.reader.TraceIndex`.  :meth:`event_streams`
+    decodes one rank at a time from the index's cursor and keeps none,
+    and a pass over all ranks sets ``extent``; the kernel pass, the
+    fingerprint and the counter series all read the file this way.
+    Only a consumer that indexes events directly (the drill-downs:
+    :meth:`events_of`, :meth:`processes`) decodes the whole file.  Every
+    read requires the file to still have the stat key ``key`` taken
+    before its header was parsed.
     """
 
     def __init__(self, index, key: tuple | None) -> None:
@@ -385,7 +387,7 @@ class _PathTrace(Trace):
         self._ranks = index.ranks
         self._num_events = index.num_events
         #: ``(t_min, t_max)`` restored from a ``stat-`` artifact or
-        #: taken from the kernel's per-rank extents
+        #: taken from the per-rank extents of a pass over the file
         self.extent: tuple[float, float] | None = None
 
     def __getattr__(self, name: str):
@@ -402,28 +404,41 @@ class _PathTrace(Trace):
         """Whether the event streams are in memory."""
         return "_processes" in self.__dict__
 
-    def event_streams(self):
+    def locations(self) -> list:
+        return [self._index.locations[rank] for rank in self._ranks]
+
+    def event_streams(self, columns=None):
         """Every rank's events, in rank order, each decoded as it is
         reached and dropped with the caller's reference when the
         streams are not in memory yet.
 
-        This is how the fused kernel reads the file on a cold run
-        (:func:`~repro.core.fused.fused_bootstrap`): one whole-rank
-        batch per rank from the index's cursor, so the pass never holds
-        the decoded trace.
+        One whole-rank batch per rank from the index's cursor, with
+        only ``columns`` (and ``time``) decoded when given, so a pass
+        never holds the decoded trace.  A pass over all ranks
+        records their time extent as the fused kernel does
+        (:func:`~repro.core.incremental.time_extent`) and unmaps the
+        file unless the caller still holds a view into it.
         """
         if self.decoded:
             yield from super().event_streams()
             return
-        with _unchanged(self._index.path, self._key):
-            for batch in self._index.cursor():
-                yield batch.rank, batch.events
+        from .incremental import time_extent
 
-    def adopt(self, boot) -> None:
-        """Take the time extent of a kernel pass over all ranks, and
-        unmap the file: no column view into it outlives the pass, so
-        its pages need not stay resident."""
-        self.extent = boot.extent
+        extents = {}
+        with _unchanged(self._index.path, self._key):
+            for batch in self._index.cursor(columns=columns):
+                events = batch.events
+                if len(events):
+                    extents[batch.rank] = (
+                        len(events), float(events.time[0]), float(events.time[-1])
+                    )
+                yield batch.rank, events
+        self.extent = time_extent(extents)
+        self.release()
+
+    def release(self) -> None:
+        """Unmap the file, unless a column view into it is still alive:
+        its pages need not stay resident between passes."""
         with contextlib.suppress(BufferError):
             self._index.close()
 
@@ -620,12 +635,15 @@ class AnalysisSession:
         The entry also holds the trace's time extent, which a hit hands
         to the :class:`_PathTrace`: neither needs an event decoded.
         Any miss, mismatch, corrupt entry or entry without the extent
-        falls back to hashing.  An entry is recorded only when the
-        file's stat did not change across the read and the hash, and
-        when neither its mtime nor its ctime lies within
-        :data:`_RACY_NS` of now: a later write then always lands in a
-        later timestamp tick and changes the ctime, which no program
-        can set back.
+        falls back to hashing, one rank at a time through
+        :meth:`_PathTrace.event_streams`; that pass also sets the
+        extent the new entry records, so a miss decodes no whole file
+        either and needs no kernel pass to have run.  An entry is
+        recorded only when the file's stat did not change across the
+        read and the hash, and when neither its mtime nor its ctime
+        lies within :data:`_RACY_NS` of now: a later write then always
+        lands in a later timestamp tick and changes the ctime, which no
+        program can set back.
         """
         key = self._stat
         if (
@@ -644,6 +662,7 @@ class AnalysisSession:
         fp = fingerprint_trace(self.trace)
         settled = time.time_ns() - max(key[2], key[3]) >= _RACY_NS
         if settled and _stat_key(self.source_path) == key:
+            # Set by the hashing pass (or read off decoded streams).
             extent = (self.trace.t_min, self.trace.t_max)
             self.cache.store(name, _fingerprint_to_arrays(key, fp, extent))
         return fp
@@ -1137,21 +1156,22 @@ class AnalysisSession:
         The lint scan (``lint`` as in ``fused_bootstrap``), stack replay
         and the per-rank statistics partials share one enter/leave
         pairing per rank.  The kernel reads the session's own file rank
-        by rank (:meth:`_PathTrace.event_streams`) unless its events
-        are already decoded, and its per-rank extents give the trace's
-        time extent.  A report without errors from a config that
-        gates replay (:func:`repro.lint.engine.gates_replay`) validates
-        the session; a validated or unscanned pass hands the session
-        its tables and partials, and with a cache stores one ``inv-``
-        table per replayed rank.  ``table_ranks`` limits the replay to
-        ranks whose artifacts are missing.
+        by rank (:meth:`_PathTrace.event_streams`, which records the
+        time extent) unless its events are already decoded, and the
+        file is unmapped after it.  A report without errors from a
+        config that gates replay (:func:`repro.lint.engine.gates_replay`)
+        validates the session; a validated or unscanned pass hands the
+        session its tables and partials, and with a cache stores one
+        ``inv-`` table per replayed rank.  ``table_ranks`` limits the
+        replay to ranks whose artifacts are missing.
         """
         from .fused import fused_bootstrap
 
         with obs.span("fused.bootstrap"):
             boot = fused_bootstrap(self.trace, lint=lint, table_ranks=table_ranks)
         if isinstance(self.trace, _PathTrace):
-            self.trace.adopt(boot)
+            # The kernel held the last ranks' views as the pass ended.
+            self.trace.release()
         if lint is not False:
             from ..lint.engine import gates_replay, validate_config
 

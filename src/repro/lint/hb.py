@@ -35,6 +35,7 @@ topology for external viewers (ROADMAP item 2).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -433,15 +434,29 @@ def _record(
     return rec
 
 
+def _unbacked(rows: int, dtype: np.dtype) -> np.ndarray:
+    """An uninitialised column whose pages the OS backs only as rows
+    are written.
+
+    An anonymous map rather than ``np.empty``: numpy advises huge pages
+    for large buffers, and one written row would then make a whole
+    2 MiB page resident.
+    """
+    if rows == 0:
+        return np.empty(0, dtype)
+    return np.frombuffer(mmap.mmap(-1, rows * dtype.itemsize), dtype)
+
+
 class MatchGraphWriter:
     """Writes ranks' match records straight into one graph's flat columns.
 
     The one construction path of :class:`MatchGraph`:
     :meth:`MatchGraph.from_records` feeds it one batch of record sets,
     the fused kernel each batch of ranks as its scan finishes.
-    :meth:`reserve` sizes the columns from SEND/RECV counts up front;
-    :meth:`add` copies a batch's rows in and keeps only each rank's
-    collectives and extent, so no p2p copy outlives the call.
+    :meth:`reserve` sizes the columns from SEND/RECV counts (or a
+    bound on them) up front; :meth:`add` copies a batch's rows in and
+    keeps only each rank's collectives and extent, so no p2p copy
+    outlives the call.
     """
 
     def __init__(self, num_processes: int | None = None) -> None:
@@ -463,7 +478,7 @@ class MatchGraphWriter:
                 continue
             used = self._used[side]
             for name in [n for n in self._cols if n[0] == side]:
-                grown = np.empty(max(need, 2 * capacity), self._cols[name].dtype)
+                grown = _unbacked(max(need, 2 * capacity), self._cols[name].dtype)
                 grown[:used] = self._cols[name][:used]
                 self._cols[name] = grown
 

@@ -69,8 +69,7 @@ def fingerprint_definitions(trace: Trace) -> str:
             for m in trace.metrics
         ],
         "locations": [
-            (p.location.id, p.location.name, p.location.group)
-            for p in trace.processes()
+            (loc.id, loc.name, loc.group) for loc in trace.locations()
         ],
     }
     h = _hasher()
@@ -131,8 +130,14 @@ def combine_fingerprint(
 
 
 def fingerprint_trace(trace: Trace) -> TraceFingerprint:
-    """Compute the full content fingerprint of ``trace``."""
+    """Compute the full content fingerprint of ``trace``.
+
+    The per-rank digests are taken one stream at a time from
+    :meth:`~repro.trace.trace.Trace.event_streams`, so a trace that
+    decodes its streams on demand is hashed without being held whole.
+    """
     per_rank = tuple(
-        (rank, fingerprint_events(trace.events_of(rank))) for rank in trace.ranks
+        (rank, fingerprint_events(events))
+        for rank, events in trace.event_streams()
     )
     return combine_fingerprint(fingerprint_definitions(trace), per_rank)

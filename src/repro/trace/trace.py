@@ -9,7 +9,7 @@ OTF2 archive in the Score-P world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,11 +85,19 @@ class Trace:
     def events_of(self, rank: int) -> EventList:
         return self._processes[rank].events
 
-    def event_streams(self) -> Iterator[tuple[int, EventList]]:
+    def event_streams(
+        self, columns: Sequence[str] | None = None
+    ) -> Iterator[tuple[int, EventList]]:
         """``(rank, events)`` of every process in rank order, each
-        once (the fused kernel's input)."""
+        once (the fused kernel's input).  ``columns`` names the event
+        columns the caller reads: a trace that decodes its streams on
+        demand may load only those (``None``: all)."""
         for rank in self.ranks:
             yield rank, self._processes[rank].events
+
+    def locations(self) -> list[Location]:
+        """Location of every process, in rank order."""
+        return [self._processes[rank].location for rank in self.ranks]
 
     def processes(self) -> Iterator[ProcessTrace]:
         """Iterate process traces in rank order."""

@@ -837,7 +837,8 @@ class TestWarmAnalyze:
 class TestColdAnalyze:
     """A cold ``analyze`` feeds the kernel rank by rank from the file's
     index: it writes what the decode-first route wrote, never calls
-    ``read_trace`` unless a report reads events, and a corrupt late
+    ``read_trace`` (``--html`` and ``--cache-dir`` runs read the
+    fingerprint and counters rank by rank too), and a corrupt late
     blob still gets the decode's one-line verdict."""
 
     RUNS = (
@@ -867,7 +868,7 @@ class TestColdAnalyze:
         monkeypatch.setattr(session_mod._PathTrace, "event_streams", Trace.event_streams)
         assert self._run(trace_path, extra, tmp_path / "decoded", capsys) == cold
 
-    @pytest.mark.parametrize("extra", RUNS[:3], ids=" ".join)
+    @pytest.mark.parametrize("extra", RUNS, ids=" ".join)
     def test_never_decodes_the_whole_trace(
         self, trace_path, extra, tmp_path, monkeypatch, capsys
     ):
@@ -904,6 +905,8 @@ class TestColdAnalyze:
             ["analyze"],
             ["analyze", "--json", out],
             ["analyze", "--preflight", "--json", out],
+            ["analyze", "--html", str(tmp_path / "out.html")],
+            ["analyze", "--cache-dir", str(tmp_path / "cache")],
             ["info"],
         ):
             assert main([argv[0], str(path), *argv[1:]]) == 2, argv

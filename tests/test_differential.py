@@ -818,3 +818,58 @@ class TestSessionCursorRoute:
             path = Path(tmp) / "mixed.rpt"
             write_binary(trace, path, **({"version": 2, "codec": "raw"} if raw else {}))
             self._assert_route_matches(path, LintConfig() if full else None)
+
+
+class TestFingerprintRoutes:
+    """Every route to a trace's fingerprint gives the same digests: a
+    path-mode session (rank by rank from the file's cursor), a decoded
+    file, the sharded session (``TraceIndex.rank_digest`` in its
+    workers) and the in-memory trace the file was written from."""
+
+    @staticmethod
+    def _trace(empty_rank):
+        from repro.trace import Location, Trace
+        from repro.trace.events import EventList
+
+        base = _scenario_synthetic()
+        if not empty_rank:
+            return base
+        trace = Trace(base.regions, base.metrics, base.name, base.attributes)
+        for loc in base.locations():
+            trace.add_process(loc, base.events_of(loc.id))
+        trace.add_process(Location(len(base.ranks), "idle"), EventList.empty())
+        return trace
+
+    @pytest.mark.parametrize("empty_rank", [False, True], ids=["full", "empty"])
+    @pytest.mark.parametrize("fmt", ["zlib", "raw", "jsonl"])
+    def test_four_routes_agree(self, fmt, empty_rank, tmp_path, monkeypatch):
+        from repro.core import AnalysisConfig
+        from repro.trace import read_trace
+        from repro.trace.fingerprint import fingerprint_trace
+
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
+        trace = self._trace(empty_rank)
+        if fmt == "jsonl":
+            path = tmp_path / "t.jsonl"
+            write_jsonl(trace, path)
+        else:
+            path = tmp_path / "t.rpt"
+            write_binary(trace, path, version=2, codec=fmt)
+        cursor = AnalysisSession(None, source_path=path)
+        routes = {
+            "cursor": cursor.fingerprint,
+            "decoded": fingerprint_trace(read_trace(path)),
+            # An empty rank fails the structural gate the workers run.
+            "sharded": AnalysisSession(
+                None, source_path=path, shards=2,
+                config=AnalysisConfig(validate=False),
+            ).fingerprint,
+            "in-memory": fingerprint_trace(trace),
+        }
+        assert not cursor.trace.decoded
+        want = routes.pop("in-memory")
+        assert len(want.per_rank) == trace.num_processes
+        for route, got in routes.items():
+            assert got.definitions == want.definitions, route
+            assert got.per_rank == want.per_rank, route
+            assert got.hexdigest == want.hexdigest, route

@@ -312,6 +312,27 @@ class TestMatchGraphConstruction:
             assert np.array_equal(getattr(got, col), getattr(want, col)), col
         assert graph_to_json_dict(got) == graph_to_json_dict(want)
 
+    @settings(max_examples=50, deadline=None)
+    @given(records=message_records(), spare=st.integers(0, 3))
+    def test_writer_sized_once_from_a_bound(self, records, spare):
+        """The fused kernel reserves a bound (the event count) up front:
+        no column is regrown, and ``finish`` keeps the rows used."""
+        want = MatchGraph.from_records(records)
+        bound = spare + sum(
+            len(r.send_dst) + len(r.recv_src) for r in records.values()
+        )
+        writer = MatchGraphWriter()
+        writer.reserve(bound, bound)
+        columns = dict(writer._cols)
+        for rank in sorted(records):
+            writer.add(records[rank])
+        assert all(writer._cols[name] is col for name, col in columns.items())
+        got = writer.finish()
+        for col in ("s_rank", "s_dst", "s_tag", "s_pos", "r_rank", "r_src",
+                    "r_tag", "r_pos", "r_wildcard", "s_match", "r_match"):
+            assert np.array_equal(getattr(got, col), getattr(want, col)), col
+        assert graph_to_json_dict(got) == graph_to_json_dict(want)
+
 
 class TestVectorClocks:
     def test_send_happens_before_matched_recv(self):

@@ -82,6 +82,31 @@ def test_render_bytes_unchanged(case):
     assert digests(_analyses()[case]()) == EXPECTED[case]
 
 
+@pytest.mark.parametrize("codec", ["zlib", "raw"])
+def test_path_session_renders_the_decoded_bytes(codec, tmp_path):
+    """A session over its own file reads the fingerprint and counter
+    series rank by rank; its counter chart and HTML report are the
+    bytes a session over the decoded file renders."""
+    from repro.core import AnalysisSession
+    from repro.trace import write_binary
+    from repro.viz.counterchart import render_counter_png
+
+    path = tmp_path / "t.rpt"
+    trace = generate(
+        SyntheticConfig(ranks=6, iterations=8, slow_ranks={2: 1.7}, seed=4)
+    )
+    write_binary(trace, path, version=2, codec=codec)
+    session = AnalysisSession(None, source_path=path)
+    got = session.analysis()
+    want = AnalysisSession(read_trace(path)).analysis()
+    for metric in trace.metrics:
+        assert _sha(render_counter_png(got.trace, metric.id).pixels) == _sha(
+            render_counter_png(want.trace, metric.id).pixels
+        )
+    assert render_html_report(got) == render_html_report(want)
+    assert not session.trace.decoded
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import json
 

@@ -337,6 +337,18 @@ def _spmd(calc: float):
     return tb.freeze()
 
 
+def _rewrite_in_place(path, tmp_path):
+    """Overwrite ``path`` with other content of the same size, keeping
+    its inode and mtime (only the ctime moves)."""
+    before = os.stat(path)
+    other = tmp_path / "other.rpt"
+    write_binary(_spmd(0.3), other, codec="raw")
+    time.sleep(0.05)  # past a timestamp tick, so the ctime moves
+    path.write_bytes(other.read_bytes())
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size
+
+
 class TestStatKey:
     """The ``stat-`` shortcut from a file's stat to its fingerprint."""
 
@@ -496,12 +508,14 @@ class TestDeferredDecode:
         del arrays["extent"]  # an entry as written before it held one
         store.store(key, arrays)
         report, spans, _ = self._traced_report(path, cache)
-        assert "io.read" in spans
+        # The miss hashes the file rank by rank; that pass gives the
+        # extent, so nothing decodes the whole file.
+        assert "io.load" in spans and "io.read" not in spans
         assert report == AnalysisSession(None, source_path=path).analysis().report()
         trace = read_trace(path)
         assert store.load(key)["extent"].tolist() == [trace.t_min, trace.t_max]
         _, spans, _ = self._traced_report(path, cache)
-        assert "io.read" not in spans
+        assert not spans & {"io.read", "io.load"}
 
     def test_replaced_by_rename_after_open(self, tmp_path):
         path = tmp_path / "t.rpt"
@@ -520,13 +534,7 @@ class TestDeferredDecode:
         path = tmp_path / "t.rpt"
         write_binary(_spmd(0.2), path, codec="raw")
         session = AnalysisSession(None, source_path=path)
-        before = os.stat(path)
-        other = tmp_path / "other.rpt"
-        write_binary(_spmd(0.3), other, codec="raw")
-        time.sleep(0.05)  # past a timestamp tick, so the ctime moves
-        path.write_bytes(other.read_bytes())
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert os.stat(path).st_size == before.st_size
+        _rewrite_in_place(path, tmp_path)
         with pytest.raises(TraceFormatError, match=re.escape(str(path))):
             session.analysis()
 
@@ -614,13 +622,7 @@ class TestColdCursorPass:
         path = tmp_path / "t.rpt"
         write_binary(_spmd(0.2), path, codec="raw")
         session = AnalysisSession(None, source_path=path)
-        before = os.stat(path)
-        other = tmp_path / "other.rpt"
-        write_binary(_spmd(0.3), other, codec="raw")
-        time.sleep(0.05)  # past a timestamp tick, so the ctime moves
-        path.write_bytes(other.read_bytes())
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert os.stat(path).st_size == before.st_size
+        _rewrite_in_place(path, tmp_path)
         with pytest.raises(TraceFormatError, match=re.escape(str(path))) as err:
             self._run(session, route)
         assert err.value.path == str(path)
@@ -644,3 +646,109 @@ class TestColdCursorPass:
         session = AnalysisSession(None, source_path=path)
         with pytest.raises(TraceFormatError, match="changed after it was opened"):
             session.analysis()
+
+
+class TestViewsReadRankByRank:
+    """The fingerprint and the counter series read a path-mode
+    session's file rank by rank, as its kernel pass does: an ``--html``
+    report or a cold ``--cache-dir`` session decodes no whole trace,
+    and each pass checks the same stat key."""
+
+    @pytest.fixture()
+    def settled(self, monkeypatch):
+        monkeypatch.setattr("repro.core.session._RACY_NS", 0)
+
+    @staticmethod
+    def _counters(path):
+        from repro.sim.workloads.synthetic import SyntheticConfig, generate
+
+        write_binary(generate(SyntheticConfig(ranks=4, iterations=6, seed=1)), path)
+
+    @pytest.mark.parametrize("route", ["html", "cache", "html+cache"])
+    def test_no_whole_trace_decode(self, settled, route, tmp_path):
+        from repro.htmlreport import render_html_report
+
+        path = tmp_path / "t.rpt"
+        self._counters(path)
+        cache = tmp_path / "cache" if "cache" in route else None
+        col = obs.enable()
+        try:
+            session = AnalysisSession(None, source_path=path, cache_dir=cache)
+            analysis = session.analysis()
+            if "html" in route:
+                assert "Hardware counters" in render_html_report(analysis)
+            else:
+                analysis.report()
+        finally:
+            col = obs.disable()
+        assert "io.read" not in {s.name for s in col.iter_spans()}
+        assert not session.trace.decoded
+
+    def test_stat_entry_holds_the_kernel_extent(
+        self, settled, tmp_path, monkeypatch
+    ):
+        from repro.core import fused
+
+        # Each rank starts and ends later than the one before, so every
+        # rank's extent is needed for the trace's.
+        tb = TraceBuilder(name="staggered")
+        tb.region("main")
+        tb.region("calc")
+        for rank in range(3):
+            pb = tb.process(rank)
+            pb.enter(0.1 * rank, "main")
+            pb.call(1.0, 2.0, "calc")
+            pb.leave(3.0 + rank, "main")
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        write_binary(tb.freeze(), path)
+        boots = []
+        run = fused.fused_bootstrap
+        monkeypatch.setattr(
+            fused, "fused_bootstrap",
+            lambda *a, **kw: boots.append(run(*a, **kw)) or boots[-1],
+        )
+        cold = AnalysisSession(None, source_path=path, cache_dir=cache)
+        cold.profile()
+        (boot,) = boots
+        assert not cold.trace.decoded
+        store = ArtifactCache(cache)
+        (key,) = [k for k in store.keys() if k.startswith("stat-")]
+        recorded = store.load(key)["extent"].tolist()
+        assert [v.hex() for v in recorded] == [v.hex() for v in boot.extent]
+        assert boot.extent == (0.0, 5.0)
+
+        def no_hashing(trace):
+            raise AssertionError("warm session hashed the trace")
+
+        monkeypatch.setattr("repro.core.session.fingerprint_trace", no_hashing)
+        warm = AnalysisSession(None, source_path=path, cache_dir=cache)
+        assert warm.fingerprint == cold.fingerprint
+        assert warm.trace.extent == boot.extent
+
+    @pytest.mark.parametrize("first", ["fingerprint", "kernel"])
+    def test_rewrite_between_passes(self, first, tmp_path):
+        """Either pass may run first; a rewrite after it fails the
+        other with the file's path."""
+        from repro.core.metrics import metric_series
+
+        path, cache = tmp_path / "t.rpt", tmp_path / "cache"
+        write_binary(_spmd(0.2), path, codec="raw")
+        session = AnalysisSession(
+            None, source_path=path,
+            cache_dir=cache if first == "fingerprint" else None,
+        )
+        if first == "fingerprint":
+            session.fingerprint
+            later = [session.analysis]
+        else:
+            session.analysis()
+            later = [
+                lambda: session.fingerprint,
+                lambda: metric_series(session.trace, 0),
+            ]
+        _rewrite_in_place(path, tmp_path)
+        for step in later:
+            with pytest.raises(TraceFormatError, match=re.escape(str(path))) as err:
+                step()
+            assert err.value.path == str(path)
+        assert not session.trace.decoded
