@@ -6,11 +6,12 @@ PR rebuilds the emission pipeline:
 
 * the engine records through the ``TraceBuilder``'s preallocated NumPy
   column buffers instead of per-event Python objects;
-* declarative iteration structure (``LoopSpec``) lets the engine skip
-  the generator protocol entirely and compute whole timestamp columns
-  with array arithmetic — proven bitwise-identical to the interpreted
-  path by ``tests/test_sim_sink.py`` and pinned by the golden
-  fingerprints in ``tests/test_recorder_golden.py``;
+* declarative iteration structure (a ``Loop`` of Region / Work /
+  Halo / Collective phases) lets the engine skip the generator
+  protocol entirely and compute whole timestamp columns with array
+  arithmetic — proven bitwise-identical to the interpreted path by
+  ``tests/test_sim_sink.py`` and pinned by the golden fingerprints in
+  ``tests/test_recorder_golden.py``;
 * ``SimResult.write`` serialises the buffers straight into ``.rpt`` v2
   codec blobs without ever building a ``Trace``.
 
@@ -37,7 +38,9 @@ PRE_PR_EVENTS_PER_S = {
 }
 W1_TARGET_SPEEDUP = 10.0
 IDLE_WAVE_TARGET_SPEEDUP = 8.0
-#: Floor for the general (non-LoopSpec) interpreter: it was rebuilt
+#: Fast path vs engine on the paper's Fig. 4 workload at 144 ranks.
+COSMO_TARGET_SPEEDUP = 10.0
+#: Floor for the general (non-fast-path) interpreter: it was rebuilt
 #: too (dict dispatch, list-cursor ready queue, columnar recording)
 #: and must not regress below the pre-PR engine.
 GENERAL_FLOOR_EVENTS_PER_S = 250_000
@@ -157,6 +160,48 @@ def test_general_engine_throughput(report, bench_meta, monkeypatch):
     assert events_per_s >= GENERAL_FLOOR_EVENTS_PER_S, (
         f"general engine fell to {events_per_s:.0f} events/s "
         f"(floor {GENERAL_FLOOR_EVENTS_PER_S})"
+    )
+
+
+def test_cosmo_specs_generation(report, bench_meta, monkeypatch):
+    """COSMO-SPECS 144 x 60 (jitter, 2-D halos, three collectives per
+    step): the fast path must hold >= 10x the engine's events/s."""
+    from repro.sim.workloads.cosmo_specs import CosmoSpecsConfig
+    from repro.sim.workloads.cosmo_specs import generate_result as cosmo
+
+    config = CosmoSpecsConfig(px=12, py=12, iterations=60, seed=7)
+    cosmo(config)  # warm-up
+
+    result, best, events_per_s = _throughput(lambda: cosmo(config))
+    monkeypatch.setenv("REPRO_SIM_NO_FASTPATH", "1")
+    engine, engine_s = _timed(lambda: cosmo(config), repeats=1)
+    assert engine.events == result.events
+    engine_events_per_s = engine.events / engine_s
+    speedup = events_per_s / engine_events_per_s
+    bench_meta(
+        wall_s=best,
+        timer="best-of-3 (fast path); one run (engine)",
+        events=result.events,
+        engine_wall_s=engine_s,
+        engine_events_per_s=engine_events_per_s,
+        speedup_vs_engine=speedup,
+    )
+    report(
+        "E19_sim_cosmo_specs",
+        [
+            f"workload: cosmo_specs 144 ranks x 60 iterations, seed 7, "
+            f"{result.events} events",
+            "",
+            f"fast-path generation, best of 3: {best * 1e3:.1f} ms "
+            f"({events_per_s / 1e6:.2f} M events/s)",
+            f"engine (REPRO_SIM_NO_FASTPATH=1), one run: "
+            f"{engine_s * 1e3:.0f} ms ({engine_events_per_s / 1e3:.0f} k events/s)",
+            f"speedup: {speedup:.1f}x (target >= {COSMO_TARGET_SPEEDUP:.0f}x)",
+        ],
+    )
+    assert speedup >= COSMO_TARGET_SPEEDUP, (
+        f"fast path is only {speedup:.2f}x the engine on cosmo_specs "
+        f"({events_per_s:.0f} vs {engine_events_per_s:.0f} events/s)"
     )
 
 

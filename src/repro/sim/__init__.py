@@ -3,7 +3,7 @@
 from . import ops
 from .countermodel import CounterSet, CounterSpec, FPU_EXCEPTIONS, PAPI_TOT_CYC
 from .engine import DeadlockError, SimResult, Simulator, simulate
-from .fastpath import HaloRing, LoopSpec
+from .fastpath import Collective, Halo, Loop, Region, Work
 from .network import (
     DragonflyTopology,
     FatTreeTopology,
@@ -27,6 +27,7 @@ from .noise import (
 from .program import grid_coords, grid_rank, halo_exchange, neighbors_2d
 
 __all__ = [
+    "Collective",
     "CompositeNoise",
     "CounterSet",
     "CounterSpec",
@@ -35,14 +36,15 @@ __all__ = [
     "FPU_EXCEPTIONS",
     "FatTreeTopology",
     "GaussianJitter",
-    "HaloRing",
+    "Halo",
     "ImbalanceRamp",
-    "LoopSpec",
+    "Loop",
     "NetworkModel",
     "NoNoise",
     "NoiseBursts",
     "NoiseModel",
     "PAPI_TOT_CYC",
+    "Region",
     "ScheduledInterruptions",
     "SimResult",
     "Simulator",
@@ -50,6 +52,7 @@ __all__ = [
     "Topology",
     "TopologyNetworkModel",
     "TorusTopology",
+    "Work",
     "grid_coords",
     "grid_rank",
     "halo_exchange",

@@ -378,14 +378,7 @@ def vector_noise(model: NoiseModel, size: int):
 
         return bursts
     if isinstance(model, GaussianJitter):
-
-        def jitter(t_start: np.ndarray, active: np.ndarray) -> np.ndarray:
-            out = np.empty(size)
-            for r in range(size):
-                out[r] = model.interruption(r, float(t_start[r]), float(active[r]))
-            return out
-
-        return jitter
+        return _vector_jitter(model, size)
     if isinstance(model, CompositeNoise):
         fns = [vector_noise(m, size) for m in model.models]
         if any(f is None for f in fns):
@@ -402,3 +395,124 @@ def vector_noise(model: NoiseModel, size: int):
 
         return composite
     return None
+
+
+# -- GaussianJitter for a whole rank vector -----------------------------------
+#
+# ``GaussianJitter.interruption`` builds ``default_rng([key, mix])`` per
+# draw: a ``SeedSequence`` hashes the seed words into a pool, the pool
+# seeds a ``PCG64``, and one ``normal`` is drawn.  Constructing the
+# generator costs ~25 us and dominates a noisy simulation.  The
+# ``SeedSequence`` hash and the PCG64 seeding step are fixed-width
+# integer arithmetic, so one NumPy pass runs them for every rank with the
+# same uint32/uint64 wraparound; each rank then gets one ``normal`` from
+# a reused generator whose state is set to what ``PCG64`` would have
+# derived.  Every step is exact integer arithmetic followed by the very
+# same ``Generator.normal`` call, so the draws are bitwise equal to the
+# scalar reference.
+
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+_M128 = (1 << 128) - 1
+# numpy.random.SeedSequence hash constants (pool size 4, 32-bit words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Low word, high word and "needs two words" of uint64 seed values.
+
+    ``SeedSequence`` coerces each seed integer to as many 32-bit words as
+    it needs: one below 2**32 (zero included), two from there on.
+    """
+    lo = (value & np.uint64(_M32)).astype(np.uint32)
+    hi = (value >> np.uint64(32)).astype(np.uint32)
+    return lo, hi, hi != 0
+
+
+def _pcg64_seeds(keys: np.ndarray, mixes: np.ndarray) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence([key, mix]))`` per element."""
+    k_lo, k_hi, k_two = _entropy_words(keys)
+    m_lo, m_hi, m_two = _entropy_words(mixes)
+    zero = np.zeros_like(k_lo)
+    # The assembled entropy is at most 4 words, the pool size: positions
+    # past its end hash a 0 word, exactly like these zero pads.
+    words = [
+        k_lo,
+        np.where(k_two, k_hi, m_lo),
+        np.where(k_two, m_lo, np.where(m_two, m_hi, zero)),
+        np.where(k_two & m_two, m_hi, zero),
+    ]
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(w) for w in words]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    # generate_state(4, uint64): 8 words cycling the pool, paired
+    # little-endian into 4 uint64 values.
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _M32
+        value = value * np.uint32(hash_const)
+        state.append(value ^ (value >> np.uint32(16)))
+    v = [
+        (lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))).tolist()
+        for lo, hi in zip(state[0::2], state[1::2])
+    ]
+    out = []
+    for s0, s1, i0, i1 in zip(*v):
+        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
+        inc = ((((i0 << 64) | i1) << 1) | 1) & _M128
+        out.append((((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128, inc))
+    return out
+
+
+def _vector_jitter(model: GaussianJitter, size: int):
+    keys = np.array(
+        [
+            (model.seed * 0x9E3779B97F4A7C15 + r * 0xBF58476D1CE4E5B9) & _M64
+            for r in range(size)
+        ],
+        dtype=np.uint64,
+    )
+    bitgen = np.random.PCG64()
+    normal = np.random.Generator(bitgen).normal
+    sigma = model.sigma
+    pcg: dict = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def jitter(t_start: np.ndarray, active: np.ndarray) -> np.ndarray:
+        ns = t_start * 1e9
+        # int(t * 1e9) truncates toward zero, as astype(int64) does;
+        # the view is its two's complement mod 2**64.  Out-of-range
+        # starts take the scalar path.
+        wild = ~(np.abs(ns) < 2.0**63)
+        mixes = np.where(wild, 0.0, ns).astype(np.int64).view(np.uint64)
+        draws = []
+        for pcg["state"], pcg["inc"] in _pcg64_seeds(keys, mixes):
+            bitgen.state = full
+            draws.append(normal(0.0, sigma))
+        out = np.abs(np.array(draws)) * active
+        for r in np.flatnonzero(wild):
+            out[r] = model.interruption(int(r), float(t_start[r]), float(active[r]))
+        return out
+
+    return jitter

@@ -21,12 +21,12 @@ import numpy as np
 
 from ...balance.balancer import static_decomposition
 from ...trace.trace import Trace
-from .. import ops
 from ..countermodel import CounterSet
 from ..engine import SimResult, simulate
+from ..fastpath import Collective, Halo, Loop, Region, Work
 from ..network import NetworkModel
 from ..noise import GaussianJitter, NoiseModel
-from ..program import halo_exchange, neighbors_2d
+from ..program import neighbors_2d
 from .base import CloudField, per_rank_cost
 
 __all__ = ["CosmoSpecsConfig", "generate", "generate_result", "HOT_RANKS", "PEAK_RANK"]
@@ -114,44 +114,42 @@ def _specs_costs(config: CosmoSpecsConfig) -> np.ndarray:
     return costs * config.specs_cost_per_weight
 
 
-def _program_factory(config: CosmoSpecsConfig, specs_costs: np.ndarray):
-    px, py = config.px, config.py
+def _loop(config: CosmoSpecsConfig, specs_costs: np.ndarray) -> Loop:
+    """One model setup, then ``iterations`` coupled time steps."""
+    nbrs = [neighbors_2d(r, config.px, config.py) for r in range(config.processes)]
 
-    def program(rank: int, size: int):
-        nbrs = neighbors_2d(rank, px, py)
-        yield ops.Enter("main")
-        yield ops.Enter("model_setup")
-        yield ops.Compute(0.05, region="read_namelist")
-        yield ops.Bcast(size=64 * 1024)
-        yield ops.Leave("model_setup")
-        for step in range(config.iterations):
-            yield ops.Enter("timeloop_iteration")
-            # COSMO dynamics: cheap, uniform, plus its halo exchange.
-            yield ops.Enter("cosmo_dynamics")
-            yield ops.Compute(config.cosmo_cost, region="cosmo_solve")
-            yield from halo_exchange(
-                rank, nbrs, config.halo_bytes, tag=1, region=None
-            )
-            yield ops.Leave("cosmo_dynamics")
-            # Coupling: exchange fields between the two models.
-            yield ops.Enter("couple_models")
-            yield ops.Allgather(size=config.coupling_bytes)
-            yield ops.Leave("couple_models")
-            # SPECS microphysics: expensive, cloud-dependent.
-            yield ops.Enter("specs_microphysics")
-            yield ops.Compute(
-                float(specs_costs[step, rank]), region="specs_bin_microphysics"
-            )
-            yield from halo_exchange(
-                rank, nbrs, config.halo_bytes, tag=2, region=None
-            )
-            yield ops.Leave("specs_microphysics")
-            # Global timestep control.
-            yield ops.Allreduce(size=8)
-            yield ops.Leave("timeloop_iteration")
-        yield ops.Leave("main")
+    def halo(tag: int) -> Halo:
+        return Halo(recv_from=nbrs, send_to=nbrs, bytes=config.halo_bytes, tag=tag)
 
-    return program
+    return Loop(
+        iterations=config.iterations,
+        setup=(
+            Region(
+                "model_setup",
+                Work("read_namelist", 0.05),
+                Collective("bcast", 64 * 1024),
+            ),
+        ),
+        body=(
+            Region(
+                "timeloop_iteration",
+                # COSMO dynamics: cheap, uniform, plus its halo exchange.
+                Region(
+                    "cosmo_dynamics", Work("cosmo_solve", config.cosmo_cost), halo(1)
+                ),
+                # Coupling: exchange fields between the two models.
+                Region("couple_models", Collective("allgather", config.coupling_bytes)),
+                # SPECS microphysics: expensive, cloud-dependent.
+                Region(
+                    "specs_microphysics",
+                    Work("specs_bin_microphysics", specs_costs),
+                    halo(2),
+                ),
+                # Global timestep control.
+                Collective("allreduce", 8),
+            ),
+        ),
+    )
 
 
 def generate_result(
@@ -167,7 +165,7 @@ def generate_result(
     specs_costs = _specs_costs(config)
     return simulate(
         size=config.processes,
-        program=_program_factory(config, specs_costs),
+        loop=_loop(config, specs_costs),
         network=network,
         noise=noise,
         counters=CounterSet((CounterSet.cycles(),)),

@@ -22,13 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...trace.trace import Trace
-from .. import ops
 from ..countermodel import CounterSet
 from ..engine import SimResult, simulate
-from ..fastpath import HaloRing, LoopSpec
+from ..fastpath import Halo, Loop, Region, Work
 from ..network import NetworkModel
 from ..noise import NoiseModel, ScheduledInterruptions
 
@@ -61,25 +58,6 @@ class IdleWaveConfig:
             raise ValueError("burst_iteration outside the iteration range")
 
 
-def _program_factory(config: IdleWaveConfig):
-    def program(rank: int, size: int):
-        left, right = (rank - 1) % size, (rank + 1) % size
-        yield ops.Enter("main")
-        yield ops.Compute(config.base_compute / 4, region="setup")
-        for _it in range(config.iterations):
-            yield ops.Enter("iteration")
-            yield ops.Compute(config.base_compute, region="smooth")
-            r1 = yield ops.Irecv(left, size=config.halo_bytes, tag=3)
-            r2 = yield ops.Irecv(right, size=config.halo_bytes, tag=3)
-            s1 = yield ops.Isend(right, size=config.halo_bytes, tag=3)
-            s2 = yield ops.Isend(left, size=config.halo_bytes, tag=3)
-            yield ops.Waitall([r1, r2, s1, s2])
-            yield ops.Leave("iteration")
-        yield ops.Leave("main")
-
-    return program
-
-
 def _burst_noise(config: IdleWaveConfig) -> ScheduledInterruptions:
     """One interruption window over the source rank's burst iteration.
 
@@ -107,18 +85,19 @@ def generate_result(
         config = IdleWaveConfig()
     if noise is None:
         noise = _burst_noise(config)
-    compute = np.full(config.ranks, config.base_compute)
-    loop = LoopSpec(
+    loop = Loop(
         iterations=config.iterations,
-        seconds=lambda it: compute,
-        setup_seconds=config.base_compute / 4,
-        compute_region="smooth",
-        halo=HaloRing(bytes=config.halo_bytes, tag=3),
-        collective="none",
+        setup=(Work("setup", config.base_compute / 4),),
+        body=(
+            Region(
+                "iteration",
+                Work("smooth", config.base_compute),
+                Halo.ring(config.ranks, bytes=config.halo_bytes, tag=3),
+            ),
+        ),
     )
     return simulate(
         size=config.ranks,
-        program=_program_factory(config),
         network=network,
         noise=noise,
         loop=loop,

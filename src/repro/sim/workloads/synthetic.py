@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...trace.trace import Trace
-from .. import ops
 from ..countermodel import CounterSet
 from ..engine import SimResult, simulate
-from ..fastpath import HaloRing, LoopSpec
+from ..fastpath import Collective, Halo, Loop, Region, Work
 from ..network import NetworkModel
 from ..noise import GaussianJitter, NoiseModel, NoNoise
 
@@ -79,81 +78,39 @@ class SyntheticConfig:
         return self.base_compute * factor * growth
 
 
-def _program_factory(config: SyntheticConfig):
+def _loop(config: SyntheticConfig) -> Loop:
+    """Setup compute, then per iteration: ``subiters`` computes, the halo
+    ring, the collective.
+
+    Seconds mirror :meth:`SyntheticConfig.compute_seconds` exactly (same
+    association), divided evenly over the sub-iterations; outliers land
+    on the first sub-iteration.
+    """
     collective = config.collective
     if collective not in ("allreduce", "barrier", "none"):
         raise ValueError(f"unknown collective {collective!r}")
-
-    def program(rank: int, size: int):
-        left, right = (rank - 1) % size, (rank + 1) % size
-        yield ops.Enter("main")
-        yield ops.Compute(0.001, region="setup")
-        for it in range(config.iterations):
-            yield ops.Enter("iteration")
-            extra = config.outliers.get((rank, it), 0.0)
-            for sub in range(config.subiters):
-                seconds = config.compute_seconds(rank, it) / config.subiters
-                interruption = extra if sub == 0 else 0.0
-                yield ops.Compute(
-                    seconds, region="work", interruption=interruption
-                )
-            if config.use_halo and size > 1:
-                r1 = yield ops.Irecv(left, size=config.halo_bytes, tag=7)
-                r2 = yield ops.Irecv(right, size=config.halo_bytes, tag=7)
-                s1 = yield ops.Isend(right, size=config.halo_bytes, tag=7)
-                s2 = yield ops.Isend(left, size=config.halo_bytes, tag=7)
-                yield ops.Waitall([r1, r2, s1, s2])
-            if collective == "allreduce":
-                yield ops.Allreduce(size=8)
-            elif collective == "barrier":
-                yield ops.Barrier()
-            yield ops.Leave("iteration")
-        yield ops.Leave("main")
-
-    return program
-
-
-def _loop_spec(config: SyntheticConfig) -> LoopSpec:
-    """The program above, declared for the vectorized fast path.
-
-    Expressions mirror :meth:`SyntheticConfig.compute_seconds` exactly
-    (same association), keeping fast-path traces bitwise identical to
-    the interpreted generator.
-    """
-    size = config.ranks
+    size, iters = config.ranks, config.iterations
     base = config.base_compute * np.array(
         [config.slow_ranks.get(r, 1.0) for r in range(size)]
     )
-
-    def seconds(it: int) -> np.ndarray:
-        growth = (1.0 + config.trend_per_step) ** it
-        return base * growth / config.subiters
-
+    growth = np.array([(1.0 + config.trend_per_step) ** it for it in range(iters)])
+    seconds = base[None, :] * growth[:, None] / config.subiters
     extra = None
     if config.outliers:
-        outliers = config.outliers
-
-        def extra(it: int) -> np.ndarray:
-            row = np.zeros(size)
-            for (rank, iteration), seconds_ in outliers.items():
-                if iteration == it and 0 <= rank < size:
-                    row[rank] = seconds_
-            return row
-
-    halo = (
-        HaloRing(bytes=config.halo_bytes, tag=7)
-        if config.use_halo and size > 1
-        else None
-    )
-    return LoopSpec(
-        iterations=config.iterations,
-        seconds=seconds,
-        subiters=config.subiters,
-        extra=extra,
-        setup_seconds=0.001,
-        halo=halo,
-        collective=config.collective,
-        collective_size=8,
+        extra = np.zeros((iters, size))
+        for (rank, iteration), seconds_ in config.outliers.items():
+            if 0 <= rank < size and 0 <= iteration < iters:
+                extra[iteration, rank] = seconds_
+    phases = [Work("work", seconds, extra)]
+    phases += [Work("work", seconds) for _ in range(config.subiters - 1)]
+    if config.use_halo and size > 1:
+        phases.append(Halo.ring(size, bytes=config.halo_bytes, tag=7))
+    if collective != "none":
+        phases.append(Collective(collective, 8))
+    return Loop(
+        iterations=iters,
+        setup=(Work("setup", 0.001),),
+        body=(Region("iteration", *phases),),
     )
 
 
@@ -173,13 +130,12 @@ def generate_result(
         )
     return simulate(
         size=config.ranks,
-        program=_program_factory(config),
         network=network,
         noise=noise,
         counters=CounterSet((CounterSet.cycles(),)),
         name="synthetic",
         attributes={"workload": "synthetic"},
-        loop=_loop_spec(config),
+        loop=_loop(config),
     )
 
 

@@ -15,6 +15,7 @@ as :class:`TraceFormatError` with the location and column it concerns.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
@@ -509,6 +510,13 @@ class TraceIndex:
                     self._buf = False
         return self._buf or None
 
+    def _reader(self):
+        """The file for seek/read, or no handle when the shared mmap
+        serves every column blob (binary format, mmap available)."""
+        if self.format == "rpt" and self._buffer() is not None:
+            return contextlib.nullcontext()
+        return open(self.path, "rb")
+
     def _read_column_blob(self, fp, offset: int, length: int, where: str):
         """Raw on-disk bytes of one column blob (mmap view or read)."""
         buf = self._buffer()
@@ -629,7 +637,7 @@ class TraceIndex:
         count = max(stop - start, 0)
         buf = self._buffer()
         arrays: dict[str, np.ndarray] = {}
-        with obs.span("io.load"), open(self.path, "rb") as fp:
+        with obs.span("io.load"), self._reader() as fp:
             for col in project:
                 offset, _length, dtype_str, _codec = chunk.columns[col]
                 dtype = parse_dtype(
@@ -699,7 +707,7 @@ class TraceIndex:
         if len(set(wanted)) != len(wanted):
             raise ValueError(f"duplicate ranks requested: {wanted!r}")
         trace = self._new_trace()
-        with obs.span("io.load"), open(self.path, "rb") as fp:
+        with obs.span("io.load"), self._reader() as fp:
             for rank in sorted(wanted):
                 chunk = self._chunks.get(rank)
                 if chunk is None:
@@ -734,7 +742,7 @@ class TraceIndex:
         ):
             return fingerprint_events(self.load([rank]).events_of(rank))
         h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-        with open(self.path, "rb") as fp:
+        with self._reader() as fp:
             for col in _BIN_COLUMNS:
                 offset, length, _dtype_str, codec = chunk.columns[col]
                 where = _blob_where(chunk.rank, col, offset)

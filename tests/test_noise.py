@@ -15,7 +15,7 @@ Two contracts matter for every knob the fuzzer samples:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import ops
 from repro.sim.engine import simulate
@@ -27,6 +27,7 @@ from repro.sim.noise import (
     NoNoise,
     ScheduledInterruptions,
     Straggler,
+    vector_noise,
 )
 
 ranks_st = st.integers(min_value=0, max_value=15)
@@ -56,6 +57,7 @@ def _makespan(noise, ranks=4, iterations=6, compute=0.01):
 class TestDeterminism:
     @given(seed=st.integers(0, 2**31), sigma=st.floats(0.0, 0.5),
            rank=ranks_st, t=t_st, active=active_st)
+    @example(seed=0, sigma=0.01, rank=0, t=8.5, active=0.5)  # 1-word key
     @settings(max_examples=60, deadline=None)
     def test_gaussian_jitter_pure(self, seed, sigma, rank, t, active):
         a = GaussianJitter(sigma=sigma, seed=seed)
@@ -65,6 +67,19 @@ class TestDeterminism:
         # Repeated queries of the same model must not advance state.
         assert first == a.interruption(rank, t, active)
         assert first >= 0.0
+        # The fast path's whole-vector draw equals the scalar one rank
+        # by rank, bit for bit -- also where int(t * 1e9) switches from
+        # one 32-bit seed word to two.
+        starts = [0.0, 1e-9, 2e-9] + [
+            ns * 1e-9 for ns in (2**32 - 1, 2**32, 2**32 + 1, 2**33)
+        ]
+        size = 16
+        t_vec = np.resize(np.array(starts), size)
+        t_vec[rank] = t
+        act = np.linspace(active, 2 * active, size)
+        got = vector_noise(a, size)(t_vec, act)
+        want = [a.interruption(r, float(t_vec[r]), float(act[r])) for r in range(size)]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
     @given(rank=ranks_st, t=t_st, active=active_st,
            period=st.floats(0.01, 2.0), duration=st.floats(0.0, 0.5),

@@ -18,7 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from test_sim_sink import PHENOMENON_CASES, SYNTHETIC_VARIANTS
+from test_sim_sink import (
+    COSMO_SEEDS,
+    COSMO_VARIANTS,
+    PHENOMENON_CASES,
+    SYNTHETIC_VARIANTS,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "recorder_fingerprints.json"
 
@@ -74,6 +79,7 @@ def _grouped_trace():
 def _cases():
     from repro import paper
     from repro.sim.fuzz import build_trace, generate_spec
+    from repro.sim.workloads import cosmo_specs
     from repro.sim.workloads.synthetic import generate_result
 
     cases = {}
@@ -81,6 +87,13 @@ def _cases():
         for seed in (1, 2, 3):
             cases[f"synthetic/{name}/seed{seed}"] = (
                 lambda c=replace(config, seed=seed): generate_result(c).trace
+            )
+    for name, config in sorted(COSMO_VARIANTS.items()):
+        for seed in COSMO_SEEDS:
+            cases[f"{name}/seed{seed}"] = (
+                lambda c=replace(config, seed=seed): (
+                    cosmo_specs.generate_result(c).trace
+                )
             )
     for module, kwargs in PHENOMENON_CASES:
         label = module.__name__.rsplit(".", 1)[-1]

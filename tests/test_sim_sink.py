@@ -12,7 +12,7 @@ themselves.
 
 import pytest
 
-from repro.sim import ops
+from repro.sim import fastpath, ops
 from repro.sim.engine import simulate
 from repro.sim.network import (
     DragonflyTopology,
@@ -21,7 +21,14 @@ from repro.sim.network import (
     TopologyNetworkModel,
     TorusTopology,
 )
-from repro.sim.workloads import congestion, idle_wave, late_sender, serialization
+from repro.sim.workloads import (
+    congestion,
+    cosmo_specs,
+    idle_wave,
+    late_sender,
+    serialization,
+)
+from repro.sim.workloads.cosmo_specs import CosmoSpecsConfig
 from repro.sim.workloads.synthetic import SyntheticConfig, generate_result
 from repro.trace import read_trace, write_binary
 from repro.trace.builder import TraceBuilder
@@ -45,6 +52,24 @@ SYNTHETIC_VARIANTS = {
     "jitter": SyntheticConfig(ranks=6, iterations=10, jitter_sigma=0.001),
 }
 
+#: COSMO-SPECS on square process grids, 6 iterations each: corner, edge
+#: and interior ranks have 2, 3 and 4 halo neighbours, the 1x1 grid
+#: none.  The rendezvous case sends halos above the eager threshold,
+#: which only the engine reproduces.
+COSMO_VARIANTS = {
+    f"cosmo-{n}x{n}": CosmoSpecsConfig(px=n, py=n, iterations=6)
+    for n in (1, 2, 3, 4, 10)
+}
+COSMO_VARIANTS["cosmo-3x3-rendezvous"] = CosmoSpecsConfig(
+    px=3, py=3, iterations=6, halo_bytes=128 * 1024
+)
+COSMO_SEEDS = (7, 20160816)
+
+#: (variant, seed) pairs of the fast-path-vs-engine parity test.
+PARITY_CASES = [
+    (name, seed) for seed in (1, 2, 3) for name in sorted(SYNTHETIC_VARIANTS)
+] + [(name, seed) for seed in COSMO_SEEDS for name in sorted(COSMO_VARIANTS)]
+
 PHENOMENON_CASES = [
     (idle_wave, {"ranks": 12, "iterations": 10}),
     (late_sender, {"ranks": 8, "iterations": 10}),
@@ -56,6 +81,14 @@ PHENOMENON_CASES = [
 def _fingerprints(trace):
     fp = fingerprint_trace(trace)
     return fp.hexdigest, tuple(fp.rank_digest(r) for r in trace.ranks)
+
+
+def _variant_result(name, seed):
+    from dataclasses import replace
+
+    if name in COSMO_VARIANTS:
+        return cosmo_specs.generate_result(replace(COSMO_VARIANTS[name], seed=seed))
+    return generate_result(replace(SYNTHETIC_VARIANTS[name], seed=seed))
 
 
 def _general(fn, monkeypatch):
@@ -71,15 +104,25 @@ class TestSinkParity:
     """Fast path == general interpreter, both recording through the one
     ``TraceBuilder`` (test ids predate the single recorder)."""
 
-    @pytest.mark.parametrize("name", sorted(SYNTHETIC_VARIANTS))
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name,seed", PARITY_CASES, ids=[f"{s}-{n}" for n, s in PARITY_CASES]
+    )
     def test_synthetic_three_way(self, name, seed, monkeypatch):
-        """Fingerprints, event counts and run statistics agree."""
-        from dataclasses import replace
+        """Fingerprints, event counts and run statistics agree, for the
+        synthetic variants and the COSMO-SPECS grids; every case but the
+        rendezvous one takes the fast path."""
+        vectorised = []
 
-        config = replace(SYNTHETIC_VARIANTS[name], seed=seed)
-        fast = generate_result(config)
-        general = _general(lambda: generate_result(config), monkeypatch)
+        def spy(sim, run_fast=fastpath.run_fast):
+            result = run_fast(sim)
+            vectorised.append(result is not None)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "run_fast", spy)
+            fast = _variant_result(name, seed)
+        assert vectorised == [not name.endswith("rendezvous")]
+        general = _general(lambda: _variant_result(name, seed), monkeypatch)
         assert _fingerprints(general.trace) == _fingerprints(fast.trace)
         assert general.events == fast.events
         assert general.makespan == fast.makespan
