@@ -357,10 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("trace")
     mon.add_argument("--function", default=None,
                      help="dominant function (default: warm-up selection)")
-    mon.add_argument("--chunk", type=int, default=256,
-                     help="events per fed chunk (alias of --chunk-events)")
+    mon.add_argument("--chunk", type=int, default=None,
+                     help="most events per fed chunk (default: the analysis "
+                          "kernel's batch size, so most ranks arrive whole; "
+                          "alias of --chunk-events)")
     mon.add_argument("--chunk-events", type=int, default=None,
-                     help="events per fed chunk (overrides --chunk)")
+                     help="most events per fed chunk (overrides --chunk)")
     mon.add_argument("--threshold", type=float, default=4.0,
                      help="alert z-score threshold")
     mon.add_argument("--follow", action="store_true",
@@ -827,8 +829,13 @@ def _cmd_explain(args) -> int:
 def _cmd_monitor(args) -> int:
     from . import obs
     from .core.streaming import STREAM_COLUMNS, StreamingAnalyzer
+    from .trace.cursor import BATCH_EVENTS
 
     chunk_events = args.chunk_events if args.chunk_events is not None else args.chunk
+    if chunk_events is None:
+        # Whole ranks up to the kernel's batch size.  Chunking is a
+        # transport detail: the output is the same at any size.
+        chunk_events = BATCH_EVENTS
     if chunk_events < 1:
         raise CLIError(f"--chunk-events must be >= 1, got {chunk_events}")
     if args.window is not None and args.window < 1:

@@ -56,7 +56,7 @@ import numpy as np
 from .. import obs
 from ..profiles.replay import InvocationTable, pair_events, table_from_pairing
 from ..profiles.stats import batch_statistics_arrays
-from ..trace.cursor import EventCursor
+from ..trace.cursor import BATCH_EVENTS, EventCursor
 from ..trace.definitions import MetricRegistry, RegionRegistry
 from ..trace.events import _DTYPES, _FIELDS, EventList
 
@@ -65,11 +65,9 @@ if TYPE_CHECKING:
 
 __all__ = ["FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"]
 
-#: Events a pending batch gathers before it runs.  Large enough that
-#: NumPy's per-call cost vanishes at thousands of ranks, small enough
-#: that the batch's transients stay cache-sized and far below the
-#: memory of the tables it produces.
-_BATCH_EVENTS = 1 << 15
+#: Events a pending batch gathers before it runs (module-level so tests
+#: can shrink it to one-rank batches).
+_BATCH_EVENTS = BATCH_EVENTS
 
 #: Events pushed through the fused pass (telemetry).
 _C_EVENTS = obs.counter("analysis.events")

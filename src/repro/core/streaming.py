@@ -38,12 +38,11 @@ function, the streamed SOS values equal
 :func:`repro.core.sos.compute_sos` exactly (tested), and results are
 bitwise independent of how the stream is chunked.  Two processors
 share the per-rank state: a per-event state machine over plain Python
-scalars (warm-up, selection in the middle of a chunk, and every chunk
-shorter than ``_VECTOR_MIN_EVENTS``), and a vectorised chunk processor
-(stack validation via the lint engine's depth trick, segment/sync
-boundaries via nesting trajectories) for long chunks once a dominant
-function is selected.  Both perform the same float operations in the
-same order.
+scalars (warm-up up to the selecting event, and every chunk shorter
+than ``_VECTOR_MIN_EVENTS``), and an array processor for the steady
+state (stack validation via the lint engine's depth trick, segment and
+sync boundaries via nesting trajectories, the window test as one sort
+per chunk).  Both perform the same float operations in the same order.
 
 Malformed streams raise :class:`StreamOrderError` (out-of-order chunk;
 tracelint rule ``TL004``) or :class:`StreamStructureError` (unmatched
@@ -54,8 +53,10 @@ or mismatched leave, ``TL001``/``TL003``; a frame still open at
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from operator import length_hint
 
 import numpy as np
 
@@ -93,14 +94,12 @@ _ENTER = int(EventKind.ENTER)
 _LEAVE = int(EventKind.LEAVE)
 _METRIC = int(EventKind.METRIC)
 
-#: Shortest chunk the vectorised processor takes.  Its cost is mostly a
-#: fixed ~0.4 ms of NumPy calls per chunk, while the per-event machine
-#: runs at ~2 Mevents/s at any chunk size.  Measured on 2-core x86 VMs
-#: (table in docs/streaming.md), the two cross between 1024 and 4096
-#: events: at 64 events the per-event machine is ~8-12x faster, at 1024
-#: they are within ~30% of each other either way, and at 64k the
-#: vectorised processor is ~1.2x (COSMO-SPECS) to ~4x (dense 3-level
-#: stream) faster.
+#: Shortest chunk the array processor takes.  Its cost is mostly a fixed
+#: ~0.25 ms of NumPy calls per chunk, while the per-event machine runs
+#: at ~2 Mevents/s at any chunk size.  Measured on a 2-core x86 VM
+#: (table in docs/streaming.md), the two cross between 512 and 1024
+#: events: at 64 events the per-event machine is ~7-10x faster, at 1024
+#: the array processor is ~1.4x faster, and at 64k ~5-6x.
 _VECTOR_MIN_EVENTS = 1024
 
 
@@ -111,6 +110,19 @@ def _small_median(ordered: list) -> float:
     if n % 2:
         return float(ordered[mid])
     return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _crossings(pm, enter, sel, level: int):
+    """Events of the ``sel`` subset that move its nesting level between
+    0 and 1: their positions, whether each opens, and the final level."""
+    idx = np.flatnonzero(sel)
+    if not idx.size:
+        return idx, np.zeros(0, dtype=bool), level
+    traj = np.cumsum(pm[idx])
+    traj += level
+    opens = enter[idx] & (traj == 1)
+    hit = opens | (traj == 0)
+    return idx[hit], opens[hit], int(traj[-1])
 
 
 class StreamOrderError(ValueError):
@@ -197,9 +209,7 @@ class _RankStream:
         "segment_start",
         "segment_sync",
         "dominant_nesting",
-        "seg_start",
-        "seg_stop",
-        "seg_sync",
+        "segs",
         "next_index",
         "total_sos",
         "total_count",
@@ -215,13 +225,10 @@ class _RankStream:
         self.segment_start: float | None = None
         self.segment_sync = 0.0
         self.dominant_nesting = 0
-        # Completed segments, stored columnar (one float triple per
-        # segment, :class:`StreamedSegment` objects are materialised
-        # on access) — constructing a frozen dataclass per segment
-        # would dominate steady-state streaming cost.
-        self.seg_start: deque[float] = deque()
-        self.seg_stop: deque[float] = deque()
-        self.seg_sync: deque[float] = deque()
+        # Completed segments as (start, stop, sync) float triples in
+        # one flat array; :class:`StreamedSegment` objects are
+        # materialised on access.
+        self.segs = array("d")
         self.next_index = 0
         self.total_sos = 0.0
         self.total_count = 0
@@ -286,6 +293,8 @@ class StreamingAnalyzer:
         self.num_processes = num_processes
         self.classifier = classifier if classifier is not None else default_classifier()
         self.window = window
+        # ``_halves[k] == k // 2``: the median indices of k sorted values.
+        self._halves = np.array([k // 2 for k in range(window + 1)])
         self.alert_threshold = alert_threshold
         self.min_relative_excess = min_relative_excess
         self.warmup_invocations = warmup_invocations
@@ -339,11 +348,15 @@ class StreamingAnalyzer:
             raise StreamOrderError(rank, float(times[0]), stream.last_time)
         kinds = events.kind
         refs = events.ref
-        if self.selected and n >= _VECTOR_MIN_EVENTS:
-            new_alerts = self._feed_chunk(stream, times, kinds, refs)
+        new_alerts: list[StreamAlert] = []
+        done = 0
+        if not self.selected or n < _VECTOR_MIN_EVENTS:
+            new_alerts, done = self._feed_events(stream, times, kinds, refs)
+        if done < n:
+            new_alerts += self._feed_chunk(
+                stream, times[done:], kinds[done:], refs[done:]
+            )
             stream.last_time = float(times[-1])
-        else:
-            new_alerts = self._feed_events(stream, times, kinds, refs)
         if self.metric_window is not None:
             self._feed_metrics(rank, times, kinds, refs, events)
         self.alerts.extend(new_alerts)
@@ -425,30 +438,32 @@ class StreamingAnalyzer:
             for r in ranked[: max(int(k), 0)]
         ]
 
-    def segments(self, rank: int) -> list[StreamedSegment]:
-        """Completed segments of one rank (retained history)."""
+    def _retained(self, rank: int) -> tuple[int, array]:
+        """Index of the first retained segment of ``rank``, and the
+        retained (start, stop, sync) triples."""
         stream = self._streams.get(rank)
         if stream is None:
-            return []
-        base = stream.next_index - len(stream.seg_start)
+            return 0, array("d")
+        held = len(stream.segs) // 3
+        if self.history_limit is not None:
+            held = min(held, self.history_limit)
+        return stream.next_index - held, stream.segs[len(stream.segs) - 3 * held :]
+
+    def segments(self, rank: int) -> list[StreamedSegment]:
+        """Completed segments of one rank (retained history)."""
+        base, flat = self._retained(rank)
+        it = iter(flat.tolist())
         return [
             StreamedSegment(
                 rank=rank, index=base + i, t_start=a, t_stop=b, sync_time=c
             )
-            for i, (a, b, c) in enumerate(
-                zip(stream.seg_start, stream.seg_stop, stream.seg_sync)
-            )
+            for i, (a, b, c) in enumerate(zip(it, it, it))
         ]
 
     def sos_series(self, rank: int) -> np.ndarray:
         """SOS values of one rank's completed (retained) segments."""
-        stream = self._streams.get(rank)
-        if stream is None or not stream.seg_start:
-            return np.asarray([])
-        start = np.asarray(stream.seg_start)
-        stop = np.asarray(stream.seg_stop)
-        sync = np.asarray(stream.seg_sync)
-        return (stop - start) - sync
+        rows = np.array(self._retained(rank)[1]).reshape(-1, 3)
+        return (rows[:, 1] - rows[:, 0]) - rows[:, 2]
 
     def per_rank_total(self) -> dict[int, float]:
         """Running total SOS per rank (independent of eviction)."""
@@ -504,14 +519,17 @@ class StreamingAnalyzer:
 
     # .. per-event state machine ......................................
 
-    def _feed_events(self, stream, times, kinds, refs) -> list[StreamAlert]:
+    def _feed_events(self, stream, times, kinds, refs):
         """The reference machine, one event at a time.
 
         Handles warm-up statistics, dominant selection (event-exact, so
         it may flip in the middle of a chunk) and steady-state
         segmentation in one loop over plain Python scalars.  The rank's
         state lives in locals and is written back when the chunk ends or
-        a structure error stops it.
+        a structure error stops it.  Returns the new alerts and how many
+        events were consumed: a selection that leaves at least
+        ``_VECTOR_MIN_EVENTS`` events of the chunk stops the loop and
+        hands the rest to :meth:`_feed_chunk`.
         """
         enter_kind = _ENTER
         leave_kind = _LEAVE
@@ -528,11 +546,12 @@ class StreamingAnalyzer:
         seg_sync = stream.segment_sync
         dom_nesting = stream.dominant_nesting
         t = stream.last_time
+        done = len(times)
+        # The events still ahead are the time iterator's length hint.
+        ahead = iter(times.tolist())
         new_alerts: list[StreamAlert] = []
         try:
-            for t, kind, region in zip(
-                times.tolist(), kinds.tolist(), refs.tolist()
-            ):
+            for t, kind, region in zip(ahead, kinds.tolist(), refs.tolist()):
                 if kind == enter_kind:
                     push((region, t))
                     if sync_flags[region]:
@@ -570,6 +589,9 @@ class StreamingAnalyzer:
                                 self.warmup_invocations *= 2  # keep collecting
                             else:
                                 dom_nesting = stream.dominant_nesting
+                                if length_hint(ahead) >= _VECTOR_MIN_EVENTS:
+                                    done -= length_hint(ahead)
+                                    break
                     elif region == dominant:
                         dom_nesting -= 1
                         if dom_nesting == 0 and seg_start is not None:
@@ -586,100 +608,92 @@ class StreamingAnalyzer:
             stream.segment_sync = seg_sync
             stream.dominant_nesting = dom_nesting
             stream.last_time = t
-        return new_alerts
+        return new_alerts, done
 
     # .. steady-state path (vectorised chunk processor) ................
 
     def _feed_chunk(self, stream, times, kinds, refs) -> list[StreamAlert]:
-        """Vectorised equivalent of the per-event loop after selection.
+        """Array equivalent of the per-event machine after selection.
 
         Stack validation uses the lint engine's depth trick with a
-        carry stack across chunk boundaries; segment and sync
-        boundaries come from nesting trajectories (running sums over
-        the dominant/sync event subsets), and the handful of boundary
-        crossings per chunk are applied by a scalar loop that performs
-        the *same float operations in the same order* as the
-        per-event machine — results are bitwise chunk-size invariant.
+        carry stack across chunk boundaries.  Sync episodes and
+        segments open and close where nesting trajectories (running
+        sums over the sync/dominant event subsets) cross between 0 and
+        1.  Each episode end finds its episode start and open segment
+        by position, and ``np.add.at`` sums the contributions per
+        segment in event order: the *same float operations in the same
+        order* as the per-event machine, so results are bitwise
+        chunk-size invariant.
         """
-        el_mask = (kinds == _ENTER) | (kinds == _LEAVE)
-        el_idx = np.flatnonzero(el_mask)
+        # ENTER (0) and LEAVE (1) are the two lowest event kinds.
+        el_idx = np.flatnonzero(kinds <= _LEAVE)
         if not el_idx.size:
             return []
         el_refs = refs[el_idx]
-        pm = np.where(kinds[el_idx] == _ENTER, 1, -1)
+        enter = kinds[el_idx] < _LEAVE
+        pm = np.where(enter, 1, -1)
         d0 = len(stream.stack)
-        depth_after = d0 + np.cumsum(pm)
-        self._check_structure(stream, pm, el_refs, depth_after)
+        depth_after = np.cumsum(pm)
+        depth_after += d0
+        low = int(depth_after.min())
+        self._check_structure(stream, enter, el_refs, depth_after, low)
 
-        # Boundary crossings of the sync and dominant nesting levels.
-        parts: list[tuple[np.ndarray, int]] = []
-        sync_sel = self._sync_mask[el_refs]
-        if sync_sel.any():
-            sidx = np.flatnonzero(sync_sel)
-            straj = stream.sync_nesting + np.cumsum(pm[sidx])
-            parts.append((sidx[(pm[sidx] > 0) & (straj == 1)], 0))
-            parts.append((sidx[(pm[sidx] < 0) & (straj == 0)], 1))
-            stream.sync_nesting += int(pm[sidx].sum())
-        dom_sel = el_refs == self.dominant
-        if dom_sel.any():
-            didx = np.flatnonzero(dom_sel)
-            dtraj = stream.dominant_nesting + np.cumsum(pm[didx])
-            parts.append((didx[(pm[didx] > 0) & (dtraj == 1)], 2))
-            parts.append((didx[(pm[didx] < 0) & (dtraj == 0)], 3))
-            stream.dominant_nesting += int(pm[didx].sum())
-
-        new_alerts: list[StreamAlert] = []
-        parts = [(p, op) for p, op in parts if p.size]
-        if parts:
-            pos = np.concatenate([p for p, _ in parts])
-            ops = np.concatenate(
-                [np.full(p.size, op, dtype=np.int8) for p, op in parts]
+        s_pos, s_open, stream.sync_nesting = _crossings(
+            pm, enter, self._sync_mask[el_refs], stream.sync_nesting
+        )
+        d_pos, d_open, stream.dominant_nesting = _crossings(
+            pm, enter, el_refs == self.dominant, stream.dominant_nesting
+        )
+        s_time = times[el_idx[s_pos]]
+        d_time = times[el_idx[d_pos]]
+        # Slot 0 is the segment carried in; slot i + 1 is the one the
+        # i-th dominant crossing leaves open (none after a close).
+        carried = stream.segment_start
+        slot_open = np.concatenate(([carried is not None], d_open))
+        slot_start = np.concatenate(([0.0 if carried is None else carried], d_time))
+        slot_sync = np.zeros(slot_open.size)
+        slot_sync[0] = stream.segment_sync
+        if s_pos.size:
+            # Crossings alternate between begin and end, so the k-th
+            # episode end closes what the k-th begin (counting the
+            # carried one) opened.  It sees the dominant crossings
+            # strictly before it: at one event, sync bookkeeping runs
+            # before dominant bookkeeping.
+            ends = ~s_open
+            first = int(s_open[0])
+            begin_time = np.concatenate(([stream.sync_start], s_time[s_open]))
+            episode = begin_time[first : first + np.count_nonzero(ends)]
+            before = np.zeros(pm.size + 1, dtype=np.intp)
+            before[d_pos + 1] = 1
+            slot = np.cumsum(before)[s_pos[ends]]
+            live = slot_open[slot]
+            slot = slot[live]
+            np.add.at(
+                slot_sync,
+                slot,
+                s_time[ends][live] - np.maximum(episode[live], slot_start[slot]),
             )
-            # Same-event ordering matches the per-event machine: the
-            # sync bookkeeping runs before the dominant bookkeeping.
-            order = np.lexsort((ops, pos))
-            crossing_times = times[el_idx[pos[order]]].tolist()
-            crossing_ops = ops[order].tolist()
-            # Locals for the scalar loop; completed segments are
-            # collected and post-processed in one batch.
-            sync_start = stream.sync_start
-            seg_start = stream.segment_start
-            seg_sync = stream.segment_sync
-            c_start: list[float] = []
-            c_stop: list[float] = []
-            c_sync: list[float] = []
-            for t, op in zip(crossing_times, crossing_ops):
-                if op == 0:  # sync episode begins
-                    sync_start = t
-                elif op == 1:  # sync episode ends
-                    if seg_start is not None:
-                        seg_sync += t - max(sync_start, seg_start)
-                elif op == 2:  # dominant segment opens
-                    seg_start = t
-                    seg_sync = 0.0
-                elif seg_start is not None:  # segment closes
-                    c_start.append(seg_start)
-                    c_stop.append(t)
-                    c_sync.append(seg_sync)
-                    seg_start = None
-            stream.sync_start = sync_start
-            stream.segment_start = seg_start
-            stream.segment_sync = seg_sync
-            if c_start:
-                new_alerts = self._complete_batch(
-                    stream, c_start, c_stop, c_sync
-                )
+            stream.sync_start = float(begin_time[-1])
+        stream.segment_start = float(slot_start[-1]) if slot_open[-1] else None
+        stream.segment_sync = float(slot_sync[-1])
+        done = np.flatnonzero(~d_open & slot_open[:-1])
+        new_alerts = (
+            self._complete_batch(
+                stream, slot_start[done], d_time[done], slot_sync[done]
+            )
+            if done.size
+            else []
+        )
 
         # Carry stack: frames still open after this chunk.
-        survivors = min(d0, int(depth_after.min()))
         suffix_min = np.minimum.accumulate(depth_after[::-1])[::-1]
-        open_enters = np.flatnonzero((pm > 0) & (suffix_min == depth_after))
-        stream.stack = stream.stack[:survivors] + [
+        open_enters = np.flatnonzero(enter & (suffix_min == depth_after))
+        stream.stack = stream.stack[: min(d0, low)] + [
             (int(el_refs[i]), float(times[el_idx[i]])) for i in open_enters
         ]
         return new_alerts
 
-    def _check_structure(self, stream, pm, el_refs, depth_after) -> None:
+    def _check_structure(self, stream, enter, el_refs, depth_after, low) -> None:
         """Raise on the first leave that does not close the open region.
 
         Equivalent to the per-event stack machine: for any prefix that
@@ -687,39 +701,32 @@ class StreamingAnalyzer:
         the stack pairing, so the earliest failing candidate below is
         exactly the event the scalar loop would have raised on.
         """
-        under = np.flatnonzero(depth_after < 0)
-        limit = int(under[0]) if under.size else pm.size
-        candidates: list[tuple[int, str]] = []
-        if under.size:
-            candidates.append((int(under[0]), "TL001"))
-        if limit:
-            da = depth_after[:limit]
-            pmv = pm[:limit]
-            frame_depth = np.where(pmv > 0, da, da + 1)
-            order = np.argsort(frame_depth, kind="stable")
-            fd_sorted = frame_depth[order]
-            starts = np.flatnonzero(
-                np.r_[True, fd_sorted[1:] != fd_sorted[:-1]]
-            )
-            ends = np.r_[starts[1:], fd_sorted.size]
-            for s, e in zip(starts, ends):
-                level_idx = order[s:e]  # ascending positions, one level
-                j = 0
-                if pmv[level_idx[0]] < 0:
-                    # Leading leave closes a frame carried in from a
-                    # previous chunk.
-                    carried = stream.stack[int(fd_sorted[s]) - 1][0]
-                    if int(el_refs[level_idx[0]]) != carried:
-                        candidates.append((int(level_idx[0]), "TL003"))
-                    j = 1
-                rem = level_idx[j:]
-                n_pairs = rem.size // 2
-                if n_pairs:
-                    enters = rem[: 2 * n_pairs : 2]
-                    leaves = rem[1 : 2 * n_pairs : 2]
-                    bad = np.flatnonzero(el_refs[enters] != el_refs[leaves])
-                    if bad.size:
-                        candidates.append((int(leaves[bad[0]]), "TL003"))
+        limit = enter.size
+        candidates = []
+        if low < 0:
+            limit = int(np.flatnonzero(depth_after < 0)[0])
+            candidates.append((limit, "TL001"))
+        # Sorted stably by frame depth (after an enter, before a leave),
+        # each depth level alternates enter, leave; a level may open
+        # with a leave that closes a frame carried in from an earlier
+        # chunk.  Every leave must name the region just before it.
+        enter = enter[:limit]
+        depth = depth_after[:limit]
+        depth = np.where(enter, depth, depth + 1)
+        order = np.argsort(depth, kind="stable")
+        depth = depth[order]
+        region = el_refs[:limit][order]
+        leave = ~enter[order]
+        match = np.empty(limit, dtype=bool)
+        match[1:] = region[1:] == region[:-1]
+        carried = leave.copy()
+        carried[1:] &= ~(depth[1:] == depth[:-1])
+        if carried.any():
+            stack = np.array([r for r, _ in stream.stack], dtype=region.dtype)
+            match[carried] = region[carried] == stack[depth[carried] - 1]
+        bad = order[leave & ~match]
+        if bad.size:
+            candidates.append((int(bad.min()), "TL003"))
         if candidates:
             first, code = min(candidates)
             raise StreamStructureError(
@@ -736,23 +743,13 @@ class StreamingAnalyzer:
         sync_time: float,
     ) -> StreamAlert | None:
         """Record one completed segment (per-event machine)."""
-        stream.seg_start.append(t_start)
-        stream.seg_stop.append(t_stop)
-        stream.seg_sync.append(sync_time)
+        stream.segs.extend((t_start, t_stop, sync_time))
         index = stream.next_index
         stream.next_index = index + 1
         sos = (t_stop - t_start) - sync_time
         stream.total_sos += sos
         stream.total_count += 1
-        if (
-            self.history_limit is not None
-            and len(stream.seg_start) > self.history_limit
-        ):
-            stream.seg_start.popleft()
-            stream.seg_stop.popleft()
-            stream.seg_sync.popleft()
-            self.window_evictions += 1
-            _C_EVICTIONS.add()
+        self._evict(stream, 1)
         return self._test_segment(
             stream, sos, index, t_start, t_stop, sync_time
         )
@@ -760,93 +757,92 @@ class StreamingAnalyzer:
     def _complete_batch(
         self,
         stream: _RankStream,
-        starts: list[float],
-        stops: list[float],
-        syncs: list[float],
+        starts: np.ndarray,
+        stops: np.ndarray,
+        syncs: np.ndarray,
     ) -> list[StreamAlert]:
-        """Record the segments one chunk completed, test them in bulk.
+        """Record the segments one chunk completed, test them in one pass.
 
         Bitwise identical to running :meth:`_complete_segment` per
-        segment: the running total accumulates left-to-right, eviction
-        commutes with the history test (they touch disjoint state),
-        and the vectorised median/MAD below reproduces the scalar
-        window test float-for-float.
+        segment: the running total accumulates left to right
+        (``cumsum``), eviction commutes with the history test (they
+        touch disjoint state), and each segment's window, padded to
+        ``window`` with ``+inf`` and sorted, yields the median and MAD
+        :func:`_small_median` reads off the same values.
         """
-        count = len(starts)
+        count = starts.size
         base = stream.next_index
-        stream.seg_start.extend(starts)
-        stream.seg_stop.extend(stops)
-        stream.seg_sync.extend(syncs)
+        sos = (stops - starts) - syncs
+        stream.segs.frombytes(np.stack((starts, stops, syncs), axis=1).tobytes())
         stream.next_index = base + count
-        sos = [(b - a) - c for a, b, c in zip(starts, stops, syncs)]
-        total = stream.total_sos
-        for value in sos:
-            total += value
-        stream.total_sos = total
+        stream.total_sos = float(np.cumsum(np.concatenate(([stream.total_sos], sos)))[-1])
         stream.total_count += count
-        if self.history_limit is not None:
-            overflow = len(stream.seg_start) - self.history_limit
-            if overflow > 0:
-                for _ in range(overflow):
-                    stream.seg_start.popleft()
-                    stream.seg_stop.popleft()
-                    stream.seg_sync.popleft()
-                self.window_evictions += overflow
-                _C_EVICTIONS.add(overflow)
+        self._evict(stream, count)
 
         history = stream.recent_sos
         window = history.maxlen or 0
+        held = len(history)
+        # Segment j is tested against the min(held + j, window) values
+        # before it, from the first that sees 8 of them.
+        first = max(0, 8 - held)
         alerts: list[StreamAlert] = []
-        # Until the rolling window is full, windows grow per segment —
-        # run those through the scalar test.  Once full, every
-        # remaining segment sees exactly ``window`` predecessors and
-        # the median/MAD tests vectorise row-wise.
-        n_scalar = min(count, max(0, window - len(history)))
-        for j in range(n_scalar):
-            alert = self._test_segment(
-                stream, sos[j], base + j, starts[j], stops[j], syncs[j]
-            )
-            if alert is not None:
-                alerts.append(alert)
-        if n_scalar == count:
-            return alerts
-        rest = sos[n_scalar:]
-        if window >= 8:
-            hist = np.empty(window + len(rest))
-            hist[:window] = history
-            hist[window:] = rest
-            win = np.lib.stride_tricks.sliding_window_view(hist, window)[
-                : len(rest)
-            ]
-            med = np.median(win, axis=1)
-            mad = np.median(np.abs(win - med[:, None]), axis=1) * _MAD_SCALE
-            scale = np.maximum(mad, 0.01 * np.abs(med))
-            svals = hist[window:]
+        if window >= 8 and first < count:
+            padded = np.full(window + held + count, np.inf)
+            padded[window : window + held] = history
+            padded[window + held :] = sos
+            ends = np.arange(held + first, held + count)
+            rows = padded[np.add.outer(ends, np.arange(window))]
+            sizes = np.minimum(ends, window)
+            at = np.arange(ends.size), self._halves[sizes - 1], self._halves[sizes]
+
+            def median(ordered):
+                lo, hi = ordered[at[0], at[1]], ordered[at[0], at[2]]
+                return np.where(at[1] == at[2], lo, (lo + hi) / 2.0)
+
+            rows.sort(axis=1)
+            med = median(rows)
+            rows = np.abs(rows - med[:, None])
+            rows.sort(axis=1)
+            scale = np.maximum(median(rows) * _MAD_SCALE, 0.01 * np.abs(med))
+            value = sos[first:]
             with np.errstate(divide="ignore", invalid="ignore"):
-                z = (svals - med) / scale
+                z = (value - med) / scale
             flag = (
                 (scale > 0)
                 & (z > self.alert_threshold)
-                & (svals > med * (1 + self.min_relative_excess))
+                & (value > med * (1 + self.min_relative_excess))
             )
-            for j in np.flatnonzero(flag):
-                i = n_scalar + int(j)
+            for k in np.flatnonzero(flag).tolist():
+                j = first + k
                 segment = StreamedSegment(
                     rank=stream.rank,
-                    index=base + i,
-                    t_start=starts[i],
-                    t_stop=stops[i],
-                    sync_time=syncs[i],
+                    index=base + j,
+                    t_start=float(starts[j]),
+                    t_stop=float(stops[j]),
+                    sync_time=float(syncs[j]),
                 )
                 alerts.append(
                     StreamAlert(
                         segment=segment,
-                        zscore=float(z[j]),
-                        window=window,
+                        zscore=float(z[k]),
+                        window=int(sizes[k]),
                     )
                 )
-        history.extend(rest)
+        history.extend(sos.tolist())
         return alerts
+
+    def _evict(self, stream: _RankStream, added: int) -> None:
+        """Count the segments ``added`` pushed past ``history_limit`` as
+        evicted; drop them from memory once twice the limit is held."""
+        limit = self.history_limit
+        if limit is None:
+            return
+        evicted = min(added, stream.next_index - limit)
+        if evicted > 0:
+            self.window_evictions += evicted
+            _C_EVICTIONS.add(evicted)
+        if len(stream.segs) >= 6 * limit:
+            del stream.segs[: -3 * limit]
 
     def _test_segment(
         self,

@@ -294,8 +294,10 @@ def scalar_noise(model: NoiseModel, size: int):
             return total
 
         return composite
-    # Unknown / stateful models (GaussianJitter, user subclasses): call
-    # straight through — correctness first, no compilation possible.
+    if type(model) is GaussianJitter:
+        return _scalar_jitter(model)
+    # Unknown / stateful models (user subclasses): call straight
+    # through — correctness first, no compilation possible.
     return model.interruption
 
 
@@ -397,19 +399,19 @@ def vector_noise(model: NoiseModel, size: int):
     return None
 
 
-# -- GaussianJitter for a whole rank vector -----------------------------------
+# -- GaussianJitter without a generator per draw -----------------------------
 #
 # ``GaussianJitter.interruption`` builds ``default_rng([key, mix])`` per
 # draw: a ``SeedSequence`` hashes the seed words into a pool, the pool
 # seeds a ``PCG64``, and one ``normal`` is drawn.  Constructing the
 # generator costs ~25 us and dominates a noisy simulation.  The
 # ``SeedSequence`` hash and the PCG64 seeding step are fixed-width
-# integer arithmetic, so one NumPy pass runs them for every rank with the
-# same uint32/uint64 wraparound; each rank then gets one ``normal`` from
-# a reused generator whose state is set to what ``PCG64`` would have
-# derived.  Every step is exact integer arithmetic followed by the very
-# same ``Generator.normal`` call, so the draws are bitwise equal to the
-# scalar reference.
+# integer arithmetic, written here once for NumPy uint32 arrays (one
+# pass for every rank, the fast path) and Python ints (one draw, the
+# engine): every step is masked to 32 bits, which is a no-op on uint32
+# arrays.  A reused generator whose state is set to what ``PCG64``
+# would have derived then makes the very same ``Generator.normal``
+# call, so the draws are bitwise equal to the reference.
 
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -417,9 +419,78 @@ _M128 = (1 << 128) - 1
 # numpy.random.SeedSequence hash constants (pool size 4, 32-bit words).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 #: PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """``(xor, multiply)`` constants of ``n`` successive hash steps."""
+    consts = [init]
+    for _ in range(n):
+        consts.append((consts[-1] * mult) & _M32)
+    return list(zip(consts, consts[1:]))
+
+
+#: The 16 pool hashes (4 to fill, 12 to mix) and 8 output hashes of
+#: ``SeedSequence(...).generate_state(4, np.uint64)``.
+_POOL_HASH = _hash_consts(_INIT_A, _MULT_A, 16)
+_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+#: ``(source, destination)`` pool slots of the 12 mixing steps.  The
+#: first 6 read only slots 0 and 1, which hold the two key words.
+_MIX_PAIRS = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+
+
+def _key_pool(word0, word1) -> tuple:
+    """Pool slots 0 and 1 after the first 6 mixing steps, and those
+    steps' source hashes: a function of entropy words 0 and 1 alone."""
+    pool = []
+    for value, (xor, mult) in zip((word0, word1), _POOL_HASH):
+        value = ((value ^ xor) * mult) & _M32
+        pool.append(value ^ (value >> 16))
+    hashes = []
+    for (src, dst), (xor, mult) in zip(_MIX_PAIRS[:6], _POOL_HASH[4:]):
+        value = ((pool[src] ^ xor) * mult) & _M32
+        hashes.append(value ^ (value >> 16))
+        if dst < 2:
+            value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashes[-1]) & _M32
+            pool[dst] = value ^ (value >> 16)
+    return pool[0], pool[1], hashes
+
+
+def _state_words(words: list, key_pool: tuple | None = None) -> list:
+    """The 8 uint32 state words ``SeedSequence`` derives from its four
+    entropy words (NumPy uint32 arrays or Python ints alike).
+    ``key_pool`` is :func:`_key_pool` of words 0 and 1, if known."""
+    p0, p1, hashes = key_pool or _key_pool(words[0], words[1])
+    pool = [p0, p1]
+    for value, (xor, mult) in zip(words[2:], _POOL_HASH[2:4]):
+        value = ((value ^ xor) * mult) & _M32
+        pool.append(value ^ (value >> 16))
+    for (src, dst), (xor, mult), hashed in zip(
+        _MIX_PAIRS, _POOL_HASH[4:], hashes + [None] * 6
+    ):
+        if hashed is None:
+            value = ((pool[src] ^ xor) * mult) & _M32
+            hashed = value ^ (value >> 16)
+        elif dst < 2:
+            continue  # applied in the key pool
+        value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _M32
+        pool[dst] = value ^ (value >> 16)
+    state = []
+    for i, (xor, mult) in enumerate(_OUT_HASH):
+        value = ((pool[i % 4] ^ xor) * mult) & _M32
+        state.append(value ^ (value >> 16))
+    return state
+
+
+def _pcg64_state(s0: int, s1: int, i0: int, i1: int) -> tuple[int, int]:
+    """``(state, inc)`` of ``PCG64`` seeded with the 4 uint64 words
+    (``pcg_setseq_128_srandom_r``: state 0, step, add the seed, step)."""
+    inc = ((((i0 << 64) | i1) << 1) | 1) & _M128
+    return ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128, inc
 
 
 def _entropy_words(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -440,49 +511,56 @@ def _pcg64_seeds(keys: np.ndarray, mixes: np.ndarray) -> list[tuple[int, int]]:
     zero = np.zeros_like(k_lo)
     # The assembled entropy is at most 4 words, the pool size: positions
     # past its end hash a 0 word, exactly like these zero pads.
-    words = [
+    state = _state_words([
         k_lo,
         np.where(k_two, k_hi, m_lo),
         np.where(k_two, m_lo, np.where(m_two, m_hi, zero)),
         np.where(k_two & m_two, m_hi, zero),
-    ]
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _M32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(w) for w in words]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    # generate_state(4, uint64): 8 words cycling the pool, paired
-    # little-endian into 4 uint64 values.
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _M32
-        value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> np.uint32(16)))
+    ])
+    # generate_state(4, uint64) pairs the 8 words little-endian.
     v = [
         (lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))).tolist()
         for lo, hi in zip(state[0::2], state[1::2])
     ]
-    out = []
-    for s0, s1, i0, i1 in zip(*v):
-        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
-        inc = ((((i0 << 64) | i1) << 1) | 1) & _M128
-        out.append((((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128, inc))
-    return out
+    return [_pcg64_state(*words) for words in zip(*v)]
+
+
+def _pcg64_seed(key: int, mix: int, key_pool: tuple | None) -> tuple[int, int]:
+    """``(state, inc)`` of ``PCG64(SeedSequence([key, mix]))``, one draw;
+    ``key_pool`` is :func:`_key_pool` of a two-word ``key``, if known."""
+    k_lo, k_hi = key & _M32, key >> 32
+    m_lo, m_hi = mix & _M32, mix >> 32
+    if k_hi:
+        state = _state_words([k_lo, k_hi, m_lo, m_hi], key_pool)
+    else:
+        state = _state_words([k_lo, m_lo, m_hi, 0])
+    return _pcg64_state(*[
+        state[i] | (state[i + 1] << 32) for i in range(0, 8, 2)
+    ])
+
+
+def _scalar_jitter(model: GaussianJitter):
+    """``model.interruption`` drawing from one reused generator."""
+    bitgen = np.random.PCG64()
+    normal = np.random.Generator(bitgen).normal
+    sigma = model.sigma
+    seed_part = model.seed * 0x9E3779B97F4A7C15
+    key_pools: dict[int, tuple] = {}
+    pcg: dict = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def jitter(rank: int, t_start: float, active: float) -> float:
+        key = (seed_part + rank * 0xBF58476D1CE4E5B9) & _M64
+        pool = key_pools.get(rank)
+        if pool is None and key >> 32:
+            pool = key_pools[rank] = _key_pool(key & _M32, key >> 32)
+        pcg["state"], pcg["inc"] = _pcg64_seed(
+            key, int(t_start * 1e9) & _M64, pool
+        )
+        bitgen.state = full
+        return abs(float(normal(0.0, sigma))) * active
+
+    return jitter
 
 
 def _vector_jitter(model: GaussianJitter, size: int):

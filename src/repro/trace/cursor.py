@@ -40,6 +40,7 @@ from .events import EventList
 from .trace import Trace
 
 __all__ = [
+    "BATCH_EVENTS",
     "EventBatch",
     "EventCursor",
     "FeedCursor",
@@ -47,6 +48,13 @@ __all__ = [
     "JsonlStreamCursor",
     "TailCursor",
 ]
+
+#: Events per batch of the analysis drivers: the incremental kernel
+#: runs its pending ranks once they hold this many events, and
+#: ``repro monitor`` feeds at most this many per chunk, so a rank under
+#: this size arrives whole.  Large enough that NumPy's per-call cost
+#: vanishes, small enough that a batch's transients stay cache-sized.
+BATCH_EVENTS = 1 << 15
 
 #: Telemetry: events and (approximate) bytes served by each cursor kind.
 _C_INDEX_EVENTS = obs.counter("cursor.index.events")
@@ -150,33 +158,44 @@ class IndexCursor(EventCursor):
         return list(self._ranks)
 
     def _batches(self) -> Iterator[EventBatch]:
-        index = self._index
+        passed = None  # file bytes of the ranks already yielded
         for rank in self._ranks:
-            n = index.num_events_of(rank)
-            if n == 0:
-                yield EventBatch(rank, EventList.empty(), True)
-                continue
-            starts = _chunk_bounds(n, self.chunk_events)
-            if index.supports_slices(rank, self._columns) and len(starts) > 1:
-                for i, start in enumerate(starts):
-                    stop = min(n, start + int(self.chunk_events))
-                    events = index.load_events(
-                        rank, columns=self._columns, start=start, stop=stop
-                    )
-                    self._count(events)
-                    yield EventBatch(rank, events, i == len(starts) - 1)
-                continue
-            whole = index.load(
-                [rank], columns=self._columns
-            ).events_of(rank)
-            if len(starts) == 1:
-                self._count(whole)
-                yield EventBatch(rank, whole, True)
-                continue
+            yield from self._rank_batches(rank)
+            extent = self._index.byte_extent(rank)
+            if extent is not None:
+                passed = extent if passed is None else (
+                    min(passed[0], extent[0]), max(passed[1], extent[1])
+                )
+                # Views into passed ranks stay valid, but their mapped
+                # pages need not stay resident.  Drop them all: a
+                # consumer that batches ranks faults some back in.
+                self._index.drop_pages(*passed)
+
+    def _rank_batches(self, rank: int) -> Iterator[EventBatch]:
+        index = self._index
+        n = index.num_events_of(rank)
+        if n == 0:
+            yield EventBatch(rank, EventList.empty(), True)
+            return
+        starts = _chunk_bounds(n, self.chunk_events)
+        if index.supports_slices(rank, self._columns) and len(starts) > 1:
             for i, start in enumerate(starts):
-                events = whole[start : start + int(self.chunk_events)]
+                stop = min(n, start + int(self.chunk_events))
+                events = index.load_events(
+                    rank, columns=self._columns, start=start, stop=stop
+                )
                 self._count(events)
                 yield EventBatch(rank, events, i == len(starts) - 1)
+            return
+        whole = index.load([rank], columns=self._columns).events_of(rank)
+        if len(starts) == 1:
+            self._count(whole)
+            yield EventBatch(rank, whole, True)
+            return
+        for i, start in enumerate(starts):
+            events = whole[start : start + int(self.chunk_events)]
+            self._count(events)
+            yield EventBatch(rank, events, i == len(starts) - 1)
 
     @staticmethod
     def _count(events: EventList) -> None:

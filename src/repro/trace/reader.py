@@ -510,6 +510,30 @@ class TraceIndex:
                     self._buf = False
         return self._buf or None
 
+    def byte_extent(self, rank: int) -> tuple[int, int] | None:
+        """``[start, end)`` file offsets of ``rank``'s event data."""
+        chunk = self._chunks.get(rank)
+        return None if chunk is None else (chunk.offset, chunk.offset + chunk.length)
+
+    def drop_pages(self, lo: int, hi: int) -> None:
+        """Let the OS reclaim the resident mapped pages of file bytes
+        ``[lo, hi)`` (page-aligned down at ``lo``).
+
+        Views into them stay valid: a read-only shared file mapping
+        re-reads the file's bytes on the next access, which are the
+        bytes the view showed unless the file was rewritten in place
+        (a rewrite shows through the shared mapping either way; the
+        session's stat-key guard rejects it).  A no-op without a map
+        or on platforms without ``madvise(MADV_DONTNEED)``.
+        """
+        buf = self._buf
+        if not buf or not hasattr(mmap, "MADV_DONTNEED"):
+            return
+        start = lo - lo % mmap.PAGESIZE
+        if start < hi:
+            with contextlib.suppress(OSError, ValueError):
+                buf.madvise(mmap.MADV_DONTNEED, start, hi - start)
+
     def _reader(self):
         """The file for seek/read, or no handle when the shared mmap
         serves every column blob (binary format, mmap available)."""

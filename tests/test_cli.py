@@ -547,19 +547,35 @@ class TestMonitor:
                             outliers={(2, 8): 0.06}, seed=5)
         )
 
+    def _monitor_outputs(self, path, capsys, *args):
+        outputs = []
+        for chunk in ([], ["--chunk", "256"], ["--chunk-events", "1"],
+                      ["--chunk-events", "4096"]):
+            assert main(["monitor", str(path), *args, *chunk]) == 0
+            outputs.append(capsys.readouterr().out)
+        return outputs
+
     def test_chunk_events_output_invariant(self, monitor_trace, tmp_path,
                                            capsys):
+        """Chunking is a transport detail: stdout is the same at the
+        default (whole ranks), the old 256 default and one event."""
         from repro.trace import write_binary
 
         path = tmp_path / "mon.rpt"
         write_binary(monitor_trace, path, version=2, codec="raw")
-        outputs = []
-        for chunk in ("1", "4096"):
-            assert main(["monitor", str(path), "--function", "iteration",
-                         "--chunk-events", chunk]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        outputs = self._monitor_outputs(path, capsys, "--function", "iteration")
+        assert all(out == outputs[0] for out in outputs)
         assert "ALERT rank 2 segment 8" in outputs[0]
+
+    def test_chunk_invariant_with_warmup(self, monitor_trace, tmp_path,
+                                         capsys):
+        from repro.trace import write_binary
+
+        path = tmp_path / "mon.rpt"
+        write_binary(monitor_trace, path)
+        outputs = self._monitor_outputs(path, capsys)
+        assert all(out == outputs[0] for out in outputs)
+        assert "dominant 'iteration'" in outputs[0]
 
     def test_window_flag_bounds_history(self, monitor_trace, tmp_path,
                                         capsys):
@@ -969,6 +985,7 @@ class TestStructuralInput:
         ["monitor"],
         ["monitor", "--chunk", "1"],
         ["monitor", "--chunk", "7"],
+        ["monitor", "--chunk", "256"],
         ["monitor", "--chunk", "1000000"],  # one whole-rank chunk
     )
 

@@ -165,6 +165,34 @@ class TestSlicedReads:
                         getattr(part, col), getattr(whole, col)[start:stop]
                     )
 
+    @pytest.mark.parametrize("codec", ["raw", "zlib"])
+    def test_passed_ranks_pages_dropped_views_valid(
+        self, trace, tmp_path, monkeypatch, codec
+    ):
+        """Once the cursor has passed a rank it releases the rank's
+        mapped pages; views handed out earlier read the same bytes."""
+        path = tmp_path / "run.rpt"
+        write_binary(trace, path, version=2, codec=codec)
+        index = TraceIndex(path)
+        dropped = []
+        drop = index.drop_pages
+        monkeypatch.setattr(
+            index, "drop_pages",
+            lambda lo, hi: (dropped.append((lo, hi)), drop(lo, hi)),
+        )
+        held = [(b.rank, b.events) for b in IndexCursor(index, chunk_events=7)]
+        assert len(dropped) == len(trace.ranks)
+        extents = [index.byte_extent(r) for r in sorted(trace.ranks)]
+        assert dropped[-1] == (
+            min(lo for lo, _ in extents), max(hi for _, hi in extents)
+        )
+        index.drop_pages(0, path.stat().st_size)  # everything, again
+        for rank in trace.ranks:
+            np.testing.assert_array_equal(
+                np.concatenate([e.time for r, e in held if r == rank]),
+                trace.events_of(rank).time,
+            )
+
     def test_strict_subrange_of_zlib_rejected(self, trace, tmp_path):
         path = tmp_path / "run.rpt"
         write_binary(trace, path, version=2, codec="zlib")

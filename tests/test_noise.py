@@ -27,6 +27,7 @@ from repro.sim.noise import (
     NoNoise,
     ScheduledInterruptions,
     Straggler,
+    scalar_noise,
     vector_noise,
 )
 
@@ -67,9 +68,9 @@ class TestDeterminism:
         # Repeated queries of the same model must not advance state.
         assert first == a.interruption(rank, t, active)
         assert first >= 0.0
-        # The fast path's whole-vector draw equals the scalar one rank
-        # by rank, bit for bit -- also where int(t * 1e9) switches from
-        # one 32-bit seed word to two.
+        # The fast path's whole-vector draw and the engine's compiled
+        # closure equal the reference rank by rank, bit for bit -- also
+        # where int(t * 1e9) switches from one 32-bit seed word to two.
         starts = [0.0, 1e-9, 2e-9] + [
             ns * 1e-9 for ns in (2**32 - 1, 2**32, 2**32 + 1, 2**33)
         ]
@@ -80,6 +81,13 @@ class TestDeterminism:
         got = vector_noise(a, size)(t_vec, act)
         want = [a.interruption(r, float(t_vec[r]), float(act[r])) for r in range(size)]
         assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        closure = scalar_noise(a, size)
+        assert closure is not a.interruption
+        for _ in range(2):  # the second pass reuses each rank's key pool
+            drawn = [closure(r, float(t_vec[r]), float(act[r])) for r in range(size)]
+            assert np.array(drawn).view(np.uint64).tolist() == (
+                np.array(want).view(np.uint64).tolist()
+            )
 
     @given(rank=ranks_st, t=t_st, active=active_st,
            period=st.floats(0.01, 2.0), duration=st.floats(0.0, 0.5),

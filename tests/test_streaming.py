@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import analyze_trace
 from repro.core.streaming import _VECTOR_MIN_EVENTS, StreamingAnalyzer
@@ -717,3 +718,157 @@ class TestSelectionInsideOpenFrame:
             assert len(segments) == later
             assert segments[0].t_start == t0
             assert segments[-1].t_stop == t0 + later - 1 + 0.9
+
+
+# -- array processor against the per-event machine, random streams --------
+
+
+def _random_stream(rng, n_steps, spike, max_depth):
+    """Rows ``(t, kind, region)`` of ``n_steps`` top-level frames.
+
+    Regions: 0 ``step`` (the dominant candidate, may recurse), 1
+    ``work``, 2 ``MPI_Allreduce`` (sync, wraps other calls) and 3
+    ``MPI_Wait`` (sync).  A sync frame may wrap a ``step``, so episodes
+    straddle segment boundaries; timestamps repeat (zero gaps) so ties
+    between boundaries occur.  A spiked ``step`` runs one long
+    ``work``, which the window test flags.
+    """
+    from repro.trace.events import EventKind
+
+    rows = []
+    t = 0.0
+
+    def advance():
+        nonlocal t
+        t += rng.choice((0.0, 0.25, 0.5, rng.random()))
+
+    def frame(region, depth):
+        nonlocal t
+        rows.append((t, EventKind.ENTER, region))
+        advance()
+        if region == 0 and rng.random() < spike:
+            rows.append((t, EventKind.ENTER, 1))
+            t += 50.0
+            rows.append((t, EventKind.LEAVE, 1))
+        for _ in range(rng.randrange(4) if depth < max_depth else 0):
+            frame(rng.choice((0, 1, 1, 2, 3, 3)), depth + 1)
+            advance()
+        rows.append((t, EventKind.LEAVE, region))
+
+    for _ in range(n_steps):
+        frame(rng.choice((0, 0, 0, 2)), 0)
+        advance()
+    return rows
+
+
+class TestArrayProcessorMatchesPerEvent:
+    """The array processor reproduces the per-event machine bit for bit
+    on random well-formed streams split at random points."""
+
+    @staticmethod
+    def _run(streams, cuts, monkeypatch, threshold, **kw):
+        from repro.core import streaming
+        from repro.trace.definitions import RegionRegistry
+
+        monkeypatch.setattr(streaming, "_VECTOR_MIN_EVENTS", threshold)
+        regions = RegionRegistry()
+        for name, paradigm in (
+            ("step", Paradigm.USER), ("work", Paradigm.USER),
+            ("MPI_Allreduce", Paradigm.MPI), ("MPI_Wait", Paradigm.MPI),
+        ):
+            regions.register(name, paradigm=paradigm)
+        analyzer = StreamingAnalyzer(regions, len(streams), **kw)
+        # Ranks take turns chunk by chunk, so warm-up may select while
+        # another rank is inside a dominant frame.
+        pieces = {
+            r: np.split(np.arange(len(rows)), sorted(cuts[r]))
+            for r, rows in streams.items()
+        }
+        for k in range(max(len(p) for p in pieces.values())):
+            for rank, rows in streams.items():
+                if k < len(pieces[rank]):
+                    analyzer.feed(rank, _rows_events(rows, pieces[rank][k]))
+        return analyzer
+
+    @staticmethod
+    def _bitwise(analyzer, ranks):
+        def seg(s):
+            return (s.rank, s.index, s.t_start.hex(), s.t_stop.hex(),
+                    s.sync_time.hex())
+
+        return (
+            analyzer.dominant,
+            {r: [seg(s) for s in analyzer.segments(r)] for r in ranks},
+            [(seg(a.segment), a.zscore.hex(), a.window)
+             for a in analyzer.alerts],
+            {r: (s.total_sos.hex(), s.total_count, s.next_index)
+             for r, s in sorted(analyzer._streams.items())},
+            analyzer.window_evictions,
+        )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(0, 60),
+        spike=st.sampled_from([0.0, 0.05, 0.2]),
+        max_depth=st.integers(1, 4),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=12),
+        # A pinned sync region orders sync before dominant bookkeeping
+        # at one event.
+        dominant=st.sampled_from(["step", "MPI_Allreduce", None]),
+        warmup=st.integers(1, 40),
+        limit=st.sampled_from([None, 3, 40]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_streams(self, seed, n_steps, spike, max_depth,
+                            fractions, dominant, warmup, limit):
+        import random
+
+        rng = random.Random(seed)
+        streams = {
+            r: _random_stream(rng, n_steps, spike, max_depth) for r in (0, 1)
+        }
+        cuts = {
+            r: {int(f * len(rows)) for f in fractions[r::2]}
+            for r, rows in streams.items()
+        }
+        kw = dict(dominant=dominant, warmup_invocations=warmup,
+                  history_limit=limit)
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                array = self._run(streams, cuts, mp, 1, **kw)
+            except ValueError:  # no eligible candidate: same for both
+                array = None
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                reference = self._run(streams, cuts, mp, 10**9, **kw)
+            except ValueError:
+                reference = None
+        assert (array is None) == (reference is None)
+        if array is not None:
+            assert self._bitwise(array, streams) == self._bitwise(
+                reference, streams
+            )
+
+    def test_growing_window_alerts(self, monkeypatch):
+        """Alerts inside the growing window (segments 8-31) carry the
+        window they were tested against, from either processor."""
+        import random
+
+        streams = {0: _random_stream(random.Random(5), 40, 0.2, 2)}
+        kw = dict(dominant="step")
+        array = self._run(streams, {0: {7, 90}}, monkeypatch, 1, **kw)
+        reference = self._run(streams, {0: set()}, monkeypatch, 10**9, **kw)
+        assert self._bitwise(array, streams) == self._bitwise(
+            reference, streams
+        )
+        assert any(8 <= a.window < 32 for a in array.alerts)
+
+
+def _rows_events(rows, index):
+    from repro.trace.events import EventListBuilder
+
+    builder = EventListBuilder()
+    for i in index.tolist():
+        t, kind, region = rows[i]
+        builder.append(t, kind, ref=region)
+    return builder.freeze()
