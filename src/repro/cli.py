@@ -75,6 +75,14 @@ def _reading(path: str):
         raise CLIError(f"cannot read trace {path}: {err}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_trace(path: str):
     """Read the whole trace at ``path`` (errors mapped by _reading)."""
     from .trace import read_trace
@@ -169,12 +177,6 @@ def _add_obs_args(parser) -> None:
         "cache hit ratio, throughput) after the command",
     )
     parser.add_argument(
-        "--metrics-file", dest="metrics_file", default=None, metavar="PATH",
-        help="write the telemetry counters/gauges as a Prometheus-style "
-        "textfile exposition (atomically; `monitor --follow` rewrites "
-        "it periodically while streaming)",
-    )
-    parser.add_argument(
         "--profile", dest="profile", default=None, metavar="PATH",
         help="sample the analyzer's own Python stacks while the command "
         "runs and write the profile (.json = speedscope, anything "
@@ -223,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("-o", "--output", required=True,
                      help="output path (.rpt binary or .jsonl text)")
     sim.add_argument("--processes", "--ranks", dest="processes",
-                     type=int, default=None,
+                     type=_positive_int, default=None,
                      help="rank count override (--ranks is an alias)")
-    sim.add_argument("--iterations", type=int, default=None)
+    sim.add_argument("--iterations", type=_positive_int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument(
         "--out-version", type=int, choices=(1, 2), default=None,
@@ -574,12 +576,17 @@ def _cmd_simulate(args) -> int:
         )
         if value is not None
     }
-    if args.workload == "synthetic":
-        from .sim.workloads.synthetic import SyntheticConfig
+    try:
+        if args.workload == "synthetic":
+            from .sim.workloads.synthetic import SyntheticConfig
 
-        trace = module.generate(SyntheticConfig(**kwargs))
-    else:
-        trace = module.generate(**kwargs)
+            trace = module.generate(SyntheticConfig(**kwargs))
+        else:
+            trace = module.generate(**kwargs)
+    except ValueError as err:
+        # A size the workload cannot lay out (e.g. a non-square rank
+        # count for cosmo_specs' 2-D grid).
+        raise CLIError(f"cannot simulate {args.workload}: {err}")
     codec = _parse_codec_args(args.codec)
     _write_trace(trace, args.output, version=args.out_version, codec=codec)
     print(
@@ -862,6 +869,12 @@ def _cmd_monitor(args) -> int:
             cursor = index.cursor(
                 columns=STREAM_COLUMNS, chunk_events=chunk_events
             )
+    if definitions.num_processes == 0:
+        # The verdict analyze, lint and info give (rule TL011), without
+        # loading the linter.
+        raise CLIError(
+            "invalid trace:\nerror[TL011] trace: trace has no locations"
+        )
 
     analyzer = StreamingAnalyzer(
         definitions.regions,
@@ -871,18 +884,6 @@ def _cmd_monitor(args) -> int:
         history_limit=args.window,
     )
     lag = obs.gauge("stream.lag_events")
-    # Live exposition: while following a growing trace, rewrite the
-    # metrics file about once a second so a scraper sees the stream's
-    # counters and ring series move in near-real time.
-    metrics_path = getattr(args, "metrics_file", None)
-    metrics_col = obs.collector() if metrics_path else None
-    last_metrics = 0.0
-    if metrics_col is not None:
-        import time as _time
-
-        from .obs.metrics import write_metrics_file
-
-        last_metrics = _time.monotonic()
     total = 0
     # Event columns are decoded batch by batch, so corrupt blobs surface
     # inside this loop, not at index construction.
@@ -897,11 +898,6 @@ def _cmd_monitor(args) -> int:
             if batch.final and (not args.follow or cursor.ended):
                 analyzer.finish_rank(batch.rank)
             lag.set(float(getattr(cursor, "backlog_events", 0)))
-            if metrics_col is not None:
-                now = _time.monotonic()
-                if now - last_metrics >= 1.0:
-                    write_metrics_file(metrics_col, metrics_path)
-                    last_metrics = now
     print(
         f"streamed {total} events; dominant "
         f"{analyzer.dominant_name!r}; {len(analyzer.alerts)} alerts"
@@ -1065,7 +1061,7 @@ def _configure_cli_logging(args) -> None:
 
 
 def _emit_telemetry(args, col, profiler=None) -> None:
-    """Handle --self-trace / --stats / --profile / --metrics-file."""
+    """Handle --self-trace / --stats / --profile."""
     from . import obs
 
     if profiler is not None:
@@ -1097,14 +1093,6 @@ def _emit_telemetry(args, col, profiler=None) -> None:
             f"{trace.num_events} events",
             file=sys.stderr,
         )
-    metrics_path = getattr(args, "metrics_file", None)
-    if metrics_path and col is not None:
-        from .obs.metrics import write_metrics_file
-
-        try:
-            write_metrics_file(col, metrics_path)
-        except OSError as err:
-            raise CLIError(f"cannot write metrics {metrics_path}: {err}")
     if getattr(args, "stats", False):
         summary = obs.summarize(col)
         print()
@@ -1210,7 +1198,6 @@ def _run(argv: list[str] | None) -> int:
         wants_obs = (
             getattr(args, "self_trace", None)
             or getattr(args, "stats", False)
-            or getattr(args, "metrics_file", None)
             or getattr(args, "profile", None)
         )
         if wants_obs:

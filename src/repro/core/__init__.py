@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from .._lazy import lazy_exports
 
+#: MAD-to-sigma scale for normally distributed data, shared by every
+#: robust z-score (batch detectors, the stream monitor, ``repro perf``).
+MAD_SCALE = 1.4826
+
 # Re-exported lazily so that importing one ``repro.core.*`` module does
 # not pull in its siblings (streaming, sharding with multiprocessing,
 # comparison, ...); each name loads its submodule when first touched.

@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import MAD_SCALE
+
 if TYPE_CHECKING:
     from .sos import SOSResult
 
@@ -31,8 +33,6 @@ __all__ = [
     "detect_imbalances",
     "imbalance_percentage",
 ]
-
-_MAD_SCALE = 1.4826  # MAD → σ for normal data
 
 
 # NumPy's median functions import numpy.ma on first use (~15 ms of a
@@ -99,7 +99,7 @@ def robust_zscores(values: np.ndarray, rel_floor: float = 0.01) -> np.ndarray:
         return out
     v = values[finite]
     med = finite_median(v)
-    mad = finite_median(np.abs(v - med), overwrite_input=True) * _MAD_SCALE
+    mad = finite_median(np.abs(v - med), overwrite_input=True) * MAD_SCALE
     scale = max(mad, rel_floor * abs(med))
     if scale <= 0:
         std = np.std(v)
@@ -136,7 +136,7 @@ def _robust_zscores_rows(matrix: np.ndarray, rel_floor: float = 0.01) -> np.ndar
     if np.any(simple):
         sub = m[simple]
         med = _nanmedian_rows(sub)
-        mad = _nanmedian_rows(np.abs(sub - med[:, None])) * _MAD_SCALE
+        mad = _nanmedian_rows(np.abs(sub - med[:, None])) * MAD_SCALE
         scale = np.maximum(mad, rel_floor * np.abs(med))
         good = scale > 0
         with np.errstate(invalid="ignore", divide="ignore"):

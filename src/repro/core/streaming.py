@@ -63,8 +63,8 @@ import numpy as np
 from .. import obs
 from ..trace.definitions import RegionRegistry
 from ..trace.events import EventKind, EventList
+from . import MAD_SCALE
 from .classify import SyncClassifier, default_classifier
-from .imbalance import _MAD_SCALE
 
 __all__ = [
     "STREAM_COLUMNS",
@@ -498,7 +498,7 @@ class StreamingAnalyzer:
         # Pure-Python medians: np.median would import numpy.ma.
         med = _small_median(sorted(totals.values()))
         mad = _small_median(sorted(abs(v - med) for v in totals.values()))
-        mad *= _MAD_SCALE
+        mad *= MAD_SCALE
         scale = max(mad, 0.01 * abs(med))
         if scale <= 0:
             return []
@@ -803,7 +803,7 @@ class StreamingAnalyzer:
             med = median(rows)
             rows = np.abs(rows - med[:, None])
             rows.sort(axis=1)
-            scale = np.maximum(median(rows) * _MAD_SCALE, 0.01 * np.abs(med))
+            scale = np.maximum(median(rows) * MAD_SCALE, 0.01 * np.abs(med))
             value = sos[first:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = (value - med) / scale
@@ -861,7 +861,7 @@ class StreamingAnalyzer:
             # both) and ~10x cheaper at window sizes.
             med = _small_median(sorted(history))
             mad = _small_median(sorted([abs(v - med) for v in history]))
-            mad *= _MAD_SCALE
+            mad *= MAD_SCALE
             scale = max(mad, 0.01 * abs(med))
             if scale > 0:
                 z = (sos - med) / scale

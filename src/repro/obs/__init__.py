@@ -28,7 +28,6 @@ from .core import (
     Collector,
     Counter,
     Gauge,
-    SeriesRing,
     Span,
     SpanRecord,
     collector,
@@ -48,7 +47,6 @@ __all__ = [
     "Gauge",
     "ObsSummary",
     "Profiler",
-    "SeriesRing",
     "Span",
     "SpanRecord",
     "collector",
@@ -61,29 +59,24 @@ __all__ = [
     "enabled",
     "gauge",
     "get_logger",
-    "render_prometheus",
     "self_trace",
     "span",
     "summarize",
     "traced",
     "verbosity_level",
-    "write_metrics_file",
     "write_self_trace",
 ]
 
 #: Export helpers pull in the trace layer; loaded on first use so that
 #: instrumented low-level modules (the trace reader among them) can
-#: ``import repro.obs`` without a circular import.  The profiler and
-#: metrics exposition ride the same lazy hook to keep the disabled
-#: import footprint minimal.
+#: ``import repro.obs`` without a circular import.  The profiler rides
+#: the same lazy hook to keep the disabled import footprint minimal.
 _LAZY = {
     "ObsSummary": ("export", "ObsSummary"),
     "self_trace": ("export", "self_trace"),
     "summarize": ("export", "summarize"),
     "write_self_trace": ("export", "write_self_trace"),
     "Profiler": ("profiler", "Profiler"),
-    "render_prometheus": ("metrics", "render_prometheus"),
-    "write_metrics_file": ("metrics", "write_metrics_file"),
     "verbosity_level": ("logs", "verbosity_level"),
 }
 

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import deque
 from typing import Any, Callable, Iterator
 
 __all__ = [
     "Collector",
     "Counter",
     "Gauge",
-    "SeriesRing",
     "SpanRecord",
     "ThreadJournal",
     "collector",
@@ -97,91 +95,6 @@ class SpanRecord:
         return self.t_stop - self.t_start
 
 
-class SeriesRing:
-    """Bounded time series of one instrument: O(windows) memory.
-
-    Journals keep every individual sample, which is exactly right for a
-    one-shot analysis but unbounded for a long-lived process (``repro
-    monitor --follow``, the future daemon).  The ring aggregates samples
-    into fixed-width time buckets instead: counters store the *increment
-    sum* per bucket (a rate series), gauges store the last value seen in
-    the bucket.  When the ring is full the oldest bucket is evicted, so
-    memory is bounded by ``capacity`` regardless of run length.
-
-    Buckets are kept sparse — ``(bucket_index, value)`` pairs in
-    ascending bucket order — so an idle instrument costs nothing.
-    """
-
-    __slots__ = ("kind", "resolution", "capacity", "_buckets")
-
-    def __init__(self, kind: str, resolution: float = 0.1,
-                 capacity: int = 512) -> None:
-        if resolution <= 0:
-            raise ValueError("series resolution must be positive")
-        if capacity < 1:
-            raise ValueError("series capacity must be >= 1")
-        self.kind = kind  # "counter" | "gauge"
-        self.resolution = float(resolution)
-        self.capacity = int(capacity)
-        self._buckets: deque[tuple[int, float]] = deque()
-
-    def update(self, t: float, value: float) -> None:
-        """Fold one sample at time ``t`` into its bucket."""
-        b = int(t / self.resolution)
-        buckets = self._buckets
-        if buckets:
-            last_b, last_v = buckets[-1]
-            if b >= last_b:
-                if b == last_b:
-                    if self.kind == "counter":
-                        buckets[-1] = (b, last_v + value)
-                    else:
-                        buckets[-1] = (b, value)
-                    return
-            else:
-                # Out-of-order sample (merged foreign series, clock
-                # jitter): fold into an existing bucket if it is still
-                # retained, drop it if already evicted.
-                if b < buckets[0][0]:
-                    return
-                for i in range(len(buckets) - 1, -1, -1):
-                    bi, vi = buckets[i]
-                    if bi == b:
-                        if self.kind == "counter":
-                            buckets[i] = (bi, vi + value)
-                        return
-                    if bi < b:
-                        buckets.insert(i + 1, (b, value))
-                        break
-                while len(buckets) > self.capacity:
-                    buckets.popleft()
-                return
-        buckets.append((b, value))
-        while len(buckets) > self.capacity:
-            buckets.popleft()
-
-    def items(self) -> list[tuple[float, float]]:
-        """Retained ``(bucket_start_time, value)`` pairs, ascending."""
-        return [(b * self.resolution, v) for b, v in self._buckets]
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    # -- cross-process shipping ----------------------------------------
-
-    def dump(self) -> dict:
-        return {
-            "kind": self.kind,
-            "resolution": self.resolution,
-            "items": [(b * self.resolution, v) for b, v in self._buckets],
-        }
-
-    def absorb(self, dumped: dict) -> None:
-        """Fold a :meth:`dump` from another collector into this ring."""
-        for t, v in dumped.get("items", ()):
-            self.update(float(t), float(v))
-
-
 class Collector:
     """Owns the journals and instrument totals of one process.
 
@@ -203,9 +116,7 @@ class Collector:
 
     def __init__(self, clock: Any | None = None, origin: str = "main",
                  trace_id: str | None = None, epoch: float | None = None,
-                 parent_span: str | None = None,
-                 series_resolution: float = 0.1,
-                 series_capacity: int = 512) -> None:
+                 parent_span: str | None = None) -> None:
         if clock is None:
             from ..measure.clock import RawMonotonicClock
 
@@ -220,8 +131,6 @@ class Collector:
         self.trace_id = trace_id
         self.epoch = float(epoch) if epoch is not None else float(clock.now())
         self.parent_span = parent_span
-        self.series_resolution = float(series_resolution)
-        self.series_capacity = int(series_capacity)
         self._local = threading.local()
         self._lock = threading.Lock()
         #: journals of this process, in creation order (main thread first)
@@ -230,7 +139,6 @@ class Collector:
         self.foreign: list[dict] = []
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._series: dict[str, SeriesRing] = {}
 
     # -- journal access (hot path) -------------------------------------
 
@@ -270,12 +178,6 @@ class Collector:
         with self._lock:
             total = self._counters.get(name, 0.0) + amount
             self._counters[name] = total
-            ring = self._series.get(name)
-            if ring is None:
-                ring = self._series[name] = SeriesRing(
-                    "counter", self.series_resolution, self.series_capacity
-                )
-            ring.update(now - self.epoch, amount)
         self._journal().entries.append((SAMPLE, now, name, total))
         return total
 
@@ -284,12 +186,6 @@ class Collector:
         value = float(value)
         with self._lock:
             self._gauges[name] = value
-            ring = self._series.get(name)
-            if ring is None:
-                ring = self._series[name] = SeriesRing(
-                    "gauge", self.series_resolution, self.series_capacity
-                )
-            ring.update(now - self.epoch, value)
         self._journal().entries.append((SAMPLE, now, name, value))
 
     def _foreign_snaps(self) -> Iterator[dict]:
@@ -318,36 +214,6 @@ class Collector:
         """Last-written gauge values (local process only)."""
         with self._lock:
             return dict(self._gauges)
-
-    def series(self, name: str) -> list[tuple[float, float]]:
-        """Merged time series of ``name``: ``(t, value)`` per bucket.
-
-        Times are relative to the shared trace epoch.  Counter buckets
-        sum across processes; gauge buckets keep the last write.
-        Returns ``[]`` for instruments that never recorded.
-        """
-        with self._lock:
-            ring = self._series.get(name)
-            merged = SeriesRing(
-                ring.kind if ring is not None else "counter",
-                ring.resolution if ring is not None else self.series_resolution,
-                ring.capacity if ring is not None else self.series_capacity,
-            )
-            if ring is not None:
-                merged.absorb(ring.dump())
-        for snap in self._foreign_snaps():
-            dumped = snap.get("series", {}).get(name)
-            if dumped:
-                merged.absorb(dumped)
-        return merged.items()
-
-    def series_names(self) -> list[str]:
-        """Names of every instrument with a recorded series."""
-        with self._lock:
-            names = set(self._series)
-        for snap in self._foreign_snaps():
-            names.update(snap.get("series", ()))
-        return sorted(names)
 
     # -- cross-process shipping ----------------------------------------
 
@@ -378,7 +244,6 @@ class Collector:
                 ],
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
-                "series": {k: r.dump() for k, r in self._series.items()},
                 "children": list(self.foreign),
             }
 
@@ -434,7 +299,6 @@ class Collector:
             "journals": [journal],
             "counters": {"profile.samples": float(len(profiler.samples))},
             "gauges": {},
-            "series": {},
             "children": [],
         })
 

@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import MAD_SCALE
+
 __all__ = [
     "Finding",
     "PerfHistory",
@@ -44,10 +46,6 @@ __all__ = [
     "machine_fingerprint",
     "record_bench_files",
 ]
-
-#: MAD-to-sigma scale for normally distributed data (matches
-#: ``repro.core.imbalance``).
-_MAD_SCALE = 1.4826
 
 
 def machine_fingerprint() -> str:
@@ -224,7 +222,7 @@ class Finding:
 
 def _robust_scale(window: np.ndarray, med: float) -> float:
     mad = float(np.median(np.abs(window - med)))
-    return max(_MAD_SCALE * mad, 0.01 * abs(med), 1e-12)
+    return max(MAD_SCALE * mad, 0.01 * abs(med), 1e-12)
 
 
 def check_history(

@@ -63,6 +63,30 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "mystery", "-o", "/tmp/x.rpt"])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cosmo_specs", "--processes", "32"],  # not a square grid
+            ["cosmo_specs", "--iterations", "0"],
+            ["synthetic", "--processes", "0"],
+            ["wrf", "--processes", "-4"],
+            ["idle_wave", "--processes", "1"],  # a wave needs 3 ranks
+        ],
+        ids=" ".join,
+    )
+    def test_bad_size_exit_2(self, args, tmp_path, capsys):
+        try:
+            code = main(["simulate", *args, "-o", str(tmp_path / "t.rpt")])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.strip().splitlines()[-1]
+        ]
+        assert not (tmp_path / "t.rpt").exists()
+
     @pytest.mark.parametrize("workload", ["wrf"])
     def test_case_study_workload_small(self, workload, tmp_path):
         out = tmp_path / "w.rpt"
@@ -318,7 +342,7 @@ class TestProcess:
             "assert main(['monitor', sys.argv[1]]) == 0\n"
             "unused = ('numpy.ma', 'repro.core.sos', 'repro.profiles',\n"
             "          'scipy', 'repro.core.session', 'repro.trace.builder',\n"
-            "          'repro.trace.merge')\n"
+            "          'repro.trace.merge', 'repro.core.imbalance')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -1028,6 +1052,31 @@ class TestStructuralInput:
             fp.write('{"record": "end"}\n')
         assert main(["monitor", str(live), "--follow"]) == 2
         assert self._verdict(capsys.readouterr().err) == {("TL002", "1")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["info"], ["lint"], ["monitor"],
+         ["monitor", "--follow"]],
+        ids=" ".join,
+    )
+    def test_no_locations_exit_2(self, argv, tmp_path, capsys):
+        from repro.trace import Trace, write_binary, write_jsonl
+
+        trace = Trace(name="empty")
+        trace.regions.register("main")
+        if "--follow" in argv:
+            path = tmp_path / "empty.jsonl"
+            write_jsonl(trace, path)
+            with open(path, "a") as fp:
+                fp.write('{"record": "end"}\n')
+        else:
+            path = tmp_path / "empty.rpt"
+            write_binary(trace, path)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if argv[0] != "lint":  # lint names the empty shard plan instead
+            assert "error[TL011] trace: trace has no locations" in err
 
     def test_follow_idle_timeout_tolerates_open_frame(self, tmp_path, capsys):
         # Without the sentinel the writer may still be inside the frame.

@@ -14,7 +14,6 @@ import re
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
 from repro.cli import main
@@ -219,122 +218,6 @@ class TestSnapshotMerge:
         assert ctx is not None and set(ctx) == {
             "trace_id", "epoch", "parent_span",
         }
-
-
-class TestSeriesRing:
-    def test_counter_buckets_accumulate_increments(self):
-        ring = obs.SeriesRing("counter", resolution=1.0, capacity=8)
-        ring.update(0.1, 2.0)
-        ring.update(0.7, 3.0)
-        ring.update(1.2, 4.0)
-        assert ring.items() == [(0.0, 5.0), (1.0, 4.0)]
-
-    def test_gauge_buckets_keep_last_value(self):
-        ring = obs.SeriesRing("gauge", resolution=1.0, capacity=8)
-        ring.update(0.1, 2.0)
-        ring.update(0.7, 3.0)
-        ring.update(2.5, 1.0)
-        assert ring.items() == [(0.0, 3.0), (2.0, 1.0)]
-
-    def test_eviction_keeps_newest_buckets(self):
-        ring = obs.SeriesRing("counter", resolution=1.0, capacity=3)
-        for t in range(10):
-            ring.update(float(t), 1.0)
-        assert ring.items() == [(7.0, 1.0), (8.0, 1.0), (9.0, 1.0)]
-
-    def test_out_of_order_updates_fold_or_drop(self):
-        ring = obs.SeriesRing("counter", resolution=1.0, capacity=4)
-        for t in (0.0, 5.0, 7.0):
-            ring.update(t, 1.0)
-        ring.update(5.5, 2.0)   # folds into retained bucket 5
-        ring.update(6.0, 3.0)   # inserts between retained buckets
-        ring.update(-9.0, 9.0)  # before the ring: dropped
-        assert ring.items() == [
-            (0.0, 1.0), (5.0, 3.0), (6.0, 3.0), (7.0, 1.0),
-        ]
-
-    def test_collector_series_merges_foreign_snapshots(self):
-        parent = obs.enable(
-            obs.Collector(series_resolution=0.5, series_capacity=64)
-        )
-        obs.counter("analysis.events").add(4)
-        worker = obs.Collector(
-            epoch=parent.epoch, series_resolution=0.5, series_capacity=64
-        )
-        worker.counter_add("analysis.events", 6)
-        parent.merge(worker.snapshot())
-        total = sum(v for _, v in parent.series("analysis.events"))
-        assert total == 10.0
-        assert "analysis.events" in parent.series_names()
-        assert parent.series("never.recorded") == []
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=500.0),
-                st.floats(min_value=-10.0, max_value=10.0),
-            ),
-            max_size=200,
-        ),
-        st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_ring_memory_bound_and_totals(self, samples, capacity):
-        """Eviction bound: never more than ``capacity`` buckets, and the
-        retained buckets hold exactly the sum of their samples."""
-        ring = obs.SeriesRing("counter", resolution=1.0, capacity=capacity)
-        for t, v in samples:
-            ring.update(t, v)
-        items = ring.items()
-        assert len(items) <= capacity
-        times = [t for t, _ in items]
-        assert times == sorted(times)
-        if items:
-            lo = items[0][0]
-            expect: dict[float, float] = {}
-            for t, v in samples:
-                bucket = float(int(t / 1.0) * 1.0)
-                if bucket >= lo:
-                    expect[bucket] = expect.get(bucket, 0.0) + v
-            got = dict(items)
-            # Buckets older than the retention window may have been
-            # evicted before late same-bucket samples arrived; every
-            # retained bucket must still be a sum of its samples.
-            for bucket, value in got.items():
-                assert value == pytest.approx(expect.get(bucket, value))
-
-
-class TestMetricsExposition:
-    def _collect(self):
-        col = obs.enable()
-        obs.counter("cache.hit").add(3)
-        obs.counter("io.bytes_read").add(1024)
-        obs.gauge("shard.queue_depth").set(2)
-        return col
-
-    def test_render_prometheus_format(self):
-        col = self._collect()
-        text = obs.render_prometheus(col)
-        assert "# TYPE repro_cache_hit_total counter" in text
-        assert "repro_cache_hit_total 3" in text
-        assert "# TYPE repro_shard_queue_depth gauge" in text
-        assert "repro_shard_queue_depth 2" in text
-        assert f'trace_id="{col.trace_id}"' in text
-        assert text.endswith("\n")
-
-    def test_write_metrics_file_atomic(self, tmp_path):
-        col = self._collect()
-        path = tmp_path / "metrics.prom"
-        obs.write_metrics_file(col, path)
-        assert path.read_text() == obs.render_prometheus(col)
-        # No temp droppings left behind.
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.prom"]
-
-    def test_counter_rate_reflects_ring_series(self):
-        col = obs.enable(obs.Collector(series_resolution=100.0))
-        obs.counter("analysis.events").add(50)
-        text = obs.render_prometheus(col)
-        assert "repro_analysis_events_rate 0.5" in text  # 50 per 100 s
 
 
 # ---------------------------------------------------------------------------
@@ -749,17 +632,11 @@ class TestCLI:
         assert not obs.enabled()
         assert obs.collector() is None
 
-    def test_metrics_file_flag_writes_prometheus(
-        self, trace_path, tmp_path, capsys
-    ):
-        metrics = tmp_path / "metrics.prom"
-        assert main([
-            "analyze", str(trace_path), "--metrics-file", str(metrics),
-        ]) == 0
-        capsys.readouterr()
-        text = metrics.read_text()
-        assert "# TYPE repro_analysis_events_total counter" in text
-        assert "repro_obs_info{" in text
+    def test_removed_metrics_flag_is_unknown(self, trace_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(trace_path), "--metrics-file", "m.prom"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metrics-file" in capsys.readouterr().err
 
     def test_profile_flag_writes_speedscope(self, trace_path, tmp_path, capsys):
         prof_path = tmp_path / "prof.speedscope.json"
