@@ -711,7 +711,7 @@ def _lint_cli_config(args):
 
 
 def _cmd_lint(args) -> int:
-    from .lint import Severity, all_rules, lint_path
+    from .lint import Severity, all_rules
 
     if args.rules:
         for rule in all_rules():
@@ -721,8 +721,7 @@ def _cmd_lint(args) -> int:
             )
         return 0
     config = _lint_cli_config(args)
-    with _reading(args.trace):
-        report = lint_path(args.trace, config=config, **_shard_kwargs(args))
+    report, _ = _session_for_path(args.trace, args).scan(config)
     if args.severity:
         report = report.filtered(min_severity=Severity.parse(args.severity))
     if args.fmt == "sarif":
@@ -1134,10 +1133,12 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_deps(args) -> int:
-    from .lint import graph_to_dot, graph_to_json_dict, hb_graph_path
+    from .lint import LintConfig, graph_to_dot, graph_to_json_dict
 
-    with _reading(args.trace):
-        graph = hb_graph_path(args.trace, **_shard_kwargs(args))
+    # The scan runs no rule: it only extracts the match records.
+    _, graph = _session_for_path(args.trace, args).scan(
+        LintConfig(ignore=("*",)), graph=True
+    )
     if args.fmt == "json":
         rendered = json.dumps(graph_to_json_dict(graph), indent=2)
     else:

@@ -49,8 +49,8 @@ def fused_bootstrap(
     trace: Trace,
     *,
     lint: LintConfig | None | Literal[False] = None,
-    known_ranks=None,
     table_ranks=None,
+    graph: bool = False,
 ) -> FusedBootstrap:
     """Lint-scan, replay and profile-aggregate ``trace`` in one pass.
 
@@ -61,10 +61,11 @@ def fused_bootstrap(
     :func:`~repro.profiles.replay.match_invocations` (still fused with
     the statistics aggregation).  ``table_ranks`` restricts
     table/partial construction to a subset of ranks (the scan still
-    covers all of them) — the shard workers use this to skip replay
-    for ranks whose products are already spilled.  Each rank finishes
-    as soon as it is fed, so a trace whose streams decode on demand
-    holds one rank group at a time.
+    covers all of them): a session replays only ranks whose cached
+    tables are missing, and ``()`` builds none.  ``graph`` builds the
+    scan's match graph even when no hb-scope rule needs it (``repro
+    deps``).  Each rank finishes as soon as it is fed, so a trace whose
+    streams decode on demand holds one rank group at a time.
     """
     kernel = IncrementalKernel(
         trace.regions,
@@ -72,10 +73,10 @@ def fused_bootstrap(
         trace.num_processes,
         trace.ranks,
         lint=lint,
-        known_ranks=known_ranks,
         table_ranks=table_ranks,
         trace_name=trace.name,
         num_events=trace.num_events,
+        graph=graph,
     )
     for rank, events in trace.event_streams():
         kernel.feed(rank, events)

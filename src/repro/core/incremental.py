@@ -61,6 +61,7 @@ from ..trace.definitions import MetricRegistry, RegionRegistry
 from ..trace.events import _DTYPES, _FIELDS, EventList
 
 if TYPE_CHECKING:
+    from ..lint.hb import MatchBatch, MatchGraph
     from ..lint.model import LintConfig, LintReport
 
 __all__ = ["FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"]
@@ -93,6 +94,9 @@ class FusedBootstrap:
     partials: dict[int, dict[str, np.ndarray]]
     report: LintReport | None
     extents: dict[int, tuple[int, float, float]]
+    #: the scan's match graph, when hb-scope rules or ``graph`` asked
+    #: for one
+    graph: MatchGraph | None = None
 
     @property
     def extent(self) -> tuple[float, float]:
@@ -151,17 +155,21 @@ class IncrementalKernel:
 
     Tables come from the scan's pairing only when ``lint`` gates
     replay (:func:`~repro.lint.engine.gates_replay`), and only for
-    ranks without an error.  With hb-scope rules enabled, each batch's
-    message rows go straight into one
+    ranks without an error.  With hb-scope rules enabled, or with
+    ``graph``, each batch's message rows go straight into one
     :class:`~repro.lint.hb.MatchGraphWriter`, sized once from
     ``num_events`` (no pass has more SEND or RECV rows than events;
     rows never written stay unbacked pages), or else grown as the
-    batches' rows arrive.
+    batches' rows arrive; ``match_sink`` receives each batch's
+    :class:`~repro.lint.hb.MatchBatch` instead.
 
     Protocol: any number of :meth:`feed` calls per rank (chunks in
-    time order), then :meth:`finish_rank` once; :meth:`finalize`
-    finishes whatever is still open, runs the last batch and returns
-    the :class:`FusedBootstrap`.
+    time order), then :meth:`finish_rank` once; :meth:`finish`
+    finishes whatever is still open and runs the last batch, leaving
+    the scan unfinalised in :attr:`diagnostics` and :attr:`summaries`
+    (a shard worker's part of a trace); :meth:`finalize` does that,
+    runs the trace- and hb-scope rules and returns the
+    :class:`FusedBootstrap`.
     """
 
     def __init__(
@@ -177,6 +185,8 @@ class IncrementalKernel:
         trace_name: str = "trace",
         table_sink: Callable[[int, InvocationTable], None] | None = None,
         num_events: int | None = None,
+        graph: bool = False,
+        match_sink: Callable[[MatchBatch], None] | None = None,
     ) -> None:
         self._n_regions = len(regions)
         self._ranks = list(ranks)
@@ -196,10 +206,12 @@ class IncrementalKernel:
         #: finished ranks waiting for their batch: rank, chunks, events
         self._pending: list[tuple[int, list[EventList], int]] = []
         self._pending_events = 0
-        self._diags: list = []
-        self._summaries: dict[int, object] = {}
+        #: the scan's rank-scope findings and per-rank summaries
+        self.diagnostics: list = []
+        self.summaries: dict[int, object] = {}
         self._shared = None
-        self._graph = None  # MatchGraphWriter when hb-scope rules run
+        self._writer = None  # MatchGraphWriter the scan builds itself
+        self._match_sink = None
         if lint is False:
             return
         from ..lint.engine import LintShared, gates_replay, hb_rules_enabled, validate_config
@@ -214,12 +226,16 @@ class IncrementalKernel:
         )
         if not gates_replay(config):
             self._wanted = set()
-        if hb_rules_enabled(config):
+        if not (graph or hb_rules_enabled(config)):
+            return
+        if match_sink is None:
             from ..lint.hb import MatchGraphWriter
 
-            self._graph = MatchGraphWriter(num_processes)
+            self._writer = MatchGraphWriter(num_processes)
             if num_events is not None:
-                self._graph.reserve(num_events, num_events)
+                self._writer.reserve(num_events, num_events)
+            match_sink = self._writer.add
+        self._match_sink = match_sink
 
     # -- feeding -------------------------------------------------------
 
@@ -285,12 +301,12 @@ class IncrementalKernel:
 
         view = BatchView(self._shared, ranks, events, starts)
         diags, summaries = scan_batch(view)
-        self._diags.extend(diags)
-        self._summaries.update(summaries)
-        if self._graph is not None:
+        self.diagnostics.extend(diags)
+        self.summaries.update(summaries)
+        if self._match_sink is not None:
             from ..lint.hb import extract_match_records
 
-            self._graph.add(extract_match_records(view))
+            self._match_sink(extract_match_records(view))
         # Broken streams make the caller raise from the report, so they
         # get no table (building one could legitimately fail on the
         # very defect just diagnosed).  A stream with no ENTER/LEAVE
@@ -338,23 +354,29 @@ class IncrementalKernel:
 
     # -- completion ----------------------------------------------------
 
-    def finalize(self) -> FusedBootstrap:
-        """Finish all remaining ranks, run the last batch and assemble
-        the result."""
+    def finish(self) -> None:
+        """Finish all remaining ranks and run the last batch."""
         for rank in self._ranks:
             if rank not in self._finished:
                 self.finish_rank(rank)
         self._run_batch()
+
+    def finalize(self) -> FusedBootstrap:
+        """:meth:`finish`, then run the trace- and hb-scope rules and
+        assemble the result."""
+        self.finish()
         if self._shared is None:
             return FusedBootstrap(self.tables, self.partials, None, self.extents)
         from ..lint.engine import finalize_report
 
+        graph = None if self._writer is None else self._writer.finish()
         report = finalize_report(
-            self._shared, self._diags, self._summaries,
-            trace_name=self._trace_name,
-            match_records=None if self._graph is None else self._graph.finish(),
+            self._shared, self.diagnostics, self.summaries,
+            trace_name=self._trace_name, match_records=graph,
         )
-        return FusedBootstrap(self.tables, self.partials, report, self.extents)
+        return FusedBootstrap(
+            self.tables, self.partials, report, self.extents, graph
+        )
 
 
 def incremental_bootstrap(

@@ -721,7 +721,6 @@ class AnalysisSession:
                 trace=None if self.source_path is not None else self.trace,
                 n_regions=len(self.trace.regions),
                 spill_dir=self.cache.root if self.cache is not None else None,
-                validate=self.config.validate,
                 chunk_events=chunk_events,
             )
         return self._engine
@@ -730,19 +729,62 @@ class AnalysisSession:
         """Run (once) the phase-1 fan-out: replay + per-rank statistics.
 
         Also performs validation (inside the workers, against the
-        global rank set) and assembles the trace fingerprint from the
-        worker-computed event digests.
+        global rank set, unless the config waives it) and assembles
+        the trace fingerprint from the worker-computed event digests.
         """
-        if self._boot is not None:
-            return self._boot
-        with obs.span("shard.bootstrap"):
-            boot = self._shard_engine().bootstrap()
-        if self.config.validate and boot.diagnostics:
-            from ..lint import LintReport, validate_subset_codes
+        if self._boot is None:
+            lint = None if self.config.validate else False
+            report, _ = self._shard_scan(lint)
+            if report is not None:
+                report.raise_for_errors()
+        return self._boot
 
-            LintReport(
-                tuple(boot.diagnostics), validate_subset_codes()
-            ).raise_for_errors()
+    def _shard_scan(self, lint, replay: bool = True, graph: bool = False):
+        """One phase-1 run over the shard plan.
+
+        The workers scan their ranks with ``lint`` (as in
+        :meth:`ShardEngine.bootstrap <repro.core.shard.ShardEngine.bootstrap>`)
+        and, with ``replay``, spill tables and statistics partials.  The
+        scan is finalised here, once over every shard's products in
+        shard order.  Returns its report (``None`` with ``lint=False``)
+        and match graph (``None`` unless ``graph`` or hb-scope rules
+        asked for one).  A replaying run whose report admits replay
+        becomes the session's bootstrap: it sets the fingerprint and,
+        when scanned, validates the session.
+        """
+        with obs.span("shard.bootstrap"):
+            boot = self._shard_engine().bootstrap(
+                lint, replay=replay, graph=graph
+            )
+        report = match = None
+        if lint is not False:
+            from ..lint.engine import (
+                LintShared, finalize_report, gates_replay, hb_rules_enabled,
+                validate_config,
+            )
+
+            cfg = validate_config() if lint is None else lint
+            trace = self.trace
+            shared = LintShared.from_definitions(
+                trace.regions, trace.metrics, trace.num_processes,
+                trace.ranks, cfg,
+            )
+            if graph or hb_rules_enabled(cfg):
+                from ..lint.hb import MatchGraphWriter
+
+                writer = MatchGraphWriter(trace.num_processes)
+                for batch in boot.matches:
+                    writer.add(batch)
+                match = writer.finish()
+            report = finalize_report(
+                shared, boot.diagnostics, boot.summaries,
+                trace_name=trace.name, source=self.source_path,
+                match_records=match,
+            )
+            if report.counts()["error"] or not gates_replay(cfg):
+                return report, match
+        if not replay:
+            return report, match
         if self._fingerprint is None:
             self._fingerprint = combine_fingerprint(
                 fingerprint_definitions(self.trace),
@@ -753,10 +795,10 @@ class AnalysisSession:
             self.stats._bump(self.stats.disk_hits, "replay", boot.reused)
         if boot.replayed:
             self.stats._bump(self.stats.disk_writes, "replay", boot.replayed)
-        if self.config.validate:
+        if lint is not False:
             self._mark_valid()
         self._boot = boot
-        return boot
+        return report, match
 
     def _mark_valid(self) -> None:
         """Record a passed structural gate, on disk too when cached."""
@@ -1090,30 +1132,47 @@ class AnalysisSession:
 
         Returns a :class:`repro.lint.LintReport`.  Pass a
         :class:`repro.lint.LintConfig` to override the session's
-        ``lint`` configuration for this call.  In sharded path mode the
-        per-rank scans fan out to the same worker pool the analysis
-        uses (:func:`repro.lint.lint_path`).  Otherwise the scan is the
-        fused kernel's (see :meth:`_fused_run`), so a clean preflight
-        leaves :meth:`analysis` nothing to pair; with a disk cache it
-        builds no tables, as a warm analysis reads none.
+        ``lint`` configuration for this call.  The scan is the fused
+        kernel's, so a clean preflight leaves :meth:`analysis` nothing
+        to pair.  A sharded session scans in its phase-1 workers,
+        which replay in the same pass (:meth:`_shard_scan`); otherwise
+        the kernel runs in process (:meth:`_fused_run`) and, with a
+        disk cache, builds no tables, as a warm analysis reads none.
         """
-        from ..lint import LintConfig, lint_path, lint_trace
+        from ..lint import LintConfig
 
         cfg = config or self.lint_config or LintConfig()
         with obs.span("session.preflight"):
-            if self.sharded:
-                if self.source_path is not None:
-                    return lint_path(
-                        self.source_path,
-                        config=cfg,
-                        shards=self.shards,
-                        max_memory_mb=self.max_memory_mb,
-                    )
-                return lint_trace(self.trace, config=cfg)
+            if self.sharded and self.trace.ranks:
+                return self._shard_scan(cfg, replay=self._boot is None)[0]
             boot = self._fused_run(
                 cfg, table_ranks=() if self.cache is not None else None
             )
             return replace(boot.report, source=self.source_path)
+
+    def scan(self, config=None, graph: bool = False):
+        """Run the kernel's lint scan alone: no table is built.
+
+        What ``repro lint`` and ``repro deps`` run.  Returns the
+        :class:`repro.lint.LintReport` of ``config`` (default: the
+        session's ``lint`` configuration, else every rule) and the
+        scan's :class:`repro.lint.MatchGraph`, which is ``None`` unless
+        ``graph`` or an hb-scope rule asked for it.  A sharded session
+        scans in its phase-1 workers and finalises the report here,
+        once, in shard order.  A trace without locations has nothing
+        to scan: it raises the structural verdict, as :meth:`analysis`
+        does.
+        """
+        from ..lint import LintConfig
+
+        cfg = config or self.lint_config or LintConfig()
+        if not self.trace.ranks:
+            self.validate()
+        with obs.span("session.scan"):
+            if self.sharded:
+                return self._shard_scan(cfg, replay=False, graph=graph)
+            boot = self._fused_run(cfg, table_ranks=(), graph=graph)
+            return replace(boot.report, source=self.source_path), boot.graph
 
     def validate(self) -> None:
         """Run only the structural gate :meth:`analysis` starts with.
@@ -1150,7 +1209,7 @@ class AnalysisSession:
             return
         self._fused_run(None).report.raise_for_errors()
 
-    def _fused_run(self, lint, table_ranks=None):
+    def _fused_run(self, lint, table_ranks=None, graph: bool = False):
         """One :func:`repro.core.fused.fused_bootstrap` pass.
 
         The lint scan (``lint`` as in ``fused_bootstrap``), stack replay
@@ -1163,12 +1222,15 @@ class AnalysisSession:
         validates the session; a validated or unscanned pass hands the
         session its tables and partials, and with a cache stores one
         ``inv-`` table per replayed rank.  ``table_ranks`` limits the
-        replay to ranks whose artifacts are missing.
+        replay to ranks whose artifacts are missing; ``graph`` builds
+        the scan's match graph.
         """
         from .fused import fused_bootstrap
 
         with obs.span("fused.bootstrap"):
-            boot = fused_bootstrap(self.trace, lint=lint, table_ranks=table_ranks)
+            boot = fused_bootstrap(
+                self.trace, lint=lint, table_ranks=table_ranks, graph=graph
+            )
         if isinstance(self.trace, _PathTrace):
             # The kernel held the last ranks' views as the pass ended.
             self.trace.release()

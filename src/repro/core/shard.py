@@ -251,14 +251,20 @@ def _worker_obs_setup(payload: dict) -> bool:
 
 
 def _phase1_shard(payload: dict) -> dict:
-    """Load, validate, replay and profile the ranks of one shard.
+    """Scan and, with ``replay``, replay and profile one shard's ranks.
 
-    Runs the fused kernel (:func:`repro.core.fused.fused_bootstrap`):
-    one pass per rank covers validation, replay and the statistics
-    partial.  When the shard reads from a file, per-rank digests come
-    from :meth:`~repro.trace.reader.TraceIndex.rank_digest` (byte-based
-    for canonical binary files — no event materialisation) and the load
-    projects to the columns the fused pass actually reads.
+    Runs the kernel (:class:`~repro.core.incremental.IncrementalKernel`)
+    over the shard: one pass per rank batch covers the lint scan
+    (``lint``: ``None`` the structural gate, ``False`` none, or a
+    :class:`~repro.lint.LintConfig`), replay and the statistics
+    partial.  The scan comes back unfinalised: rank-scope diagnostics,
+    each rank's :class:`~repro.lint.engine.RankSummary` and, when
+    hb-scope rules or ``graph`` need them, the match batches.  The
+    parent finalises it once over every shard, since trace- and
+    hb-scope rules need the whole trace.  When the shard reads from a
+    file, the load projects to the columns the pass reads, and per-rank
+    digests come from :meth:`~repro.trace.reader.TraceIndex.rank_digest`
+    (byte-based for canonical binary files: no event materialisation).
 
     Returns per-rank event digests and statistics partials; the (much
     larger) invocation tables are spilled to the shard cache under
@@ -266,12 +272,18 @@ def _phase1_shard(payload: dict) -> dict:
     the payload carries ``obs``, the worker runs its own telemetry
     collector and ships its snapshot back under the ``"obs"`` key —
     the parent merges snapshots in shard order, exactly like the
-    statistics partials.
+    statistics partials.  A decode error names the file, as it does on
+    the in-process routes.
     """
+    from ..trace.reader import TraceFormatError
+
     owns_obs = _worker_obs_setup(payload)
     try:
         with obs.span("shard.phase1"):
             res = _phase1_shard_impl(payload)
+    except TraceFormatError as err:
+        err.path = err.path or payload.get("path")
+        raise
     finally:
         col = obs.disable() if owns_obs else None
     if col is not None:
@@ -281,114 +293,76 @@ def _phase1_shard(payload: dict) -> dict:
 
 def _phase1_shard_impl(payload: dict) -> dict:
     from ..lint.engine import lint_columns, validate_config
-    from .fused import fused_bootstrap
+    from .incremental import IncrementalKernel
     from .session import ArtifactCache, _table_to_arrays
 
-    spill = ArtifactCache(payload["spill_dir"])
-    n_regions = payload["n_regions"]
+    lint, replay, graph = payload["lint"], payload["replay"], payload["graph"]
     ranks = sorted(payload["ranks"])
-    if payload.get("trace") is not None:
-        trace = payload["trace"]
-        digests = {
-            r: fingerprint_events(trace.events_of(r)) for r in ranks
-        }
+    trace = payload.get("trace")
+    if trace is not None:
+        source = trace
+        digest = lambda r: fingerprint_events(trace.events_of(r))  # noqa: E731
+        batches = ((rank, ev, True) for rank, ev in trace.event_streams())
     else:
         from ..trace.reader import TraceIndex
 
-        index = TraceIndex(payload["path"])
-        digests = {r: index.rank_digest(r) for r in ranks}
-        trace = None
+        # Chunked, column-projected reads (one batch resident at a time
+        # for v2 raw columns) and per-rank table spill the moment a
+        # table exists: peak memory tracks the chunk budget, not the
+        # rank group.
+        source = index = TraceIndex(payload["path"])
+        digest = index.rank_digest
+        columns = REPLAY_COLUMNS if lint is False else lint_columns(
+            validate_config() if lint is None else lint, graph=graph
+        )
+        batches = (
+            (b.rank, b.events, b.final)
+            for b in index.cursor(ranks=ranks, columns=columns,
+                                  chunk_events=payload.get("chunk_events"))
+        )
+    digests = {r: digest(r) for r in ranks} if replay else {}
 
-    # Spill hits skip replay entirely; the fused pass still validates
-    # those ranks (diagnostics are not cached), it just builds no table.
+    # Spill hits skip replay entirely; the scan still covers those
+    # ranks (its products are not cached), it just builds no table.
+    spill = ArtifactCache(payload["spill_dir"]) if replay else None
     partials: dict[int, dict[str, np.ndarray]] = {}
     need: list[int] = []
-    for rank in ranks:
+    for rank in digests:
         cached = spill.load(f"rankstats-{digests[rank]}")
         if (
             cached is not None
-            and len(cached.get("count", ())) == n_regions
+            and len(cached.get("count", ())) == payload["n_regions"]
             and spill.contains(f"inv-{digests[rank]}")
         ):
             partials[rank] = cached
         else:
             need.append(rank)
 
-    # The structural gate (lint=None) or no scan at all (lint=False).
-    lint = None if payload["validate"] else False
-    if trace is not None:
-        boot = fused_bootstrap(
-            trace,
-            lint=lint,
-            known_ranks=frozenset(payload["known_ranks"]),
-            table_ranks=need,
-        )
-        spilled: set[int] = set()
-    else:
-        # Path mode streams the shard through the incremental kernel:
-        # chunked, column-projected reads (one batch resident at a
-        # time for v2 raw columns) and per-rank table spill the moment
-        # a table exists — peak memory tracks the chunk budget, not
-        # the rank group.
-        from .incremental import IncrementalKernel
+    def _sink(rank: int, table) -> None:
+        spill.store(f"inv-{digests[rank]}", _table_to_arrays(table))
 
-        if payload["validate"]:
-            columns = lint_columns(validate_config())
-        else:
-            columns = REPLAY_COLUMNS
-        spilled = set()
-
-        def _sink(rank: int, table) -> None:
-            spill.store(f"inv-{digests[rank]}", _table_to_arrays(table))
-            spilled.add(rank)
-
-        kernel = IncrementalKernel(
-            index.regions,
-            index.metrics,
-            len(ranks),
-            ranks,
-            lint=lint,
-            known_ranks=frozenset(payload["known_ranks"]),
-            table_ranks=need,
-            trace_name=index.name,
-            table_sink=_sink,
-        )
-        for batch in index.cursor(
-            ranks=ranks, columns=columns,
-            chunk_events=payload.get("chunk_events"),
-        ):
-            kernel.feed(batch.rank, batch.events)
-            if batch.final:
-                kernel.finish_rank(batch.rank)
-        boot = kernel.finalize()
-
-    diagnostics = [] if boot.report is None else list(boot.report.diagnostics)
-    if diagnostics:
-        # Replay of a structurally broken stream is undefined; let
-        # the parent raise the aggregated validation error instead.
-        return {"digests": {}, "partials": {}, "extents": {},
-                "diagnostics": diagnostics, "replayed": 0, "reused": 0}
-    extents: dict[int, tuple[int, float, float]] = {}
-    if trace is not None:
-        for rank in ranks:
-            events = trace.events_of(rank)
-            if len(events):
-                extents[rank] = (
-                    len(events), float(events.time[0]), float(events.time[-1])
-                )
-    else:
-        extents = dict(kernel.extents)
+    matches: list = []
+    kernel = IncrementalKernel(
+        source.regions, source.metrics, payload["num_processes"], ranks,
+        lint=lint, known_ranks=frozenset(payload["known_ranks"]),
+        table_ranks=need, trace_name=source.name, table_sink=_sink,
+        graph=graph, match_sink=matches.append,
+    )
+    for rank, events, final in batches:
+        kernel.feed(rank, events)
+        if final:
+            kernel.finish_rank(rank)
+    kernel.finish()
     for rank in need:
-        if rank not in spilled:
-            spill.store(
-                f"inv-{digests[rank]}", _table_to_arrays(boot.tables[rank])
-            )
-        partial = boot.partials[rank]
-        spill.store(f"rankstats-{digests[rank]}", partial)
-        partials[rank] = partial
-    return {"digests": digests, "partials": partials, "extents": extents,
-            "diagnostics": diagnostics, "replayed": len(need),
-            "reused": len(ranks) - len(need)}
+        # A rank with an error gets no table: the parent raises, or
+        # reports the scan without adopting this run.
+        if rank in kernel.partials:
+            partials[rank] = kernel.partials[rank]
+            spill.store(f"rankstats-{digests[rank]}", partials[rank])
+    return {"digests": digests, "partials": partials,
+            "extents": kernel.extents, "diagnostics": kernel.diagnostics,
+            "summaries": kernel.summaries, "matches": matches,
+            "replayed": len(need), "reused": len(digests) - len(need)}
 
 
 def _phase2_shard(payload: dict) -> dict:
@@ -537,15 +511,20 @@ def assemble_sos(
 
 @dataclass(slots=True)
 class ShardBootstrap:
-    """Merged phase-1 output: digests, stats partials, diagnostics."""
+    """Merged phase-1 output: digests, stats partials and the scan."""
 
     digests: dict[int, str]
     partials: dict[int, dict[str, np.ndarray]]
     #: rank -> (n_events, first timestamp, last timestamp); lets the
     #: parent report trace totals without materialising any events
     extents: dict[int, tuple[int, float, float]]
-    #: structural error findings (:class:`repro.lint.Diagnostic`)
+    #: the unfinalised scan, merged in shard order: rank-scope findings
+    #: (:class:`repro.lint.Diagnostic`), each rank's
+    #: :class:`~repro.lint.engine.RankSummary`, and the match batches
+    #: (:class:`~repro.lint.hb.MatchBatch`) when the scan extracted them
     diagnostics: list
+    summaries: dict
+    matches: list
     replayed: int
     reused: int
 
@@ -583,8 +562,6 @@ class ShardEngine:
         temporary directory that lives as long as the engine.
     workers:
         Worker-process count; default from :func:`shard_workers`.
-    validate:
-        Run structural validation inside phase-1 workers.
     chunk_events:
         Batch size (events) of the phase-1 workers' cursor reads
         (path mode).  ``None`` reads one whole-rank batch per rank;
@@ -601,7 +578,6 @@ class ShardEngine:
         n_regions: int,
         spill_dir: str | os.PathLike | None = None,
         workers: int | None = None,
-        validate: bool = True,
         chunk_events: int | None = None,
     ) -> None:
         if (source_path is None) == (trace is None):
@@ -612,7 +588,6 @@ class ShardEngine:
         self.source_path = os.fspath(source_path) if source_path else None
         self.trace = trace
         self.n_regions = n_regions
-        self.validate = validate
         self.chunk_events = chunk_events
         self.workers = (
             shard_workers(plan.num_shards) if workers is None else workers
@@ -626,16 +601,19 @@ class ShardEngine:
 
     # -- phase 1 -------------------------------------------------------
 
-    def _phase1_payloads(self) -> list[dict]:
+    def _phase1_payloads(self, lint, replay: bool, graph: bool) -> list[dict]:
         known = self.plan.ranks
         payloads = []
         for shard, group in enumerate(self.plan.groups):
             payload = {
                 "ranks": tuple(group),
                 "known_ranks": known,
+                "num_processes": len(known),
                 "n_regions": self.n_regions,
                 "spill_dir": self.spill_dir,
-                "validate": self.validate,
+                "lint": lint,
+                "replay": replay,
+                "graph": graph,
                 "shard": shard,
                 "obs": obs.current_context(),
             }
@@ -647,23 +625,42 @@ class ShardEngine:
             payloads.append(payload)
         return payloads
 
-    def bootstrap(self) -> ShardBootstrap:
-        """Replay + profile every shard (runs once, then memoized)."""
-        if self._bootstrap is None:
-            results = _run_shard_tasks(
-                _phase1_shard, self._phase1_payloads(), self.workers
-            )
-            boot = ShardBootstrap({}, {}, {}, [], 0, 0)
-            for res in results:
-                _merge_worker_obs(res)
-                boot.digests.update(res["digests"])
-                boot.partials.update(res["partials"])
-                boot.extents.update(res["extents"])
-                boot.diagnostics.extend(res["diagnostics"])
-                boot.replayed += res["replayed"]
-                boot.reused += res["reused"]
+    def bootstrap(
+        self, lint=None, *, replay: bool = True, graph: bool = False
+    ) -> ShardBootstrap:
+        """Run phase 1 over every shard (:func:`_phase1_shard`).
+
+        The workers scan their ranks with ``lint`` (``None`` the
+        structural gate, ``False`` none, or a
+        :class:`~repro.lint.LintConfig`) and, with ``replay``, spill
+        tables and statistics partials; ``graph`` has them extract
+        match records for every rank.  Their unfinalised scans merge
+        in shard order.  Phase 2 and :meth:`load_table` read the spill
+        of the last replaying run.
+        """
+        results = _run_shard_tasks(
+            _phase1_shard, self._phase1_payloads(lint, replay, graph),
+            self.workers,
+        )
+        boot = ShardBootstrap({}, {}, {}, [], {}, [], 0, 0)
+        for res in results:
+            _merge_worker_obs(res)
+            boot.digests.update(res["digests"])
+            boot.partials.update(res["partials"])
+            boot.extents.update(res["extents"])
+            boot.diagnostics.extend(res["diagnostics"])
+            boot.summaries.update(res["summaries"])
+            boot.matches.extend(res["matches"])
+            boot.replayed += res["replayed"]
+            boot.reused += res["reused"]
+        if replay:
             self._bootstrap = boot
-        return self._bootstrap
+        return boot
+
+    def _replayed(self) -> ShardBootstrap:
+        """The last replaying phase-1 run; the structural gate's when
+        none has run yet."""
+        return self._bootstrap or self.bootstrap()
 
     # -- phase 2 -------------------------------------------------------
 
@@ -671,7 +668,7 @@ class ShardEngine:
         self, region: int, sync_regions: np.ndarray
     ) -> dict[int, dict[str, np.ndarray]]:
         """Per-rank segment/sync arrays for ``region`` across all shards."""
-        boot = self.bootstrap()
+        boot = self._replayed()
         payloads = [
             {
                 "ranks": tuple(group),
@@ -696,7 +693,7 @@ class ShardEngine:
         """One rank's replayed invocation table, read from the spill."""
         from .session import ArtifactCache, _table_from_arrays
 
-        boot = self.bootstrap()
+        boot = self._replayed()
         if rank not in boot.digests:
             raise KeyError(f"rank {rank} is not part of this shard plan")
         arrays = ArtifactCache(self.spill_dir).load(f"inv-{boot.digests[rank]}")

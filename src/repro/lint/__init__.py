@@ -53,9 +53,7 @@ from .engine import (
     RankSummary,
     TraceView,
     finalize_report,
-    hb_graph_path,
     hb_rules_enabled,
-    lint_path,
     lint_trace,
     validate_config,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "TraceView",
     "finalize_report",
     "lint_trace",
-    "lint_path",
     "validate_config",
     "sarif_dict",
     "HBView",
@@ -100,7 +97,6 @@ __all__ = [
     "match_graph_for_trace",
     "graph_to_dot",
     "graph_to_json_dict",
-    "hb_graph_path",
     "hb_rules_enabled",
 ]
 

@@ -8,19 +8,21 @@ cross-rank partials: per-region invocation counts and times, message
 counts per partner, stream extent).  Rank-scoped rules consume the
 view and name the rank of each finding; trace-scoped rules consume
 the merged summaries.  This split is exactly what makes
-linting shardable: workers scan their own ranks on chunked reads and
-ship back only diagnostics plus summaries, never event data.
+linting shardable: the shard workers scan their own ranks on chunked
+reads and ship back only diagnostics plus summaries (and match
+records), never event data; the parent runs :func:`finalize_report`
+once.
 
 Entry points:
 
-* :func:`lint_trace` — lint an in-memory :class:`~repro.trace.trace.Trace`;
-* :func:`lint_path` — lint a trace file through the chunked reader,
-  optionally fanning the per-rank scans out to worker processes
-  (``shards``/``max_memory_mb`` mirror the analysis engine's knobs);
+* :func:`lint_trace` — lint an in-memory :class:`~repro.trace.trace.Trace`
+  (the reference, on one-rank batches: :func:`rank_view`);
 * :func:`scan_batch` — the batch kernel; the fused analysis kernel
-  (:mod:`repro.core.incremental`) runs it on batches of many ranks,
-  so ``analyze --preflight`` lints and replays in one pass, while the
-  two entry points above scan one-rank batches (:func:`rank_view`).
+  (:mod:`repro.core.incremental`) runs it on batches of many ranks.
+  A trace file is linted through an analysis session
+  (:meth:`repro.core.session.AnalysisSession.scan`), so ``repro lint``,
+  ``repro deps`` and ``analyze --preflight`` all run that kernel, in
+  process or in the shard workers.
 
 Diagnostics are sorted by ``(code, rank, position, message)`` before
 the report is assembled, so output is byte-identical regardless of
@@ -29,7 +31,6 @@ shard count or worker scheduling.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -50,7 +51,6 @@ __all__ = [
     "BatchView",
     "TraceView",
     "lint_trace",
-    "lint_path",
     "scan_batch",
     "finalize_report",
     "validate_config",
@@ -58,7 +58,6 @@ __all__ = [
     "LINT_COLUMNS",
     "lint_columns",
     "hb_rules_enabled",
-    "hb_graph_path",
 ]
 
 #: Event columns the view construction and summaries read regardless of
@@ -71,21 +70,26 @@ _SEND = np.uint8(EventKind.SEND)
 _RECV = np.uint8(EventKind.RECV)
 
 
-def lint_columns(config: LintConfig) -> tuple[str, ...]:
+def lint_columns(config: LintConfig, graph: bool = False) -> tuple[str, ...]:
     """Minimal event-column set needed to run ``config``'s rules.
 
     Union of the view baseline (:data:`LINT_COLUMNS`) and *every*
     enabled rule's declared extras — not just the rank-scoped ones:
     hb-scoped rules extract their match records inside the same worker
     read, so restricting the union to one scope would silently hand
-    them placeholder columns.  Canonical column order keeps the
-    projection deterministic.
+    them placeholder columns.  ``graph`` adds what match-record
+    extraction reads (:data:`~repro.lint.hb.HB_COLUMNS`).  Canonical
+    column order keeps the projection deterministic.
     """
     from ..trace.events import _FIELDS
 
     need = set(LINT_COLUMNS)
     for rule in enabled_rules(config):
         need.update(rule.columns)
+    if graph:
+        from .hb import HB_COLUMNS
+
+        need.update(HB_COLUMNS)
     return tuple(f for f in _FIELDS if f in need)
 
 
@@ -367,8 +371,8 @@ def scan_batch(view: BatchView) -> tuple[list[Diagnostic], dict[int, RankSummary
 
 
 def rank_view(shared: LintShared, rank: int, events: EventList) -> BatchView:
-    """The one-rank batch: how the in-memory and per-file scans see
-    each rank."""
+    """The one-rank batch: how the in-memory reference scans see each
+    rank."""
     return BatchView(shared, (rank,), events, (0, len(events)))
 
 
@@ -467,8 +471,9 @@ def lint_trace(
         all rules at their default severities.
     known_ranks:
         Rank set message partners resolve against; defaults to the
-        ranks present.  The sharded engine passes the *global* rank
-        set so cross-shard partners are not misflagged.
+        ranks present.  A scan of part of a trace passes the whole
+        trace's rank set, so partners outside the part are not
+        misflagged.
     """
     config = config if config is not None else LintConfig()
     ranks = trace.ranks
@@ -529,189 +534,3 @@ def gates_replay(config: LintConfig) -> bool:
         >= Severity.ERROR
         for code in validate_subset_codes()
     )
-
-
-# ---------------------------------------------------------------------------
-# Sharded path-mode linting
-# ---------------------------------------------------------------------------
-
-
-def _lint_shard_worker(payload: dict) -> dict:
-    """Scan one rank group read through the chunked reader.
-
-    Top-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it by reference; returns diagnostics and summaries only —
-    plus, when the payload carries ``obs``, the worker's telemetry
-    snapshot (merged by the parent in shard order).
-    """
-    from ..core.shard import _worker_obs_setup
-
-    owns_obs = _worker_obs_setup(payload)
-    try:
-        with obs.span("lint.shard"):
-            res = _lint_shard_worker_impl(payload)
-    finally:
-        col = obs.disable() if owns_obs else None
-    if col is not None:
-        res["obs"] = col.snapshot()
-    return res
-
-
-def _lint_shard_worker_impl(payload: dict) -> dict:
-    from ..trace.reader import TraceIndex
-
-    records_only = payload.get("records_only", False)
-    want_hb = records_only or hb_rules_enabled(payload["config"])
-    if want_hb:
-        from .hb import HB_COLUMNS, extract_match_records
-
-    index = TraceIndex(payload["path"])
-    columns = lint_columns(payload["config"])
-    if want_hb:
-        from ..trace.events import _FIELDS
-
-        need = set(columns) | set(HB_COLUMNS)
-        columns = tuple(f for f in _FIELDS if f in need)
-    sub = index.load(payload["ranks"], columns=columns)
-    shared = LintShared.from_definitions(
-        sub.regions,
-        sub.metrics,
-        payload["num_processes"],
-        payload["known_ranks"],
-        payload["config"],
-    )
-    diags: list[Diagnostic] = []
-    summaries: dict[int, RankSummary] = {}
-    records: dict[int, object] = {}
-    for rank in sorted(payload["ranks"]):
-        view = rank_view(shared, rank, sub.events_of(rank))
-        if not records_only:
-            rank_diags, summary = scan_batch(view)
-            diags.extend(rank_diags)
-            summaries.update(summary)
-        if want_hb:
-            records.update(
-                (rec.rank, rec) for rec in extract_match_records(view).records()
-            )
-    res = {"diags": diags, "summaries": summaries, "name": sub.name}
-    if want_hb:
-        res["records"] = records
-    return res
-
-
-def _scan_shards(
-    path: str,
-    config: LintConfig,
-    shards: int | None,
-    max_memory_mb: float | None,
-    workers: int | None,
-    **extra,
-):
-    """Fan a trace file's per-rank scans out to :func:`_lint_shard_worker`.
-
-    The partitioning is the analysis engine's
-    (:func:`repro.core.shard.plan_shards`); ``extra`` goes into every
-    payload.  Returns the file's index, the global rank set and the
-    worker results in shard order (their telemetry already merged).
-    """
-    from ..core.shard import (
-        _merge_worker_obs,
-        _run_shard_tasks,
-        plan_shards,
-        shard_workers,
-    )
-    from ..trace.reader import TraceIndex
-
-    index = TraceIndex(path)
-    counts = index.event_counts()
-    plan = plan_shards(counts, shards=shards, max_memory_mb=max_memory_mb)
-    payloads = [
-        {
-            "path": path,
-            "ranks": tuple(group),
-            "known_ranks": plan.ranks,
-            "num_processes": len(counts),
-            "config": config,
-            "shard": shard,
-            "obs": obs.current_context(),
-            **extra,
-        }
-        for shard, group in enumerate(plan.groups)
-    ]
-    nworkers = shard_workers(plan.num_shards) if workers is None else workers
-    results = _run_shard_tasks(_lint_shard_worker, payloads, nworkers)
-    for res in results:
-        _merge_worker_obs(res)
-    return index, plan.ranks, results
-
-
-def lint_path(
-    path: str | os.PathLike,
-    config: LintConfig | None = None,
-    shards: int | None = None,
-    max_memory_mb: float | None = None,
-    workers: int | None = None,
-) -> LintReport:
-    """Lint a trace file through the chunked reader.
-
-    With ``shards``/``max_memory_mb`` the per-rank scans run in worker
-    processes that each read only their rank group's bytes — the same
-    partitioning the analysis engine uses (:func:`repro.core.shard.plan_shards`).
-    Diagnostics are byte-identical for any shard count.
-    """
-    config = config if config is not None else LintConfig()
-    path = os.fspath(path)
-    with obs.span("lint.path"):
-        index, known, results = _scan_shards(
-            path, config, shards, max_memory_mb, workers
-        )
-        diags: list[Diagnostic] = []
-        summaries: dict[int, RankSummary] = {}
-        records: dict[int, object] | None = (
-            {} if hb_rules_enabled(config) else None
-        )
-        for res in results:
-            diags.extend(res["diags"])
-            summaries.update(res["summaries"])
-            if records is not None:
-                records.update(res.get("records", {}))
-        defs = index.definitions_trace()
-        shared = LintShared.from_definitions(
-            defs.regions, defs.metrics, len(index.ranks), known, config
-        )
-        return finalize_report(
-            shared,
-            diags,
-            summaries,
-            trace_name=defs.name,
-            source=path,
-            match_records=records,
-        )
-
-
-def hb_graph_path(
-    path: str | os.PathLike,
-    config: LintConfig | None = None,
-    shards: int | None = None,
-    max_memory_mb: float | None = None,
-    workers: int | None = None,
-):
-    """Build the global message-match graph from a trace file.
-
-    Backs ``repro deps``: runs the same sharded per-rank extraction as
-    :func:`lint_path` but skips rule scanning entirely — workers return
-    only :class:`~repro.lint.hb.MatchRecords` and the parent assembles
-    one :class:`~repro.lint.hb.MatchGraph`.
-    """
-    from .hb import MatchGraph
-
-    config = config if config is not None else LintConfig()
-    with obs.span("lint.hb_graph"):
-        index, _known, results = _scan_shards(
-            os.fspath(path), config, shards, max_memory_mb, workers,
-            records_only=True,
-        )
-        records: dict[int, object] = {}
-        for res in results:
-            records.update(res["records"])
-        return MatchGraph.from_records(records, len(index.ranks))

@@ -4,9 +4,9 @@
 records and the per-rank chunk table up front (validating every
 manifest field), then decodes event columns per rank on demand.
 :func:`read_trace` is simply ``TraceIndex(path).load()`` — the whole
-trace at once — while the sharded engine (:mod:`repro.core.shard`),
-the lint workers and the cursors load only the ranks, columns or
-event ranges they need from the same index.
+trace at once — while the sharded engine (:mod:`repro.core.shard`)
+and the cursors load only the ranks, columns or event ranges they
+need from the same index.
 
 Every malformed input — bad frame, missing or mistyped manifest field,
 truncated chunk, corrupt zlib blob, out-of-order timestamps — surfaces

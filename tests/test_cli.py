@@ -795,6 +795,26 @@ class TestCorruptInput:
             offset = _blob_offset(corrupt_traces[kind], 0, "time")
             assert f"location 0 column time at byte {offset}: " in verdict
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kind", ["truncated", "bitflip"])
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["analyze", "--preflight"], ["lint"], ["deps"]],
+        ids=" ".join,
+    )
+    def test_sharded_verdict_matches_unsharded(
+        self, corrupt_traces, kind, command, workers, monkeypatch, capsys
+    ):
+        # In process or across the worker boundary, a decode error in a
+        # shard names the file as the unsharded route does.
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", workers)
+        path = str(corrupt_traces[kind])
+        assert main([command[0], path, *command[1:]]) == 2
+        plain = capsys.readouterr().err
+        assert plain.startswith(f"error: cannot read trace {path}: "), plain
+        assert main([command[0], path, *command[1:], "--shards", "3"]) == 2
+        assert capsys.readouterr().err == plain
+
     def test_cached_route_exit_2_without_traceback(
         self, corrupt_traces, tmp_path, monkeypatch, capsys
     ):
@@ -1055,8 +1075,9 @@ class TestStructuralInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [["analyze"], ["info"], ["lint"], ["monitor"],
-         ["monitor", "--follow"]],
+        [["analyze"], ["analyze", "--shards", "2"], ["info"], ["lint"],
+         ["lint", "--shards", "2"], ["deps"], ["deps", "--shards", "2"],
+         ["monitor"], ["monitor", "--follow"]],
         ids=" ".join,
     )
     def test_no_locations_exit_2(self, argv, tmp_path, capsys):
@@ -1075,8 +1096,7 @@ class TestStructuralInput:
         assert main([argv[0], str(path), *argv[1:]]) == 2
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err
-        if argv[0] != "lint":  # lint names the empty shard plan instead
-            assert "error[TL011] trace: trace has no locations" in err
+        assert "error[TL011] trace: trace has no locations" in err
 
     def test_follow_idle_timeout_tolerates_open_frame(self, tmp_path, capsys):
         # Without the sentinel the writer may still be inside the frame.

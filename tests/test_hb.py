@@ -22,12 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lint import (
     LintConfig,
-    lint_path,
     lint_trace,
     match_graph_for_trace,
     graph_to_dot,
     graph_to_json_dict,
-    hb_graph_path,
     hb_rules_enabled,
 )
 from repro.lint.engine import finalize_report, lint_columns
@@ -50,6 +48,18 @@ from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
 
 HB_SELECT = LintConfig(select=("TL3*",))
+
+
+#: ``repro deps``'s scan: no rule, match records only
+DEPS = LintConfig(ignore=("*",))
+
+
+def scan_file(path, config, shards=None, graph=False):
+    """``repro lint``/``deps``'s route: a path-mode session's scan."""
+    from repro.core.session import AnalysisSession
+
+    session = AnalysisSession(None, source_path=str(path), shards=shards)
+    return session.scan(config, graph=graph)
 
 
 def codes(report):
@@ -489,17 +499,17 @@ class TestDeterminism:
         _, planted = build_adversarial_traces(scenario)
         path = tmp_path / "planted.jsonl"
         write_jsonl(planted, path)
-        sharded = lint_path(path, config=HB_SELECT, shards=shards)
+        sharded = scan_file(path, HB_SELECT, shards=shards)[0]
         baseline = lint_trace(planted, config=HB_SELECT, source=str(path))
         assert sharded.to_json() == baseline.to_json()
         assert "TL301" in codes(sharded)
 
-    def test_hb_graph_path_matches_in_memory(self, tmp_path):
+    def test_deps_graph_matches_in_memory(self, tmp_path):
         trace = ping_trace([(r, (r + 1) % 5) for r in range(5)])
         path = tmp_path / "ring.jsonl"
         write_jsonl(trace, path)
-        for shards in (1, 3):
-            g = hb_graph_path(path, shards=shards)
+        for shards in (None, 1, 2, 3, 7):
+            g = scan_file(path, DEPS, shards=shards, graph=True)[1]
             assert graph_to_json_dict(g) == graph_to_json_dict(
                 match_graph_for_trace(trace)
             )
@@ -515,7 +525,7 @@ class TestGoldenSilence:
         "path", GOLDEN_TRACES, ids=[p.stem for p in GOLDEN_TRACES]
     )
     def test_no_tl3xx_on_golden_corpus(self, path):
-        report = lint_path(path, config=HB_SELECT)
+        report = scan_file(path, HB_SELECT)[0]
         assert codes(report) == set(), report.to_text()
 
 

@@ -24,7 +24,6 @@ from repro.lint import (
     Severity,
     all_rules,
     get_rule,
-    lint_path,
     lint_trace,
     register_rule,
     sarif_dict,
@@ -428,6 +427,14 @@ class TestConfig:
             assert err.report is report
 
 
+def lint_file(path, config=None, shards=None):
+    """``repro lint``'s route: a path-mode session's kernel scan."""
+    from repro.core.session import AnalysisSession
+
+    session = AnalysisSession(None, source_path=path, shards=shards)
+    return session.scan(config)[0]
+
+
 class TestDeterminism:
     @pytest.fixture()
     def messy_path(self, tmp_path):
@@ -447,21 +454,21 @@ class TestDeterminism:
 
     def test_byte_identical_across_shards(self, messy_path):
         rendered = {
-            shards: lint_path(messy_path, shards=shards).to_json()
-            for shards in (1, 2, 3)
+            shards: lint_file(messy_path, shards=shards).to_json()
+            for shards in (None, 1, 2, 3, 7)
         }
-        assert rendered[1] == rendered[2] == rendered[3]
+        assert len(set(rendered.values())) == 1
         assert json.loads(rendered[1])["diagnostics"]
 
     def test_path_matches_in_memory(self, messy_path):
         from repro.trace import read_trace
 
-        from_path = lint_path(messy_path)
+        from_path = lint_file(messy_path)
         in_memory = lint_trace(read_trace(messy_path), source=messy_path)
         assert from_path.diagnostics == in_memory.diagnostics
 
     def test_diagnostics_sorted(self, messy_path):
-        report = lint_path(messy_path, shards=3)
+        report = lint_file(messy_path, shards=3)
         keys = [d.sort_key for d in report.diagnostics]
         assert keys == sorted(keys)
 

@@ -332,6 +332,34 @@ class TestDogfood:
         # Worker counters folded into the totals.
         assert col.counters()["analysis.events"] > 0
 
+    def test_sharded_lint_scan_ships_snapshots(self, trace_path, monkeypatch):
+        from repro.core.session import AnalysisSession
+
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
+        col = obs.enable()
+        AnalysisSession(None, source_path=str(trace_path), shards=2).scan()
+        col = obs.disable()
+        origins = {o for o, _ in col._all_journals()}
+        assert {"main", "shard-0", "shard-1"} <= origins
+        assert any(k.startswith("lint.rule.") for k in col.counters())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sharded_preflight_loads_each_event_once(
+        self, trace_path, workers, monkeypatch
+    ):
+        from repro.core.session import AnalysisSession
+
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", workers)
+        col = obs.enable()
+        session = AnalysisSession(None, source_path=str(trace_path), shards=3)
+        assert not session.preflight().counts()["error"]
+        session.analysis()
+        col = obs.disable()
+        assert col.counters()["io.events_loaded"] == session.num_events
+        names = {s.name for s in col.iter_spans()}
+        assert "shard.phase1" in names
+        assert not {"lint.path", "lint.shard"} & names
+
     def test_cache_counters(self, trace_path, tmp_path):
         from repro.core.session import AnalysisSession
 
@@ -349,10 +377,10 @@ class TestDogfood:
         assert warm["cache.hit"] > cold.get("cache.hit", 0)
 
     def test_lint_rule_timings(self, trace_path):
-        from repro.lint import lint_path
+        from repro.core.session import AnalysisSession
 
         col = obs.enable()
-        lint_path(str(trace_path))
+        AnalysisSession(None, source_path=str(trace_path)).scan()
         col = obs.disable()
         timed = [k for k in col.counters() if k.startswith("lint.rule.")]
         assert timed and all(k.endswith(".s") for k in timed)
@@ -611,14 +639,15 @@ class TestCLI:
         assert main(["info", str(trace_path), "--log-level", "NOPE"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_heartbeat_logged_at_info(self, trace_path, capsys):
+    def test_heartbeat_logged_at_info(self, trace_path, monkeypatch):
         import io
 
+        from repro.core.session import AnalysisSession
+
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
         stream = io.StringIO()
         obs.configure_logging(level="INFO", stream=stream)
-        from repro.lint import lint_path
-
-        lint_path(str(trace_path), shards=2, workers=1)
+        AnalysisSession(None, source_path=str(trace_path), shards=2).scan()
         obs.configure_logging(level="WARNING")  # restore default
         logged = stream.getvalue()
         assert "shard 1/2 done" in logged and "shard 2/2 done" in logged
