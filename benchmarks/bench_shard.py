@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import analyze_trace
 from repro.core.session import AnalysisSession
-from repro.core.shard import BYTES_PER_EVENT, plan_shards
+from repro.core.engine import BYTES_PER_EVENT, ShardEngine, plan_shards
 from repro.trace import write_binary
 
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -76,14 +76,8 @@ def test_shard_scaling(million_event_rpt, report, bench_meta):
 
     # Parallelizable fraction: time phase 1 (replay + stats partials)
     # alone inside a one-shard engine, relative to the full analysis.
-    from repro.core.shard import ShardEngine
-
     def phase1_only():
-        engine = ShardEngine(
-            plan_shards({r: len(trace.events_of(r)) for r in trace.ranks}),
-            trace=trace,
-            n_regions=len(trace.regions),
-        )
+        engine = ShardEngine(plan_shards(trace.event_counts()), trace)
         return engine.bootstrap()
 
     _, t_phase1 = _timed(phase1_only)

@@ -118,13 +118,12 @@ def _session(trace, args, config=None, source_path=None):
 def _session_for_path(path: str, args, config=None):
     """Session over the trace at ``path``.
 
-    Only the file's header and chunk index are parsed here.  Without
-    sharding flags the session decodes the events itself on first use,
-    which a warm ``--cache-dir`` run that finds its fingerprint by the
-    file's stat key never makes; a decode error raised then exits 2
-    from :func:`_run`.  With ``--shards``/``--max-memory-mb`` worker
-    processes load their own rank groups, so the parent never holds
-    the full event data.
+    Only the file's header and chunk index are parsed here.  The
+    session decodes the events rank by rank on first use (in its
+    ``--shards`` workers, each its own ranks), which a warm
+    ``--cache-dir`` run that finds its fingerprint by the file's stat
+    key never makes; a decode error raised then exits 2 from
+    :func:`_run`.
     """
     with _reading(path):
         return _session(None, args, config, source_path=path)
@@ -359,12 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("trace")
     mon.add_argument("--function", default=None,
                      help="dominant function (default: warm-up selection)")
-    mon.add_argument("--chunk", type=int, default=None,
+    mon.add_argument("--chunk-events", "--chunk", type=int, default=None,
+                     dest="chunk_events",
                      help="most events per fed chunk (default: the analysis "
-                          "kernel's batch size, so most ranks arrive whole; "
-                          "alias of --chunk-events)")
-    mon.add_argument("--chunk-events", type=int, default=None,
-                     help="most events per fed chunk (overrides --chunk)")
+                          "kernel's batch size, so most ranks arrive whole)")
     mon.add_argument("--threshold", type=float, default=4.0,
                      help="alert z-score threshold")
     mon.add_argument("--follow", action="store_true",
@@ -834,10 +831,10 @@ def _cmd_explain(args) -> int:
 
 def _cmd_monitor(args) -> int:
     from . import obs
-    from .core.streaming import STREAM_COLUMNS, StreamingAnalyzer
+    from .core.streaming import StreamingAnalyzer
     from .trace.cursor import BATCH_EVENTS
 
-    chunk_events = args.chunk_events if args.chunk_events is not None else args.chunk
+    chunk_events = args.chunk_events
     if chunk_events is None:
         # Whole ranks up to the kernel's batch size.  Chunking is a
         # transport detail: the output is the same at any size.
@@ -851,23 +848,18 @@ def _cmd_monitor(args) -> int:
         if args.follow:
             from .trace.cursor import TailCursor
 
-            cursor = TailCursor(
-                args.trace,
-                columns=STREAM_COLUMNS,
-                idle_timeout=args.idle_timeout,
-            )
+            cursor = TailCursor(args.trace, idle_timeout=args.idle_timeout)
             definitions = cursor.wait_definitions()
         else:
             from .trace.reader import TraceIndex
 
             # The index parses only the chunk manifest; event data is
             # pulled chunk by chunk while feeding, so the monitor never
-            # materializes the full trace.
+            # materializes the full trace.  Every column is decoded:
+            # a corrupt blob gets the verdict analyze gives it.
             index = TraceIndex(args.trace)
             definitions = index.definitions_trace()
-            cursor = index.cursor(
-                columns=STREAM_COLUMNS, chunk_events=chunk_events
-            )
+            cursor = index.cursor(chunk_events=chunk_events)
     if definitions.num_processes == 0:
         # The verdict analyze, lint and info give (rule TL011), without
         # loading the linter.

@@ -17,6 +17,7 @@ _EXPORTS = {
     "commstats": ("CommMatrix", "communication_matrix"),
     "compare": ("RunComparison", "SegmentDelta", "compare_analyses", "compare_traces"),
     "dominant": ("DominantCandidate", "DominantSelection", "rank_candidates", "select_dominant"),
+    "engine": ("ShardEngine", "ShardPlan", "plan_shards"),
     "explain": ("RegionShare", "SegmentExplanation", "explain_segment"),
     "imbalance": (
         "Hotspot",
@@ -38,7 +39,7 @@ _EXPORTS = {
     "pipeline": ("AnalysisConfig", "VariationAnalysis", "analyze_trace"),
     "segments": ("RankSegments", "Segmentation", "segment_rank", "segment_trace"),
     "session": ("AnalysisSession", "ArtifactCache", "CacheInfo", "SessionStats"),
-    "shard": ("ShardEngine", "ShardPlan", "plan_shards", "shard_workers"),
+    "shard": ("shard_workers",),
     "sos": ("RankSOS", "SOSResult", "compute_sos", "top_level_sync_mask"),
     "streaming": ("StreamAlert", "StreamedSegment", "StreamingAnalyzer"),
     "variation": ("TrendResult", "binned_matrix", "detect_trend", "mann_kendall", "step_series"),

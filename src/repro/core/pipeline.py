@@ -31,10 +31,10 @@ from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
 from .classify import SyncClassifier, default_classifier
 from .dominant import DominantSelection
-from .imbalance import ImbalanceReport, detect_imbalances
-from .segments import Segmentation, segment_trace
-from .sos import SOSResult, compute_sos
-from .variation import TrendResult, binned_matrix, detect_trend
+from .imbalance import ImbalanceReport
+from .segments import Segmentation
+from .sos import SOSResult
+from .variation import TrendResult
 
 __all__ = ["AnalysisConfig", "VariationAnalysis", "analyze_trace"]
 
@@ -78,10 +78,11 @@ class VariationAnalysis:
     segmentation, SOS result, detections) plus :meth:`refined` for the
     paper's drill-down workflow and :meth:`heat_matrix` for rendering.
 
-    When constructed by an :class:`~repro.core.session.AnalysisSession`
-    (the default via :func:`analyze_trace`), ``session`` links back to
-    the shared stage cache, so refinement and re-rendering reuse every
-    already-computed product.
+    :meth:`AnalysisSession.analysis_for
+    <repro.core.session.AnalysisSession.analysis_for>` constructs it
+    (:func:`analyze_trace` is a facade over that), and ``session``
+    links back to the shared stage cache, so refinement and
+    re-rendering reuse every already-computed product.
     """
 
     def __init__(
@@ -95,7 +96,7 @@ class VariationAnalysis:
         imbalance: ImbalanceReport,
         trend: TrendResult,
         duration_trend: TrendResult,
-        session=None,
+        session,
     ) -> None:
         self.trace = trace
         self.config = config
@@ -118,21 +119,6 @@ class VariationAnalysis:
     def dominant_region(self) -> int:
         return self.selection.region
 
-    @property
-    def num_events(self) -> int:
-        """Event total; in sharded path mode ``self.trace`` may be a
-        definitions skeleton, so ask the session for the real count."""
-        if self.session is not None:
-            return self.session.num_events
-        return self.trace.num_events
-
-    @property
-    def duration(self) -> float:
-        """Trace time extent, session-aware like :attr:`num_events`."""
-        if self.session is not None:
-            return self.session.duration
-        return self.trace.duration
-
     def hot_ranks(self) -> list[int]:
         """Ranks flagged by the rank-level detector, hottest first."""
         return [h.rank for h in self.imbalance.hot_ranks]
@@ -149,21 +135,14 @@ class VariationAnalysis:
         self, bins: int = 512, normalize: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Time-binned SOS matrix for heat-map rendering."""
-        if self.session is not None:
-            return self.session.heat_matrix(
-                self.selection.region,
-                bins=bins,
-                normalize=normalize,
-                classifier=self.config.classifier,
-            )
-        return binned_matrix(self.sos, bins=bins, normalize=normalize)
+        return self.session.heat_matrix(
+            self.selection.region,
+            bins=bins,
+            normalize=normalize,
+            classifier=self.config.classifier,
+        )
 
     # -- refinement -------------------------------------------------------
-
-    def _with_selection(self, selection: DominantSelection) -> "VariationAnalysis":
-        if self.session is not None:
-            return self.session.analysis_for(selection)
-        return _run(self.trace, self.config, self.profile, selection)
 
     def refined(self, steps: int = 1) -> "VariationAnalysis":
         """Re-run steps 2+3 with a finer dominant function.
@@ -172,11 +151,11 @@ class VariationAnalysis:
         inclusive time we achieve a more fine-grained segmentation".
         The expensive replay is reused (a pure session cache hit).
         """
-        return self._with_selection(self.selection.refined(steps))
+        return self.session.analysis_for(self.selection.refined(steps))
 
     def at_function(self, name: str) -> "VariationAnalysis":
         """Re-segment using the named candidate function."""
-        return self._with_selection(self.selection.at_function(name))
+        return self.session.analysis_for(self.selection.at_function(name))
 
     # -- reporting ----------------------------------------------------------
 
@@ -191,36 +170,6 @@ class VariationAnalysis:
         from .report import report_dict
 
         return report_dict(self)
-
-
-def _run(
-    trace: Trace,
-    config: AnalysisConfig,
-    profile: TraceProfile,
-    selection: DominantSelection,
-) -> VariationAnalysis:
-    segmentation = segment_trace(profile.tables, selection.region)
-    sos = compute_sos(trace, segmentation, profile.tables, config.classifier)
-    imbalance = detect_imbalances(
-        sos,
-        rank_threshold=config.rank_threshold,
-        segment_threshold=config.segment_threshold,
-        min_relative_excess=config.min_relative_excess,
-        max_findings=config.max_findings,
-    )
-    trend = detect_trend(sos)
-    duration_trend = detect_trend(sos, use_plain_duration=True)
-    return VariationAnalysis(
-        trace=trace,
-        config=config,
-        profile=profile,
-        selection=selection,
-        segmentation=segmentation,
-        sos=sos,
-        imbalance=imbalance,
-        trend=trend,
-        duration_trend=duration_trend,
-    )
 
 
 def analyze_trace(
@@ -249,12 +198,12 @@ def analyze_trace(
         Persist stage artifacts under this directory so later sessions
         over the same trace skip replay and profiling entirely.
     shards, max_memory_mb:
-        Run the memory-bounded multi-process engine
-        (:mod:`repro.core.shard`): partition the ranks into ``shards``
-        groups (raised further until each group's estimated working
-        set fits ``max_memory_mb``) and replay/segment/accumulate them
-        in worker processes.  Results are bitwise identical to the
-        single-process pipeline.
+        Plan the shard engine (:mod:`repro.core.engine`) with more
+        than one shard: partition the ranks into ``shards`` groups
+        (raised further until each group's estimated working set fits
+        ``max_memory_mb``) and replay/segment/accumulate them in worker
+        processes.  Results are bitwise identical to the one-shard,
+        in-process plan.
     source_path:
         Trace file to shard from; with it, ``trace`` may be ``None``
         and the parent process never materialises event streams.

@@ -40,8 +40,8 @@ def format_report(analysis: "VariationAnalysis", max_rows: int = 10) -> str:
     push = lines.append
     push(f"Performance-variation analysis of trace {trace.name!r}")
     push(
-        f"  processes: {len(sos.ranks)}   events: {analysis.num_events}   "
-        f"duration: {_fmt_seconds(analysis.duration)}"
+        f"  processes: {len(sos.ranks)}   events: {analysis.trace.num_events}   "
+        f"duration: {_fmt_seconds(analysis.trace.duration)}"
     )
     mpi_share = analysis.profile.paradigm_share(Paradigm.MPI)
     push(f"  MPI time share: {100 * mpi_share:.1f}%")
@@ -95,8 +95,8 @@ def report_dict(analysis: "VariationAnalysis") -> dict:
     return {
         "trace": analysis.trace.name,
         "processes": len(analysis.sos.ranks),
-        "events": analysis.num_events,
-        "duration": analysis.duration,
+        "events": analysis.trace.num_events,
+        "duration": analysis.trace.duration,
         "mpi_share": analysis.profile.paradigm_share(Paradigm.MPI),
         "dominant": {
             "name": sel.name,

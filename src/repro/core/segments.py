@@ -106,13 +106,8 @@ class Segmentation:
 
 
 def segment_rank(table: InvocationTable, rank: int, region: int) -> RankSegments:
-    """Segments of one rank: the outermost ``region`` invocations.
-
-    This per-rank kernel is the unit of work of the sharded engine
-    (:mod:`repro.core.shard`); :func:`segment_trace` is its rank loop,
-    so sharded and single-process segmentations are bit-identical by
-    construction.
-    """
+    """Segments of one rank: the outermost ``region`` invocations
+    (:func:`segment_trace`'s per-rank kernel)."""
     mask = (table.region == region) & table.outermost
     rows = np.flatnonzero(mask)
     t_start = table.t_enter[rows]

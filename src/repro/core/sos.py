@@ -28,7 +28,6 @@ __all__ = [
     "RankSOS",
     "SOSResult",
     "compute_sos",
-    "rank_sos",
     "segment_sync_time",
     "top_level_sync_mask",
 ]
@@ -219,29 +218,12 @@ def compute_sos(
         classifier = default_classifier()
     sync_regions = classifier.mask(trace)
 
-    per_rank: dict[int, RankSOS] = {
-        rank: rank_sos(segmentation[rank], tables[rank], sync_regions)
-        for rank in segmentation.ranks
-    }
+    per_rank: dict[int, RankSOS] = {}
+    for rank in segmentation.ranks:
+        segments = segmentation[rank]
+        duration = segments.duration
+        sync_time = segment_sync_time(segments, tables[rank], sync_regions)
+        per_rank[rank] = RankSOS(
+            rank=rank, duration=duration, sync_time=sync_time, sos=duration - sync_time
+        )
     return SOSResult(segmentation, per_rank, classifier)
-
-
-def rank_sos(
-    segments: RankSegments,
-    table: InvocationTable,
-    sync_regions: np.ndarray,
-) -> RankSOS:
-    """SOS values of one rank's segments.
-
-    The per-rank kernel of :func:`compute_sos`, exposed so the sharded
-    engine (:mod:`repro.core.shard`) computes exactly the same numbers
-    inside worker processes.
-    """
-    duration = segments.duration
-    sync_time = segment_sync_time(segments, table, sync_regions)
-    return RankSOS(
-        rank=segments.rank,
-        duration=duration,
-        sync_time=sync_time,
-        sos=duration - sync_time,
-    )

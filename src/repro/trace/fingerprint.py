@@ -114,10 +114,10 @@ def combine_fingerprint(
 ) -> TraceFingerprint:
     """Assemble a :class:`TraceFingerprint` from already-computed digests.
 
-    The sharded engine (:mod:`repro.core.shard`) computes per-rank
-    event digests inside worker processes; combining them here — the
-    same code :func:`fingerprint_trace` uses — guarantees the sharded
-    session addresses the identical cache entries.
+    A session's ``stat-`` artifact restores recorded per-rank digests
+    without hashing an event; combining them here — the same code
+    :func:`fingerprint_trace` uses — guarantees the restored
+    fingerprint addresses the identical cache entries.
     """
     h = _hasher()
     h.update(definitions.encode("ascii"))

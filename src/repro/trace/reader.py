@@ -4,7 +4,7 @@
 records and the per-rank chunk table up front (validating every
 manifest field), then decodes event columns per rank on demand.
 :func:`read_trace` is simply ``TraceIndex(path).load()`` — the whole
-trace at once — while the sharded engine (:mod:`repro.core.shard`)
+trace at once — while the shard engine (:mod:`repro.core.engine`)
 and the cursors load only the ranks, columns or event ranges they
 need from the same index.
 

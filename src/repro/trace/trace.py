@@ -85,6 +85,10 @@ class Trace:
     def events_of(self, rank: int) -> EventList:
         return self._processes[rank].events
 
+    def event_counts(self) -> dict[int, int]:
+        """``rank -> number of events`` of every process."""
+        return {rank: len(self._processes[rank].events) for rank in self.ranks}
+
     def event_streams(
         self, columns: Sequence[str] | None = None
     ) -> Iterator[tuple[int, EventList]]:
@@ -94,6 +98,21 @@ class Trace:
         demand may load only those (``None``: all)."""
         for rank in self.ranks:
             yield rank, self._processes[rank].events
+
+    def event_batches(
+        self,
+        ranks: Sequence[int] | None = None,
+        chunk_events: int | None = None,
+    ):
+        """:class:`~repro.trace.cursor.EventBatch` of every one of
+        ``ranks`` (default: all) in rank order, every column decoded:
+        the fused kernel's input.  A trace that decodes its streams on
+        demand may cut a rank into batches of at most ``chunk_events``
+        events; one in memory yields each rank whole."""
+        from .cursor import EventBatch
+
+        for rank in self.ranks if ranks is None else ranks:
+            yield EventBatch(rank, self._processes[rank].events, True)
 
     def locations(self) -> list[Location]:
         """Location of every process, in rank order."""

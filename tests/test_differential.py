@@ -142,7 +142,7 @@ class TestShardedEqualsUnsharded:
         name, trace, reference = scenario
         total_events = sum(len(trace.events_of(r)) for r in trace.ranks)
         # Budget that forces roughly four shards.
-        from repro.core.shard import BYTES_PER_EVENT
+        from repro.core.engine import BYTES_PER_EVENT
 
         budget_mb = total_events * BYTES_PER_EVENT / 4 / 1e6
         session = AnalysisSession(trace, max_memory_mb=budget_mb)

@@ -355,7 +355,7 @@ class TestDogfood:
         assert not session.preflight().counts()["error"]
         session.analysis()
         col = obs.disable()
-        assert col.counters()["io.events_loaded"] == session.num_events
+        assert col.counters()["io.events_loaded"] == session.trace.num_events
         names = {s.name for s in col.iter_spans()}
         assert "shard.phase1" in names
         assert not {"lint.path", "lint.shard"} & names

@@ -440,18 +440,27 @@ class TestStatKey:
             d for _, d in want.per_rank
         ]
 
-    def test_sharded_and_in_memory_sessions_record_nothing(
+    def test_in_memory_sessions_record_nothing(
         self, settled, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
         path, cache = tmp_path / "t.rpt", tmp_path / "cache"
         self._write(_spmd(0.2), path)
-        sharded = AnalysisSession(None, source_path=path, shards=2, cache_dir=cache)
-        sharded.analysis()
         in_memory = AnalysisSession(read_trace(path), cache_dir=cache)
         in_memory.analysis()
-        assert sharded.fingerprint == in_memory.fingerprint
         assert self._stat_keys(cache) == []
+        # A sharded session reads its own file: it records the entry an
+        # unsharded one would, and a second one hashes nothing.
+        sharded = AnalysisSession(None, source_path=path, shards=2, cache_dir=cache)
+        sharded.analysis()
+        assert sharded.fingerprint == in_memory.fingerprint
+        assert len(self._stat_keys(cache)) == 1
+        monkeypatch.setattr(
+            "repro.core.session.fingerprint_trace",
+            lambda trace: pytest.fail("hashed despite a stat- entry"),
+        )
+        again = AnalysisSession(None, source_path=path, shards=2, cache_dir=cache)
+        assert again.fingerprint == in_memory.fingerprint
 
 
 class TestDeferredDecode:
@@ -495,8 +504,8 @@ class TestDeferredDecode:
         warm.fingerprint
         trace = read_trace(path)
         assert warm.trace.extent == (trace.t_min, trace.t_max)
-        assert warm.duration == trace.duration
-        assert warm.num_events == trace.num_events
+        assert warm.trace.duration == trace.duration
+        assert warm.trace.num_events == trace.num_events
 
     def test_entry_without_extent_is_a_miss_and_rewritten(
         self, settled, tmp_path
@@ -590,7 +599,7 @@ class TestColdCursorPass:
         got = (session.trace.t_min, session.trace.t_max)
         want = (decoded.t_min, decoded.t_max)
         assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert session.duration == decoded.duration
+        assert session.trace.duration == decoded.duration
 
     @staticmethod
     def _run(session, route):
