@@ -5,10 +5,8 @@ our :class:`~repro.core.streaming.StreamingAnalyzer` implements it.
 This benchmark measures the streaming path's event throughput against
 the batch pipeline and verifies the alert arrives *during* the stream,
 long before the run ends.  Two more benchmarks drive the steady state
-over a dense synthetic stream on both sides of the processor selection
-(``_VECTOR_MIN_EVENTS``): 64k-event chunks through the array processor,
-and 256-event chunks (a short-chunk live feed) through the per-event
-machine.  Both record throughput plus peak RSS into
+over a dense synthetic stream: 64k-event chunks, and 256-event chunks
+(a short-chunk live feed).  Both record throughput plus peak RSS into
 ``BENCH_streaming.json`` (and the canonical repo-root copy
 ``BENCH_stream.json``).
 """
@@ -119,7 +117,7 @@ def _dense_stream(n_invocations=120_000, inner=12):
 
 
 def test_streaming_throughput(benchmark, report, bench_meta):
-    """Array-processor steady-state throughput on 64k-event chunks.
+    """Steady-state throughput on 64k-event chunks.
 
     The acceptance bar for the cursor-engine PR is 5 M events/s on the
     large-chunk path; the recorded number lands in
@@ -154,7 +152,7 @@ def test_streaming_throughput(benchmark, report, bench_meta):
     report(
         "E12_streaming_throughput",
         [
-            "Array-processor streaming steady state (64k-event chunks)",
+            "Streaming steady state (64k-event chunks)",
             f"  events streamed: {n}",
             f"  best round: {best * 1e3:.1f} ms "
             f"({throughput / 1e6:.2f} M events/s)",
@@ -165,21 +163,16 @@ def test_streaming_throughput(benchmark, report, bench_meta):
 
 
 def test_streaming_throughput_short_chunks(benchmark, report, bench_meta):
-    """Steady-state throughput on 256-event chunks (per-event machine).
+    """Steady-state throughput on 256-event chunks.
 
-    Chunks this short stay below ``_VECTOR_MIN_EVENTS``, so this is the
-    path of a live feed that delivers short chunks, or of ``repro
+    The cost of a live feed that delivers short chunks, or of ``repro
     monitor --chunk 256``; the monitor's default feeds whole ranks (up
-    to :data:`repro.trace.cursor.BATCH_EVENTS` events) to the array
-    processor.
+    to :data:`repro.trace.cursor.BATCH_EVENTS` events).
     """
-    from repro.core.streaming import _VECTOR_MIN_EVENTS
-
     invocations = 30_000
     regions, events = _dense_stream(invocations)
     n = len(events)
     chunk = 256
-    assert chunk < _VECTOR_MIN_EVENTS
 
     def run():
         analyzer = StreamingAnalyzer(regions, 16, dominant="iteration")
@@ -203,7 +196,7 @@ def test_streaming_throughput_short_chunks(benchmark, report, bench_meta):
     report(
         "E12_streaming_short_chunks",
         [
-            "Per-event streaming steady state (256-event chunks)",
+            "Streaming steady state (256-event chunks)",
             f"  events streamed: {n}",
             f"  best round: {best * 1e3:.1f} ms "
             f"({throughput / 1e6:.2f} M events/s)",

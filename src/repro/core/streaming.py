@@ -36,13 +36,12 @@ by eviction because they accumulate at segment completion.
 Batch equivalence: fed a complete trace after pinning the dominant
 function, the streamed SOS values equal
 :func:`repro.core.sos.compute_sos` exactly (tested), and results are
-bitwise independent of how the stream is chunked.  Two processors
-share the per-rank state: a per-event state machine over plain Python
-scalars (warm-up up to the selecting event, and every chunk shorter
-than ``_VECTOR_MIN_EVENTS``), and an array processor for the steady
-state (stack validation via the lint engine's depth trick, segment and
-sync boundaries via nesting trajectories, the window test as one sort
-per chunk).  Both perform the same float operations in the same order.
+bitwise independent of how the stream is chunked.  Every chunk is
+array passes: stack validation via the lint engine's depth trick,
+warm-up statistics and segment and sync boundaries via nesting
+trajectories, the window test as one sort per chunk.  They perform the
+float operations of a per-event machine in its order
+(``tests/stream_reference.py`` is that machine).
 
 Malformed streams raise :class:`StreamOrderError` (out-of-order chunk;
 tracelint rule ``TL004``) or :class:`StreamStructureError` (unmatched
@@ -56,7 +55,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from operator import length_hint
 
 import numpy as np
 
@@ -76,9 +74,10 @@ __all__ = [
     "StreamingAnalyzer",
 ]
 
-#: Event columns the streaming state machine reads; feeders (the
-#: ``repro monitor`` command in particular) may project their loads
-#: down to these.  The projection tests keep the set truthful.
+#: Event columns the streaming analyzer reads; a feeder may project
+#: its loads down to these (``repro monitor`` decodes every column, so
+#: a corrupt blob gets the verdict ``analyze`` gives it).  The
+#: projection tests keep the set truthful.
 STREAM_COLUMNS = ("time", "kind", "ref")
 
 #: Columns required when time-resolved metric series are enabled
@@ -90,21 +89,12 @@ _C_EVICTIONS = obs.counter("stream.window_evictions")
 #: Events parsed by the driving cursor but not yet fed (backlog).
 _G_LAG = obs.gauge("stream.lag_events")
 
-_ENTER = int(EventKind.ENTER)
 _LEAVE = int(EventKind.LEAVE)
 _METRIC = int(EventKind.METRIC)
 
-#: Shortest chunk the array processor takes.  Its cost is mostly a fixed
-#: ~0.25 ms of NumPy calls per chunk, while the per-event machine runs
-#: at ~2 Mevents/s at any chunk size.  Measured on a 2-core x86 VM
-#: (table in docs/streaming.md), the two cross between 512 and 1024
-#: events: at 64 events the per-event machine is ~7-10x faster, at 1024
-#: the array processor is ~1.4x faster, and at 64k ~5-6x.
-_VECTOR_MIN_EVENTS = 1024
-
 
 def _small_median(ordered: list) -> float:
-    """Median of a pre-sorted sequence (matches ``np.median`` bitwise)."""
+    """Median of a pre-sorted list (matches ``np.median`` bitwise)."""
     n = len(ordered)
     mid = n // 2
     if n % 2:
@@ -199,7 +189,7 @@ class StreamAlert:
 
 
 class _RankStream:
-    """Per-process incremental state machine."""
+    """Per-process state carried from one chunk to the next."""
 
     __slots__ = (
         "rank",
@@ -303,7 +293,6 @@ class StreamingAnalyzer:
 
         self._sync_mask = self.classifier.mask_registry(regions)
         # (mask_registry accepts a bare RegionRegistry, see classify.py)
-        self._sync_flags: list[bool] = self._sync_mask.tolist()
         self._streams: dict[int, _RankStream] = {}
         self.alerts: list[StreamAlert] = []
         self.window_evictions = 0
@@ -311,8 +300,8 @@ class StreamingAnalyzer:
         self._metric_bins: dict[tuple[int, int], dict[int, list]] = {}
 
         # Warm-up statistics for automatic dominant selection.
-        self._warmup_counts = [0] * len(regions)
-        self._warmup_inclusive = [0.0] * len(regions)
+        self._warmup_counts = np.zeros(len(regions), dtype=np.int64)
+        self._warmup_inclusive = np.zeros(len(regions))
         self._warmup_seen = 0
 
         self.dominant: int | None = None
@@ -340,23 +329,15 @@ class StreamingAnalyzer:
         arrives one event at a time or as a single chunk.
         """
         stream = self._stream(rank)
-        n = len(events)
-        if n == 0:
+        if len(events) == 0:
             return []
         times = events.time
         if float(times[0]) < stream.last_time:
             raise StreamOrderError(rank, float(times[0]), stream.last_time)
         kinds = events.kind
         refs = events.ref
-        new_alerts: list[StreamAlert] = []
-        done = 0
-        if not self.selected or n < _VECTOR_MIN_EVENTS:
-            new_alerts, done = self._feed_events(stream, times, kinds, refs)
-        if done < n:
-            new_alerts += self._feed_chunk(
-                stream, times[done:], kinds[done:], refs[done:]
-            )
-            stream.last_time = float(times[-1])
+        new_alerts = self._feed_chunk(stream, times, kinds, refs)
+        stream.last_time = float(times[-1])
         if self.metric_window is not None:
             self._feed_metrics(rank, times, kinds, refs, events)
         self.alerts.extend(new_alerts)
@@ -392,14 +373,15 @@ class StreamingAnalyzer:
         """Force dominant-function selection from warm-up statistics."""
         if self.selected:
             return self.dominant  # type: ignore[return-value]
-        threshold = 2 * self.num_processes
         eligible = self._eligible()
-        if not eligible:
+        if not eligible.size:
             raise ValueError(
                 "no dominant-function candidate in the warm-up window "
-                f"(need >= {threshold} invocations of a non-sync region)"
+                f"(need >= {2 * self.num_processes} invocations of a "
+                "non-sync region)"
             )
-        best = max(eligible, key=self._warmup_inclusive.__getitem__)
+        # argmax takes the first of equal maxima, as max() does.
+        best = int(eligible[np.argmax(self._warmup_inclusive[eligible])])
         self.dominant = best
         # Segments open only at the next top-level dominant enter, but a
         # rank may be inside dominant frames right now: their leaves must
@@ -410,15 +392,11 @@ class StreamingAnalyzer:
             )
         return best
 
-    def _eligible(self) -> list[int]:
+    def _eligible(self) -> np.ndarray:
         """Non-sync regions with at least ``2p`` warm-up invocations."""
         threshold = 2 * self.num_processes
-        sync = self._sync_flags
-        return [
-            r
-            for r, count in enumerate(self._warmup_counts)
-            if count >= threshold and not sync[r]
-        ]
+        eligible = (self._warmup_counts >= threshold) & ~self._sync_mask
+        return np.flatnonzero(eligible)
 
     def candidates(self, k: int = 5) -> list[tuple[int, int, float]]:
         """Rolling dominant-function candidates from warm-up statistics.
@@ -430,12 +408,11 @@ class StreamingAnalyzer:
         eligibility bar, which also rules out once-per-run wrappers
         like ``main``).  Usable at any time, also after selection.
         """
-        ranked = sorted(
-            self._eligible(), key=lambda r: -self._warmup_inclusive[r]
-        )
+        eligible = self._eligible()
+        order = np.argsort(-self._warmup_inclusive[eligible], kind="stable")
         return [
-            (r, self._warmup_counts[r], self._warmup_inclusive[r])
-            for r in ranked[: max(int(k), 0)]
+            (r, int(self._warmup_counts[r]), float(self._warmup_inclusive[r]))
+            for r in eligible[order][: max(int(k), 0)].tolist()
         ]
 
     def _retained(self, rank: int) -> tuple[int, array]:
@@ -517,113 +494,16 @@ class StreamingAnalyzer:
             self._streams[rank] = stream
         return stream
 
-    # .. per-event state machine ......................................
-
-    def _feed_events(self, stream, times, kinds, refs):
-        """The reference machine, one event at a time.
-
-        Handles warm-up statistics, dominant selection (event-exact, so
-        it may flip in the middle of a chunk) and steady-state
-        segmentation in one loop over plain Python scalars.  The rank's
-        state lives in locals and is written back when the chunk ends or
-        a structure error stops it.  Returns the new alerts and how many
-        events were consumed: a selection that leaves at least
-        ``_VECTOR_MIN_EVENTS`` events of the chunk stops the loop and
-        hands the rest to :meth:`_feed_chunk`.
-        """
-        enter_kind = _ENTER
-        leave_kind = _LEAVE
-        sync_flags = self._sync_flags
-        dominant = self.dominant
-        counts = self._warmup_counts
-        inclusive = self._warmup_inclusive
-        stack = stream.stack
-        push = stack.append
-        pop = stack.pop
-        sync_nesting = stream.sync_nesting
-        sync_start = stream.sync_start
-        seg_start = stream.segment_start
-        seg_sync = stream.segment_sync
-        dom_nesting = stream.dominant_nesting
-        t = stream.last_time
-        done = len(times)
-        # The events still ahead are the time iterator's length hint.
-        ahead = iter(times.tolist())
-        new_alerts: list[StreamAlert] = []
-        try:
-            for t, kind, region in zip(ahead, kinds.tolist(), refs.tolist()):
-                if kind == enter_kind:
-                    push((region, t))
-                    if sync_flags[region]:
-                        if sync_nesting == 0:
-                            sync_start = t
-                        sync_nesting += 1
-                    if region == dominant:
-                        dom_nesting += 1
-                        if dom_nesting == 1:
-                            seg_start = t
-                            seg_sync = 0.0
-                elif kind == leave_kind:
-                    if not stack or stack[-1][0] != region:
-                        raise StreamStructureError(
-                            stream.rank, region,
-                            "TL003" if stack else "TL001",
-                        )
-                    t_enter = pop()[1]
-                    if sync_flags[region]:
-                        sync_nesting -= 1
-                        if sync_nesting == 0 and seg_start is not None:
-                            seg_sync += t - max(sync_start, seg_start)
-                    if dominant is None:
-                        # Warm-up statistics (inclusive approximated by
-                        # frame duration, which counts recursion
-                        # multiply; exact for non-recursive frames,
-                        # which dominate in practice).
-                        counts[region] += 1
-                        inclusive[region] += t - t_enter
-                        self._warmup_seen += 1
-                        if self._warmup_seen >= self.warmup_invocations:
-                            try:
-                                dominant = self.select_now()
-                            except ValueError:
-                                self.warmup_invocations *= 2  # keep collecting
-                            else:
-                                dom_nesting = stream.dominant_nesting
-                                if length_hint(ahead) >= _VECTOR_MIN_EVENTS:
-                                    done -= length_hint(ahead)
-                                    break
-                    elif region == dominant:
-                        dom_nesting -= 1
-                        if dom_nesting == 0 and seg_start is not None:
-                            alert = self._complete_segment(
-                                stream, seg_start, t, seg_sync
-                            )
-                            seg_start = None
-                            if alert is not None:
-                                new_alerts.append(alert)
-        finally:
-            stream.sync_nesting = sync_nesting
-            stream.sync_start = sync_start
-            stream.segment_start = seg_start
-            stream.segment_sync = seg_sync
-            stream.dominant_nesting = dom_nesting
-            stream.last_time = t
-        return new_alerts, done
-
-    # .. steady-state path (vectorised chunk processor) ................
+    # .. chunk processor ...............................................
 
     def _feed_chunk(self, stream, times, kinds, refs) -> list[StreamAlert]:
-        """Array equivalent of the per-event machine after selection.
+        """Validate one chunk's nesting, then advance the rank over it.
 
-        Stack validation uses the lint engine's depth trick with a
-        carry stack across chunk boundaries.  Sync episodes and
-        segments open and close where nesting trajectories (running
-        sums over the sync/dominant event subsets) cross between 0 and
-        1.  Each episode end finds its episode start and open segment
-        by position, and ``np.add.at`` sums the contributions per
-        segment in event order: the *same float operations in the same
-        order* as the per-event machine, so results are bitwise
-        chunk-size invariant.
+        Before selection, the chunk's leaves feed the warm-up statistics
+        up to the one at which a selection succeeds.  The chunk splits
+        after that leave: the head runs with no dominant function, then
+        :meth:`select_now` counts the dominant frames every rank has
+        open, then the tail is segmented.
         """
         # ENTER (0) and LEAVE (1) are the two lowest event kinds.
         el_idx = np.flatnonzero(kinds <= _LEAVE)
@@ -632,15 +512,126 @@ class StreamingAnalyzer:
         el_refs = refs[el_idx]
         enter = kinds[el_idx] < _LEAVE
         pm = np.where(enter, 1, -1)
-        d0 = len(stream.stack)
         depth_after = np.cumsum(pm)
-        depth_after += d0
-        low = int(depth_after.min())
-        self._check_structure(stream, enter, el_refs, depth_after, low)
+        depth_after += len(stream.stack)
+        pairing = self._check_structure(stream, enter, el_refs, depth_after)
+        cut = None
+        if not self.selected:
+            cut = self._warm_up(stream, times[el_idx], enter, el_refs, pairing)
+        parts = (el_idx, el_refs, enter, pm, depth_after)
+        if cut is None:
+            return self._advance(stream, times, *parts)
+        self._advance(stream, times, *(a[:cut] for a in parts))
+        self.select_now()
+        return self._advance(stream, times, *(a[cut:] for a in parts))
 
+    def _check_structure(self, stream, enter, el_refs, depth_after):
+        """Raise on the first leave that does not close the open region.
+
+        Equivalent to the per-event stack machine: for any prefix that
+        the per-event loop would accept, the depth-trick pairing *is*
+        the stack pairing, so the earliest failing candidate below is
+        exactly the event the scalar loop would have raised on.  On a
+        well-nested chunk, returns that pairing: the events' order
+        sorted by frame depth, which leaves close a carried frame, and
+        the sorted depths.
+        """
+        limit = enter.size
+        candidates = []
+        if int(depth_after.min()) < 0:
+            limit = int(np.flatnonzero(depth_after < 0)[0])
+            candidates.append((limit, "TL001"))
+        # Sorted stably by frame depth (after an enter, before a leave),
+        # each depth level alternates enter, leave; a level may open
+        # with a leave that closes a frame carried in from an earlier
+        # chunk.  Every leave must name the region just before it.
+        enter = enter[:limit]
+        depth = depth_after[:limit]
+        depth = np.where(enter, depth, depth + 1)
+        order = np.argsort(depth, kind="stable")
+        depth = depth[order]
+        region = el_refs[:limit][order]
+        leave = ~enter[order]
+        match = np.empty(limit, dtype=bool)
+        match[1:] = region[1:] == region[:-1]
+        carried = leave.copy()
+        carried[1:] &= ~(depth[1:] == depth[:-1])
+        if carried.any():
+            stack = np.array([r for r, _ in stream.stack], dtype=region.dtype)
+            match[carried] = region[carried] == stack[depth[carried] - 1]
+        bad = order[leave & ~match]
+        if bad.size:
+            candidates.append((int(bad.min()), "TL003"))
+        if candidates:
+            first, code = min(candidates)
+            raise StreamStructureError(
+                stream.rank, int(el_refs[first]), code
+            )
+        return order, carried, depth
+
+    def _warm_up(self, stream, el_times, enter, el_refs, pairing) -> int | None:
+        """Add the chunk's frames to the warm-up statistics.
+
+        A frame's duration stands in for its inclusive time (recursion
+        counts multiply; exact for non-recursive frames, which dominate
+        in practice).  Selection is tried at the leave that brings the
+        global count to ``warmup_invocations``; while no region is
+        eligible the bar doubles and counting goes on in the same
+        chunk.  Returns the enter/leave position just after the leave
+        at which a selection succeeds (the statistics stop there), or
+        ``None``.
+        """
+        order, carried, depth = pairing
+        # A leave's frame opens at the event sorted just before it, or
+        # at a frame carried in on the rank's stack.
+        opened = np.zeros(order.size)
+        opened[1:] = el_times[order[:-1]]
+        if carried.any():
+            stack = np.array([t for _, t in stream.stack])
+            opened[carried] = stack[depth[carried] - 1]
+        span = np.empty(order.size)
+        span[order] = el_times[order] - opened
+        leaves = np.flatnonzero(~enter)
+        regions = el_refs[leaves]
+        done = 0
+        while True:
+            # The leave at which the count reaches the bar (the next
+            # leave once it has).
+            at = done + max(self.warmup_invocations - self._warmup_seen, 1) - 1
+            upto = min(at + 1, leaves.size)
+            # In event order, so each region's sum adds what the scalar
+            # ``+=`` of a per-event loop adds, in its order.
+            np.add.at(self._warmup_counts, regions[done:upto], 1)
+            np.add.at(
+                self._warmup_inclusive, regions[done:upto], span[leaves[done:upto]]
+            )
+            self._warmup_seen += upto - done
+            if upto <= at:
+                return None
+            if self._eligible().size:
+                return int(leaves[at]) + 1
+            self.warmup_invocations *= 2  # keep collecting
+            done = upto
+
+    def _advance(self, stream, times, el_idx, el_refs, enter, pm, depth_after):
+        """Move the rank's sync episodes, open segment and carry stack
+        over these enter/leave events; record the segments they
+        complete and return their alerts.
+
+        Sync episodes and segments open and close where nesting
+        trajectories (running sums over the sync/dominant event
+        subsets) cross between 0 and 1.  Each episode end finds its
+        episode start and open segment by position, and ``np.add.at``
+        sums the contributions per segment in event order: the *same
+        float operations in the same order* as a per-event machine, so
+        results are bitwise chunk-size invariant.
+        """
+        if not el_idx.size:
+            return []
         s_pos, s_open, stream.sync_nesting = _crossings(
             pm, enter, self._sync_mask[el_refs], stream.sync_nesting
         )
+        # Before selection no event is dominant (``== None`` is False).
         d_pos, d_open, stream.dominant_nesting = _crossings(
             pm, enter, el_refs == self.dominant, stream.dominant_nesting
         )
@@ -685,74 +676,16 @@ class StreamingAnalyzer:
             else []
         )
 
-        # Carry stack: frames still open after this chunk.
+        # Carry stack: frames still open after these events.
         suffix_min = np.minimum.accumulate(depth_after[::-1])[::-1]
         open_enters = np.flatnonzero(enter & (suffix_min == depth_after))
-        stream.stack = stream.stack[: min(d0, low)] + [
+        kept = min(len(stream.stack), int(suffix_min[0]))
+        stream.stack = stream.stack[:kept] + [
             (int(el_refs[i]), float(times[el_idx[i]])) for i in open_enters
         ]
         return new_alerts
 
-    def _check_structure(self, stream, enter, el_refs, depth_after, low) -> None:
-        """Raise on the first leave that does not close the open region.
-
-        Equivalent to the per-event stack machine: for any prefix that
-        the per-event loop would accept, the depth-trick pairing *is*
-        the stack pairing, so the earliest failing candidate below is
-        exactly the event the scalar loop would have raised on.
-        """
-        limit = enter.size
-        candidates = []
-        if low < 0:
-            limit = int(np.flatnonzero(depth_after < 0)[0])
-            candidates.append((limit, "TL001"))
-        # Sorted stably by frame depth (after an enter, before a leave),
-        # each depth level alternates enter, leave; a level may open
-        # with a leave that closes a frame carried in from an earlier
-        # chunk.  Every leave must name the region just before it.
-        enter = enter[:limit]
-        depth = depth_after[:limit]
-        depth = np.where(enter, depth, depth + 1)
-        order = np.argsort(depth, kind="stable")
-        depth = depth[order]
-        region = el_refs[:limit][order]
-        leave = ~enter[order]
-        match = np.empty(limit, dtype=bool)
-        match[1:] = region[1:] == region[:-1]
-        carried = leave.copy()
-        carried[1:] &= ~(depth[1:] == depth[:-1])
-        if carried.any():
-            stack = np.array([r for r, _ in stream.stack], dtype=region.dtype)
-            match[carried] = region[carried] == stack[depth[carried] - 1]
-        bad = order[leave & ~match]
-        if bad.size:
-            candidates.append((int(bad.min()), "TL003"))
-        if candidates:
-            first, code = min(candidates)
-            raise StreamStructureError(
-                stream.rank, int(el_refs[first]), code
-            )
-
     # .. segment completion ............................................
-
-    def _complete_segment(
-        self,
-        stream: _RankStream,
-        t_start: float,
-        t_stop: float,
-        sync_time: float,
-    ) -> StreamAlert | None:
-        """Record one completed segment (per-event machine)."""
-        stream.segs.extend((t_start, t_stop, sync_time))
-        index = stream.next_index
-        stream.next_index = index + 1
-        sos = (t_stop - t_start) - sync_time
-        stream.total_sos += sos
-        stream.total_count += 1
-        self._evict(stream, 1)
-        return self._test_segment(
-            stream, sos, index, t_start, t_stop, sync_time
-        )
 
     def _complete_batch(
         self,
@@ -763,12 +696,12 @@ class StreamingAnalyzer:
     ) -> list[StreamAlert]:
         """Record the segments one chunk completed, test them in one pass.
 
-        Bitwise identical to running :meth:`_complete_segment` per
-        segment: the running total accumulates left to right
-        (``cumsum``), eviction commutes with the history test (they
-        touch disjoint state), and each segment's window, padded to
-        ``window`` with ``+inf`` and sorted, yields the median and MAD
-        :func:`_small_median` reads off the same values.
+        Bitwise identical to completing them one at a time: the running
+        total accumulates left to right (``cumsum``), eviction commutes
+        with the history test (they touch disjoint state), and each
+        segment's window, padded to ``window`` with ``+inf`` and sorted,
+        yields the median and MAD :func:`_small_median` reads off the
+        same values.
         """
         count = starts.size
         base = stream.next_index
@@ -843,43 +776,6 @@ class StreamingAnalyzer:
             _C_EVICTIONS.add(evicted)
         if len(stream.segs) >= 6 * limit:
             del stream.segs[: -3 * limit]
-
-    def _test_segment(
-        self,
-        stream: _RankStream,
-        sos: float,
-        index: int,
-        t_start: float,
-        t_stop: float,
-        sync_time: float,
-    ) -> StreamAlert | None:
-        history = stream.recent_sos
-        alert = None
-        if len(history) >= 8:
-            # Median/MAD over the short window in pure Python: bitwise
-            # identical to np.median (even-length means are (a+b)/2 in
-            # both) and ~10x cheaper at window sizes.
-            med = _small_median(sorted(history))
-            mad = _small_median(sorted([abs(v - med) for v in history]))
-            mad *= MAD_SCALE
-            scale = max(mad, 0.01 * abs(med))
-            if scale > 0:
-                z = (sos - med) / scale
-                material = sos > med * (1 + self.min_relative_excess)
-                if z > self.alert_threshold and material:
-                    alert = StreamAlert(
-                        segment=StreamedSegment(
-                            rank=stream.rank,
-                            index=index,
-                            t_start=t_start,
-                            t_stop=t_stop,
-                            sync_time=sync_time,
-                        ),
-                        zscore=float(z),
-                        window=len(history),
-                    )
-        history.append(sos)
-        return alert
 
     # .. time-resolved metric series ...................................
 

@@ -55,42 +55,11 @@ __all__ = [
     "finalize_report",
     "validate_config",
     "gates_replay",
-    "LINT_COLUMNS",
-    "lint_columns",
     "hb_rules_enabled",
 ]
 
-#: Event columns the view construction and summaries read regardless of
-#: which rules are enabled.  Individual rules declare anything extra via
-#: ``register_rule(..., columns=...)``; the projection tests keep both
-#: declarations truthful.
-LINT_COLUMNS = ("time", "kind", "ref", "partner")
-
 _SEND = np.uint8(EventKind.SEND)
 _RECV = np.uint8(EventKind.RECV)
-
-
-def lint_columns(config: LintConfig, graph: bool = False) -> tuple[str, ...]:
-    """Minimal event-column set needed to run ``config``'s rules.
-
-    Union of the view baseline (:data:`LINT_COLUMNS`) and *every*
-    enabled rule's declared extras — not just the rank-scoped ones:
-    hb-scoped rules extract their match records inside the same worker
-    read, so restricting the union to one scope would silently hand
-    them placeholder columns.  ``graph`` adds what match-record
-    extraction reads (:data:`~repro.lint.hb.HB_COLUMNS`).  Canonical
-    column order keeps the projection deterministic.
-    """
-    from ..trace.events import _FIELDS
-
-    need = set(LINT_COLUMNS)
-    for rule in enabled_rules(config):
-        need.update(rule.columns)
-    if graph:
-        from .hb import HB_COLUMNS
-
-        need.update(HB_COLUMNS)
-    return tuple(f for f in _FIELDS if f in need)
 
 
 def hb_rules_enabled(config: LintConfig) -> bool:

@@ -5,8 +5,8 @@ deadlock cycles, wildcard-receive races, collective divergence, orphan
 messages, wait-chain origins — statically, without replaying the
 trace.  The machinery here is split to fit the sharded lint engine:
 
-1. :func:`extract_match_records` runs per batch of ranks (inside
-   shard workers, over lazily projected columns): it pulls every SEND/RECV
+1. :func:`extract_match_records` runs per batch of ranks (inside the
+   kernel's scan, in process or in shard workers): it pulls every SEND/RECV
    with its tag, payload size and innermost enclosing region, plus the
    rank's collective-invocation sequence, into a few flat NumPy arrays
    (:class:`MatchRecords`, picklable, a few bytes per message).
@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "COLLECTIVE_NAMES",
-    "HB_COLUMNS",
     "MatchRecords",
     "MatchGraph",
     "MatchBatch",
@@ -81,10 +80,6 @@ COLLECTIVE_NAMES = frozenset(
         "MPI_Win_fence",
     }
 )
-
-#: Event columns match-record extraction reads beyond the engine's
-#: view baseline (time/kind/ref/partner).
-HB_COLUMNS = ("size", "tag")
 
 _I32 = np.int32
 _I64 = np.int64
@@ -209,8 +204,7 @@ def _enclosing_frames(
 def extract_match_records(view: "BatchView") -> "MatchBatch":
     """Pull the match records of a batch's ranks out of its lint view.
 
-    Reads ``time``/``kind``/``ref``/``partner`` plus the extra
-    :data:`HB_COLUMNS`; runs inside shard workers on projected reads.
+    Reads ``time``/``kind``/``ref``/``partner``, ``size`` and ``tag``.
     """
     ev = view.events
     p = view.pairing

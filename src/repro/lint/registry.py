@@ -71,9 +71,6 @@ class Rule:
     scope: str  # "rank" | "trace" | "hb"
     default_severity: Severity
     check: Callable[..., Iterable[Finding]]
-    #: event columns the check reads beyond the view baseline
-    #: (time/kind/ref/partner); drives lazy column projection
-    columns: tuple[str, ...] = ()
 
     @property
     def short_help(self) -> str:
@@ -95,7 +92,6 @@ def register_rule(
     scope: str,
     severity: Severity,
     name: str | None = None,
-    columns: tuple[str, ...] = (),
 ) -> Callable[[Callable[..., Iterable[Finding]]], Callable[..., Iterable[Finding]]]:
     """Class-of-2 decorator registering a check function as a rule.
 
@@ -121,7 +117,6 @@ def register_rule(
             scope=scope,
             default_severity=severity,
             check=fn,
-            columns=tuple(columns),
         )
         return fn
 

@@ -84,7 +84,6 @@ def _strongly_connected(adj: dict[int, set[int]]) -> list[list[int]]:
     category="hb",
     scope="hb",
     severity=Severity.ERROR,
-    columns=("tag", "size"),
 )
 def potential_deadlock_cycle(hbview: HBView) -> Iterator[Finding]:
     """Ranks wait on each other in a cycle — a potential deadlock.
@@ -128,7 +127,6 @@ def potential_deadlock_cycle(hbview: HBView) -> Iterator[Finding]:
     category="hb",
     scope="hb",
     severity=Severity.WARNING,
-    columns=("tag", "size"),
 )
 def wildcard_receive_race(hbview: HBView) -> Iterator[Finding]:
     """Wildcard receive has concurrent candidate senders — match races.
@@ -189,7 +187,6 @@ def wildcard_receive_race(hbview: HBView) -> Iterator[Finding]:
     category="hb",
     scope="hb",
     severity=Severity.WARNING,
-    columns=("tag", "size"),
 )
 def collective_order_mismatch(hbview: HBView) -> Iterator[Finding]:
     """Ranks disagree on the collective call sequence.
@@ -256,7 +253,6 @@ def _rank_set(ranks: list[int]) -> str:
     category="hb",
     scope="hb",
     severity=Severity.WARNING,
-    columns=("tag", "size"),
 )
 def orphan_messages(hbview: HBView) -> Iterator[Finding]:
     """Sends or receives never matched by the other side.
@@ -324,7 +320,6 @@ def orphan_messages(hbview: HBView) -> Iterator[Finding]:
     category="hb",
     scope="hb",
     severity=Severity.INFO,
-    columns=("tag", "size"),
 )
 def wait_chain_origin(hbview: HBView) -> Iterator[Finding]:
     """Wait chain propagates across ranks; names the originating rank.

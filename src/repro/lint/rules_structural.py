@@ -112,7 +112,6 @@ def time_order(view) -> Iterator[Finding]:
     category="structural",
     scope="rank",
     severity=Severity.WARNING,
-    columns=("size", "tag", "value"),
 )
 def duplicate_events(view) -> Iterator[Finding]:
     """Consecutive events are exact duplicates.

@@ -343,7 +343,8 @@ class TestProcess:
             "assert main(['monitor', sys.argv[1]]) == 0\n"
             "unused = ('numpy.ma', 'repro.core.sos', 'repro.profiles',\n"
             "          'scipy', 'repro.core.session', 'repro.trace.builder',\n"
-            "          'repro.trace.merge', 'repro.core.imbalance')\n"
+            "          'repro.trace.merge', 'repro.core.imbalance',\n"
+            "          'repro.lint')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )

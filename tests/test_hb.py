@@ -28,7 +28,7 @@ from repro.lint import (
     graph_to_json_dict,
     hb_rules_enabled,
 )
-from repro.lint.engine import finalize_report, lint_columns
+from repro.lint.engine import finalize_report
 from repro.lint.hb import (
     HBView,
     MatchGraph,
@@ -425,7 +425,6 @@ class TestRules:
             "TL301", "TL302", "TL303", "TL304", "TL305",
         ]
         assert all(r.scope == "hb" and r.category == "hb" for r in tl3)
-        assert all(set(r.columns) == {"tag", "size"} for r in tl3)
 
     @settings(max_examples=20, deadline=None)
     @given(perm=st.permutations(list(range(4))))
@@ -466,12 +465,6 @@ class TestEngineRouting:
         assert not hb_rules_enabled(config)
         report = lint_trace(ping_trace([(0, 1)]), config=config)
         assert not any(c.startswith("TL3") for c in report.rules_run)
-
-    def test_projection_includes_hb_columns(self):
-        # Regression: the worker column union must cover hb extras even
-        # when no *rank*-scoped rule needs them.
-        cols = lint_columns(LintConfig(select=("TL301",)))
-        assert "tag" in cols and "size" in cols
 
     def test_finalize_refuses_partial_records(self):
         trace = ping_trace([(0, 1), (1, 2)])

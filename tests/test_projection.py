@@ -8,20 +8,18 @@ Three contracts:
 * unknown column names raise up front, on both the reader and the
   ``EventList.projected`` constructor;
 * every pass that advertises a minimal column set (replay's
-  ``REPLAY_COLUMNS``, lint's ``lint_columns``/per-rule declarations,
-  streaming's ``STREAM_COLUMNS``) actually runs — and produces
-  identical output — on events projected down to that set.  The
-  placeholder columns turn any undeclared access into an exception, so
-  an under-declared pass fails these tests instead of silently reading
-  more than it claims.
+  ``REPLAY_COLUMNS``, streaming's ``STREAM_COLUMNS``) actually runs —
+  and produces identical output — on events projected down to that
+  set.  The placeholder columns turn any undeclared access into an
+  exception, so an under-declared pass fails these tests instead of
+  silently reading more than it claims.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.streaming import STREAM_COLUMNS, StreamingAnalyzer
-from repro.lint import all_rules, lint_trace
-from repro.lint.engine import LINT_COLUMNS, lint_columns, validate_config
+from repro.lint import lint_trace
 from repro.lint.model import LintConfig
 from repro.profiles.replay import REPLAY_COLUMNS, match_invocations
 from repro.trace import write_binary, write_jsonl
@@ -140,39 +138,13 @@ class TestDeclaredColumnSets:
             np.testing.assert_array_equal(table.region, want.region)
             np.testing.assert_array_equal(table.depth, want.depth)
 
-    def test_lint_columns_sufficient_full_ruleset(
-        self, rich_trace, trace_file
-    ):
-        config = LintConfig()
-        proj = TraceIndex(trace_file).load(
-            None, columns=lint_columns(config)
-        )
-        got = lint_trace(proj, config=config)
-        want = lint_trace(rich_trace, config=config)
-        assert got.diagnostics == want.diagnostics
-
-    def test_validate_subset_needs_only_baseline(self):
-        # The structural error rules read no column beyond the
-        # view baseline; TL005 (all seven columns) is not one of them.
-        assert lint_columns(validate_config()) == LINT_COLUMNS
-
-    def test_per_rule_declarations_sufficient(self, rich_trace, trace_file):
-        for rule in all_rules():
-            if rule.scope != "rank":
-                continue
-            config = LintConfig(select=(rule.code,))
-            proj = TraceIndex(trace_file).load(
-                None, columns=lint_columns(config)
-            )
-            got = lint_trace(proj, config=config)
-            want = lint_trace(rich_trace, config=config)
-            assert got.diagnostics == want.diagnostics, rule.code
-
     def test_underdeclared_pass_fails_loudly(self, trace_file):
         # Negative control for the mechanism: the full rule set
         # includes TL005 (reads all seven columns), so running it on
-        # the baseline projection must raise, not silently skip.
-        proj = TraceIndex(trace_file).load(None, columns=LINT_COLUMNS)
+        # the lint view's four columns must raise, not silently skip.
+        proj = TraceIndex(trace_file).load(
+            None, columns=("time", "kind", "ref", "partner")
+        )
         with pytest.raises(ColumnNotLoadedError):
             lint_trace(proj, config=LintConfig())
 

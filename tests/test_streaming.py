@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import analyze_trace
-from repro.core.streaming import _VECTOR_MIN_EVENTS, StreamingAnalyzer
+from repro.core.streaming import StreamingAnalyzer
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
+from stream_reference import ReferenceStream
 
 
 @pytest.fixture(scope="module")
@@ -447,14 +448,12 @@ class TestMetricWindow:
             StreamingAnalyzer(trace.regions, 1, metric_window=0.0)
 
 
-# -- both processors: per-event machine and vectorised long chunks ---------
-
-T = _VECTOR_MIN_EVENTS
+# -- short and long chunks ---------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def long_trace():
-    """Ranks longer than 4T events, with a planted slow rank and outliers."""
+    """Ranks longer than 4096 events, with a planted slow rank and outliers."""
     trace = generate(
         SyntheticConfig(
             ranks=4,
@@ -465,7 +464,7 @@ def long_trace():
             seed=3,
         )
     )
-    assert min(len(trace.events_of(r)) for r in trace.ranks) > 4 * T
+    assert min(len(trace.events_of(r)) for r in trace.ranks) > 4096
     return trace
 
 
@@ -494,26 +493,12 @@ def outcome(analyzer, ranks):
     )
 
 
-def spy_processors(analyzer, monkeypatch):
-    """Count the chunks each processor handles."""
-    calls = {"events": 0, "vector": 0}
-    for name, key in (("_feed_events", "events"), ("_feed_chunk", "vector")):
-        original = getattr(analyzer, name)
-
-        def wrapped(*args, _original=original, _key=key):
-            calls[_key] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(analyzer, name, wrapped)
-    return calls
-
-
 class TestProcessorSelection:
     @pytest.mark.parametrize("dominant,warmup", [("iteration", 500), (None, 300)])
     def test_chunk_size_matrix_bitwise(self, long_trace, dominant, warmup):
         ranks = long_trace.ranks
         results = []
-        for chunk in (1, 7, T - 1, T, 4 * T, None):
+        for chunk in (1, 7, 1023, 1024, 4096, None):
             analyzer = StreamingAnalyzer(
                 long_trace.regions, long_trace.num_processes,
                 dominant=dominant, warmup_invocations=warmup,
@@ -527,24 +512,7 @@ class TestProcessorSelection:
         for other in results[1:]:
             assert other == results[0]
 
-    def test_vectorised_only_on_long_chunks(self, long_trace, monkeypatch):
-        events = long_trace.events_of(0)
-        analyzer = StreamingAnalyzer(
-            long_trace.regions, long_trace.num_processes, dominant="iteration"
-        )
-        calls = spy_processors(analyzer, monkeypatch)
-        analyzer.feed(0, events[: T - 1])
-        analyzer.feed(0, events[T - 1 : 2 * T - 1])
-        assert calls == {"events": 1, "vector": 1}
-
-        warming = StreamingAnalyzer(
-            long_trace.regions, long_trace.num_processes
-        )
-        calls = spy_processors(warming, monkeypatch)
-        warming.feed(0, events[: 2 * T])  # long, but nothing selected yet
-        assert calls == {"events": 1, "vector": 0}
-
-    def test_mixed_chunks_on_one_rank(self, long_trace, monkeypatch):
+    def test_mixed_chunks_on_one_rank(self, long_trace):
         ranks = long_trace.ranks
         reference = StreamingAnalyzer(
             long_trace.regions, long_trace.num_processes, dominant="iteration"
@@ -552,16 +520,14 @@ class TestProcessorSelection:
         mixed = StreamingAnalyzer(
             long_trace.regions, long_trace.num_processes, dominant="iteration"
         )
-        calls = spy_processors(mixed, monkeypatch)
         for rank in ranks:
             events = long_trace.events_of(rank)
             reference.feed(rank, events)
-            feed_sizes(mixed, rank, events, [T + 5, 3, 2 * T, 1, T - 1, 40])
-        assert calls["events"] and calls["vector"]
+            feed_sizes(mixed, rank, events, [1029, 3, 2048, 1, 1023, 40])
         assert outcome(mixed, ranks) == outcome(reference, ranks)
 
 
-def _padded(defect, before=T, after=0):
+def _padded(defect, before=1024, after=0):
     """``defect`` (kind, region) pairs between runs of balanced ``b`` calls
     (``before`` and ``after`` events long)."""
     from repro.trace.definitions import RegionRegistry
@@ -589,9 +555,9 @@ def _padded(defect, before=T, after=0):
 
 
 class TestStructureErrorsBothProcessors:
-    """TL001/TL003 come out the same from either processor."""
+    """TL001/TL003 come out the same from short and long chunks."""
 
-    @pytest.mark.parametrize("sizes", [[7], [10 * T]], ids=["events", "vector"])
+    @pytest.mark.parametrize("sizes", [[7], [10240]], ids=["events", "vector"])
     @pytest.mark.parametrize(
         "defect,code",
         [
@@ -600,24 +566,20 @@ class TestStructureErrorsBothProcessors:
         ],
         ids=["TL003", "TL001"],
     )
-    def test_error_inside_chunk(self, sizes, defect, code, monkeypatch):
+    def test_error_inside_chunk(self, sizes, defect, code):
         from repro.core.streaming import StreamStructureError
 
         regions, events = _padded(defect)
         analyzer = StreamingAnalyzer(regions, 1, dominant="a")
-        calls = spy_processors(analyzer, monkeypatch)
         with pytest.raises(StreamStructureError) as err:
             feed_sizes(analyzer, 0, events, sizes)
         assert err.value.code == code
-        long = sizes[0] > T
-        assert calls["vector" if long else "events"]
-        assert calls["events" if long else "vector"] == 0
 
-    @pytest.mark.parametrize("before", [0, T], ids=["short", "long"])
-    @pytest.mark.parametrize("after", [0, T], ids=["short", "long"])
+    @pytest.mark.parametrize("before", [0, 1024], ids=["short", "long"])
+    @pytest.mark.parametrize("after", [0, 1024], ids=["short", "long"])
     def test_error_across_chunk_boundary(self, before, after):
         """A leave closing a frame carried over from an earlier chunk is
-        checked against that frame, whichever processor saw each side."""
+        checked against that frame, whatever the size of each side."""
         from repro.core.streaming import StreamStructureError
 
         regions, events = _padded(
@@ -629,16 +591,14 @@ class TestStructureErrorsBothProcessors:
             analyzer.feed(0, events[before + 2 :])  # leave a against b
         assert err.value.code == "TL003"
 
-    @pytest.mark.parametrize("sizes", [[7], [10 * T]], ids=["events", "vector"])
-    def test_open_frame_at_finish_rank(self, sizes, monkeypatch):
-        """Frames either processor leaves open are TL002 at the end."""
+    @pytest.mark.parametrize("sizes", [[7], [10240]], ids=["events", "vector"])
+    def test_open_frame_at_finish_rank(self, sizes):
+        """Frames short or long chunks leave open are TL002 at the end."""
         from repro.core.streaming import StreamStructureError
 
-        regions, events = _padded([(0, 0)], after=T)  # a never closes
+        regions, events = _padded([(0, 0)], after=1024)  # a never closes
         analyzer = StreamingAnalyzer(regions, 1, dominant="a")
-        calls = spy_processors(analyzer, monkeypatch)
         feed_sizes(analyzer, 0, events, sizes)
-        assert calls["vector" if sizes[0] > T else "events"]
         with pytest.raises(
             StreamStructureError, match=r"^\[TL002\] rank 0: region 0 "
         ) as err:
@@ -646,7 +606,7 @@ class TestStructureErrorsBothProcessors:
         assert err.value.code == "TL002"
 
     def test_finish_rank_on_closed_stream(self):
-        regions, events = _padded([(0, 0), (1, 0)], after=T)
+        regions, events = _padded([(0, 0), (1, 0)], after=1024)
         analyzer = StreamingAnalyzer(regions, 2, dominant="a")
         analyzer.feed(0, events)
         analyzer.finish_rank(0)
@@ -683,7 +643,7 @@ class TestSelectionInsideOpenFrame:
             builder.append(t, kind, ref=ref)
         return builder.freeze()
 
-    @pytest.mark.parametrize("after", [5, 4 * T], ids=["events", "vector"])
+    @pytest.mark.parametrize("after", [5, 4096], ids=["events", "vector"])
     def test_ranks_keep_segmenting(self, after):
         from repro.trace.definitions import RegionRegistry
         from repro.trace.events import EventKind
@@ -762,22 +722,21 @@ def _random_stream(rng, n_steps, spike, max_depth):
 
 
 class TestArrayProcessorMatchesPerEvent:
-    """The array processor reproduces the per-event machine bit for bit
-    on random well-formed streams split at random points."""
+    """The array processor reproduces the per-event reference
+    (``tests/stream_reference.py``) bit for bit on random well-formed
+    streams split at random points."""
 
     @staticmethod
-    def _run(streams, cuts, monkeypatch, threshold, **kw):
-        from repro.core import streaming
+    def _run(cls, streams, cuts, **kw):
         from repro.trace.definitions import RegionRegistry
 
-        monkeypatch.setattr(streaming, "_VECTOR_MIN_EVENTS", threshold)
         regions = RegionRegistry()
         for name, paradigm in (
             ("step", Paradigm.USER), ("work", Paradigm.USER),
             ("MPI_Allreduce", Paradigm.MPI), ("MPI_Wait", Paradigm.MPI),
         ):
             regions.register(name, paradigm=paradigm)
-        analyzer = StreamingAnalyzer(regions, len(streams), **kw)
+        analyzer = cls(regions, len(streams), **kw)
         # Ranks take turns chunk by chunk, so warm-up may select while
         # another rank is inside a dominant frame.
         pieces = {
@@ -798,6 +757,7 @@ class TestArrayProcessorMatchesPerEvent:
 
         return (
             analyzer.dominant,
+            analyzer.warmup_invocations,
             {r: [seg(s) for s in analyzer.segments(r)] for r in ranks},
             [(seg(a.segment), a.zscore.hex(), a.window)
              for a in analyzer.alerts],
@@ -805,6 +765,14 @@ class TestArrayProcessorMatchesPerEvent:
              for r, s in sorted(analyzer._streams.items())},
             analyzer.window_evictions,
         )
+
+    def _check(self, streams, cuts, **kw):
+        array = self._run(StreamingAnalyzer, streams, cuts, **kw)
+        reference = self._run(ReferenceStream, streams, cuts, **kw)
+        assert self._bitwise(array, streams) == self._bitwise(
+            reference, streams
+        )
+        return array
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -818,6 +786,11 @@ class TestArrayProcessorMatchesPerEvent:
         warmup=st.integers(1, 40),
         limit=st.sampled_from([None, 3, 40]),
     )
+    # Whole ranks with a warm-up of 1: selection fails at the first
+    # leaves (2p = 4 invocations are needed), so the bar doubles inside
+    # rank 0's one chunk until it selects there.
+    @example(seed=7, n_steps=20, spike=0.0, max_depth=2, fractions=[],
+             dominant=None, warmup=1, limit=None)
     @settings(max_examples=60, deadline=None)
     def test_random_streams(self, seed, n_steps, spike, max_depth,
                             fractions, dominant, warmup, limit):
@@ -831,36 +804,16 @@ class TestArrayProcessorMatchesPerEvent:
             r: {int(f * len(rows)) for f in fractions[r::2]}
             for r, rows in streams.items()
         }
-        kw = dict(dominant=dominant, warmup_invocations=warmup,
-                  history_limit=limit)
-        with pytest.MonkeyPatch.context() as mp:
-            try:
-                array = self._run(streams, cuts, mp, 1, **kw)
-            except ValueError:  # no eligible candidate: same for both
-                array = None
-        with pytest.MonkeyPatch.context() as mp:
-            try:
-                reference = self._run(streams, cuts, mp, 10**9, **kw)
-            except ValueError:
-                reference = None
-        assert (array is None) == (reference is None)
-        if array is not None:
-            assert self._bitwise(array, streams) == self._bitwise(
-                reference, streams
-            )
+        self._check(streams, cuts, dominant=dominant,
+                    warmup_invocations=warmup, history_limit=limit)
 
-    def test_growing_window_alerts(self, monkeypatch):
+    def test_growing_window_alerts(self):
         """Alerts inside the growing window (segments 8-31) carry the
-        window they were tested against, from either processor."""
+        window they were tested against."""
         import random
 
         streams = {0: _random_stream(random.Random(5), 40, 0.2, 2)}
-        kw = dict(dominant="step")
-        array = self._run(streams, {0: {7, 90}}, monkeypatch, 1, **kw)
-        reference = self._run(streams, {0: set()}, monkeypatch, 10**9, **kw)
-        assert self._bitwise(array, streams) == self._bitwise(
-            reference, streams
-        )
+        array = self._check(streams, {0: {7, 90}}, dominant="step")
         assert any(8 <= a.window < 32 for a in array.alerts)
 
 
