@@ -7,14 +7,15 @@ those quantities at scale.
 
 
 from repro.paper import figure1_trace
-from repro.profiles import profile_trace
+from repro.profiles import profile_trace, replay_trace
 
 
 def test_fig1_inclusive_exclusive(benchmark, report, bench_meta, cosmo_trace):
-    profile = benchmark(profile_trace, cosmo_trace)
+    profile = benchmark(lambda: profile_trace(cosmo_trace, replay_trace(cosmo_trace)))
     bench_meta(events=cosmo_trace.num_events)
 
-    fig1 = profile_trace(figure1_trace())
+    trace = figure1_trace()
+    fig1 = profile_trace(trace, replay_trace(trace))
     foo = fig1.stats.of("foo")
     bar = fig1.stats.of("bar")
     assert foo.inclusive_sum == 6.0 and foo.exclusive_sum == 4.0

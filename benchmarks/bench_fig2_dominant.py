@@ -7,7 +7,7 @@ benchmarks the selection on the full COSMO-SPECS trace.
 
 from repro.core import select_dominant
 from repro.paper import figure2_trace
-from repro.profiles import profile_trace
+from repro.profiles import profile_trace, replay_trace
 
 
 def test_fig2_dominant_selection(benchmark, report, cosmo_trace, cosmo_analysis):
@@ -18,8 +18,8 @@ def test_fig2_dominant_selection(benchmark, report, cosmo_trace, cosmo_analysis)
     assert selection.name == "timeloop_iteration"
 
     fig2 = figure2_trace()
-    stats = profile_trace(fig2).stats
-    toy = select_dominant(fig2)
+    stats = profile_trace(fig2, replay_trace(fig2)).stats
+    toy = select_dominant(fig2, tables=replay_trace(fig2))
     assert toy.name == "a"
 
     lines = [

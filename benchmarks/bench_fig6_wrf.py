@@ -13,7 +13,7 @@ from repro.core.metrics import (
     metric_sos_correlation,
     per_rank_metric_total,
 )
-from repro.profiles import profile_trace
+from repro.profiles import profile_trace, replay_trace
 from repro.sim.countermodel import FPU_EXCEPTIONS
 
 
@@ -24,7 +24,7 @@ def test_fig6_wrf(benchmark, report, bench_meta, wrf_trace, wrf_analysis):
     )
     assert matrix.shape[0] == 64
 
-    stats = profile_trace(wrf_trace).stats
+    stats = profile_trace(wrf_trace, replay_trace(wrf_trace)).stats
     init_seconds = stats.of("wrf_init").inclusive_max
     iters_start = wrf_analysis.segmentation.t_min
     mpi_share = wrf_analysis.profile.mpi_fraction(

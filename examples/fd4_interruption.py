@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import analyze_trace
 from repro.core.metrics import segment_metric_delta
+from repro.profiles import replay_trace
 from repro.sim.countermodel import PAPI_TOT_CYC
 from repro.sim.workloads import cosmo_specs_fd4
 from repro.trace import clip_trace
@@ -77,7 +78,8 @@ def main() -> None:
         name="slow iteration",
     )
     OUT.mkdir(parents=True, exist_ok=True)
-    render_timeline_png(zoom, OUT / "slow_iteration_timeline.png",
+    render_timeline_png(zoom, replay_trace(zoom),
+                        OUT / "slow_iteration_timeline.png",
                         show_messages=True, max_messages=800)
     print(f"zoomed timeline: {OUT / 'slow_iteration_timeline.png'}")
 

@@ -21,7 +21,6 @@ from repro.core.metrics import (
     metric_sos_correlation,
     per_rank_metric_total,
 )
-from repro.profiles import profile_trace
 from repro.sim.countermodel import FPU_EXCEPTIONS
 from repro.sim.workloads import wrf
 from repro.viz import heat_to_ansi, render_analysis
@@ -35,10 +34,10 @@ def main() -> None:
     print(f"  {trace.num_events} events, {trace.duration:.1f}s simulated\n")
 
     # --- Fig 6a: run structure -----------------------------------------
-    stats = profile_trace(trace).stats
+    analysis = analyze_trace(trace)
+    stats = analysis.profile.stats
     print(f"init + I/O phase: {stats.of('wrf_init').inclusive_max:.1f} s "
           "(paper: ~11 s)")
-    analysis = analyze_trace(trace)
     mpi = analysis.profile.mpi_fraction(
         analysis.segmentation.t_min, trace.t_max
     )

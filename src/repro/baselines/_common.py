@@ -14,15 +14,19 @@ __all__ = ["resolve_inputs"]
 def resolve_inputs(trace, profile, session):
     """Normalise (trace, profile, session) to a concrete (trace, profile).
 
-    ``profile`` may still be None when neither a profile nor a session
-    is given; callers fall back to :func:`repro.profiles.profile_trace`.
+    Without a ``profile``, it is the ``session``'s, or that of a new
+    in-memory session over ``trace``.
     """
     if session is not None:
         if trace is not None and trace is not session.trace:
             raise ValueError("session was created for a different trace")
         trace = session.trace
-        if profile is None:
-            profile = session.profile()
     if trace is None:
         raise TypeError("pass a trace or an AnalysisSession")
+    if profile is None:
+        if session is None:
+            from ..core.session import AnalysisSession
+
+            session = AnalysisSession(trace)
+        profile = session.profile()
     return trace, profile

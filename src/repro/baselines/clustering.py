@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.metrics import metric_series
-from ..profiles.profile import TraceProfile, profile_trace
+from ..profiles.profile import TraceProfile
 from ..sim.countermodel import PAPI_TOT_CYC
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
@@ -74,8 +74,7 @@ def extract_bursts(
     min_duration: float = 0.0,
 ) -> list[Burst]:
     """Collect leaf USER-region invocations as computation bursts."""
-    if profile is None:
-        profile = profile_trace(trace)
+    trace, profile = resolve_inputs(trace, profile, None)
     user_ids = np.asarray(
         [r.id for r in trace.regions if r.paradigm == Paradigm.USER],
         dtype=np.int32,

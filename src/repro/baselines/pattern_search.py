@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..profiles.profile import TraceProfile, profile_trace
+from ..profiles.profile import TraceProfile
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
 from ._common import resolve_inputs
@@ -205,8 +205,6 @@ def search_patterns(
     Pass ``session`` to reuse a memoized session profile.
     """
     trace, profile = resolve_inputs(trace, profile, session)
-    if profile is None:
-        profile = profile_trace(trace)
     result = PatternSearchResult()
     for name in _COLLECTIVES:
         inst = _collective_pattern(trace, profile, name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.imbalance import robust_zscores
-from ..profiles.profile import TraceProfile, profile_trace
+from ..profiles.profile import TraceProfile
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
 from ._common import resolve_inputs
@@ -77,8 +77,6 @@ def analyze_profile_only(
     re-profiling.
     """
     trace, profile = resolve_inputs(trace, profile, session)
-    if profile is None:
-        profile = profile_trace(trace)
     result = ProfileOnlyResult()
     result.mpi_share = profile.paradigm_share(Paradigm.MPI)
     result.top_functions = [

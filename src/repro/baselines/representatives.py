@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..profiles.profile import TraceProfile, profile_trace
+from ..profiles.profile import TraceProfile
 from ..trace.trace import Trace
 from ._common import resolve_inputs
 
@@ -74,8 +74,6 @@ def select_representatives(
     if similarity_threshold < 0:
         raise ValueError("similarity_threshold must be non-negative")
     trace, profile = resolve_inputs(trace, profile, session)
-    if profile is None:
-        profile = profile_trace(trace)
     features = _feature_matrix(trace, profile)
     ranks = trace.ranks
 

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import json
 import sys
+import time
 
 from . import __version__
 
@@ -205,7 +206,34 @@ def _add_shard_args(parser) -> None:
     )
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that records its ``add_argument`` calls and
+    makes them when it first parses: a run builds the arguments of the
+    one subcommand it runs (or prints the help of), not of all sixteen."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._pending = None  # the constructor's own -h is made at once
+        super().__init__(*args, **kwargs)
+        self._pending = []
+
+    def add_argument(self, *args, **kwargs):
+        if self._pending is None:
+            return super().add_argument(*args, **kwargs)
+        self._pending.append((args, kwargs))
+
+    def _filled(self) -> None:
+        pending, self._pending = self._pending, None
+        for args, kwargs in pending or ():
+            super().add_argument(*args, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._filled()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-trace`` parser; a subcommand's arguments are made
+    when that subcommand is parsed (:class:`_Subcommand`)."""
     parser = argparse.ArgumentParser(
         prog="repro-trace",
         description=(
@@ -217,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     _add_verbosity_args(parser, root=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Subcommand
+    )
 
     sim = sub.add_parser("simulate", help="generate a workload trace")
     sim.add_argument("workload", choices=_WORKLOADS)
@@ -663,7 +693,7 @@ def _cmd_render(args) -> int:
     # Feed the (possibly cached) replay into the renderer so rendering
     # after an `analyze --cache-dir` run replays nothing.
     tables = _session(trace, args).replay()
-    render_timeline_png(trace, path, tables=tables, show_messages=args.messages)
+    render_timeline_png(trace, tables, path, show_messages=args.messages)
     print(f"wrote {path}")
     return 0
 
@@ -1182,7 +1212,22 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _enable_obs(started: float):
+    """Switch telemetry on; under ``python -m repro`` it opens with a
+    ``cli.import`` span from :data:`repro.__main__.ENTERED` to
+    ``started``, the start of :func:`_run`."""
+    from . import obs
+
+    entry = sys.modules.get("__main__")
+    if getattr(entry, "__spec__", None) is None or entry.__spec__.name != "repro.__main__":
+        return obs.enable()
+    col = obs.enable(obs.Collector(epoch=entry.ENTERED))
+    col.record_span("cli.import", entry.ENTERED, started)
+    return col
+
+
 def _run(argv: list[str] | None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         _configure_cli_logging(args)
@@ -1194,9 +1239,7 @@ def _run(argv: list[str] | None) -> int:
             or getattr(args, "profile", None)
         )
         if wants_obs:
-            from . import obs
-
-            col = obs.enable()
+            col = _enable_obs(started)
             if getattr(args, "profile", None):
                 from .obs.profiler import Profiler
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..profiles.replay import InvocationTable, replay_trace
+from ..profiles.replay import InvocationTable
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
 
@@ -53,7 +53,7 @@ class ActivityShares:
 
 def activity_shares(
     trace: Trace,
-    tables: dict[int, InvocationTable] | None = None,
+    tables: dict[int, InvocationTable],
     bins: int = 256,
     by: str = "paradigm",
     top_regions: int = 6,
@@ -64,6 +64,8 @@ def activity_shares(
 
     Parameters
     ----------
+    tables:
+        The trace's invocation tables (a session's).
     by:
         ``"paradigm"`` groups regions by programming model (USER, MPI,
         ...); ``"region"`` keeps the ``top_regions`` most visible
@@ -73,8 +75,6 @@ def activity_shares(
 
     if by not in ("paradigm", "region"):
         raise ValueError(f"unknown grouping {by!r}")
-    if tables is None:
-        tables = replay_trace(trace)
     lo = trace.t_min if t0 is None else t0
     hi = trace.t_max if t1 is None else t1
     if hi <= lo:

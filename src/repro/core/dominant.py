@@ -17,13 +17,17 @@ slow invocation (Section VII-B, Figure 5c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..profiles.replay import InvocationTable, replay_trace
-from ..profiles.stats import FunctionStatistics, compute_statistics
+from ..profiles.stats import compute_statistics
 from ..trace.definitions import Paradigm
-from ..trace.trace import Trace
+
+if TYPE_CHECKING:
+    from ..profiles.replay import InvocationTable
+    from ..profiles.stats import FunctionStatistics
+    from ..trace.trace import Trace
 
 __all__ = [
     "DominantCandidate",
@@ -108,11 +112,12 @@ def rank_candidates(
     Runtime operations (MPI, OpenMP) are excluded by default — segments
     must represent *application* iterations whose inclusive time
     contains the synchronization to be subtracted later, not the
-    synchronization itself.
+    synchronization itself.  Counts come from ``stats``, else from
+    ``tables`` (a session's invocation tables).
     """
     if stats is None:
         if tables is None:
-            tables = replay_trace(trace)
+            raise TypeError("rank_candidates needs stats or tables")
         stats = compute_statistics(trace, tables)
     p = trace.num_processes
     threshold = int(np.ceil(min_invocation_factor * p))

@@ -10,7 +10,7 @@ invocation tables stay in memory.  With more shards (and more than one
 worker) each phase runs in worker processes (:mod:`repro.core.shard`)
 that each decode **only their own ranks** from the file, through the
 chunked reader (:class:`repro.trace.reader.TraceIndex`); with several
-shards or a memory bound, tables spill to disk and load back one shard
+workers or a memory bound, tables spill to disk and load back one shard
 at a time.  Partial results merge into full-trace products that are
 *bitwise identical* whatever the plan.
 
@@ -357,10 +357,12 @@ class ShardEngine:
         The session's artifact cache and the name of a rank's table in
         it (``key(rank)``).
     spill:
-        Keep no table in memory: they go to ``cache`` or, without one,
-        to a private temporary directory that lives as long as the
-        engine.  Otherwise tables stay in memory, and are also written
-        to ``cache`` when there is one.
+        Keep no table in memory (a memory bound asks for it): they go
+        to ``cache`` or, without one, to a private temporary directory
+        that lives as long as the engine.  A plan run in more than one
+        worker spills too, since its tables reach the parent through
+        those files.  Otherwise tables stay in memory, and are also
+        written to ``cache`` when there is one.
     chunk_events:
         Batch size (events) of a file's cursor reads.  ``None`` reads
         one whole-rank batch per rank; a bound makes the per-shard
@@ -389,6 +391,7 @@ class ShardEngine:
             from .shard import shard_workers
 
             self.workers = shard_workers(plan.num_shards)
+        spill = spill or self.workers > 1
         self._tmp = None
         if spill and cache is None:
             import tempfile

@@ -62,6 +62,7 @@ from ..profiles.stats import batch_statistics_arrays
 from ..trace.cursor import BATCH_EVENTS, EventCursor
 from ..trace.definitions import MetricRegistry, RegionRegistry
 from ..trace.events import _DTYPES, _FIELDS, EventList
+from ..trace.trace import time_extent
 
 if TYPE_CHECKING:
     from ..lint.hb import MatchBatch, MatchGraph
@@ -111,19 +112,6 @@ class FusedBootstrap:
     def extent(self) -> tuple[float, float]:
         """``(t_min, t_max)`` of the fed events (:func:`time_extent`)."""
         return time_extent(self.extents)
-
-
-def time_extent(extents) -> tuple[float, float]:
-    """``(t_min, t_max)`` over per-rank ``(n_events, t_first, t_last)``
-    extents: what :attr:`Trace.t_min <repro.trace.trace.Trace.t_min>`
-    and ``t_max`` report for the same streams, ``(0.0, 0.0)`` when all
-    are empty."""
-    if not extents:
-        return 0.0, 0.0
-    return (
-        min(lo for _, lo, _ in extents.values()),
-        max(hi for _, _, hi in extents.values()),
-    )
 
 
 class _JoinedEvents:

@@ -10,10 +10,12 @@ heat-map binning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..profiles.replay import InvocationTable
+if TYPE_CHECKING:
+    from ..profiles.replay import InvocationTable
 
 __all__ = ["RankSegments", "Segmentation", "segment_rank", "segment_trace"]
 

@@ -25,10 +25,11 @@ disk and performs **zero** replay or profile recomputation; replayed
 invocation tables load only when a drill-down path indexes them, and
 are keyed per rank by the rank's event digest, so traces sharing event
 streams share artifacts.  A session that reads its own file parses
-only its header up front.  Its kernel pass, fingerprint and counter
-series each decode the file rank by rank and drop each rank as they go,
-and the first such pass gives the time extent; the whole file is
-decoded only when a drill-down indexes events.  A ``stat-`` artifact
+only its header up front.  Its kernel pass and counter series each
+decode the file rank by rank and drop each rank as they go, its
+fingerprint hashes the column bytes without decoding, and the first
+such pass gives the time extent; the whole file is decoded only when a
+drill-down indexes events.  A ``stat-`` artifact
 gives a warm session the fingerprint and time extent, so a warm report
 that needs nothing else decodes no event at all.
 
@@ -49,22 +50,29 @@ from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .. import obs
 from ..profiles.profile import TraceProfile
-from ..profiles.replay import InvocationTable
 from ..profiles.stats import FunctionStatistics
-from ..trace.fingerprint import TraceFingerprint, combine_fingerprint, fingerprint_trace
-from ..trace.trace import Trace
-from .classify import SyncClassifier
+from ..trace.fingerprint import (
+    TraceFingerprint,
+    combine_fingerprint,
+    fingerprint_definitions,
+    fingerprint_trace,
+)
+from ..trace.trace import Trace, time_extent
 from .dominant import DominantSelection, select_dominant
 from .imbalance import ImbalanceReport, detect_imbalances
 from .segments import RankSegments, Segmentation
 from .sos import RankSOS, SOSResult
 from .variation import TrendResult, binned_matrix, detect_trend
+
+if TYPE_CHECKING:
+    from ..profiles.replay import InvocationTable
+    from .classify import SyncClassifier
 
 __all__ = ["AnalysisSession", "ArtifactCache", "CacheInfo", "SessionStats"]
 
@@ -117,6 +125,8 @@ def _table_to_arrays(table: InvocationTable) -> dict[str, np.ndarray]:
 
 
 def _table_from_arrays(arrays: dict[str, np.ndarray]) -> InvocationTable:
+    from ..profiles.replay import InvocationTable
+
     data = arrays["table"]
     cols = {}
     for i, name in enumerate(_TABLE_COLUMNS):
@@ -416,13 +426,25 @@ class _PathTrace(Trace):
     def event_counts(self) -> dict[int, int]:
         return self._index.event_counts()
 
+    def fingerprint(self) -> TraceFingerprint:
+        """:func:`~repro.trace.fingerprint.fingerprint_trace` of the
+        file, hashed from its column bytes under the stat-key guard
+        (:meth:`~repro.trace.reader.TraceIndex.rank_digest`): no event
+        is decoded, and the pass sets ``extent``."""
+        extents = {}
+        with _unchanged(self._index.path, self._key):
+            per_rank = tuple(
+                (rank, self._index.rank_digest(rank, extents)) for rank in self._ranks
+            )
+        self.extent = time_extent(extents)
+        self.release()
+        return combine_fingerprint(fingerprint_definitions(self), per_rank)
+
     def _cursor(self, ranks=None, columns=None, chunk_events=None):
         """The index's cursor batches, under the stat-key guard; a
         pass over every rank records their time extent as the fused
-        kernel does (:func:`~repro.core.incremental.time_extent`) and
+        kernel does (:func:`~repro.trace.trace.time_extent`) and
         unmaps the file unless the caller still holds a view into it."""
-        from .incremental import time_extent
-
         extents = {}
         with _unchanged(self._index.path, self._key):
             for batch in self._index.cursor(ranks, columns, chunk_events):
@@ -640,6 +662,13 @@ class AnalysisSession:
             self._fingerprint = self._stat_fingerprint()
         return self._fingerprint
 
+    def _hashed(self) -> TraceFingerprint:
+        """The fingerprint, hashed: a trace read from its file hashes
+        the file's column bytes (:meth:`_PathTrace.fingerprint`)."""
+        if isinstance(self.trace, _PathTrace):
+            return self.trace.fingerprint()
+        return fingerprint_trace(self.trace)
+
     def _stat_fingerprint(self) -> TraceFingerprint:
         """:func:`fingerprint_trace`, short-cut by a ``stat-`` artifact.
 
@@ -649,10 +678,10 @@ class AnalysisSession:
         The entry also holds the trace's time extent, which a hit hands
         to the :class:`_PathTrace`: neither needs an event decoded.
         Any miss, mismatch, corrupt entry or entry without the extent
-        falls back to hashing, one rank at a time through
-        :meth:`_PathTrace.event_streams`; that pass also sets the
-        extent the new entry records, so a miss decodes no whole file
-        either and needs no kernel pass to have run.  An entry is
+        falls back to hashing the file's column bytes one rank at a
+        time (:meth:`_PathTrace.fingerprint`); that pass also sets the
+        extent the new entry records, so a miss decodes no event either
+        and needs no kernel pass to have run.  An entry is
         recorded only when the file's stat did not change across the
         read and the hash, and when neither its mtime nor its ctime
         lies within :data:`_RACY_NS` of now: a later write then always
@@ -665,7 +694,7 @@ class AnalysisSession:
             or key is None
             or _stat_key(self.source_path) != key
         ):
-            return fingerprint_trace(self.trace)
+            return self._hashed()
         name = f"stat-{_digest(repr(key))}"
         arrays = self.cache.load(name)
         if arrays is not None:
@@ -673,7 +702,7 @@ class AnalysisSession:
             if hit is not None:
                 fp, self.trace.extent = hit
                 return fp
-        fp = fingerprint_trace(self.trace)
+        fp = self._hashed()
         settled = time.time_ns() - max(key[2], key[3]) >= _RACY_NS
         if settled and _stat_key(self.source_path) == key:
             # Set by the hashing pass (or read off decoded streams).
@@ -690,8 +719,9 @@ class AnalysisSession:
         Without ``shards`` or ``max_memory_mb`` its plan is one shard of
         every rank, run in process, whose tables stay in memory (and,
         with a cache, are also written there as ``inv-`` artifacts).
-        A plan of several shards or a memory bound spills the tables to
-        the cache, or to a private temporary directory, instead.
+        A memory bound, or a plan the engine runs in several workers,
+        spills the tables to the cache, or to a private temporary
+        directory, instead.
         """
         if self._engine is None:
             from .engine import BYTES_PER_EVENT, ShardEngine, ShardPlan, plan_shards
@@ -718,7 +748,7 @@ class AnalysisSession:
                 self.trace,
                 cache=self.cache,
                 key=lambda rank: f"inv-{self.fingerprint.rank_digest(rank)}",
-                spill=plan.num_shards > 1 or self.max_memory_mb is not None,
+                spill=self.max_memory_mb is not None,
                 chunk_events=chunk_events,
             )
         return self._engine

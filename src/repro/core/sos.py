@@ -16,13 +16,16 @@ wrapper classified as sync — must not be counted twice).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..profiles.replay import InvocationTable
-from ..trace.trace import Trace
 from .classify import SyncClassifier, default_classifier
 from .segments import RankSegments, Segmentation
+
+if TYPE_CHECKING:
+    from ..profiles.replay import InvocationTable
+    from ..trace.trace import Trace
 
 __all__ = [
     "RankSOS",
@@ -141,15 +144,6 @@ class SOSResult:
         """Total SOS-time per rank (rank order)."""
         return np.asarray(
             [float(np.sum(self.per_rank[r].sos)) for r in self.ranks]
-        )
-
-    def per_rank_max(self) -> np.ndarray:
-        """Maximum single-segment SOS per rank (NaN when no segments)."""
-        return np.asarray(
-            [
-                float(np.max(self.per_rank[r].sos)) if len(self.per_rank[r]) else np.nan
-                for r in self.ranks
-            ]
         )
 
     def flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

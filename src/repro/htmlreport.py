@@ -166,7 +166,7 @@ def render_html_report(
     sections.append("<h2>Master timeline</h2>")
     with obs.span("viz.timeline"):
         timeline = render_timeline_png(
-            trace, tables=analysis.profile.tables, width=1100
+            trace, analysis.profile.tables, width=1100
         )
         sections.append(_png_tag(timeline, "master timeline"))
 

@@ -166,6 +166,13 @@ class Collector:
             jrn.stack.pop()
         jrn.entries.append((LEAVE, clock.now(), name))
 
+    def record_span(self, name: str, t_start: float, t_stop: float) -> None:
+        """Journal a span whose clock readings were taken before this
+        collector existed; it must precede every entry of the thread."""
+        entries = self._journal().entries
+        entries.append((ENTER, t_start, name))
+        entries.append((LEAVE, t_stop, name))
+
     def sample(self, name: str, value: float) -> None:
         self._journal().entries.append(
             (SAMPLE, self.clock.now(), name, float(value))

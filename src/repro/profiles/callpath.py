@@ -10,11 +10,11 @@ replay's parent links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-
-from ..trace.trace import Trace
-from .replay import InvocationTable, replay_trace
+if TYPE_CHECKING:
+    from ..trace.trace import Trace
+    from .replay import InvocationTable
 
 __all__ = ["CallPathNode", "CallTree", "build_call_tree"]
 
@@ -105,11 +105,10 @@ def _accumulate(trace: Trace, table: InvocationTable, root: CallPathNode) -> Non
 
 
 def build_call_tree(
-    trace: Trace, tables: dict[int, InvocationTable] | None = None
+    trace: Trace, tables: dict[int, InvocationTable]
 ) -> CallTree:
-    """Aggregate the call tree of ``trace`` across all processes."""
-    if tables is None:
-        tables = replay_trace(trace)
+    """Aggregate the call tree of ``trace`` across all processes from
+    its invocation ``tables``."""
     root = CallPathNode(region=-1, name="<root>")
     for rank in sorted(tables):
         _accumulate(trace, tables[rank], root)

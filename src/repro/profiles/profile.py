@@ -9,14 +9,18 @@ per-process breakdowns (time share per paradigm), which back the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..trace.definitions import Paradigm
-from ..trace.trace import Trace
-from .callpath import CallTree, build_call_tree
-from .replay import InvocationTable, replay_trace
-from .stats import FunctionStatistics, compute_statistics
+from .stats import compute_statistics
+
+if TYPE_CHECKING:
+    from ..trace.trace import Trace
+    from .callpath import CallTree
+    from .replay import InvocationTable
+    from .stats import FunctionStatistics
 
 __all__ = ["TraceProfile", "profile_trace"]
 
@@ -53,6 +57,8 @@ class TraceProfile:
     def call_tree(self) -> CallTree:
         """Call tree, built lazily on first use."""
         if self._call_tree is None:
+            from .callpath import build_call_tree
+
             self._call_tree = build_call_tree(self.trace, self.tables)
         return self._call_tree
 
@@ -136,10 +142,9 @@ class TraceProfile:
 
 
 def profile_trace(
-    trace: Trace, tables: dict[int, InvocationTable] | None = None
+    trace: Trace, tables: dict[int, InvocationTable]
 ) -> TraceProfile:
-    """Compute the aggregated profile of ``trace``."""
-    if tables is None:
-        tables = replay_trace(trace)
+    """The aggregated profile of ``trace`` from its invocation
+    ``tables``."""
     stats = compute_statistics(trace, tables)
     return TraceProfile(trace, tables, stats)

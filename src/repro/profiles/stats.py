@@ -9,11 +9,13 @@ all processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..trace.trace import Trace
-from .replay import InvocationTable, replay_trace
+if TYPE_CHECKING:
+    from ..trace.trace import Trace
+    from .replay import InvocationTable
 
 __all__ = [
     "RegionStats",
@@ -257,13 +259,9 @@ class FunctionStatistics:
 
 
 def compute_statistics(
-    trace: Trace, tables: dict[int, InvocationTable] | None = None
+    trace: Trace, tables: dict[int, InvocationTable]
 ) -> FunctionStatistics:
-    """Aggregate per-function statistics for ``trace``.
-
-    ``tables`` may be passed to reuse invocation tables computed
-    elsewhere in the pipeline (replay is the dominant cost).
-    """
-    if tables is None:
-        tables = replay_trace(trace)
+    """Aggregate per-function statistics for ``trace`` from its
+    invocation ``tables`` (a session's, or
+    :func:`~repro.profiles.replay.replay_trace`'s)."""
     return FunctionStatistics(trace, tables)

@@ -25,9 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .events import EventList
-from .trace import Trace
+if TYPE_CHECKING:
+    from .events import EventList
+    from .trace import Trace
 
 __all__ = [
     "TraceFingerprint",

@@ -22,7 +22,7 @@ import mmap
 import os
 import re
 import zlib
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -44,11 +44,11 @@ from .definitions import (
     RegionRegistry,
     RegionRole,
 )
-from .events import _DTYPES as _CANONICAL_DTYPES
-from .events import EventList
 from .fingerprint import _DIGEST_SIZE, fingerprint_events
 from .trace import Trace
-from .writer import FORMAT_VERSION
+
+if TYPE_CHECKING:
+    from .events import EventList
 
 __all__ = ["read_trace", "TraceIndex"]
 
@@ -75,6 +75,8 @@ class TraceFormatError(ValueError):
 
 
 def _check_header(header) -> None:
+    from .writer import FORMAT_VERSION
+
     if not isinstance(header, dict) or header.get("record") != "header":
         raise TraceFormatError("first record must be the header")
     if header.get("version") != FORMAT_VERSION:
@@ -154,6 +156,8 @@ def _assemble(rank, arrays: dict[str, np.ndarray]) -> EventList:
     Content errors (ragged columns, decreasing timestamps, values that
     do not fit the canonical dtypes) raise :class:`TraceFormatError`.
     """
+    from .events import EventList
+
     try:
         if len(arrays) == len(_BIN_COLUMNS):
             return EventList(*(arrays[col] for col in _BIN_COLUMNS))
@@ -166,10 +170,12 @@ def _events_from_record(
     record: dict, columns: Sequence[str] | None = None
 ) -> EventList:
     """Events of one JSONL ``events`` record, optionally projected."""
+    from .events import _DTYPES
+
     rank = record.get("location")
     try:
         arrays = {
-            col: np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
+            col: np.asarray(record[col], dtype=_DTYPES[col])
             for col in (_BIN_COLUMNS if columns is None else columns)
         }
     except KeyError as err:
@@ -455,6 +461,8 @@ class TraceIndex:
         Enough for region/metric lookups, classifier masks and the
         ``num_processes`` used by the dominant-function criterion.
         """
+        from .events import EventList
+
         trace = self._new_trace()
         for rank in self.ranks:
             trace.add_process(self.locations[rank], EventList.empty())
@@ -720,6 +728,8 @@ class TraceIndex:
         entirely; for v2 raw columns the full load is already a
         zero-copy view, but projecting still skips validation work.
         """
+        from .events import EventList
+
         project = self._project_columns(columns)
         wanted: Iterable[int] = self.ranks if ranks is None else ranks
         wanted = list(wanted)
@@ -746,7 +756,7 @@ class TraceIndex:
 
     # -- content digests ----------------------------------------------
 
-    def rank_digest(self, rank: int) -> str:
+    def rank_digest(self, rank: int, extents: dict | None = None) -> str:
         """Per-rank event digest, equal to
         :func:`~repro.trace.fingerprint.fingerprint_events` over the
         rank's loaded :class:`EventList`.
@@ -755,30 +765,38 @@ class TraceIndex:
         true for files we write), the digest is computed straight from
         the column bytes — for v2 raw columns that means hashing mmap
         slices with no array materialisation at all.  Anything else
-        falls back to loading the rank.
+        falls back to loading the rank.  With ``extents``, a rank with
+        events also records its ``(n_events, t_first, t_last)`` there.
         """
+        from .events import _DTYPES, EventList
+
         chunk = self._chunks.get(rank)
         if chunk is None:
             return fingerprint_events(EventList.empty())
         if self.format != "rpt" or any(
-            chunk.columns[col][2] != np.dtype(_CANONICAL_DTYPES[col]).str
+            chunk.columns[col][2] != np.dtype(_DTYPES[col]).str
             for col in _BIN_COLUMNS
         ):
-            return fingerprint_events(self.load([rank]).events_of(rank))
+            events = self.load([rank]).events_of(rank)
+            if extents is not None and len(events):
+                extents[rank] = (len(events), float(events.time[0]), float(events.time[-1]))
+            return fingerprint_events(events)
         h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
         with self._reader() as fp:
             for col in _BIN_COLUMNS:
                 offset, length, _dtype_str, codec = chunk.columns[col]
                 where = _blob_where(chunk.rank, col, offset)
-                blob = self._read_column_blob(fp, offset, length, where)
-                h.update(col.encode("ascii"))
-                if codec == "raw":
-                    h.update(blob)
-                else:
+                data = self._read_column_blob(fp, offset, length, where)
+                if codec != "raw":
                     try:
-                        h.update(zlib.decompress(blob))
+                        data = zlib.decompress(data)
                     except zlib.error as err:
                         raise TraceFormatError(f"{where}: {err}") from err
+                h.update(col.encode("ascii"))
+                h.update(data)
+                if col == "time" and extents is not None and chunk.n_events:
+                    first, last = np.frombuffer(data, dtype=_DTYPES["time"])[[0, -1]]
+                    extents[rank] = (chunk.n_events, float(first), float(last))
         return h.hexdigest()
 
 

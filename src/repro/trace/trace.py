@@ -9,14 +9,28 @@ OTF2 archive in the Score-P world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .definitions import Location, MetricRegistry, Paradigm, RegionRegistry
-from .events import EventList
 
-__all__ = ["Trace", "ProcessTrace"]
+if TYPE_CHECKING:
+    from .events import EventList
+
+__all__ = ["Trace", "ProcessTrace", "time_extent"]
+
+
+def time_extent(extents) -> tuple[float, float]:
+    """``(t_min, t_max)`` over per-rank ``(n_events, t_first, t_last)``
+    extents: what :attr:`Trace.t_min` and :attr:`Trace.t_max` report
+    for the same streams, ``(0.0, 0.0)`` when all are empty."""
+    if not extents:
+        return 0.0, 0.0
+    return (
+        min(lo for _, lo, _ in extents.values()),
+        max(hi for _, _, hi in extents.values()),
+    )
 
 
 @dataclass(slots=True)

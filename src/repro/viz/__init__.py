@@ -73,9 +73,9 @@ def render_analysis(
     path = out / "timeline.png"
     render_timeline_png(
         trace,
+        analysis.profile.tables,
         path,
         width=width,
-        tables=analysis.profile.tables,
         show_messages=show_messages,
     )
     written["timeline"] = str(path)
@@ -98,7 +98,7 @@ def render_analysis(
 
     path = out / "timeline.svg"
     render_timeline_svg(
-        trace, path, width=float(width), tables=analysis.profile.tables,
+        trace, analysis.profile.tables, path, width=float(width),
         show_messages=show_messages,
     )
     written["timeline_svg"] = str(path)

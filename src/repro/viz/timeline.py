@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from ..profiles.replay import InvocationTable, replay_trace
+from ..profiles.replay import InvocationTable
 from ..trace.events import EventKind
 from ..trace.trace import Trace
 from .canvas import Canvas
@@ -109,22 +109,21 @@ def match_messages(
 
 def render_timeline_png(
     trace: Trace,
+    tables: dict[int, InvocationTable],
     path: str | os.PathLike | None = None,
     width: int = 1100,
     height: int | None = None,
-    tables: dict[int, InvocationTable] | None = None,
     show_messages: bool = False,
     max_messages: int = 1500,
     legend_entries: int = 8,
     t0: float | None = None,
     t1: float | None = None,
 ) -> Canvas:
-    """Render the master timeline of ``trace`` to a PNG chart.
+    """Render the master timeline of ``trace`` from its invocation
+    ``tables`` to a PNG chart.
 
     Returns the canvas; additionally writes ``path`` when given.
     """
-    if tables is None:
-        tables = replay_trace(trace)
     ranks = trace.ranks
     n_ranks = len(ranks)
     if n_ranks == 0:

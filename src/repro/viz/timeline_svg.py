@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from ..profiles.replay import InvocationTable, replay_trace
+from ..profiles.replay import InvocationTable
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
 from .colors import hex_color, region_palette
@@ -27,10 +27,10 @@ __all__ = ["render_timeline_svg"]
 
 def render_timeline_svg(
     trace: Trace,
+    tables: dict[int, InvocationTable],
     path: str | os.PathLike | None = None,
     width: float = 1100.0,
     row_height: float = 12.0,
-    tables: dict[int, InvocationTable] | None = None,
     t0: float | None = None,
     t1: float | None = None,
     min_pixels: float = 0.75,
@@ -40,14 +40,13 @@ def render_timeline_svg(
     max_messages: int = 800,
     title: str | None = None,
 ) -> SVGCanvas:
-    """Render the master timeline as SVG (one rect per visible frame).
+    """Render the master timeline of ``trace`` from its invocation
+    ``tables`` as SVG (one rect per visible frame).
 
     Frames narrower than ``min_pixels`` or deeper than ``max_depth``
     are culled; if the visible frame count still exceeds
     ``max_rects``, the narrowest frames are dropped first.
     """
-    if tables is None:
-        tables = replay_trace(trace)
     ranks = trace.ranks
     n_ranks = len(ranks)
     if n_ranks == 0:

@@ -14,6 +14,7 @@ from repro.core.metrics import (
     per_rank_metric_total,
     segment_metric_delta,
 )
+from repro.profiles import replay_trace
 from repro.sim.countermodel import FPU_EXCEPTIONS, PAPI_TOT_CYC
 from repro.sim.workloads.cosmo_specs import HOT_RANKS, PEAK_RANK
 from repro.lint import lint_trace, validate_config
@@ -150,7 +151,7 @@ class TestWRF:
         about 11 seconds"."""
         from repro.profiles import profile_trace
 
-        stats = profile_trace(wrf_trace).stats
+        stats = profile_trace(wrf_trace, replay_trace(wrf_trace)).stats
         init = stats.of("wrf_init")
         assert init.inclusive_max == pytest.approx(11.0, rel=0.2)
 

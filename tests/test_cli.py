@@ -1,5 +1,8 @@
 """Tests for the command-line interface (in-process invocation)."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import _COMMANDS, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -351,7 +354,11 @@ class TestProcess:
         result = run_cli_script(script, str(trace_path), stdout=subprocess.DEVNULL)
         assert result.returncode == 0, result.stderr
 
-    def test_warm_cache_analyze_loads_no_lint(self, trace_path, tmp_path):
+    def test_warm_cache_analyze_loads_no_lint(self, trace_path, tmp_path, monkeypatch):
+        # A full cache hit decodes no event and replays nothing, so it
+        # imports neither the decode nor the replay layer.  The priming
+        # run records the stat key however young the file is.
+        monkeypatch.setattr("repro.core.session._RACY_NS", 0)
         cache = str(tmp_path / "cache")
         assert main(["analyze", str(trace_path), "--cache-dir", cache]) == 0
         script = (
@@ -362,7 +369,10 @@ class TestProcess:
             "          'uuid', 'logging', 'repro.trace.builder',\n"
             "          'repro.trace.merge', 'repro.profiles.export',\n"
             "          'repro.core.engine', 'repro.core.shard',\n"
-            "          'concurrent.futures')\n"
+            "          'concurrent.futures', 'repro.profiles.replay',\n"
+            "          'repro.trace.events', 'repro.profiles.callpath',\n"
+            "          'repro.trace.writer', 'repro.trace.cursor',\n"
+            "          'repro.core.incremental')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -409,6 +419,63 @@ class TestProcess:
             os.close(write_end)
         assert result.returncode == 1
         assert result.stderr == ""
+
+    def test_stats_times_the_cli_import(self, trace_path):
+        # Run as ``python -m repro``, --stats opens with the time from
+        # the entry module's first line to the start of the command.
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(trace_path), "--stats"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        row = re.search(r"^cli\.import\s+1\s+(\S+)", result.stdout, re.M)
+        assert row is not None and float(row.group(1)) > 0
+
+    def test_in_process_stats_has_no_import_row(self, trace_path, capsys):
+        assert main(["analyze", str(trace_path), "--stats"]) == 0
+        assert "cli.import" not in capsys.readouterr().out
+
+
+class TestParser:
+    """A run fills in only the subcommand it parses; what it prints is
+    what the parser with every subcommand filled in prints."""
+
+    @staticmethod
+    def subparsers(parser) -> dict:
+        action = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        return action.choices
+
+    @staticmethod
+    def printed(parser, argv) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["--no-such-flag"]]
+        + [[name, "--help"] for name in _COMMANDS]
+        + [[name, "--no-such-flag"] for name in _COMMANDS],
+        ids=" ".join,
+    )
+    def test_prints_what_the_full_parser_prints(self, argv):
+        full = build_parser()
+        for sub in self.subparsers(full).values():
+            sub._filled()
+        assert self.printed(build_parser(), argv) == self.printed(full, argv)
+
+    def test_builds_only_the_subcommand_it_runs(self):
+        parser = build_parser()
+        parser.parse_args(["info", "trace.rpt"])
+        built = [
+            name for name, sub in self.subparsers(parser).items() if sub._actions[1:]
+        ]
+        assert built == ["info"]
 
 
 class TestVersionAndBadInput:

@@ -9,6 +9,7 @@ from repro.core import (
     compare_analyses,
     compare_traces,
 )
+from repro.profiles import replay_trace
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 
 
@@ -91,41 +92,45 @@ class TestActivityShares:
         )
 
     def test_columns_sum_to_one(self, trace):
-        shares = activity_shares(trace, bins=32)
+        shares = activity_shares(trace, replay_trace(trace), bins=32)
         np.testing.assert_allclose(shares.shares.sum(axis=0), 1.0)
 
     def test_paradigm_labels(self, trace):
-        shares = activity_shares(trace, bins=32)
+        shares = activity_shares(trace, replay_trace(trace), bins=32)
         assert "USER" in shares.labels
         assert "MPI" in shares.labels
         assert shares.labels[-1] == "idle"
 
     def test_user_dominates_compute_bound_run(self, trace):
-        shares = activity_shares(trace, bins=32)
+        shares = activity_shares(trace, replay_trace(trace), bins=32)
         assert shares.mean_share("USER") > 0.5
 
     def test_region_grouping(self, trace):
-        shares = activity_shares(trace, bins=32, by="region", top_regions=1)
+        shares = activity_shares(
+            trace, replay_trace(trace), bins=32, by="region", top_regions=1
+        )
         assert "work" in shares.labels
         assert shares.labels[-1] == "idle"
         assert "other" in shares.labels  # the non-top regions fold here
 
     def test_bad_grouping(self, trace):
         with pytest.raises(ValueError, match="unknown grouping"):
-            activity_shares(trace, by="magic")
+            activity_shares(trace, replay_trace(trace), by="magic")
 
     def test_of_and_mean(self, trace):
-        shares = activity_shares(trace, bins=16)
+        shares = activity_shares(trace, replay_trace(trace), bins=16)
         series = shares.of("USER")
         assert series.shape == (16,)
         assert 0 <= shares.mean_share("USER") <= 1
 
     def test_window(self, trace):
-        shares = activity_shares(trace, bins=8, t0=0.0, t1=trace.t_max / 2)
+        shares = activity_shares(
+            trace, replay_trace(trace), bins=8, t0=0.0, t1=trace.t_max / 2
+        )
         assert shares.edges[-1] == pytest.approx(trace.t_max / 2)
 
     def test_mpi_share_grows_in_cosmo(self, cosmo_trace):
-        shares = activity_shares(trace=cosmo_trace, bins=60)
+        shares = activity_shares(cosmo_trace, replay_trace(cosmo_trace), bins=60)
         mpi = shares.of("MPI")
         # Average of the last sixth far above the first sixth (Fig 4a).
         assert mpi[-10:].mean() > mpi[:10].mean() + 0.3
@@ -134,7 +139,7 @@ class TestActivityShares:
 class TestAreaChart:
     def test_render(self, tmp_path):
         trace = generate(SyntheticConfig(ranks=4, iterations=8, seed=3))
-        shares = activity_shares(trace, bins=64)
+        shares = activity_shares(trace, replay_trace(trace), bins=64)
         from repro.viz import render_area_png
 
         path = tmp_path / "area.png"

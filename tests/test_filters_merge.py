@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.profiles import replay_trace
 from repro.lint import lint_trace, validate_config
 from repro.trace import (
     clip_trace,
@@ -36,7 +37,7 @@ class TestClipTrace:
         from repro.profiles import profile_trace
 
         clipped = clip_trace(fig3, 2.0, 8.0)
-        prof = profile_trace(clipped)
+        prof = profile_trace(clipped, replay_trace(clipped))
         assert prof.stats.of("main").inclusive_sum == pytest.approx(6.0 * 3)
 
     def test_empty_window_rejected(self, fig3):
@@ -61,7 +62,7 @@ class TestFilterRegions:
         assert lint_trace(filtered, config=validate_config()).ok
         from repro.profiles import profile_trace
 
-        prof = profile_trace(filtered)
+        prof = profile_trace(filtered, replay_trace(filtered))
         assert prof.stats.of("calc").count == 0
         # The parent keeps its timing.
         assert prof.stats.of("a").count == 9
@@ -70,7 +71,7 @@ class TestFilterRegions:
         filtered = filter_regions(fig3, lambda r: r.name != "a")
         from repro.profiles import profile_trace
 
-        prof = profile_trace(filtered)
+        prof = profile_trace(filtered, replay_trace(filtered))
         assert prof.stats.of("a").count == 0
         assert prof.stats.of("calc").count == 9
 
@@ -115,7 +116,7 @@ class TestMergeTraces:
         assert len(merged.regions) == 2
         from repro.profiles import profile_trace
 
-        prof = profile_trace(merged)
+        prof = profile_trace(merged, replay_trace(merged))
         assert prof.stats.of("main").count == 2
         assert prof.stats.of("x").count == 2
 

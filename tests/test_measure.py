@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import analyze_trace
 from repro.measure import ManualClock, Measurement, WallClock
+from repro.profiles import replay_trace
 from repro.lint import lint_trace, validate_config
 from repro.trace.definitions import MetricMode, Paradigm
 
@@ -53,7 +54,7 @@ class TestMeasurement:
         assert lint_trace(trace, config=validate_config()).ok
         from repro.profiles import profile_trace
 
-        stats = profile_trace(trace).stats
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("main").inclusive_sum == 4.0
         assert stats.of("inner").inclusive_sum == 2.0
         assert stats.of("main").exclusive_sum == 2.0
@@ -89,7 +90,7 @@ class TestMeasurement:
         trace = m.finish()
         from repro.profiles import profile_trace
 
-        stats = profile_trace(trace).stats
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("solve").count == 1
         assert stats.of("solve").inclusive_sum == 1.0
         assert stats.of("fancy").count == 1

@@ -9,6 +9,7 @@ import pytest
 import repro
 import repro.core
 from repro.core import analyze_trace
+from repro.profiles import replay_trace
 from repro.sim import ops
 from repro.sim.engine import simulate
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
@@ -49,7 +50,7 @@ class TestWallClockMeasurement:
         trace = m.finish()
         from repro.profiles import profile_trace
 
-        stats = profile_trace(trace).stats
+        stats = profile_trace(trace, replay_trace(trace)).stats
         measured = stats.of("sleep").inclusive_sum
         assert 0.015 <= measured <= 0.5  # generous upper bound for CI
 
@@ -60,9 +61,10 @@ class TestZoomedTimeline:
         from repro.viz import render_timeline_png
 
         d = trace.duration
-        full = render_timeline_png(trace, width=400, height=150)
+        tables = replay_trace(trace)
+        full = render_timeline_png(trace, tables, width=400, height=150)
         zoom = render_timeline_png(
-            trace, width=400, height=150, t0=d / 3, t1=2 * d / 3
+            trace, tables, width=400, height=150, t0=d / 3, t1=2 * d / 3
         )
         # Different windows draw different pixels.
         assert not np.array_equal(full.pixels, zoom.pixels)
@@ -115,12 +117,12 @@ class TestSegmentationEdge:
         trace = generate(SyntheticConfig(ranks=4, iterations=1))
         from repro.core import rank_candidates
 
-        names = [c.name for c in rank_candidates(trace)]
+        names = [c.name for c in rank_candidates(trace, tables=replay_trace(trace))]
         assert "iteration" not in names  # 4 invocations < 8
 
     def test_two_iterations_exactly_meets_2p(self):
         trace = generate(SyntheticConfig(ranks=4, iterations=2))
         from repro.core import rank_candidates
 
-        names = [c.name for c in rank_candidates(trace)]
+        names = [c.name for c in rank_candidates(trace, tables=replay_trace(trace))]
         assert "iteration" in names

@@ -10,7 +10,7 @@ from repro.paper import (
     figure2_trace,
     figure3_trace,
 )
-from repro.profiles import profile_trace
+from repro.profiles import profile_trace, replay_trace
 from repro.lint import lint_trace, validate_config
 
 
@@ -18,15 +18,18 @@ class TestFigure1:
     """Inclusive vs. exclusive time (Section IV, Figure 1)."""
 
     def test_inclusive_time_of_foo_is_6(self):
-        stats = profile_trace(figure1_trace()).stats
+        trace = figure1_trace()
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("foo").inclusive_sum == 6.0
 
     def test_exclusive_time_of_foo_is_4(self):
-        stats = profile_trace(figure1_trace()).stats
+        trace = figure1_trace()
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("foo").exclusive_sum == 4.0
 
     def test_bar_subcall(self):
-        stats = profile_trace(figure1_trace()).stats
+        trace = figure1_trace()
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("bar").inclusive_sum == 2.0
         assert stats.of("bar").exclusive_sum == 2.0
 
@@ -39,19 +42,21 @@ class TestFigure2:
 
     def test_main_has_highest_inclusive_but_loses(self):
         trace = figure2_trace()
-        stats = profile_trace(trace).stats
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("main").inclusive_sum == 54.0  # paper: 54 steps
         analysis = analyze_trace(trace)
         assert analysis.dominant_name == "a"
 
     def test_a_inclusive_and_count_match_paper(self):
-        stats = profile_trace(figure2_trace()).stats
+        trace = figure2_trace()
+        stats = profile_trace(trace, replay_trace(trace)).stats
         a = stats.of("a")
         assert a.inclusive_sum == 36.0  # paper: 36 time steps
         assert a.count == 9  # paper: nine times on three processes
 
     def test_main_invocations_equal_process_count(self):
-        stats = profile_trace(figure2_trace()).stats
+        trace = figure2_trace()
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("main").count == 3
 
     def test_2p_threshold(self):

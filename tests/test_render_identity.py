@@ -67,7 +67,7 @@ def _sha(data: bytes | str) -> str:
 def digests(analysis) -> dict[str, str]:
     trace = analysis.trace
     tables = analysis.profile.tables
-    timeline = render_timeline_png(trace, tables=tables, width=1100)
+    timeline = render_timeline_png(trace, tables, width=1100)
     shares = activity_shares(trace, tables, bins=256)
     return {
         "svg": _sha(render_sos_svg(analysis, width=1100.0).tostring()),

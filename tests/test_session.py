@@ -221,15 +221,24 @@ class TestFingerprint:
     @given(small_trace())
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_stable(self, tmp_path_factory, trace):
-        """JSONL and binary round-trips preserve the fingerprint."""
+        """JSONL and binary round-trips preserve the fingerprint, and a
+        session hashing its file's column bytes finds it too, with the
+        trace's extent and no event decoded."""
         fp = fingerprint_trace(trace)
         base = tmp_path_factory.mktemp("fp")
         jsonl = base / "t.jsonl"
         binary = base / "t.rpt"
+        raw = base / "raw.rpt"
         write_jsonl(trace, jsonl)
         write_binary(trace, binary)
+        write_binary(trace, raw, codec="raw")
         assert fingerprint_trace(read_trace(jsonl)) == fp
         assert fingerprint_trace(read_trace(binary)) == fp
+        for path in (jsonl, binary, raw):
+            session = AnalysisSession(None, source_path=path)
+            assert session.fingerprint == fp
+            assert session.trace.extent == (trace.t_min, trace.t_max)
+            assert not session.trace.decoded
 
     def test_per_rank_digests_match_events(self, fig3):
         fp = fingerprint_trace(fig3)
@@ -517,9 +526,9 @@ class TestDeferredDecode:
         del arrays["extent"]  # an entry as written before it held one
         store.store(key, arrays)
         report, spans, _ = self._traced_report(path, cache)
-        # The miss hashes the file rank by rank; that pass gives the
-        # extent, so nothing decodes the whole file.
-        assert "io.load" in spans and "io.read" not in spans
+        # The miss hashes the file's column bytes rank by rank; that
+        # pass gives the extent, so no event is decoded.
+        assert not spans & {"io.read", "io.load"}
         assert report == AnalysisSession(None, source_path=path).analysis().report()
         trace = read_trace(path)
         assert store.load(key)["extent"].tolist() == [trace.t_min, trace.t_max]

@@ -393,7 +393,9 @@ class TestShardEngine:
 
         monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
         trace = generate(processes=16, iterations=4)
-        session = AnalysisSession(trace, shards=4)
+        # The memory bound spills; a plan of shards alone would not.
+        session = AnalysisSession(trace, max_memory_mb=0.05)
+        assert session._shard_engine().plan.num_shards > 1
         tables = session.profile().tables
 
         def held() -> int:
@@ -408,6 +410,32 @@ class TestShardEngine:
         assert sizes == [len(direct[rank]) for rank in trace.ranks]
         for rank in trace.ranks[-2:]:
             assert np.array_equal(tables[rank].t_enter, direct[rank].t_enter)
+
+    def test_in_process_shards_keep_tables(self, tmp_path, monkeypatch, capsys):
+        # Shards run in one process spill nothing: no temporary
+        # directory, and the report is the unsharded run's.
+        import tempfile
+
+        from repro.cli import main
+
+        made = []
+        real = tempfile.TemporaryDirectory
+
+        def spy(*args, **kwargs):
+            made.append(kwargs.get("prefix"))
+            return real(*args, **kwargs)
+
+        path = str(tmp_path / "cs.rpt")
+        assert main(["simulate", "cosmo_specs", "--processes", "16",
+                     "--iterations", "4", "-o", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", spy)
+        assert main(["analyze", path]) == 0
+        unsharded = capsys.readouterr().out
+        assert main(["analyze", path, "--shards", "8"]) == 0
+        assert capsys.readouterr().out == unsharded
+        assert made == []
 
     def test_session_stats_accounting(self, tiny_trace, tmp_path):
         cache = tmp_path / "cache"

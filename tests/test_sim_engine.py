@@ -27,7 +27,7 @@ class TestComputeAndRegions:
 
         result = run(1, program)
         assert result.makespan == 1.5
-        stats = profile_trace(result.trace).stats
+        stats = profile_trace(result.trace, replay_trace(result.trace)).stats
         assert stats.of("main").inclusive_sum == 1.5
         assert stats.of("work").inclusive_sum == 1.0
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import analyze_trace
-from repro.profiles import profile_trace
+from repro.profiles import profile_trace, replay_trace
 from repro.sim import ops
 from repro.sim.engine import simulate
 from repro.sim.network import NetworkModel
@@ -163,7 +163,7 @@ def test_inclusive_time_conservation(size, extra):
         yield ops.Leave("main")
 
     result = simulate(size, program, network=NET)
-    profile = profile_trace(result.trace)
+    profile = profile_trace(result.trace, replay_trace(result.trace))
     main_incl = profile.stats.of("main").inclusive_sum
     total_excl = float(profile.stats.exclusive_sum.sum())
     assert main_incl == pytest.approx(total_excl)

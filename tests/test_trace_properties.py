@@ -109,7 +109,7 @@ class TestClipInvariants:
         trace, _ = data
         t1 = trace.t_min + frac * trace.duration
         clipped = clip_trace(trace, trace.t_min, t1)
-        stats = compute_statistics(clipped)
+        stats = compute_statistics(clipped, replay_trace(clipped))
         window = t1 - trace.t_min
         main_id = clipped.regions.id_of("main")
         assert stats.inclusive_sum[main_id] <= window * trace.num_processes + 1e-9
@@ -123,16 +123,16 @@ class TestFilterInvariants:
         filtered = filter_regions(trace, lambda r: r.id != drop_id)
         config = validate_config(allow_empty_streams=True)
         assert lint_trace(filtered, config=config).ok
-        stats = compute_statistics(filtered)
+        stats = compute_statistics(filtered, replay_trace(filtered))
         assert stats.count[drop_id] == 0
 
     @given(iterative_trace())
     @settings(max_examples=20, deadline=None)
     def test_filter_preserves_other_regions_counts(self, data):
         trace, _ = data
-        before = compute_statistics(trace)
+        before = compute_statistics(trace, replay_trace(trace))
         filtered = filter_regions(trace, lambda r: r.name != "calc")
-        after = compute_statistics(filtered)
+        after = compute_statistics(filtered, replay_trace(filtered))
         iter_id = trace.regions.id_of("iter")
         assert after.count[iter_id] == before.count[iter_id]
 
@@ -162,9 +162,9 @@ class TestMergeInvariants:
         assert lint_trace(merged, config=validate_config()).ok
         assert merged.num_events == a.num_events + b.num_events
         # Aggregated statistics add up.
-        sa = compute_statistics(a)
-        sb = compute_statistics(b)
-        sm = compute_statistics(merged)
+        sa = compute_statistics(a, replay_trace(a))
+        sb = compute_statistics(b, replay_trace(b))
+        sm = compute_statistics(merged, replay_trace(merged))
         for name in ("main", "iter", "calc"):
             rid = merged.regions.id_of(name)
             assert sm.count[rid] == (

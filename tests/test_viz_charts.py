@@ -207,19 +207,21 @@ class TestTimeline:
 
     def test_render_timeline(self, viz_trace, tmp_path):
         path = tmp_path / "tl.png"
-        render_timeline_png(viz_trace, path)
+        render_timeline_png(viz_trace, replay_trace(viz_trace), path)
         assert path.exists() and path.stat().st_size > 500
 
     def test_render_timeline_with_messages(self, viz_trace, tmp_path):
         path = tmp_path / "tlm.png"
-        render_timeline_png(viz_trace, path, show_messages=True)
+        render_timeline_png(
+            viz_trace, replay_trace(viz_trace), path, show_messages=True
+        )
         assert path.exists()
 
     def test_empty_trace_rejected(self):
         from repro.trace.trace import Trace
 
         with pytest.raises(ValueError, match="empty"):
-            render_timeline_png(Trace(name="none"))
+            render_timeline_png(Trace(name="none"), {})
 
     def test_match_messages(self, viz_trace):
         messages = match_messages(viz_trace, limit=100)
@@ -239,18 +241,18 @@ class TestCounterAndProfileCharts:
         assert path.exists()
 
     def test_profile_chart(self, viz_trace, tmp_path):
-        stats = profile_trace(viz_trace).stats
+        stats = profile_trace(viz_trace, replay_trace(viz_trace)).stats
         path = tmp_path / "prof.png"
         render_profile_png(stats, path, k=5)
         assert path.exists()
 
     def test_profile_inclusive_variant(self, viz_trace):
-        stats = profile_trace(viz_trace).stats
+        stats = profile_trace(viz_trace, replay_trace(viz_trace)).stats
         canvas = render_profile_png(stats, metric="inclusive")
         assert canvas.width == 760
 
     def test_profile_bad_metric(self, viz_trace):
-        stats = profile_trace(viz_trace).stats
+        stats = profile_trace(viz_trace, replay_trace(viz_trace)).stats
         with pytest.raises(ValueError):
             render_profile_png(stats, metric="typo")
 
@@ -342,7 +344,9 @@ class TestTimelineSvg:
         from repro.viz import render_timeline_svg
 
         path = tmp_path / "tl.svg"
-        svg = render_timeline_svg(viz_trace, path, show_messages=True)
+        svg = render_timeline_svg(
+            viz_trace, replay_trace(viz_trace), path, show_messages=True
+        )
         content = path.read_text()
         assert "<svg" in content
         assert "<title>" in content  # invocation tooltips
@@ -352,15 +356,15 @@ class TestTimelineSvg:
         from repro.viz import render_timeline_svg
 
         d = viz_trace.duration
-        svg = render_timeline_svg(viz_trace, t0=0.0, t1=d / 4)
-        full = render_timeline_svg(viz_trace)
+        svg = render_timeline_svg(viz_trace, replay_trace(viz_trace), t0=0.0, t1=d / 4)
+        full = render_timeline_svg(viz_trace, replay_trace(viz_trace))
         # Zoomed view shows fewer or equal rects than the full view.
         assert svg.tostring().count("<rect") <= full.tostring().count("<rect")
 
     def test_max_rects_cap(self, viz_trace):
         from repro.viz import render_timeline_svg
 
-        capped = render_timeline_svg(viz_trace, max_rects=20)
+        capped = render_timeline_svg(viz_trace, replay_trace(viz_trace), max_rects=20)
         assert capped.tostring().count("<rect") <= 20 + 40  # + chrome
 
     def test_empty_trace_rejected(self):
@@ -368,13 +372,13 @@ class TestTimelineSvg:
         from repro.viz import render_timeline_svg
 
         with pytest.raises(ValueError, match="empty"):
-            render_timeline_svg(Trace(name="none"))
+            render_timeline_svg(Trace(name="none"), {})
 
     def test_depth_culling(self, viz_trace):
         from repro.viz import render_timeline_svg
 
-        shallow = render_timeline_svg(viz_trace, max_depth=1)
-        deep = render_timeline_svg(viz_trace, max_depth=10)
+        shallow = render_timeline_svg(viz_trace, replay_trace(viz_trace), max_depth=1)
+        deep = render_timeline_svg(viz_trace, replay_trace(viz_trace), max_depth=10)
         assert (
             shallow.tostring().count("<rect")
             <= deep.tostring().count("<rect")

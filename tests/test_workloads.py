@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import analyze_trace
+from repro.profiles import replay_trace
 from repro.sim.workloads.base import CloudField, per_rank_cost
 from repro.sim.workloads.cosmo_specs import CosmoSpecsConfig
 from repro.sim.workloads.synthetic import SyntheticConfig, generate, generate_result
@@ -183,7 +184,7 @@ class TestSyntheticWorkload:
         trace = generate(SyntheticConfig(ranks=2, iterations=4, subiters=3))
         from repro.profiles import profile_trace
 
-        stats = profile_trace(trace).stats
+        stats = profile_trace(trace, replay_trace(trace)).stats
         assert stats.of("work").count == 2 * 4 * 3
 
     def test_generate_kwargs_form(self):
