@@ -14,10 +14,9 @@ OS interruption stands out (paper Section VII-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._record import record
 from .partition import (
     imbalance_of,
     partition_cost,
@@ -30,7 +29,7 @@ from .sfc import curve_order
 __all__ = ["BalanceResult", "DynamicLoadBalancer", "static_decomposition"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BalanceResult:
     """Outcome of one (re)balance step."""
 

@@ -14,10 +14,9 @@ kmeans does not guarantee determinism across versions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from ..core.metrics import metric_series
 from ..profiles.profile import TraceProfile
 from ..sim.countermodel import PAPI_TOT_CYC
@@ -28,7 +27,7 @@ from ._common import resolve_inputs
 __all__ = ["Burst", "ClusterResult", "extract_bursts", "kmeans", "cluster_phases"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Burst:
     """One computation burst (leaf USER-region invocation)."""
 
@@ -39,7 +38,7 @@ class Burst:
     cycle_rate: float  # cycles per second inside the burst (0 if unknown)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ClusterResult:
     """K-means clustering of computation bursts."""
 

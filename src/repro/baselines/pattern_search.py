@@ -21,10 +21,9 @@ the catalogue go unnoticed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from ..profiles.profile import TraceProfile
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
@@ -43,7 +42,7 @@ _COLLECTIVES = (
 _BLOCKING_RECV = ("MPI_Recv", "MPI_Wait", "MPI_Waitall")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PatternInstance:
     """One detected inefficiency pattern."""
 
@@ -57,7 +56,7 @@ class PatternInstance:
     detail: str = ""
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PatternSearchResult:
     """Severity-ranked pattern instances for one trace."""
 

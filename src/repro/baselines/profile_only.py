@@ -11,10 +11,9 @@ time is invisible to it by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from ..core.imbalance import robust_zscores
 from ..profiles.profile import TraceProfile
 from ..trace.definitions import Paradigm
@@ -24,7 +23,7 @@ from ._common import resolve_inputs
 __all__ = ["ProfileOnlyFinding", "ProfileOnlyResult", "analyze_profile_only"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ProfileOnlyFinding:
     """One flagged function or rank from aggregated data."""
 
@@ -35,7 +34,7 @@ class ProfileOnlyFinding:
     detail: str
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ProfileOnlyResult:
     """Everything a profile-aggregating tool can report.
 

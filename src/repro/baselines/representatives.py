@@ -17,10 +17,9 @@ failure mode the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from ..profiles.profile import TraceProfile
 from ..trace.trace import Trace
 from ._common import resolve_inputs
@@ -28,7 +27,7 @@ from ._common import resolve_inputs
 __all__ = ["RepresentativeResult", "select_representatives"]
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class RepresentativeResult:
     """Clusters of similar processes and their representatives."""
 

@@ -9,10 +9,9 @@ processes whose innermost active region belongs to each group
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._record import record
 from ..profiles.replay import InvocationTable
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
@@ -20,7 +19,7 @@ from ..trace.trace import Trace
 __all__ = ["ActivityShares", "activity_shares"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ActivityShares:
     """Stacked activity fractions over time.
 

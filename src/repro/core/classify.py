@@ -13,17 +13,17 @@ narrow the set via name patterns or roles.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass
 
 import numpy as np
 
+from .._record import record
 from ..trace.definitions import Paradigm, Region, RegionRole
 from ..trace.trace import Trace
 
 __all__ = ["SyncClassifier", "default_classifier"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyncClassifier:
     """Decides which regions are subtracted from segment durations.
 

@@ -9,17 +9,16 @@ sanity-checking simulated workloads' topologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._record import record
 from ..trace.events import EventKind
 from ..trace.trace import Trace
 
 __all__ = ["CommMatrix", "communication_matrix"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CommMatrix:
     """Pairwise communication statistics of one trace.
 

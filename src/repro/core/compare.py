@@ -12,16 +12,15 @@ bottleneck the heat map exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from .pipeline import AnalysisConfig, VariationAnalysis
 
 __all__ = ["RunComparison", "SegmentDelta", "compare_analyses", "compare_traces"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SegmentDelta:
     """One aligned segment pair with a material SOS difference."""
 
@@ -47,7 +46,7 @@ class SegmentDelta:
         )
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class RunComparison:
     """Result of aligning two runs segment by segment.
 

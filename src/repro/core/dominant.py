@@ -16,11 +16,11 @@ slow invocation (Section VII-B, Figure 5c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._record import record
 from ..profiles.stats import compute_statistics
 from ..trace.definitions import Paradigm
 
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DominantCandidate:
     """One function considered by the dominant-function heuristic."""
 
@@ -55,7 +55,7 @@ class DominantCandidate:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DominantSelection:
     """Result of the dominant-function search.
 

@@ -38,9 +38,9 @@ nothing), or to a private temporary directory without a cache.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .. import obs
+from .._record import record
 from ..profiles.replay import InvocationTable
 from ..trace.trace import Trace
 from .classify import SyncClassifier
@@ -66,7 +66,7 @@ __all__ = [
 BYTES_PER_EVENT = 160
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ShardPlan:
     """Contiguous partition of a trace's ranks into shard groups."""
 

@@ -10,10 +10,9 @@ compares to the same segment index on the other ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from ..trace.definitions import MetricMode
 from .metrics import metric_series
 from .pipeline import VariationAnalysis
@@ -21,7 +20,7 @@ from .pipeline import VariationAnalysis
 __all__ = ["RegionShare", "SegmentExplanation", "explain_segment"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RegionShare:
     """Exclusive time of one region inside one segment."""
 
@@ -41,7 +40,7 @@ class RegionShare:
         return max(self.exclusive - self.typical_elsewhere, 0.0)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SegmentExplanation:
     """Complete breakdown of one segment."""
 

@@ -15,12 +15,12 @@ each with a severity score (robust z-score based on median/MAD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import MAD_SCALE
+from .._record import field, record
 
 if TYPE_CHECKING:
     from .sos import SOSResult
@@ -151,7 +151,7 @@ def _robust_zscores_rows(matrix: np.ndarray, rel_floor: float = 0.01) -> np.ndar
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RankHotspot:
     """A process whose aggregate SOS-time is anomalously high."""
 
@@ -163,7 +163,7 @@ class RankHotspot:
         return f"rank {self.rank}: total SOS {self.total_sos:.6g} (z={self.zscore:.2f})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Hotspot:
     """A single segment whose SOS-time is anomalously high.
 
@@ -194,7 +194,7 @@ class Hotspot:
         )
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ImbalanceReport:
     """All detections for one SOS analysis."""
 

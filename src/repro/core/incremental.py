@@ -51,12 +51,12 @@ the per-region statistics partials — a few KiB per rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 import numpy as np
 
 from .. import obs
+from .._record import field, record
 from ..profiles.replay import InvocationTable, pair_events, table_from_pairing
 from ..profiles.stats import batch_statistics_arrays
 from ..trace.cursor import BATCH_EVENTS, EventCursor
@@ -78,7 +78,7 @@ _BATCH_EVENTS = BATCH_EVENTS
 _C_EVENTS = obs.counter("analysis.events")
 
 
-@dataclass
+@record
 class FusedBootstrap:
     """Products of one fused pass over a trace, or over a shard of it.
 

@@ -10,10 +10,9 @@ module provides those views over METRIC events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._record import record
 from ..trace.definitions import MetricMode
 from ..trace.events import EventKind
 from ..trace.trace import Trace
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MetricSeries:
     """Samples of one metric on one rank."""
 

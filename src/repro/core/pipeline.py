@@ -22,10 +22,9 @@ across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import field, record
 from ..profiles.profile import TraceProfile
 from ..trace.definitions import Paradigm
 from ..trace.trace import Trace
@@ -39,7 +38,7 @@ from .variation import TrendResult
 __all__ = ["AnalysisConfig", "VariationAnalysis", "analyze_trace"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnalysisConfig:
     """Tunable knobs of the analysis pipeline.
 

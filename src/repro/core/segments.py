@@ -9,10 +9,11 @@ heat-map binning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .._record import record
 
 if TYPE_CHECKING:
     from ..profiles.replay import InvocationTable
@@ -20,7 +21,7 @@ if TYPE_CHECKING:
 __all__ = ["RankSegments", "Segmentation", "segment_rank", "segment_trace"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RankSegments:
     """Segments of one process, ordered by start time."""
 

@@ -48,13 +48,13 @@ import time
 import zipfile
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .. import obs
+from .._record import field, record, replace
 from ..profiles.profile import TraceProfile
 from ..profiles.stats import FunctionStatistics
 from ..trace.fingerprint import (
@@ -160,7 +160,7 @@ class _LRU:
         return len(self._data)
 
 
-@dataclass
+@record
 class SessionStats:
     """Counters of stage activity, for tests, benchmarks and ``cache info``.
 
@@ -193,7 +193,7 @@ class SessionStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CacheInfo:
     """Summary of one on-disk artifact cache."""
 

@@ -15,11 +15,11 @@ wrapper classified as sync — must not be counted twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._record import record
 from .classify import SyncClassifier, default_classifier
 from .segments import RankSegments, Segmentation
 
@@ -73,7 +73,7 @@ def top_level_sync_mask(table: InvocationTable, sync_regions: np.ndarray) -> np.
     return frame_sync & ~_has_sync_ancestor(table, frame_sync)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RankSOS:
     """SOS values for the segments of one process."""
 

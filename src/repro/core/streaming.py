@@ -54,11 +54,11 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
+from .._record import record
 from ..trace.definitions import RegionRegistry
 from ..trace.events import EventKind, EventList
 from . import MAD_SCALE
@@ -152,7 +152,7 @@ class StreamStructureError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StreamedSegment:
     """One completed dominant-function invocation seen in the stream."""
 
@@ -171,7 +171,7 @@ class StreamedSegment:
         return self.duration - self.sync_time
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StreamAlert:
     """A segment flagged as anomalous at completion time."""
 

@@ -14,10 +14,10 @@ the SOS value of the segment covering that time bin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .._record import record
 from .imbalance import finite_median
 from .sos import SOSResult
 
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TrendResult:
     """Outcome of the temporal trend test on per-step mean values.
 

@@ -32,12 +32,12 @@ shard count or worker scheduling.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .. import obs
+from .._record import field, record
 from ..profiles.replay import pair_events
 from ..trace.definitions import MetricRegistry, RegionRegistry
 from ..trace.events import EventKind, EventList
@@ -67,7 +67,7 @@ def hb_rules_enabled(config: LintConfig) -> bool:
     return any(True for _ in enabled_rules(config, scope="hb"))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LintShared:
     """Definition-level context shared by every rule invocation."""
 
@@ -124,7 +124,7 @@ class LintShared:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankSummary:
     """Cross-rank partial of one rank's stream (picklable, mergeable).
 
@@ -269,7 +269,7 @@ class BatchView:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceView:
     """Merged cross-rank picture handed to trace-scoped rules."""
 

@@ -36,11 +36,11 @@ topology for external viewers (ROADMAP item 2).
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
+from .._record import fields, record
 from ..trace.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,7 +105,7 @@ def collective_region_mask(shared: "LintShared") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatchRecords:
     """One rank's message-relevant events, flattened (picklable).
 
@@ -358,7 +358,7 @@ _EMPTY_ROWS = {
 _COLUMN = {name: f"{name[0]}_{name.split('_', 1)[1]}" for name in _EMPTY_ROWS}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatchBatch:
     """The match records of a batch of ranks, kept flat.
 
@@ -415,7 +415,7 @@ def _record(
 ) -> MatchRecords:
     """A rank's record whose row fields are ``rows`` of ``columns``.
 
-    Skips the frozen dataclass ``__init__`` (one ``object.__setattr__``
+    Skips the frozen record ``__init__`` (one ``object.__setattr__``
     per field), which dominates when thousands of ranks each get one.
     """
     rec = object.__new__(MatchRecords)
@@ -536,7 +536,7 @@ class MatchGraphWriter:
         return graph
 
 
-@dataclass
+@record
 class MatchGraph:
     """Global message-match graph over all ranks' records.
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 import fnmatch
 import json
-from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
+from .._record import field, fields, record, replace
 from ..core.classify import SyncClassifier, default_classifier
 
 __all__ = [
@@ -53,7 +53,7 @@ class Severity(enum.IntEnum):
         }[self]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Diagnostic:
     """One finding of a lint rule.
 
@@ -112,7 +112,7 @@ class LintError(ValueError):
         super().__init__(f"{header}:\n{lines}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LintConfig:
     """Knobs of a tracelint run.
 
@@ -173,12 +173,12 @@ class LintConfig:
     def from_mapping(cls, data: Mapping[str, Any]) -> "LintConfig":
         """Build a config from a parsed ``--config`` file mapping.
 
-        Accepts the field names of this dataclass; ``select``/``ignore``
+        Accepts the field names of this record; ``select``/``ignore``
         may be lists, ``severity_overrides`` a ``{code: severity}``
         mapping, ``min_severity`` a string.
         """
         kwargs: dict[str, Any] = {}
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
+        known = {f.name for f in fields(cls)}
         for key, value in data.items():
             if key not in known:
                 raise ValueError(f"unknown lint config key {key!r}")
@@ -203,7 +203,7 @@ class LintConfig:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LintReport:
     """Deterministically ordered result of one tracelint run."""
 

@@ -30,9 +30,9 @@ entry in ``docs/lint.md``.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from .._record import record
 from .model import LintConfig, Severity
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Finding:
     """Lightweight result yielded by a rule's check function.
 
@@ -61,7 +61,7 @@ class Finding:
     severity: Severity | None = None  # override the rule default
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rule:
     """One registered lint rule."""
 

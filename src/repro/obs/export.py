@@ -21,8 +21,8 @@ Three consumers, one journal format:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
+from .._record import record
 from ..trace.builder import TraceBuilder
 from ..trace.definitions import MetricMode
 from ..trace.trace import Trace
@@ -169,7 +169,7 @@ def write_self_trace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PhaseStat:
     """Aggregated timing of one span name across all locations."""
 
@@ -180,7 +180,7 @@ class PhaseStat:
     share: float  # of trace wall time
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ObsSummary:
     """Everything ``repro stats`` prints."""
 

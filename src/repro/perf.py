@@ -31,10 +31,10 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import field, record
 from .core import MAD_SCALE
 
 __all__ = [
@@ -71,7 +71,7 @@ def machine_fingerprint() -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PerfHistory:
     """Append-ordered benchmark history, one JSON object per line.
 
@@ -201,7 +201,7 @@ def record_bench_files(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Finding:
     """One detected performance variation in a benchmark series."""
 

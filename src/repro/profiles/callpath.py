@@ -9,8 +9,9 @@ replay's parent links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
+
+from .._record import field, record
 
 if TYPE_CHECKING:
     from ..trace.trace import Trace
@@ -19,7 +20,7 @@ if TYPE_CHECKING:
 __all__ = ["CallPathNode", "CallTree", "build_call_tree"]
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class CallPathNode:
     """One node of the aggregated call tree."""
 

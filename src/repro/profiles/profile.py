@@ -8,11 +8,11 @@ per-process breakdowns (time share per paradigm), which back the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._record import record
 from ..trace.definitions import Paradigm
 from .stats import compute_statistics
 
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 __all__ = ["TraceProfile", "profile_trace"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ParadigmShare:
     """Exclusive-time share of one paradigm (e.g. 25% MPI)."""
 

@@ -20,10 +20,9 @@ one-stream batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
+from .._record import fields, record
 from ..trace.events import EventKind, EventList
 from ..trace.trace import Trace
 
@@ -45,7 +44,7 @@ __all__ = [
 REPLAY_COLUMNS = ("time", "kind", "ref")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class InvocationTable:
     """Structure-of-arrays table of completed region invocations.
 
@@ -162,7 +161,7 @@ def _stable_order(key: np.ndarray, span: int) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Pairing:
     """Enter/leave pairing of a batch of rank streams.
 
@@ -423,7 +422,7 @@ def _outermost_flags(
     return ~nested
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BatchTables:
     """The invocation tables of every paired rank of a batch.
 

@@ -8,10 +8,11 @@ all processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .._record import record
 
 if TYPE_CHECKING:
     from ..trace.trace import Trace
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RegionStats:
     """Aggregated timings of one region across the whole run.
 

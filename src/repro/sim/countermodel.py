@@ -12,9 +12,9 @@ so the case-study signatures emerge naturally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from .._record import record
 from ..trace.definitions import MetricMode
 
 __all__ = ["CounterSpec", "CounterSet", "PAPI_TOT_CYC", "FPU_EXCEPTIONS"]
@@ -23,7 +23,7 @@ PAPI_TOT_CYC = "PAPI_TOT_CYC"
 FPU_EXCEPTIONS = "FR_FPU_EXCEPTIONS_SSE_MICROTRAPS"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CounterSpec:
     """Definition of one simulated counter.
 

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import os
 from itertools import chain
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .._record import record
 from ..trace.definitions import Paradigm
 from . import ops
 from .network import NetworkModel
@@ -66,7 +66,7 @@ class Region:
         self.phases = phases
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Work:
     """``Compute(seconds, region=region, interruption=extra)`` on every rank.
 
@@ -80,7 +80,7 @@ class Work:
     extra: object = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Halo:
     """Eager nonblocking exchange: rank ``r`` posts ``Irecv`` from each
     of ``recv_from[r]``, then ``Isend`` to each of ``send_to[r]``, then
@@ -105,7 +105,7 @@ class Halo:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Collective:
     """One collective over all ranks: ``op`` is ``"barrier"``,
     ``"bcast"``, ``"allreduce"`` or ``"allgather"``; ``size`` in bytes."""

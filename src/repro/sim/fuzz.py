@@ -43,13 +43,13 @@ import json
 import tempfile
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import ops
+from .._record import field, record, replace
 from .countermodel import CounterSet
 from .engine import SimResult, simulate
 from .noise import (
@@ -129,7 +129,7 @@ VERSIONS = (1, 2)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InjectionSpec:
     """One sampled perturbation, mapped onto a noise model.
 
@@ -171,7 +171,7 @@ class InjectionSpec:
         raise ValueError(f"unknown injection kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioSpec:
     """Complete, deterministic description of one fuzzed scenario."""
 
@@ -243,7 +243,7 @@ class ScenarioSpec:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self, default=vars, sort_keys=True)  # records: objects of fields
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -465,7 +465,7 @@ def build_trace(spec: ScenarioSpec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleFailure:
     """One divergence, crash or invariant violation."""
 
@@ -476,7 +476,7 @@ class OracleFailure:
         return f"[{self.cell}] {self.message}"
 
 
-@dataclass
+@record
 class OracleReport:
     """Verdict of one oracle run over one scenario."""
 
@@ -1082,7 +1082,7 @@ ADVERSARY_EXPECT = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdversarialScenario:
     """One planted-defect scenario: a healthy baseline plus a defect.
 

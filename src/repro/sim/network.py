@@ -20,7 +20,8 @@ byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from .._record import field, record
 
 __all__ = [
     "NetworkModel",
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NetworkModel:
     """Timing parameters of the simulated interconnect.
 
@@ -145,7 +146,7 @@ class Topology:
         return len(self.route(src, dst))
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class FatTreeTopology(Topology):
     """Two-level fat-tree: hosts under leaf switches, leaves under spines.
 
@@ -180,7 +181,7 @@ class FatTreeTopology(Topology):
         return 2 if src // self.leaf_arity == dst // self.leaf_arity else 4
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TorusTopology(Topology):
     """k-ary n-dimensional torus with dimension-ordered shortest routing.
 
@@ -232,7 +233,7 @@ class TorusTopology(Topology):
         return total
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DragonflyTopology(Topology):
     """Dragonfly: all-to-all routers inside a group, one global link
     per group pair, reached through a deterministic gateway router.
@@ -275,7 +276,7 @@ class DragonflyTopology(Topology):
         return tuple(links)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TopologyNetworkModel(NetworkModel):
     """Distance- and congestion-aware network over a :class:`Topology`.
 

@@ -14,9 +14,9 @@ advances counters (the engine attributes counters to active time only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .._record import record
 
 __all__ = [
     "NoiseModel",
@@ -40,7 +40,7 @@ class NoiseModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NoNoise(NoiseModel):
     """The quiet machine: no perturbation."""
 
@@ -79,7 +79,7 @@ class GaussianJitter(NoiseModel):
         return draw * active
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScheduledInterruptions(NoiseModel):
     """Deterministic preemptions: (rank, window, duration) triples.
 
@@ -98,7 +98,7 @@ class ScheduledInterruptions(NoiseModel):
         return total
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoiseBursts(NoiseModel):
     """Periodic system-noise bursts on a subset of ranks.
 
@@ -110,7 +110,7 @@ class NoiseBursts(NoiseModel):
     an idle wave (Afzal et al.): the delay propagates through the
     communication dependencies one neighbour per iteration.
 
-    Fully deterministic from the dataclass fields — no hidden RNG —
+    Fully deterministic from the record fields — no hidden RNG —
     so identical simulations yield identical traces.
     """
 
@@ -131,7 +131,7 @@ class NoiseBursts(NoiseModel):
         return 0.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ImbalanceRamp(NoiseModel):
     """Load imbalance that grows linearly over virtual time.
 
@@ -154,7 +154,7 @@ class ImbalanceRamp(NoiseModel):
         return self.rate * min(max(t_start, 0.0), self.t_cap) * active
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Straggler(NoiseModel):
     """Persistent multiplicative slowdown of selected ranks.
 
@@ -178,7 +178,7 @@ class Straggler(NoiseModel):
         return (self.factor - 1.0) * active
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompositeNoise(NoiseModel):
     """Sum of several noise models."""
 

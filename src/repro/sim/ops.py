@@ -21,8 +21,9 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+from .._record import record
 
 __all__ = [
     "Comm",
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Comm:
     """A communicator: an ordered group of ranks with a stable id.
 
@@ -74,6 +75,9 @@ class Comm:
 #: Sentinel communicator meaning "all ranks" (id 0 is reserved for it).
 WORLD = Comm(id=0, ranks=())
 
+#: Hot ops write ``__init__`` out: ``record``'s generic one is ~3x slower.
+_set = object.__setattr__
+
 
 class Op:
     """Base class of all yieldable operations (for isinstance checks)."""
@@ -81,7 +85,7 @@ class Op:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Compute(Op):
     """Busy computation for ``seconds`` of active CPU time.
 
@@ -106,29 +110,41 @@ class Compute(Op):
     counters: Mapping[str, float] | None = None
     interruption: float = 0.0
 
+    def __init__(self, seconds, region=None, counters=None, interruption=0.0) -> None:
+        _set(self, "seconds", seconds)
+        _set(self, "region", region)
+        _set(self, "counters", counters)
+        _set(self, "interruption", interruption)
 
-@dataclass(frozen=True, slots=True)
+
+@record(frozen=True, slots=True)
 class Elapse(Op):
     """Let wall time pass without computing (idle / sleep)."""
 
     seconds: float
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Enter(Op):
     """Enter a user region."""
 
     region: str
 
+    def __init__(self, region: str) -> None:
+        _set(self, "region", region)
 
-@dataclass(frozen=True, slots=True)
+
+@record(frozen=True, slots=True)
 class Leave(Op):
     """Leave the innermost user region (name checked when given)."""
 
     region: str | None = None
 
+    def __init__(self, region: str | None = None) -> None:
+        _set(self, "region", region)
 
-@dataclass(frozen=True, slots=True)
+
+@record(frozen=True, slots=True)
 class Sample(Op):
     """Explicitly sample a counter at the current time."""
 
@@ -139,51 +155,51 @@ class Sample(Op):
 # -- collectives -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Barrier(Op):
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Bcast(Op):
     size: int = 0
     root: int = 0
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Reduce(Op):
     size: int = 0
     root: int = 0
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Allreduce(Op):
     size: int = 0
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Allgather(Op):
     size: int = 0
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Alltoall(Op):
     size: int = 0
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Gather(Op):
     size: int = 0
     root: int = 0
     comm: Comm = WORLD
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Scatter(Op):
     size: int = 0
     root: int = 0
@@ -193,7 +209,7 @@ class Scatter(Op):
 # -- point-to-point -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Send(Op):
     """Blocking send (eager below the threshold, rendezvous above)."""
 
@@ -202,7 +218,7 @@ class Send(Op):
     tag: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Recv(Op):
     """Blocking receive, matched by (source, tag) in FIFO order."""
 
@@ -211,7 +227,7 @@ class Recv(Op):
     tag: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Sendrecv(Op):
     """Combined send + receive (MPI_Sendrecv): deadlock-free exchange."""
 
@@ -222,7 +238,7 @@ class Sendrecv(Op):
     tag: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Isend(Op):
     """Nonblocking send; yields a :class:`Request`."""
 
@@ -230,14 +246,24 @@ class Isend(Op):
     size: int = 0
     tag: int = 0
 
+    def __init__(self, dest: int, size: int = 0, tag: int = 0) -> None:
+        _set(self, "dest", dest)
+        _set(self, "size", size)
+        _set(self, "tag", tag)
 
-@dataclass(frozen=True, slots=True)
+
+@record(frozen=True, slots=True)
 class Irecv(Op):
     """Nonblocking receive; yields a :class:`Request`."""
 
     source: int
     size: int = 0
     tag: int = 0
+
+    def __init__(self, source: int, size: int = 0, tag: int = 0) -> None:
+        _set(self, "source", source)
+        _set(self, "size", size)
+        _set(self, "tag", tag)
 
 
 class Request:
@@ -263,14 +289,14 @@ class Request:
         return f"Request({self.kind} rank={self.rank} peer={self.peer} {state})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Wait(Op):
     """Block until a nonblocking request completes (MPI_Wait)."""
 
     request: Request
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Waitall(Op):
     """Block until all listed requests complete (MPI_Waitall)."""
 

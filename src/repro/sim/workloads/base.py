@@ -11,14 +11,14 @@ the local work", Section VII-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ..._record import record
 
 __all__ = ["CloudField", "per_rank_cost"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CloudField:
     """A growing (optionally drifting) Gaussian cloud on an ``nx x ny`` grid.
 

@@ -17,8 +17,7 @@ model cannot produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._record import record
 from ...trace.trace import Trace
 from .. import ops
 from ..countermodel import CounterSet
@@ -29,7 +28,7 @@ from ..noise import NoiseModel
 __all__ = ["CongestionConfig", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CongestionConfig:
     """Parameters of the incast workload and its fat-tree fabric."""
 

@@ -15,10 +15,9 @@ MPI, which is precisely the Figure-4 picture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..._record import record
 from ...balance.balancer import static_decomposition
 from ...trace.trace import Trace
 from ..countermodel import CounterSet
@@ -37,7 +36,7 @@ HOT_RANKS = (44, 45, 54, 55, 64, 65)
 PEAK_RANK = 54
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CosmoSpecsConfig:
     """Parameters of the COSMO-SPECS stand-in.
 

@@ -24,10 +24,9 @@ The workload:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..._record import record
 from ...balance.balancer import DynamicLoadBalancer
 from ...trace.trace import Trace
 from .. import ops
@@ -41,7 +40,7 @@ from .base import CloudField, per_rank_cost
 __all__ = ["CosmoSpecsFD4Config", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CosmoSpecsFD4Config:
     """Parameters of the COSMO-SPECS+FD4 stand-in (defaults: paper run).
 

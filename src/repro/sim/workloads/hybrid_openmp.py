@@ -16,10 +16,9 @@ with OpenMP paradigm so the classifier subtracts it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..._record import record
 from ...trace.definitions import Paradigm, RegionRole
 from ...trace.trace import Trace
 from .. import ops
@@ -31,7 +30,7 @@ from ..noise import GaussianJitter, NoiseModel
 __all__ = ["HybridConfig", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HybridConfig:
     """Parameters of the hybrid MPI+OpenMP stand-in."""
 

@@ -20,8 +20,7 @@ spreading from the source rank — a pattern the paper's case studies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._record import record
 from ...trace.trace import Trace
 from ..countermodel import CounterSet
 from ..engine import SimResult, simulate
@@ -32,7 +31,7 @@ from ..noise import NoiseModel, ScheduledInterruptions
 __all__ = ["IdleWaveConfig", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IdleWaveConfig:
     """Parameters of the idle-wave ring."""
 

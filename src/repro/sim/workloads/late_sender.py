@@ -18,8 +18,7 @@ because of a shared resource rather than an upstream dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._record import record
 from ...trace.trace import Trace
 from .. import ops
 from ..countermodel import CounterSet
@@ -30,7 +29,7 @@ from ..noise import NoiseModel
 __all__ = ["LateSenderConfig", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LateSenderConfig:
     """Parameters of the late-sender pipeline."""
 

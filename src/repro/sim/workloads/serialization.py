@@ -21,8 +21,7 @@ corpus covers the case where variation is low but waiting is huge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._record import record
 from ...trace.trace import Trace
 from .. import ops
 from ..countermodel import CounterSet
@@ -33,7 +32,7 @@ from ..noise import NoiseModel
 __all__ = ["SerializationConfig", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SerializationConfig:
     """Parameters of the token-serialized critical section."""
 

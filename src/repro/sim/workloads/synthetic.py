@@ -8,11 +8,9 @@ can assert the analysis recovers exactly what was injected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
 import numpy as np
 
+from ..._record import field, record
 from ...trace.trace import Trace
 from ..countermodel import CounterSet
 from ..engine import SimResult, simulate
@@ -23,7 +21,7 @@ from ..noise import GaussianJitter, NoiseModel, NoNoise
 __all__ = ["SyntheticConfig", "GroundTruth", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroundTruth:
     """What a correct analysis should find in a synthetic trace."""
 
@@ -32,7 +30,7 @@ class GroundTruth:
     has_trend: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyntheticConfig:
     """Knobs of the synthetic iterative workload.
 

@@ -19,9 +19,7 @@ The workload reproduces all three observables:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
+from ..._record import record
 from ...trace.trace import Trace
 from .. import ops
 from ..countermodel import CounterSet, FPU_EXCEPTIONS
@@ -33,7 +31,7 @@ from ..program import halo_exchange, neighbors_2d
 __all__ = ["WRFConfig", "generate", "generate_result"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WRFConfig:
     """Parameters of the WRF stand-in (defaults: the published run)."""
 

@@ -32,10 +32,10 @@ import json
 import os
 import time as _time
 from collections import deque
-from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
 from .. import obs
+from .._record import record
 from .events import EventList
 from .trace import Trace
 
@@ -64,7 +64,7 @@ _C_TAIL_BYTES = obs.counter("cursor.tail.bytes")
 _C_FEED_EVENTS = obs.counter("cursor.feed.events")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class EventBatch:
     """One time-ordered chunk of one rank's event stream.
 

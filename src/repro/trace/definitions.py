@@ -10,8 +10,9 @@ NumPy lookup tables.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator
+
+from .._record import record
 
 __all__ = [
     "Paradigm",
@@ -88,7 +89,7 @@ def default_role(name: str, paradigm: Paradigm) -> RegionRole:
     return RegionRole.COMPUTE
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Region:
     """A named code region (function, loop body or runtime operation)."""
 
@@ -100,7 +101,7 @@ class Region:
     line: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Metric:
     """A counter definition (PAPI-style hardware or software metric)."""
 
@@ -123,7 +124,7 @@ class MetricMode(enum.IntEnum):
     RATE = 2  # value is already a per-second rate
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Location:
     """A processing element producing one event stream (an MPI rank)."""
 

@@ -29,10 +29,11 @@ analysis code is encouraged to operate on ``events.time``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .._record import record
 
 __all__ = [
     "EventKind",
@@ -59,7 +60,7 @@ class EventKind(enum.IntEnum):
     METRIC = 4
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Event:
     """A single trace event (row view of :class:`EventList`).
 

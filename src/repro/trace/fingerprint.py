@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .._record import record
 
 if TYPE_CHECKING:
     from .events import EventList
@@ -79,7 +80,7 @@ def fingerprint_definitions(trace: Trace) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TraceFingerprint:
     """Content digest of one trace.
 

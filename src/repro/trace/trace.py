@@ -8,11 +8,11 @@ OTF2 archive in the Score-P world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .._record import record
 from .definitions import Location, MetricRegistry, Paradigm, RegionRegistry
 
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ def time_extent(extents) -> tuple[float, float]:
     )
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ProcessTrace:
     """Event stream of a single processing element."""
 

@@ -9,9 +9,9 @@ vectorised: value arrays map to ``(..., 3)`` uint8 RGB arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .._record import record
 
 __all__ = [
     "Colormap",
@@ -36,7 +36,7 @@ def hex_color(rgb: tuple[int, int, int]) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Colormap:
     """Piecewise-linear colormap over [0, 1].
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .._record import record
 from .canvas import Canvas
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ChartLayout:
     """Pixel geometry of a chart: margins around a plot rectangle."""
 

@@ -356,7 +356,8 @@ class TestProcess:
 
     def test_warm_cache_analyze_loads_no_lint(self, trace_path, tmp_path, monkeypatch):
         # A full cache hit decodes no event and replays nothing, so it
-        # imports neither the decode nor the replay layer.  The priming
+        # imports neither the decode nor the replay layer, and its record
+        # types are built without ``dataclasses`` (repro._record).  The priming
         # run records the stat key however young the file is.
         monkeypatch.setattr("repro.core.session._RACY_NS", 0)
         cache = str(tmp_path / "cache")
@@ -372,7 +373,7 @@ class TestProcess:
             "          'concurrent.futures', 'repro.profiles.replay',\n"
             "          'repro.trace.events', 'repro.profiles.callpath',\n"
             "          'repro.trace.writer', 'repro.trace.cursor',\n"
-            "          'repro.core.incremental')\n"
+            "          'repro.core.incremental', 'dataclasses')\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "sys.exit(f'imported: {loaded}' if loaded else 0)\n"
         )
@@ -980,6 +981,65 @@ class TestCorruptColumnMatrix:
             f"location 5 column {column} at byte {offset}: "
         ), verdict
         assert len(verdict.strip().splitlines()) == 1, verdict
+
+
+@pytest.fixture(scope="module")
+def truncations(tmp_path_factory):
+    """A zlib-coded 4x3 COSMO-SPECS ``.rpt`` and the lengths to cut it
+    to: every header boundary, and the first, second and last byte of
+    each column blob of its first and last rank."""
+    import struct
+
+    from repro.sim.workloads.cosmo_specs import generate
+    from repro.trace import write_binary
+    from repro.trace.binio import payload_start
+
+    path = tmp_path_factory.mktemp("truncations") / "small.rpt"
+    write_binary(generate(processes=4, iterations=3), path, codec="zlib")
+    data = path.read_bytes()
+    version, hlen = struct.unpack_from("<HI", data, 4)
+    start = payload_start(hlen, version)
+    cuts = {4, 10, 10 + hlen, start}
+    locations = json.loads(data[10 : 10 + hlen])["locations"]
+    for location in (locations[0], locations[-1]):
+        for spec in location["columns"].values():
+            blob = start + spec["offset"]
+            cuts |= {blob, blob + 1, blob + spec["length"] - 1}
+    return data, sorted(cuts)
+
+
+class TestTruncationMatrix:
+    """A ``.rpt`` cut short anywhere, in its header or inside any column
+    blob, gets one verdict from every route that reads it: exit 2 and the
+    same ``error:`` line, without a traceback."""
+
+    ROUTES = (
+        ["analyze"],
+        ["analyze", "--html", "{out}.html"],
+        ["lint"],
+        ["monitor"],
+        ["info"],
+        ["deps"],
+    )
+
+    def test_every_cut_gets_one_verdict(self, truncations, tmp_path, capsys):
+        data, cuts = truncations
+        path = tmp_path / "cut.rpt"
+        assert len(cuts) > 40
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            verdicts = set()
+            for route in self.ROUTES:
+                argv = [route[0], str(path)] + [
+                    a.format(out=tmp_path / "out") for a in route[1:]
+                ]
+                assert main(argv) == 2, (cut, argv)
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, (cut, argv, err)
+                verdicts.add(err)
+            (verdict,) = verdicts
+            assert verdict.startswith(f"error: cannot read trace {path}: "), (cut, verdict)
+            assert len(verdict.strip().splitlines()) == 1, (cut, verdict)
 
 
 class TestShardInvariance:

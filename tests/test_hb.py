@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._record import replace
 from repro.lint import (
     LintConfig,
     lint_trace,

@@ -13,11 +13,11 @@ Regenerate after an intentional change with::
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro._record import replace
 from test_sim_sink import (
     COSMO_SEEDS,
     COSMO_VARIANTS,

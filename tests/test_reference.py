@@ -8,13 +8,13 @@ bitwise on small fuzz scenarios — and planted table bugs must fail.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_impl as ref
+from repro._record import replace
 from repro.core import incremental
 from repro.core.fused import fused_bootstrap
 from repro.profiles import replay

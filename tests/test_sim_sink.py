@@ -84,7 +84,7 @@ def _fingerprints(trace):
 
 
 def _variant_result(name, seed):
-    from dataclasses import replace
+    from repro._record import replace
 
     if name in COSMO_VARIANTS:
         return cosmo_specs.generate_result(replace(COSMO_VARIANTS[name], seed=seed))
