@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """CI gate: bounded-memory analysis of a multi-million-event trace.
 
-The cursor engine's contract (docs/streaming.md) is that peak memory
-follows ``chunk_events`` — derived from ``--max-memory-mb`` — rather
-than the trace size.  This script enforces the claim end to end:
+The memory contract (docs/streaming.md) is that peak memory follows
+the rank groups ``--max-memory-mb`` sizes, rather than the trace size:
+the kernel reads one rank group at a time, each rank whole, and
+spills every rank's invocation table as it is built.  This script
+enforces the claim end to end:
 
 1. it synthesises a ~2M-event ``.rpt`` v2 (raw columns) trace,
 2. computes an unconstrained reference analysis in-process,

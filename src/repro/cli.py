@@ -100,6 +100,12 @@ def _shard_kwargs(args) -> dict:
         raise CLIError(f"--shards must be >= 1, got {shards}")
     if max_memory_mb is not None and max_memory_mb <= 0:
         raise CLIError(f"--max-memory-mb must be > 0, got {max_memory_mb}")
+    if max_memory_mb is not None and not (
+        max_memory_mb < float("inf") and int(max_memory_mb * 1e6) > 0
+    ):
+        raise CLIError(
+            f"--max-memory-mb must be finite and >= 1 byte, got {max_memory_mb}"
+        )
     return {"shards": shards, "max_memory_mb": max_memory_mb}
 
 
@@ -433,11 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz the analysis engines with random scenarios",
         description=(
             "Generate seeded random simulation scenarios and run each "
-            "through the differential oracle: the incremental kernel "
-            "(whole-rank and chunked) against the staged reference, "
-            "shard counts, chunk sizes and both "
-            ".rpt container versions must agree bitwise.  Failures are "
-            "minimized and written as self-contained repro scripts."
+            "through the differential oracle: the fused kernel against "
+            "the staged reference, the session across shard counts, and "
+            "the streaming analyzer fed in cursor chunks of several "
+            "sizes, over both .rpt container versions, must agree "
+            "bitwise.  Failures are minimized and written as "
+            "self-contained repro scripts."
         ),
     )
     fuzz.add_argument("--seed", type=int, default=0,
@@ -1267,16 +1274,21 @@ def _run(argv: list[str] | None) -> int:
     except CLIError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except ValueError as err:
+    except (ValueError, LookupError) as err:
         # A failed structural gate (repro.lint.LintError) is bad input,
         # and so is a trace that fails to decode after _reading let go
-        # of it (a session decodes its file on first use).  Looked up,
-        # not imported: neither module need be loaded by now.
+        # of it (a session decodes its file on first use), or a
+        # dominant function the trace cannot supply.  Looked up, not
+        # imported: no such module need be loaded by now.
         lint_model = sys.modules.get("repro.lint.model")
         reader = sys.modules.get("repro.trace.reader")
+        dominant = sys.modules.get("repro.core.dominant")
         if reader is not None and isinstance(err, reader.TraceFormatError):
             where = f"cannot read trace {err.path}: " if err.path else ""
             print(f"error: {where}{err}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if dominant is not None and isinstance(err, dominant.SelectionError):
+            print(f"error: {err.args[0]}", file=sys.stderr)
             return EXIT_BAD_INPUT
         if lint_model is None or not isinstance(err, lint_model.LintError):
             raise

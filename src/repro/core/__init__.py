@@ -27,7 +27,7 @@ _EXPORTS = {
         "imbalance_percentage",
         "robust_zscores",
     ),
-    "incremental": ("FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"),
+    "incremental": ("FusedBootstrap", "IncrementalKernel"),
     "metrics": (
         "MetricSeries",
         "binned_metric_matrix",

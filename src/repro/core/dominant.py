@@ -32,9 +32,27 @@ if TYPE_CHECKING:
 __all__ = [
     "DominantCandidate",
     "DominantSelection",
+    "SelectionError",
     "rank_candidates",
     "select_dominant",
 ]
+
+
+class SelectionError(Exception):
+    """A selection the trace cannot make; the CLI reports ``args[0]``
+    as bad input.  Each raise site keeps its builtin type too."""
+
+
+class _NoCandidate(SelectionError, ValueError):
+    pass
+
+
+class _LevelOutOfRange(SelectionError, IndexError):
+    pass
+
+
+class _NotACandidate(SelectionError, KeyError):
+    pass
 
 
 @record(frozen=True, slots=True)
@@ -84,7 +102,7 @@ class DominantSelection:
         """Selection ``steps`` levels further down the candidate list."""
         new_level = self.level + steps
         if not 0 <= new_level < len(self.candidates):
-            raise IndexError(
+            raise _LevelOutOfRange(
                 f"refinement level {new_level} out of range "
                 f"(have {len(self.candidates)} candidates)"
             )
@@ -95,7 +113,7 @@ class DominantSelection:
         for i, cand in enumerate(self.candidates):
             if cand.name == name:
                 return DominantSelection(self.candidates, i, self.min_invocations)
-        raise KeyError(f"{name!r} is not a dominant-function candidate")
+        raise _NotACandidate(f"{name!r} is not a dominant-function candidate")
 
 
 def rank_candidates(
@@ -169,13 +187,13 @@ def select_dominant(
     )
     if not candidates:
         p = trace.num_processes
-        raise ValueError(
+        raise _NoCandidate(
             "no dominant-function candidate: no function is invoked at least "
             f"{int(np.ceil(min_invocation_factor * p))} times "
             f"({min_invocation_factor} x {p} processes)"
         )
     if not 0 <= level < len(candidates):
-        raise IndexError(
+        raise _LevelOutOfRange(
             f"refinement level {level} out of range "
             f"(have {len(candidates)} candidates)"
         )

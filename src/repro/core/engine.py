@@ -127,8 +127,10 @@ def plan_shards(
         raise ValueError(f"shard count must be >= 1, got {shards}")
     total = sum(event_counts.values())
     if max_memory_mb is not None:
-        if max_memory_mb <= 0:
-            raise ValueError(f"memory bound must be > 0 MB, got {max_memory_mb}")
+        if not (max_memory_mb < float("inf") and int(max_memory_mb * 1e6) > 0):
+            raise ValueError(
+                f"memory bound must be finite and >= 1 byte, got {max_memory_mb} MB"
+            )
         budget = int(max_memory_mb * 1e6)
         needed = -(-total * BYTES_PER_EVENT // budget) if total else 1
         n = max(n, int(needed))
@@ -178,10 +180,11 @@ def _phase1(payload: dict) -> FusedBootstrap:
     """Scan and replay one shard's ranks: phase 1.
 
     A kernel over the shard's rank group runs
-    :func:`~repro.core.fused.fused_bootstrap` over the group's batches
-    of the trace (a session's own file, reopened by path in a worker,
-    every column decoded): the lint scan, replay and the statistics
-    partials in one pass.  Its tables go to the payload's store, its
+    :func:`~repro.core.fused.fused_bootstrap` over the group's
+    :meth:`~repro.trace.trace.Trace.event_streams` (a session's own
+    file, reopened by path in a worker, each rank whole with every
+    column decoded): the lint scan, replay and the statistics partials
+    in one pass.  Its tables go to the payload's store, its
     match batches to the parent's graph (in process) or back with the
     result, and the result is its
     :meth:`~repro.core.incremental.IncrementalKernel.finish`: the scan
@@ -192,10 +195,10 @@ def _phase1(payload: dict) -> FusedBootstrap:
     trace, group, known = payload["trace"], payload["ranks"], payload["known"]
     matches: list = []
     part = fused_bootstrap(
-        trace, trace.event_batches(group, payload["chunk_events"]),
+        trace, ranks=group,
         lint=payload["lint"], table_ranks=payload["table_ranks"],
         graph=payload["graph"], finalize=False,
-        ranks=group, num_processes=len(known), known_ranks=known,
+        num_processes=len(known), known_ranks=known,
         table_sink=payload["store"].put,
         match_sink=payload.get("match_sink", matches.append),
     )
@@ -363,10 +366,6 @@ class ShardEngine:
         worker spills too, since its tables reach the parent through
         those files.  Otherwise tables stay in memory, and are also
         written to ``cache`` when there is one.
-    chunk_events:
-        Batch size (events) of a file's cursor reads.  ``None`` reads
-        one whole-rank batch per rank; a bound makes the per-shard
-        memory budget a hard guarantee instead of a planning estimate.
     """
 
     def __init__(
@@ -377,13 +376,9 @@ class ShardEngine:
         cache: ArtifactCache | None = None,
         key=None,
         spill: bool = False,
-        chunk_events: int | None = None,
     ) -> None:
-        if chunk_events is not None and chunk_events <= 0:
-            raise ValueError(f"chunk_events must be > 0, got {chunk_events}")
         self.plan = plan
         self.trace = trace
-        self.chunk_events = chunk_events
         #: worker processes (:func:`~repro.core.shard.shard_workers`);
         #: with one (always for a plan of one shard) tasks run in process
         self.workers = 1
@@ -441,7 +436,7 @@ class ShardEngine:
         kernel = kernel_for(self.trace, lint=lint, table_ranks=table_ranks, graph=graph)
         common = dict(
             known=self.plan.ranks, lint=lint, table_ranks=table_ranks,
-            graph=graph, chunk_events=self.chunk_events,
+            graph=graph,
         )
         if self.workers == 1 and kernel.match_sink is not None:
             common["match_sink"] = kernel.match_sink

@@ -9,11 +9,11 @@ pass aggregates per-region statistics from the tables.
 
 :func:`fused_bootstrap` does all three in **one** pass.  The work
 lives in :class:`~repro.core.incremental.IncrementalKernel`, which
-runs ranks in batches, and this function is its one driver: it feeds
-the kernel a trace's :meth:`~repro.trace.trace.Trace.event_batches`
-(or any other batches of its ranks, e.g. a cursor's).  For a session's
-own file those batches come rank by rank from the file's cursor, so
-the pass never holds the decoded trace; every session runs it through
+runs ranks in batches, and this function is its one driver: it adds
+each of the trace's :meth:`~repro.trace.trace.Trace.event_streams`
+to the kernel whole.  For a session's own file those streams come rank
+by rank from the file's cursor, so the pass never holds the decoded
+trace; every session runs it through
 the shard engine (:mod:`repro.core.engine`), in process or in one
 worker per rank group.  The scan runs any
 :class:`~repro.lint.model.LintConfig`: the structural gate by
@@ -28,21 +28,18 @@ bitwise identical to the staged pipeline by construction:
 * statistics partials merge rank-ascending, which is the definition of
   :meth:`~repro.profiles.stats.FunctionStatistics.from_partials`.
 
-``tests/test_differential.py`` and the golden suite lock the identity,
-and — because this wrapper feeds the incremental kernel — they lock
-the batch/streaming engine parity at the same time.
+``tests/test_differential.py`` and the golden suite lock the identity.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Literal
+from typing import TYPE_CHECKING, Literal
 
 from ..trace.trace import Trace
 from .incremental import FusedBootstrap, IncrementalKernel
 
 if TYPE_CHECKING:
     from ..lint.model import LintConfig
-    from ..trace.cursor import EventBatch
 
 __all__ = ["FusedBootstrap", "fused_bootstrap", "kernel_for"]
 
@@ -68,8 +65,8 @@ def kernel_for(
 
 def fused_bootstrap(
     trace: Trace,
-    batches: Iterable[EventBatch] | None = None,
     *,
+    ranks=None,
     lint: LintConfig | None | Literal[False] = None,
     table_ranks=None,
     graph: bool = False,
@@ -88,22 +85,21 @@ def fused_bootstrap(
     covers all of them): a session replays only ranks whose stored
     tables are missing, and ``()`` builds none.  ``graph`` builds the
     scan's match graph even when no hb-scope rule needs it (``repro
-    deps``).  Each rank finishes on its ``final`` batch, so a trace
-    whose streams decode on demand holds one rank group at a time.
+    deps``).  Each rank joins the kernel whole, so a trace whose
+    streams decode on demand holds one rank batch at a time.
 
-    ``batches`` (default: ``trace.event_batches()``) may cover part of
-    the trace, named by the ``ranks`` of ``kernel``, the further
-    settings of the pass's kernel (:func:`kernel_for`): a shard's pass
-    sends its tables to a ``table_sink`` and its match records to a
-    ``match_sink``.  With ``finalize=False`` the result is the kernel's
+    ``ranks`` (default: all) limits the pass to part of the trace, a
+    shard's rank group; ``kernel`` holds the further settings of the
+    pass's kernel (:func:`kernel_for`): a shard's pass sends its tables
+    to a ``table_sink`` and its match records to a ``match_sink``.
+    With ``finalize=False`` the result is the kernel's
     :meth:`~repro.core.incremental.IncrementalKernel.finish`: the scan
     stays unfinalised, for the parent to finish over every shard.
     """
     pass_kernel = kernel_for(
-        trace, lint=lint, table_ranks=table_ranks, graph=graph, **kernel
+        trace, ranks=ranks, lint=lint, table_ranks=table_ranks, graph=graph,
+        **kernel,
     )
-    for batch in trace.event_batches() if batches is None else batches:
-        pass_kernel.feed(batch.rank, batch.events)
-        if batch.final:
-            pass_kernel.finish_rank(batch.rank)
+    for rank, events in trace.event_streams(ranks):
+        pass_kernel.add_rank(rank, events)
     return pass_kernel.finalize() if finalize else pass_kernel.finish()

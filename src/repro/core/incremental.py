@@ -1,21 +1,21 @@
-"""Incremental (cursor-driven) analysis kernel.
+"""The rank-batched analysis kernel.
 
 One kernel fuses validation, replay and statistics aggregation into
-one pass: :class:`IncrementalKernel` *accepts* event chunks per rank
-and finalises ranks as their streams end.  Its one driver is
-:func:`~repro.core.fused.fused_bootstrap`, whatever the chunks come
-from: a trace's :meth:`~repro.trace.trace.Trace.event_batches` (for a
-session's own file, each rank decoded from the file's cursor as it is
-reached), a shard's rank group, or any
-:class:`~repro.trace.cursor.EventCursor` (:func:`incremental_bootstrap`).
-A shard's kernel hands back its part of the pass unfinalised;
-the parent's kernel absorbs the parts in shard order
-(:meth:`~IncrementalKernel.absorb`) and finalises the scan once.
+one pass: :class:`IncrementalKernel` takes each rank's whole event
+stream in one call (:meth:`~IncrementalKernel.add_rank`) and runs the
+ranks in batches.  Its one driver is
+:func:`~repro.core.fused.fused_bootstrap`, over a trace's
+:meth:`~repro.trace.trace.Trace.event_streams`: for a session's own
+file each rank is decoded from the file's cursor as it is reached,
+for the whole trace or for a shard's rank group.  A shard's kernel
+hands back its part of the pass unfinalised; the parent's kernel
+absorbs the parts in shard order (:meth:`~IncrementalKernel.absorb`)
+and finalises the scan once.
 
 Rank batches
 ------------
 
-Finished ranks join a pending batch, which runs once it holds
+Added ranks join a pending batch, which runs once it holds
 :data:`_BATCH_EVENTS` events (and at :meth:`IncrementalKernel.finalize`).
 One batch is one pass over its ranks' joined columns: the lint view
 (:class:`~repro.lint.engine.BatchView`, whose
@@ -32,25 +32,24 @@ Every product is split back per rank and is **bitwise identical** to
 processing the rank alone: depth resets at rank boundaries, and every
 sum accumulates per (rank, region) key in the same row order.  So the
 batch size changes nothing but speed; ``tests/test_differential.py``
-locks the identity across batch sizes, chunk sizes, shard counts and
-file formats.
+locks the identity across batch sizes, shard counts and file formats.
 
 Memory
 ------
 
-When the driver decodes ranks on demand (a cursor, or a cold
-session's file), peak event memory is bounded by max(largest rank,
-:data:`_BATCH_EVENTS` events) plus the batch's transients, **not** the
-trace: a rank larger than the constant runs as a batch of its own,
-and a batch's buffers are dropped as soon as it has run.
-``table_sink`` lets callers spill each rank's invocation table the
-moment it exists (the shard workers do), which keeps resident state to
-the per-region statistics partials — a few KiB per rank.
+When the driver decodes ranks on demand (a session's file), peak
+event memory is bounded by max(largest rank, :data:`_BATCH_EVENTS`
+events) plus the batch's transients, **not** the trace: a rank larger
+than the constant runs as a batch of its own, a batch of one rank
+reads its columns as they are (no copy), and a batch's columns are
+dropped as soon as it has run.  ``table_sink`` lets callers spill each
+rank's invocation table the moment it exists (the shard workers do),
+which keeps resident state to the per-region statistics partials — a
+few KiB per rank.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 import numpy as np
@@ -59,7 +58,7 @@ from .. import obs
 from .._record import field, record
 from ..profiles.replay import InvocationTable, pair_events, table_from_pairing
 from ..profiles.stats import batch_statistics_arrays
-from ..trace.cursor import BATCH_EVENTS, EventCursor
+from ..trace.cursor import BATCH_EVENTS
 from ..trace.definitions import MetricRegistry, RegionRegistry
 from ..trace.events import _DTYPES, _FIELDS, EventList
 from ..trace.trace import time_extent
@@ -68,7 +67,7 @@ if TYPE_CHECKING:
     from ..lint.hb import MatchBatch, MatchGraph
     from ..lint.model import LintConfig, LintReport
 
-__all__ = ["FusedBootstrap", "IncrementalKernel", "incremental_bootstrap"]
+__all__ = ["FusedBootstrap", "IncrementalKernel"]
 
 #: Events a pending batch gathers before it runs (module-level so tests
 #: can shrink it to one-rank batches).
@@ -90,8 +89,8 @@ class FusedBootstrap:
     ``table_sink`` do not appear in ``tables``.  ``report`` holds the
     findings of the ``lint`` config the ranks were scanned with
     (``None`` with ``lint=False``, and in a shard's unfinalised part).
-    ``extents`` maps each fed, non-empty rank to ``(n_events, t_first,
-    t_last)``, in the order the ranks finished.
+    ``extents`` maps each added, non-empty rank to ``(n_events,
+    t_first, t_last)``, in the order the ranks were added.
     """
 
     tables: dict[int, InvocationTable]
@@ -110,24 +109,25 @@ class FusedBootstrap:
 
     @property
     def extent(self) -> tuple[float, float]:
-        """``(t_min, t_max)`` of the fed events (:func:`time_extent`)."""
+        """``(t_min, t_max)`` of the added events (:func:`time_extent`)."""
         return time_extent(self.extents)
 
 
 class _JoinedEvents:
-    """Event columns of a batch's chunks, joined on first access.
+    """Event columns of a batch's ranks, joined on first access; a
+    batch of one rank uses its columns as they are.
 
     A batch reads only the columns its scan needs; a column a
     projected load left out stays a placeholder and fails on use.
     """
 
-    def __init__(self, chunks: list[EventList]) -> None:
-        self._chunks = chunks
+    def __init__(self, streams: list[EventList]) -> None:
+        self._streams = streams
 
     def __getattr__(self, name: str):
         if name not in _FIELDS:
             raise AttributeError(name)
-        cols = [getattr(c, name) for c in self._chunks]
+        cols = [getattr(s, name) for s in self._streams]
         if len(cols) == 1:
             col = cols[0]
         else:
@@ -137,7 +137,7 @@ class _JoinedEvents:
 
 
 class IncrementalKernel:
-    """Lint scan + replay + stats over incrementally fed chunks.
+    """Lint scan + replay + stats over ranks added one at a time.
 
     Parameters mirror :func:`~repro.core.fused.fused_bootstrap`:
     ``ranks`` is the universe of ranks the pass covers (every one is
@@ -160,11 +160,11 @@ class IncrementalKernel:
     batches' rows arrive; ``match_sink`` receives each batch's
     :class:`~repro.lint.hb.MatchBatch` instead.
 
-    Protocol: any number of :meth:`feed` calls per rank (chunks in
-    time order), then :meth:`finish_rank` once, or :meth:`absorb` of
-    ranks another kernel ran; :meth:`finish` finishes whatever is
-    still open, runs the last batch and returns the pass's products
-    with the scan unfinalised (a shard's part of a trace);
+    Protocol: one :meth:`add_rank` call per rank with its whole
+    stream, or :meth:`absorb` of ranks another kernel ran;
+    :meth:`finish` adds every rank not seen as empty, runs the last
+    batch and returns the pass's products with the scan unfinalised
+    (a shard's part of a trace);
     :meth:`finalize` does that, runs the trace- and hb-scope rules and
     returns the :class:`FusedBootstrap` with its report.
     """
@@ -194,14 +194,12 @@ class IncrementalKernel:
         )
         self.tables: dict[int, InvocationTable] = {}
         self.partials: dict[int, dict[str, np.ndarray]] = {}
-        #: ``rank -> (n_events, t_first, t_last)`` for finished,
+        #: ``rank -> (n_events, t_first, t_last)`` for added,
         #: non-empty ranks (the shard workers' extent bookkeeping).
         self.extents: dict[int, tuple[int, float, float]] = {}
-        self._buffers: dict[int, list[EventList]] = {}
-        self._last_time: dict[int, float] = {}
         self._finished: set[int] = set()
-        #: finished ranks waiting for their batch: rank, chunks, events
-        self._pending: list[tuple[int, list[EventList], int]] = []
+        #: added ranks waiting for their batch: rank, events, count
+        self._pending: list[tuple[int, EventList, int]] = []
         self._pending_events = 0
         #: the scan's rank-scope findings and per-rank summaries
         self.diagnostics: list = []
@@ -236,40 +234,20 @@ class IncrementalKernel:
 
     # -- feeding -------------------------------------------------------
 
-    def feed(self, rank: int, events: EventList) -> None:
-        """Buffer one time-ordered chunk of ``rank``'s stream."""
+    def add_rank(self, rank: int, events: EventList) -> None:
+        """Take ``rank``'s whole stream: it joins the pending batch,
+        which runs once it holds :data:`_BATCH_EVENTS` events."""
         if rank in self._finished:
             raise ValueError(f"rank {rank} is already finalized")
-        n = len(events)
-        if n == 0:
-            return
-        t0 = float(events.time[0])
-        last = self._last_time.get(rank)
-        if last is not None and t0 < last:
-            from .streaming import StreamOrderError
-
-            raise StreamOrderError(rank, t0, last)
-        self._last_time[rank] = float(events.time[-1])
-        self._buffers.setdefault(rank, []).append(events)
-
-    def finish_rank(self, rank: int) -> None:
-        """Finalise ``rank``: it joins the pending batch, which runs
-        once it holds :data:`_BATCH_EVENTS` events."""
-        if rank in self._finished:
-            return
         self._finished.add(rank)
-        chunks = self._buffers.pop(rank, [])
-        self._last_time.pop(rank, None)
-        n = sum(len(c) for c in chunks)
+        n = len(events)
         if n:
-            self.extents[rank] = (
-                n, float(chunks[0].time[0]), float(chunks[-1].time[-1])
-            )
+            self.extents[rank] = (n, float(events.time[0]), float(events.time[-1]))
         if self._shared is None and rank not in self._wanted:
             return
         if n > _BATCH_EVENTS:
             self._run_batch()  # a rank this large is a batch of its own
-        self._pending.append((rank, chunks, n))
+        self._pending.append((rank, events, n))
         self._pending_events += n
         if self._pending_events >= _BATCH_EVENTS:
             self._run_batch()
@@ -283,7 +261,7 @@ class IncrementalKernel:
         ranks = [rank for rank, _, _ in batch]
         starts = np.zeros(len(batch) + 1, dtype=np.int64)
         np.cumsum([n for _, _, n in batch], out=starts[1:])
-        events = _JoinedEvents([c for _, chunks, _ in batch for c in chunks])
+        events = _JoinedEvents([ev for _, ev, n in batch if n])
         with obs.span("fused.batch"):
             _C_EVENTS.add(int(starts[-1]))
             if self._shared is None:
@@ -365,11 +343,11 @@ class IncrementalKernel:
             self.match_sink(batch)
 
     def finish(self) -> FusedBootstrap:
-        """Finish all remaining ranks and run the last batch; the
-        products, with the scan unfinalised."""
+        """Add every rank not seen as empty and run the last batch;
+        the products, with the scan unfinalised."""
         for rank in self._ranks:
             if rank not in self._finished:
-                self.finish_rank(rank)
+                self.add_rank(rank, EventList.empty())
         self._run_batch()
         return FusedBootstrap(
             self.tables, self.partials, None, self.extents,
@@ -390,29 +368,3 @@ class IncrementalKernel:
             trace_name=self._trace_name, match_records=boot.graph,
         )
         return boot
-
-
-def incremental_bootstrap(
-    cursor: EventCursor,
-    *,
-    lint: LintConfig | None | Literal[False] = None,
-) -> FusedBootstrap:
-    """:func:`~repro.core.fused.fused_bootstrap` over a cursor's batches.
-
-    The cursor's :attr:`~repro.trace.cursor.EventCursor.definitions`
-    supply regions, metrics and names, and :attr:`~repro.trace.cursor.
-    EventCursor.ranks` the rank universe; each rank finalises on its
-    ``final`` batch.  On a completed trace the result is bitwise
-    identical to ``fused_bootstrap`` over the same events.  Pure stream
-    cursors (pipes) expose definitions only once the header has been
-    parsed, so the kernel is built after the first batch arrives.
-    """
-    from .fused import fused_bootstrap
-
-    batches = iter(cursor)
-    first = next(batches, None)
-    head = () if first is None else (first,)
-    return fused_bootstrap(
-        cursor.definitions, itertools.chain(head, batches),
-        lint=lint, ranks=cursor.ranks,
-    )

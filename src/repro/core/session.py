@@ -373,11 +373,11 @@ class _PathTrace(Trace):
     """A session's own trace file, read rank by rank.
 
     Definitions, locations, ranks and event counts come from the file's
-    :class:`~repro.trace.reader.TraceIndex`.  :meth:`event_streams` and
-    :meth:`event_batches` decode one rank (or batch) at a time from the
-    index's cursor and keep none; the kernel pass, the fingerprint and
-    the counter series all read the file this way, and a pass over all
-    ranks sets ``extent``.  Only a consumer that indexes events directly
+    :class:`~repro.trace.reader.TraceIndex`.  :meth:`event_streams`
+    decodes one rank at a time from the index's cursor and keeps none;
+    the kernel pass and the counter series read the file this way (the
+    fingerprint hashes its column bytes), and a pass over all ranks
+    sets ``extent``.  Only a consumer that indexes events directly
     (the drill-downs: :meth:`events_of`, :meth:`processes`) decodes the
     whole file.  Every read requires the file to still have the stat
     key ``key`` taken before its header was parsed.  A shard worker
@@ -440,45 +440,32 @@ class _PathTrace(Trace):
         self.release()
         return combine_fingerprint(fingerprint_definitions(self), per_rank)
 
-    def _cursor(self, ranks=None, columns=None, chunk_events=None):
-        """The index's cursor batches, under the stat-key guard; a
-        pass over every rank records their time extent as the fused
-        kernel does (:func:`~repro.trace.trace.time_extent`) and
-        unmaps the file unless the caller still holds a view into it."""
+    def event_streams(self, ranks=None, columns=None):
+        """The events of ``ranks`` (default: all), in rank order.
+
+        Unless the streams are in memory, each rank is one whole-rank
+        batch of the index's cursor, read under the stat-key guard with
+        only ``columns`` (and ``time``) decoded when given, and dropped
+        with the caller's reference: a pass never holds the decoded
+        trace.  A pass over every rank records their time extent as the
+        fused kernel does (:func:`~repro.trace.trace.time_extent`), and
+        the file is unmapped afterwards unless the caller still holds a
+        view into it."""
+        if self.decoded:
+            yield from super().event_streams(ranks)
+            return
         extents = {}
         with _unchanged(self._index.path, self._key):
-            for batch in self._index.cursor(ranks, columns, chunk_events):
+            for batch in self._index.cursor(ranks, columns):
                 events = batch.events
                 if len(events):
-                    n, first, _ = extents.get(
-                        batch.rank, (0, float(events.time[0]), 0.0)
-                    )
                     extents[batch.rank] = (
-                        n + len(events), first, float(events.time[-1])
+                        len(events), float(events.time[0]), float(events.time[-1])
                     )
-                yield batch
+                yield batch.rank, events
         if ranks is None:
             self.extent = time_extent(extents)
         self.release()
-
-    def event_streams(self, columns=None):
-        """Every rank's events, in rank order, each decoded as it is
-        reached and dropped with the caller's reference when the
-        streams are not in memory yet: one whole-rank batch per rank
-        from the index's cursor, with only ``columns`` (and ``time``)
-        decoded when given, so a pass never holds the decoded trace."""
-        if self.decoded:
-            yield from super().event_streams()
-            return
-        for batch in self._cursor(columns=columns):
-            yield batch.rank, batch.events
-
-    def event_batches(self, ranks=None, chunk_events=None):
-        """Like :meth:`event_streams`, every column decoded, in
-        batches of at most ``chunk_events`` events of ``ranks``."""
-        if self.decoded:
-            return super().event_batches(ranks)
-        return self._cursor(ranks, chunk_events=chunk_events)
 
     def release(self) -> None:
         """Unmap the file, unless a column view into it is still alive:
@@ -570,13 +557,13 @@ class AnalysisSession:
         MPI-semantic + paper-precondition rules) instead of the
         structural error rules; error-severity findings raise
         :class:`repro.lint.LintError`.  See also :meth:`preflight`.
-    shards, max_memory_mb, chunk_events:
+    shards, max_memory_mb:
         The plan of the shard engine every pass runs through
         (:mod:`repro.core.engine`): one in-process shard of every rank
         without them, else ``shards`` rank groups, more until each fits
-        ``max_memory_mb``, in worker processes.  ``chunk_events``
-        bounds the cursor's batches (default: derived from
-        ``max_memory_mb``, else whole ranks).
+        ``max_memory_mb``, in worker processes.  The kernel reads every
+        rank whole, so a rank above the budget runs as a shard of its
+        own.
     source_path:
         The trace's file, read rank by rank; the session parses only
         its header up front.
@@ -601,7 +588,6 @@ class AnalysisSession:
         max_memory_mb: float | None = None,
         source_path: str | os.PathLike | None = None,
         lint=None,
-        chunk_events: int | None = None,
     ) -> None:
         from .pipeline import AnalysisConfig  # deferred: pipeline imports us
 
@@ -615,11 +601,6 @@ class AnalysisSession:
         self.lint_config = lint or None
         self.shards = shards
         self.max_memory_mb = max_memory_mb
-        if chunk_events is not None and chunk_events <= 0:
-            raise ValueError(f"chunk_events must be > 0, got {chunk_events}")
-        #: explicit cursor batch size of the kernel pass; ``None``
-        #: derives one from ``max_memory_mb`` (or reads whole ranks)
-        self.chunk_events = chunk_events
         self.source_path = os.fspath(source_path) if source_path else None
         self._engine = None  # ShardEngine (lazy)
         #: stat key of the file this session reads itself, taken before
@@ -724,7 +705,7 @@ class AnalysisSession:
         directory, instead.
         """
         if self._engine is None:
-            from .engine import BYTES_PER_EVENT, ShardEngine, ShardPlan, plan_shards
+            from .engine import ShardEngine, ShardPlan, plan_shards
 
             counts = self.trace.event_counts()
             plan = (
@@ -734,22 +715,12 @@ class AnalysisSession:
                 if counts
                 else ShardPlan((), ())
             )
-            chunk_events = self.chunk_events
-            if chunk_events is None and self.max_memory_mb is not None:
-                # Make the planner's budget a hard per-shard bound:
-                # cursor batches never exceed the budgeted event count,
-                # so a rank larger than the budget streams through in
-                # windows instead of being loaded as one slab.
-                chunk_events = max(
-                    int(self.max_memory_mb * 1e6) // BYTES_PER_EVENT, 1
-                )
             self._engine = ShardEngine(
                 plan,
                 self.trace,
                 cache=self.cache,
                 key=lambda rank: f"inv-{self.fingerprint.rank_digest(rank)}",
                 spill=self.max_memory_mb is not None,
-                chunk_events=chunk_events,
             )
         return self._engine
 

@@ -66,7 +66,6 @@ from .classify import SyncClassifier, default_classifier
 
 __all__ = [
     "STREAM_COLUMNS",
-    "STREAM_METRIC_COLUMNS",
     "StreamAlert",
     "StreamOrderError",
     "StreamStructureError",
@@ -80,17 +79,12 @@ __all__ = [
 #: projection tests keep the set truthful.
 STREAM_COLUMNS = ("time", "kind", "ref")
 
-#: Columns required when time-resolved metric series are enabled
-#: (``metric_window``): METRIC samples additionally carry ``value``.
-STREAM_METRIC_COLUMNS = ("time", "kind", "ref", "value")
-
 #: Segments dropped from per-rank histories under ``history_limit``.
 _C_EVICTIONS = obs.counter("stream.window_evictions")
 #: Events parsed by the driving cursor but not yet fed (backlog).
 _G_LAG = obs.gauge("stream.lag_events")
 
 _LEAVE = int(EventKind.LEAVE)
-_METRIC = int(EventKind.METRIC)
 
 
 def _small_median(ordered: list) -> float:
@@ -253,11 +247,6 @@ class StreamingAnalyzer:
         everything).  Eviction is FIFO and counted in the
         ``stream.window_evictions`` counter; alerts and running totals
         are unaffected.
-    metric_window:
-        Bin width (seconds) for time-resolved METRIC series
-        (:meth:`metric_series`).  ``None`` (default) ignores METRIC
-        events; when set, fed chunks must include the ``value`` column
-        (:data:`STREAM_METRIC_COLUMNS`).
     """
 
     def __init__(
@@ -271,14 +260,11 @@ class StreamingAnalyzer:
         alert_threshold: float = 4.0,
         min_relative_excess: float = 0.1,
         history_limit: int | None = None,
-        metric_window: float | None = None,
     ) -> None:
         if num_processes <= 0:
             raise ValueError("num_processes must be positive")
         if history_limit is not None and history_limit <= 0:
             raise ValueError("history_limit must be positive")
-        if metric_window is not None and metric_window <= 0:
-            raise ValueError("metric_window must be positive")
         self.regions = regions
         self.num_processes = num_processes
         self.classifier = classifier if classifier is not None else default_classifier()
@@ -289,15 +275,12 @@ class StreamingAnalyzer:
         self.min_relative_excess = min_relative_excess
         self.warmup_invocations = warmup_invocations
         self.history_limit = history_limit
-        self.metric_window = metric_window
 
         self._sync_mask = self.classifier.mask_registry(regions)
         # (mask_registry accepts a bare RegionRegistry, see classify.py)
         self._streams: dict[int, _RankStream] = {}
         self.alerts: list[StreamAlert] = []
         self.window_evictions = 0
-        #: ``(rank, metric id) -> {bin index: [value sum, sample count]}``
-        self._metric_bins: dict[tuple[int, int], dict[int, list]] = {}
 
         # Warm-up statistics for automatic dominant selection.
         self._warmup_counts = np.zeros(len(regions), dtype=np.int64)
@@ -334,12 +317,8 @@ class StreamingAnalyzer:
         times = events.time
         if float(times[0]) < stream.last_time:
             raise StreamOrderError(rank, float(times[0]), stream.last_time)
-        kinds = events.kind
-        refs = events.ref
-        new_alerts = self._feed_chunk(stream, times, kinds, refs)
+        new_alerts = self._feed_chunk(stream, times, events.kind, events.ref)
         stream.last_time = float(times[-1])
-        if self.metric_window is not None:
-            self._feed_metrics(rank, times, kinds, refs, events)
         self.alerts.extend(new_alerts)
         return new_alerts
 
@@ -448,23 +427,6 @@ class StreamingAnalyzer:
             rank: float(stream.total_sos)
             for rank, stream in sorted(self._streams.items())
         }
-
-    def metric_series(self, rank: int, metric: int) -> tuple[np.ndarray, np.ndarray]:
-        """Time-resolved mean of one METRIC stream for one rank.
-
-        Returns ``(bin start times, mean values)`` over the
-        ``metric_window``-second bins that received samples, in time
-        order.  Empty arrays when the pair produced no samples (or
-        ``metric_window`` is off).
-        """
-        bins = self._metric_bins.get((rank, int(metric)))
-        if not bins:
-            return np.empty(0), np.empty(0)
-        order = sorted(bins)
-        width = float(self.metric_window)  # type: ignore[arg-type]
-        starts = np.asarray([b * width for b in order])
-        means = np.asarray([bins[b][0] / bins[b][1] for b in order])
-        return starts, means
 
     def snapshot_hot_ranks(self, threshold: float = 3.0) -> list[int]:
         """Rank-level anomaly check over the running totals."""
@@ -776,20 +738,3 @@ class StreamingAnalyzer:
             _C_EVICTIONS.add(evicted)
         if len(stream.segs) >= 6 * limit:
             del stream.segs[: -3 * limit]
-
-    # .. time-resolved metric series ...................................
-
-    def _feed_metrics(self, rank, times, kinds, refs, events) -> None:
-        sel = np.flatnonzero(kinds == _METRIC)
-        if not sel.size:
-            return
-        values = events.value[sel]
-        bins = (times[sel] // self.metric_window).astype(np.int64)
-        metric_refs = refs[sel]
-        for ref in np.unique(metric_refs):
-            acc = self._metric_bins.setdefault((rank, int(ref)), {})
-            mask = metric_refs == ref
-            for b, v in zip(bins[mask], values[mask]):
-                slot = acc.setdefault(int(b), [0.0, 0])
-                slot[0] += float(v)
-                slot[1] += 1

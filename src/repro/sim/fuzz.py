@@ -1,12 +1,12 @@
 """Seeded scenario fuzzer, differential oracle and trace minimizer.
 
-The repo computes the same analysis three ways — the staged reference
-(structural lint → replay → statistics), the incremental kernel
-(:func:`~repro.core.fused.fused_bootstrap` is this kernel fed one
-whole-rank chunk per rank; cursors feed it smaller chunks), and the
-sharded multi-process engine — over two ``.rpt`` container versions.
-Their contract is *bitwise* agreement, locked so far by differential
-tests over a handful of hand-written scenarios.  This module grows the
+The repo computes the same analysis several ways — the staged
+reference (structural lint → replay → statistics), the fused kernel
+(:func:`~repro.core.fused.fused_bootstrap`, each rank whole), the
+sharded session engine, and the streaming analyzer fed from a file's
+cursor in chunks — over two ``.rpt`` container versions.  Their
+contract is *bitwise* agreement, locked so far by differential tests
+over a handful of hand-written scenarios.  This module grows the
 evidence: random-but-reproducible scenarios, an oracle that runs every
 engine/shard/chunk/format combination over each one, and a shrinker
 that turns any divergence into a small self-contained repro.
@@ -22,10 +22,12 @@ Three pieces:
 * :func:`run_oracle` — simulates the spec and checks (a) structural
   invariants (monotone per-rank clocks, lint-clean structure,
   internally consistent statistics tables, v1/v2 fingerprint parity)
-  and (b) the differential matrix: the incremental kernel, whole-rank
-  and chunked, against the staged reference, and the sharded
-  session engine across shard counts × chunk sizes × container
-  versions against the unsharded reference analysis.
+  and (b) the differential matrix: the fused kernel against the
+  staged reference, the sharded session engine across shard counts ×
+  container versions against the unsharded reference analysis, and
+  the streaming analyzer, pinned to the reference's dominant function
+  and fed from the file's cursor across chunk sizes × container
+  versions, against the reference SOS-times.
 * :func:`minimize` — greedy scenario shrinking (drop ranks, drop
   iterations, zero injections, simplify patterns) while a failure
   predicate holds; :func:`write_repro` persists the minimized spec,
@@ -120,7 +122,7 @@ INJECTION_KINDS = ("jitter", "burst", "ramp", "straggler", "interruption")
 
 #: Default differential-oracle matrix axes.
 SHARD_COUNTS = (1, 2, 3, 7)
-CHUNK_SIZES = (1, 4096, None)  # one event, a page, the whole rank
+CHUNK_SIZES = (1, 4096, None)  # stream cells: one event, a page, whole ranks
 VERSIONS = (1, 2)
 
 
@@ -490,7 +492,7 @@ class OracleReport:
         return not self.failures
 
     def failure_kinds(self) -> frozenset[str]:
-        """Cell-name prefixes of the failures (``incremental``,
+        """Cell-name prefixes of the failures (``stream``,
         ``session``, ``invariant``, ``reference``, ...)."""
         return frozenset(f.cell.split("/", 1)[0] for f in self.failures)
 
@@ -705,8 +707,8 @@ def run_oracle_trace(
     """
     from ..core import analyze_trace
     from ..core.fused import fused_bootstrap
-    from ..core.incremental import incremental_bootstrap
     from ..core.session import AnalysisSession
+    from ..core.streaming import StreamingAnalyzer
     from ..lint import lint_trace, validate_config
     from ..profiles.replay import replay_trace
     from ..profiles.stats import rank_statistics_arrays
@@ -788,37 +790,36 @@ def run_oracle_trace(
 
             for chunk in chunk_sizes:
 
-                def incremental_cell(index=index, chunk=chunk):
-                    got = incremental_bootstrap(
-                        index.cursor(chunk_events=chunk)
+                def stream_cell(index=index, chunk=chunk):
+                    analyzer = StreamingAnalyzer(
+                        index.regions, len(index.ranks),
+                        dominant=reference.selection.region,
                     )
-                    return _diff_bootstrap(reference_products, got)
+                    for batch in index.cursor(chunk_events=chunk):
+                        analyzer.feed(batch.rank, batch.events)
+                        if batch.final:
+                            analyzer.finish_rank(batch.rank)
+                    for rank in reference.sos.ranks:
+                        if not np.array_equal(
+                            analyzer.sos_series(rank), reference.sos[rank].sos
+                        ):
+                            yield f"rank {rank} streamed SOS differs"
 
                 run_cell(
-                    f"incremental/v{version}/chunk={_chunk_label(chunk)}",
-                    incremental_cell,
+                    f"stream/v{version}/chunk={_chunk_label(chunk)}",
+                    stream_cell,
                 )
 
         for version in versions:
             for shards in shard_counts:
-                for chunk in chunk_sizes:
 
-                    def session_cell(
-                        version=version, shards=shards, chunk=chunk
-                    ):
-                        session = AnalysisSession(
-                            None,
-                            source_path=paths[version],
-                            shards=shards,
-                            chunk_events=chunk,
-                        )
-                        return diff_analyses(reference, session.analysis())
-
-                    run_cell(
-                        f"session/v{version}/shards={shards}"
-                        f"/chunk={_chunk_label(chunk)}",
-                        session_cell,
+                def session_cell(version=version, shards=shards):
+                    session = AnalysisSession(
+                        None, source_path=paths[version], shards=shards
                     )
+                    return diff_analyses(reference, session.analysis())
+
+                run_cell(f"session/v{version}/shards={shards}", session_cell)
 
     return report
 
@@ -944,7 +945,7 @@ def kind_preserving_predicate(
     """Build a ``still_fails`` predicate that preserves the failure kind.
 
     Accepts a reduction only when re-running the oracle reproduces at
-    least one failure whose cell-name prefix (``incremental``,
+    least one failure whose cell-name prefix (``stream``,
     ``session``, ``invariant``, ...) already appeared in ``report``.
     This keeps :func:`minimize` from shrinking into scenarios that fail
     for an unrelated reason — e.g. dropping below the ``2p``

@@ -1,11 +1,12 @@
 """Chunked, pull-based event cursors.
 
-The incremental analysis engine (:mod:`repro.core.incremental`)
-consumes *cursors*: iterators that yield time-ordered, column-projected
-event batches per rank, tagged with an end-of-stream marker.  A cursor
-decouples the analysis kernel from where the events come from — the
-paper's batch workflow and the in-situ workflow it calls feasible but
-unimplemented (Section III) become two drivers of one engine:
+A *cursor* is an iterator that yields time-ordered, column-projected
+event batches per rank, tagged with an end-of-stream marker.  It
+decouples the analyses from where the events come from: the batch
+kernel (:mod:`repro.core.incremental`) reads a file's ranks whole
+through :class:`IndexCursor`, and the in-situ workflow the paper calls
+feasible but unimplemented (Section III) drives the streaming analyzer
+(:mod:`repro.core.streaming`) with chunks of any size:
 
 * :class:`IndexCursor` — a complete ``.rpt``/``.jsonl`` file through
   the mmap-backed :class:`~repro.trace.reader.TraceIndex`.  For v2

@@ -104,29 +104,17 @@ class Trace:
         return {rank: len(self._processes[rank].events) for rank in self.ranks}
 
     def event_streams(
-        self, columns: Sequence[str] | None = None
-    ) -> Iterator[tuple[int, EventList]]:
-        """``(rank, events)`` of every process in rank order, each
-        once (the fused kernel's input).  ``columns`` names the event
-        columns the caller reads: a trace that decodes its streams on
-        demand may load only those (``None``: all)."""
-        for rank in self.ranks:
-            yield rank, self._processes[rank].events
-
-    def event_batches(
         self,
         ranks: Sequence[int] | None = None,
-        chunk_events: int | None = None,
-    ):
-        """:class:`~repro.trace.cursor.EventBatch` of every one of
-        ``ranks`` (default: all) in rank order, every column decoded:
-        the fused kernel's input.  A trace that decodes its streams on
-        demand may cut a rank into batches of at most ``chunk_events``
-        events; one in memory yields each rank whole."""
-        from .cursor import EventBatch
-
+        columns: Sequence[str] | None = None,
+    ) -> Iterator[tuple[int, EventList]]:
+        """``(rank, events)`` of every one of ``ranks`` (default: all)
+        in rank order, each once and whole: the fused kernel's input.
+        ``columns`` names the event columns the caller reads: a trace
+        that decodes its streams on demand may load only those
+        (``None``: all)."""
         for rank in self.ranks if ranks is None else ranks:
-            yield EventBatch(rank, self._processes[rank].events, True)
+            yield rank, self._processes[rank].events
 
     def locations(self) -> list[Location]:
         """Location of every process, in rank order."""

@@ -1,7 +1,8 @@
-"""Independent reference for stack replay and per-region statistics.
+"""Independent reference for stack replay, per-region statistics,
+segmentation and SOS-time.
 
 Plain per-event Python written from the paper's definitions
-(PAPER.md, section 1, step 1), sharing no code with ``repro``: it
+(PAPER.md, section 1, steps 1 and 2), sharing no code with ``repro``: it
 takes one stream's event columns (anything indexable: NumPy arrays or
 lists) and walks them with an explicit call stack.  It is slow on
 purpose and exists only to be compared against the production kernel
@@ -26,6 +27,18 @@ invocation ``count``, ``inclusive_sum`` over outermost frames,
 A trace's statistics add the partials in ascending rank order.  The
 time-dominant function is the USER region with the largest
 ``inclusive_sum`` among those invoked at least ``2p`` times.
+
+Segments and SOS-time, per process stream, for a dominant region:
+
+* A *segment* is an outermost invocation of the dominant region (one
+  not nested in another invocation of it), from its enter to its
+  leave, in time order.
+* A region is *synchronization* when it is an MPI operation, has the
+  synchronization or communication role, or is named like ``MPI_*``
+  or an OpenMP barrier.  A sync frame is *top-level* when no frame
+  enclosing it is a sync frame.
+* A segment's *SOS-time* is its duration minus the inclusive times of
+  the top-level sync frames inside it, summed in enter order.
 """
 
 from __future__ import annotations
@@ -36,8 +49,13 @@ from dataclasses import dataclass
 #: Event kind codes of the trace format (ENTER and LEAVE).
 ENTER = 0
 LEAVE = 1
-#: Region paradigm code of user functions.
+#: Region paradigm codes of user functions and MPI operations.
 USER = 0
+MPI = 1
+#: Region role codes of synchronization and communication operations.
+SYNC_ROLES = (1, 2)
+#: Name prefixes of synchronization operations.
+SYNC_PREFIXES = ("MPI_", "omp barrier", "!$omp barrier")
 
 STAT_COLUMNS = (
     "count",
@@ -159,3 +177,41 @@ def dominant_region(stats: dict[str, list], paradigms, n_processes: int) -> int:
         if best < 0 or stats["inclusive_sum"][r] > stats["inclusive_sum"][best]:
             best = r
     return best
+
+
+def is_sync(name: str, paradigm: int, role: int) -> bool:
+    """Whether a region is a synchronization operation."""
+    return paradigm == MPI or role in SYNC_ROLES or name.startswith(SYNC_PREFIXES)
+
+
+def segments_and_sos(time, kind, ref, dominant: int, sync) -> list[tuple]:
+    """``(t_start, t_stop, sos)`` of one stream's segments, in time
+    order; ``sync[r]`` says whether region ``r`` is synchronization.
+
+    One walk with an explicit stack of ``(region, t_enter, in sync)``
+    entries, ``in sync`` being true for a sync frame and every frame
+    inside one: a segment opens at an enter of ``dominant`` with no
+    ``dominant`` frame open, each top-level sync frame that closes
+    inside it adds its inclusive time to its sync sum, and it closes
+    with its own leave.
+    """
+    out = []
+    stack: list[tuple[int, float, bool]] = []
+    start = None  # the open segment's enter time
+    sync_sum = 0.0
+    for i in range(len(kind)):
+        k, r, t = int(kind[i]), int(ref[i]), float(time[i])
+        if k == ENTER:
+            under = bool(stack) and stack[-1][2]
+            if r == dominant and start is None:
+                start, sync_sum = t, 0.0
+            stack.append((r, t, under or bool(sync[r])))
+        elif k == LEAVE:
+            region, t_enter, _ = stack.pop()
+            under = bool(stack) and stack[-1][2]
+            if sync[region] and not under and start is not None:
+                sync_sum += t - t_enter
+            if region == dominant and all(f[0] != dominant for f in stack):
+                out.append((start, t, (t - start) - sync_sum))
+                start = None
+    return out

@@ -198,11 +198,67 @@ class TestShardFlags:
         ) == 2
         assert "--max-memory-mb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e-300"])
+    @pytest.mark.parametrize(
+        "command", ["analyze", "lint", "deps", "compare", "baselines"]
+    )
+    def test_unusable_memory_bound_rejected(self, trace_path, capsys,
+                                            command, value):
+        paths = [str(trace_path)] * (2 if command == "compare" else 1)
+        assert main([command, *paths, "--max-memory-mb", value]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: --max-memory-mb must be finite and >= 1 byte, "
+            f"got {float(value)}\n"
+        )
+
     def test_missing_file_with_shards(self, tmp_path, capsys):
         assert main(
             ["analyze", str(tmp_path / "nope.rpt"), "--shards", "2"]
         ) == 2
         assert "error" in capsys.readouterr().err.lower()
+
+
+class TestSelectionErrors:
+    """A dominant function the trace cannot supply is bad input: one
+    ``error:`` line with the selection's message, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def no_candidate(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("nocand") / "one.rpt"
+        assert main(["simulate", "synthetic", "--processes", "4",
+                     "--iterations", "1", "-o", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("command,case", [
+        *((c, case) for case in ("no-candidate", "function")
+          for c in ("analyze", "compare", "explain")),
+        ("analyze", "level=99"),
+        ("analyze", "level=-1"),  # only analyze has --level
+    ])
+    def test_exits_2_with_one_line(self, command, case, no_candidate,
+                                   trace_path, capsys):
+        if case == "no-candidate":
+            path, flags = no_candidate, []
+            message = (
+                "no dominant-function candidate: no function is invoked "
+                "at least 8 times (2.0 x 4 processes)"
+            )
+        elif case == "function":
+            path, flags = trace_path, ["--function", "nosuch"]
+            message = "'nosuch' is not a dominant-function candidate"
+        else:
+            level = case.split("=")[1]
+            path, flags = trace_path, ["--level", level]
+            message = f"refinement level {level} out of range (have 2 candidates)"
+        capsys.readouterr()
+        paths = [str(path)] * (2 if command == "compare" else 1)
+        assert main([command, *paths, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_monitor_without_candidate_runs(self, no_candidate, capsys):
+        assert main(["monitor", str(no_candidate)]) == 0
+        assert "dominant None" in capsys.readouterr().out
 
 
 class TestRenderConvertBaselines:

@@ -222,22 +222,6 @@ class TestJsonlStreamCursor:
         with pytest.raises(RuntimeError, match="definitions"):
             cursor.definitions
 
-    def test_drives_incremental_bootstrap(self, trace, tmp_path):
-        from repro.core.fused import fused_bootstrap
-        from repro.core.incremental import incremental_bootstrap
-
-        path = tmp_path / "run.jsonl"
-        write_jsonl(trace, path)
-        got = incremental_bootstrap(
-            JsonlStreamCursor(io.StringIO(path.read_text()))
-        )
-        want = fused_bootstrap(trace)
-        assert sorted(got.tables) == sorted(want.tables)
-        for rank in want.tables:
-            np.testing.assert_array_equal(
-                got.tables[rank].t_enter, want.tables[rank].t_enter
-            )
-
 
 class TestTailCursor:
     def _lines(self, trace, tmp_path):
@@ -326,34 +310,6 @@ class TestFeedCursor:
         cursor.close()
         with pytest.raises(RuntimeError, match="closed"):
             cursor.push(trace.ranks[1], events)
-
-    def test_drives_incremental_bootstrap(self, trace):
-        from repro.core.fused import fused_bootstrap
-        from repro.core.incremental import IncrementalKernel
-
-        cursor = FeedCursor(_skeleton(trace))
-        for rank in trace.ranks:
-            events = trace.events_of(rank)
-            for i in range(0, len(events), 17):
-                cursor.push(rank, events[i : i + 17])
-        cursor.close()
-        kernel = IncrementalKernel(
-            trace.regions,
-            trace.metrics,
-            trace.num_processes,
-            trace.ranks,
-            trace_name=trace.name,
-        )
-        for batch in cursor:
-            kernel.feed(batch.rank, batch.events)
-            if batch.final:
-                kernel.finish_rank(batch.rank)
-        got = kernel.finalize()
-        want = fused_bootstrap(trace)
-        for rank in want.tables:
-            np.testing.assert_array_equal(
-                got.tables[rank].t_leave, want.tables[rank].t_leave
-            )
 
 
 def _skeleton(trace):

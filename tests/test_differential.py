@@ -370,17 +370,13 @@ class TestPreflightScan:
     @staticmethod
     def _assert_same_report(trace, path):
         from repro.core.fused import fused_bootstrap
-        from repro.core.incremental import incremental_bootstrap
         from repro.lint import LintConfig, lint_trace
-        from repro.trace.reader import TraceIndex
 
         want = lint_trace(trace).to_json()
         assert fused_bootstrap(trace, lint=LintConfig()).report.to_json() == want
         write_binary(trace, path, version=2, codec="raw")
-        chunked = incremental_bootstrap(
-            TraceIndex(path).cursor(chunk_events=5), lint=LintConfig()
-        )
-        assert chunked.report.to_json() == want
+        from_file = AnalysisSession(None, source_path=path).trace
+        assert fused_bootstrap(from_file, lint=LintConfig()).report.to_json() == want
 
     @pytest.mark.parametrize("seed", range(12))
     def test_report_equals_lint_trace_adversarial(self, seed, tmp_path):
@@ -532,18 +528,20 @@ class TestStreamingBatchEquivalence:
             )
 
 
-CURSOR_CHUNKS = (1, 4096, None)  # one event, a page, whole file
+CURSOR_CHUNKS = (1, 4096, None)  # one event, a page, whole ranks
 
 
 class TestIncrementalEqualsFused:
-    """The cursor-driven kernel equals the batch kernel, bitwise.
+    """Incremental analysis from the file's cursor equals the fused
+    batch analysis, bitwise.
 
-    ``incremental_bootstrap`` consumes chunked, column-projected
-    batches pulled from a file; ``fused_bootstrap`` sees each rank as
-    one slab.  On a completed trace the two must be indistinguishable
-    — same tables, same statistics partials, same diagnostics — for
-    every golden workload, both ``.rpt`` container versions, and chunk
-    sizes from one event to the whole file.
+    ``repro monitor``'s route is the one consumer of the cursor's
+    sub-rank chunks: a :class:`StreamingAnalyzer` pinned to the batch
+    analysis' dominant function and fed from
+    ``index.cursor(chunk_events=chunk)`` must reproduce every rank's
+    SOS-times of the fused kernel's analysis, for every golden
+    workload, both ``.rpt`` container versions, and chunk sizes from
+    one event to whole ranks.
     """
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -551,8 +549,6 @@ class TestIncrementalEqualsFused:
     def test_cursor_kernel_matches_fused(
         self, scenario, chunk, version, tmp_path
     ):
-        from repro.core.fused import fused_bootstrap
-        from repro.core.incremental import incremental_bootstrap
         from repro.trace.reader import TraceIndex
 
         name, trace, reference = scenario
@@ -560,28 +556,27 @@ class TestIncrementalEqualsFused:
         kwargs = {"codec": "raw"} if version == 2 else {}
         write_binary(trace, path, version=version, **kwargs)
         index = TraceIndex(path)
-        got = incremental_bootstrap(index.cursor(chunk_events=chunk))
-        want = fused_bootstrap(index.load())
+        analyzer = StreamingAnalyzer(
+            index.regions, len(index.ranks),
+            dominant=reference.selection.region,
+        )
+        for batch in index.cursor(chunk_events=chunk):
+            analyzer.feed(batch.rank, batch.events)
+            if batch.final:
+                analyzer.finish_rank(batch.rank)
+        for rank in reference.sos.ranks:
+            assert np.array_equal(
+                analyzer.sos_series(rank), reference.sos[rank].sos
+            ), f"rank {rank} streamed SOS differs"
 
-        key = lambda d: (d.rank, d.code, d.message, d.position, d.time)
-        assert [key(d) for d in got.report.diagnostics] == [
-            key(d) for d in want.report.diagnostics
-        ]
-        assert sorted(got.tables) == sorted(want.tables)
-        for rank in want.tables:
-            for col in ("region", "t_enter", "t_leave", "depth", "parent"):
-                assert np.array_equal(
-                    getattr(got.tables[rank], col),
-                    getattr(want.tables[rank], col),
-                ), f"rank {rank} table column {col} differs"
-            for stat, arr in want.partials[rank].items():
-                assert np.array_equal(got.partials[rank][stat], arr), (
-                    f"rank {rank} partial {stat} differs"
-                )
+
+KERNEL_BATCHES = (1, 4096, None)  # one-rank batches, small ones, default
 
 
 class TestChunkedShardWorkers:
-    """Worker cursor batch size never leaks into analysis products."""
+    """Neither the kernel's rank-batch size nor the shard count leaks
+    into analysis products: batches join whole ranks, in process or in
+    each shard's pass."""
 
     _files: dict = {}
 
@@ -595,13 +590,15 @@ class TestChunkedShardWorkers:
         return reference, self._files[name]
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("chunk", CURSOR_CHUNKS)
-    def test_all_workloads(self, trace_file, shards, chunk, monkeypatch):
+    @pytest.mark.parametrize("batch", KERNEL_BATCHES)
+    def test_all_workloads(self, trace_file, shards, batch, monkeypatch):
+        from repro.core import incremental
+
         reference, path = trace_file
         monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
-        session = AnalysisSession(
-            None, source_path=path, shards=shards, chunk_events=chunk
-        )
+        if batch is not None:
+            monkeypatch.setattr(incremental, "_BATCH_EVENTS", batch)
+        session = AnalysisSession(None, source_path=path, shards=shards)
         assert_identical_analysis(reference, session.analysis())
 
 
@@ -740,8 +737,7 @@ class TestBatchBoundaries:
                     trace.ranks, lint=lint, trace_name=trace.name,
                 )
                 for rank in trace.ranks:
-                    kernel.feed(rank, trace.events_of(rank))
-                    kernel.finish_rank(rank)
+                    kernel.add_rank(rank, trace.events_of(rank))
                 boot = kernel.finalize()
             finally:
                 incremental._BATCH_EVENTS = saved

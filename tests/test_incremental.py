@@ -1,10 +1,9 @@
-"""The incremental kernel: chunked feeds equal whole-trace analysis.
+"""The rank-batched kernel's per-rank contract.
 
 :class:`repro.core.incremental.IncrementalKernel` is the single engine
-behind ``fused_bootstrap``, the sharded workers and the streaming
-consumer.  These tests pin its per-rank contract directly: arbitrary
-chunking of ``feed()`` calls is invisible in the products, boundary
-violations fail loudly with the tracelint diagnostic, and the
+behind ``fused_bootstrap`` and the sharded workers; it takes each rank
+whole.  These tests pin its contract directly: a rank is added once,
+ranks never added finish empty, extents follow the streams, and the
 ``table_sink`` spill path hands every table out exactly once.
 """
 
@@ -13,7 +12,6 @@ import pytest
 
 from repro.core.fused import fused_bootstrap
 from repro.core.incremental import IncrementalKernel
-from repro.core.streaming import StreamOrderError
 
 _TABLE_COLUMNS = ("region", "t_enter", "t_leave", "depth", "parent")
 
@@ -62,95 +60,28 @@ def _assert_same_boot(got, want):
             np.testing.assert_array_equal(got.partials[rank][stat], arr)
 
 
-class TestChunkedFeeds:
-    @pytest.mark.parametrize("chunk", [1, 13, 4096])
-    def test_equal_to_batch(self, trace, chunk):
-        want = fused_bootstrap(trace)
-        kernel = _kernel(trace)
-        for rank in trace.ranks:
-            events = trace.events_of(rank)
-            for i in range(0, len(events), chunk):
-                kernel.feed(rank, events[i : i + chunk])
-            kernel.finish_rank(rank)
-        _assert_same_boot(kernel.finalize(), want)
-
-    def test_interleaved_ranks(self, trace):
-        """Ranks may interleave arbitrarily (live feeds do)."""
-        want = fused_bootstrap(trace)
-        kernel = _kernel(trace)
-        offsets = {rank: 0 for rank in trace.ranks}
-        step = 11
-        progressed = True
-        while progressed:
-            progressed = False
-            for rank in trace.ranks:
-                events = trace.events_of(rank)
-                i = offsets[rank]
-                if i < len(events):
-                    kernel.feed(rank, events[i : i + step])
-                    offsets[rank] = i + step
-                    progressed = True
-        _assert_same_boot(kernel.finalize(), want)
-
-    def test_empty_chunks_are_noops(self, trace):
-        want = fused_bootstrap(trace)
-        kernel = _kernel(trace)
-        for rank in trace.ranks:
-            events = trace.events_of(rank)
-            kernel.feed(rank, events[:0])
-            kernel.feed(rank, events[: len(events) // 2])
-            kernel.feed(rank, events[:0])
-            kernel.feed(rank, events[len(events) // 2 :])
-        _assert_same_boot(kernel.finalize(), want)
-
-    def test_validate_false(self, trace):
-        want = fused_bootstrap(trace, lint=False)
-        kernel = _kernel(trace, lint=False)
-        for rank in trace.ranks:
-            events = trace.events_of(rank)
-            for i in range(0, len(events), 7):
-                kernel.feed(rank, events[i : i + 7])
-        _assert_same_boot(kernel.finalize(), want)
-
-
 class TestKernelContract:
-    def test_out_of_order_chunk_raises(self, trace):
-        kernel = _kernel(trace)
-        rank = trace.ranks[0]
-        events = trace.events_of(rank)
-        kernel.feed(rank, events[10:20])
-        with pytest.raises(StreamOrderError, match="not time-ordered") as err:
-            kernel.feed(rank, events[:10])
-        assert err.value.code == "TL004"
-
     def test_feed_after_finish_raises(self, trace):
         kernel = _kernel(trace)
         rank = trace.ranks[0]
-        kernel.finish_rank(rank)
+        kernel.add_rank(rank, trace.events_of(rank))
         with pytest.raises(ValueError, match="finalized"):
-            kernel.feed(rank, trace.events_of(rank)[:4])
-
-    def test_finish_is_idempotent(self, trace):
-        kernel = _kernel(trace)
-        rank = trace.ranks[0]
-        kernel.feed(rank, trace.events_of(rank))
-        kernel.finish_rank(rank)
-        kernel.finish_rank(rank)
-        boot = kernel.finalize()
-        assert rank in boot.tables
+            kernel.add_rank(rank, trace.events_of(rank)[:4])
 
     def test_finalize_closes_open_ranks(self, trace):
-        want = fused_bootstrap(trace)
-        kernel = _kernel(trace)
-        for rank in trace.ranks:
-            kernel.feed(rank, trace.events_of(rank))
-        # finish_rank never called: finalize must close every rank.
-        _assert_same_boot(kernel.finalize(), want)
+        kernel = _kernel(trace, lint=False)
+        *added, missing = trace.ranks
+        for rank in added:
+            kernel.add_rank(rank, trace.events_of(rank))
+        boot = kernel.finalize()  # finishes ``missing`` as empty
+        assert sorted(boot.tables) == trace.ranks
+        assert len(boot.tables[missing]) == 0
+        assert missing not in boot.extents
 
     def test_extents_match_streams(self, trace):
         kernel = _kernel(trace)
         for rank in trace.ranks:
-            kernel.feed(rank, trace.events_of(rank))
+            kernel.add_rank(rank, trace.events_of(rank))
         kernel.finalize()
         for rank in trace.ranks:
             events = trace.events_of(rank)
@@ -172,8 +103,7 @@ class TestTableSink:
 
         kernel = _kernel(trace, table_sink=sink)
         for rank in trace.ranks:
-            kernel.feed(rank, trace.events_of(rank))
-            kernel.finish_rank(rank)
+            kernel.add_rank(rank, trace.events_of(rank))
         boot = kernel.finalize()
         # Sinked tables are handed out, not retained.
         assert not boot.tables
@@ -192,7 +122,7 @@ class TestTableSink:
         subset = trace.ranks[::2]
         kernel = _kernel(trace, table_ranks=subset)
         for rank in trace.ranks:
-            kernel.feed(rank, trace.events_of(rank))
+            kernel.add_rank(rank, trace.events_of(rank))
         boot = kernel.finalize()
         assert sorted(boot.tables) == sorted(subset)
         for rank in subset:

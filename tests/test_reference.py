@@ -1,10 +1,13 @@
-"""The rank-batched kernel against an independent per-event reference.
+"""The rank-batched kernel, segmentation and SOS-time against an
+independent per-event reference.
 
 ``tests/reference_impl.py`` replays each stream with an explicit call
 stack, written from the paper's definitions and sharing no code with
 ``repro``.  It is checked against the hand-computable paper figures,
 then the production kernel (many ranks per batch) must reproduce it
 bitwise on small fuzz scenarios — and planted table bugs must fail.
+Its segments and SOS-times must equal ``segment_trace`` and
+``compute_sos`` bitwise on every golden trace and fuzz scenario.
 """
 
 import json
@@ -15,13 +18,14 @@ import pytest
 
 import reference_impl as ref
 from repro._record import replace
-from repro.core import incremental
+from repro.core import compute_sos, default_classifier, incremental, segment_trace
 from repro.core.fused import fused_bootstrap
 from repro.profiles import replay
 from repro.sim.fuzz import build_trace, generate_spec
 from repro.trace import read_trace
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TRACES = sorted(path.stem for path in GOLDEN.glob("*.jsonl"))
 SEEDS = range(8)
 _TABLE_COLUMNS = (
     "region", "t_enter", "t_leave", "inclusive", "exclusive", "depth",
@@ -53,6 +57,46 @@ def assert_matches_reference(trace, boot):
             assert boot.partials[rank][col].tolist() == partials[rank][col], (
                 f"rank {rank} statistic {col}"
             )
+
+
+def _reference_dominant(trace):
+    n = len(trace.regions)
+    _, partials = _reference(trace)
+    stats = ref.merge_partials([partials[r] for r in sorted(partials)], n)
+    paradigms = [int(region.paradigm) for region in trace.regions]
+    return ref.dominant_region(stats, paradigms, trace.num_processes)
+
+
+def _reference_sync(trace):
+    return [
+        ref.is_sync(region.name, int(region.paradigm), int(region.role))
+        for region in trace.regions
+    ]
+
+
+def _reference_segments(trace, dominant):
+    """``rank -> [(t_start, t_stop, sos), ...]`` from the reference."""
+    sync = _reference_sync(trace)
+    out = {}
+    for rank in trace.ranks:
+        ev = trace.events_of(rank)
+        out[rank] = ref.segments_and_sos(
+            ev.time.tolist(), ev.kind.tolist(), ev.ref.tolist(), dominant, sync
+        )
+    return out
+
+
+def assert_segments_match_reference(trace):
+    """``segment_trace`` + ``compute_sos`` equal the reference, bitwise."""
+    dominant = _reference_dominant(trace)
+    assert dominant >= 0
+    tables = replay.replay_trace(trace)
+    segmentation = segment_trace(tables, dominant)
+    sos = compute_sos(trace, segmentation, tables)
+    for rank, want in _reference_segments(trace, dominant).items():
+        assert segmentation[rank].t_start.tolist() == [a for a, _, _ in want]
+        assert segmentation[rank].t_stop.tolist() == [b for _, b, _ in want]
+        assert sos[rank].sos.tolist() == [c for _, _, c in want], f"rank {rank}"
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +134,41 @@ class TestReferenceOnPaperFigures:
             ref.replay([0.0, 1.0], [ref.ENTER, ref.LEAVE], [0, 1])
         with pytest.raises(ValueError, match="still open"):
             ref.replay([0.0], [ref.ENTER], [0])
+
+
+class TestSegmentsAndSOS:
+    def test_figure3(self):
+        trace = read_trace(GOLDEN / "figure3.jsonl")
+        expected = json.loads((GOLDEN / "figure3.expected.json").read_text())
+        got = _reference_segments(trace, _reference_dominant(trace))
+        assert {str(r): [a for a, _, _ in segs] for r, segs in got.items()} == (
+            expected["segment_starts"]
+        )
+        assert {str(r): [c for _, _, c in segs] for r, segs in got.items()} == (
+            expected["sos"]
+        )
+
+    @pytest.mark.parametrize("name", GOLDEN_TRACES)
+    def test_goldens(self, name):
+        trace = read_trace(GOLDEN / f"{name}.jsonl")
+        assert _reference_sync(trace) == default_classifier().mask(trace).tolist()
+        assert_segments_match_reference(trace)
+
+    def test_fuzz_scenarios(self, scenarios):
+        for trace in scenarios:
+            assert_segments_match_reference(trace)
+
+    def test_sync_time_is_subtracted(self):
+        # Figure 3's rank 0 spends 1 s in MPI at the end of each of its
+        # segments: SOS-time is the duration minus that second.
+        trace = read_trace(GOLDEN / "figure3.jsonl")
+        ev = trace.events_of(0)
+        columns = (ev.time.tolist(), ev.kind.tolist(), ev.ref.tolist())
+        dominant, sync = _reference_dominant(trace), _reference_sync(trace)
+        got = ref.segments_and_sos(*columns, dominant, sync)
+        blind = ref.segments_and_sos(*columns, dominant, [False] * len(sync))
+        assert [c for _, _, c in got] == [5.0, 2.0, 4.0]
+        assert [c for _, _, c in blind] == [6.0, 3.0, 5.0]
 
 
 class TestKernelEqualsReference:

@@ -390,64 +390,6 @@ class TestConsumeCursor:
             )
 
 
-class TestMetricWindow:
-    def _metric_trace(self):
-        from repro.trace import Location, Trace
-        from repro.trace.events import EventKind, EventListBuilder
-
-        trace = Trace(name="metrics")
-        trace.regions.register("step")
-        trace.metrics.register("flops")
-        b = EventListBuilder()
-        for i in range(8):
-            b.append(float(i), EventKind.ENTER, ref=0)
-            b.metric(i + 0.25, metric=0, value=float(10 * i))
-            b.metric(i + 0.75, metric=0, value=float(10 * i + 2))
-            b.append(i + 0.9, EventKind.LEAVE, ref=0)
-        trace.add_process(Location(0, "P0"), b.freeze())
-        return trace
-
-    def test_binned_means(self):
-        trace = self._metric_trace()
-        analyzer = StreamingAnalyzer(
-            trace.regions, 1, dominant="step", metric_window=2.0
-        )
-        analyzer.feed(0, trace.events_of(0))
-        starts, means = analyzer.metric_series(0, 0)
-        np.testing.assert_array_equal(starts, [0.0, 2.0, 4.0, 6.0])
-        # Bin [0, 2): samples 0, 2, 10, 12 -> mean 6.
-        np.testing.assert_allclose(means[0], 6.0)
-
-    def test_chunking_invariant(self):
-        trace = self._metric_trace()
-        whole = StreamingAnalyzer(
-            trace.regions, 1, dominant="step", metric_window=2.0
-        )
-        whole.feed(0, trace.events_of(0))
-        chunked = StreamingAnalyzer(
-            trace.regions, 1, dominant="step", metric_window=2.0
-        )
-        events = trace.events_of(0)
-        for i in range(0, len(events), 3):
-            chunked.feed(0, events[i : i + 3])
-        for got, want in zip(
-            chunked.metric_series(0, 0), whole.metric_series(0, 0)
-        ):
-            np.testing.assert_array_equal(got, want)
-
-    def test_disabled_by_default(self):
-        trace = self._metric_trace()
-        analyzer = StreamingAnalyzer(trace.regions, 1, dominant="step")
-        analyzer.feed(0, trace.events_of(0))
-        starts, means = analyzer.metric_series(0, 0)
-        assert starts.size == 0 and means.size == 0
-
-    def test_invalid_window(self):
-        trace = self._metric_trace()
-        with pytest.raises(ValueError, match="metric_window"):
-            StreamingAnalyzer(trace.regions, 1, metric_window=0.0)
-
-
 # -- short and long chunks ---------------------------------------------------
 
 
