@@ -215,7 +215,7 @@ def _add_shard_args(parser) -> None:
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser that records its ``add_argument`` calls and
     makes them when it first parses: a run builds the arguments of the
-    one subcommand it runs (or prints the help of), not of all sixteen."""
+    one subcommand it runs (or prints the help of), not of all fifteen."""
 
     def __init__(self, *args, **kwargs) -> None:
         self._pending = None  # the constructor's own -h is made at once
@@ -434,38 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("trace")
 
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="fuzz the analysis engines with random scenarios",
-        description=(
-            "Generate seeded random simulation scenarios and run each "
-            "through the differential oracle: the fused kernel against "
-            "the staged reference, the session across shard counts, and "
-            "the streaming analyzer fed in cursor chunks of several "
-            "sizes, over both .rpt container versions, must agree "
-            "bitwise.  Failures are minimized and written as "
-            "self-contained repro scripts."
-        ),
-    )
-    fuzz.add_argument("--seed", type=int, default=0,
-                      help="base seed; run N uses seed+N (default 0)")
-    fuzz.add_argument("--runs", type=int, default=10,
-                      help="number of scenarios to run (default 10)")
-    fuzz.add_argument("--minimize", dest="minimize", action="store_true",
-                      default=True,
-                      help="shrink failing scenarios (default)")
-    fuzz.add_argument("--no-minimize", dest="minimize",
-                      action="store_false",
-                      help="keep failing scenarios at their sampled size")
-    fuzz.add_argument("--corpus-dir", default=None,
-                      help="directory for repro artifacts on failure")
-    fuzz.add_argument(
-        "--adversarial", action="store_true",
-        help="plant cross-rank defects (deadlock cycles, wildcard "
-             "races, dropped collectives, orphan sends, wait chains) "
-             "and assert the TL3xx checker flags each one while "
-             "staying silent on the healthy baseline")
-
     deps = sub.add_parser(
         "deps",
         help="export the cross-rank message-match graph",
@@ -633,6 +601,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     from .core import AnalysisConfig
 
+    if args.bins < 1:
+        raise CLIError(f"--bins must be >= 1, got {args.bins}")
     session = _session_for_path(
         args.trace, args, config=AnalysisConfig(level=args.level)
     )
@@ -845,6 +815,8 @@ def _cmd_explain(args) -> int:
     trace = _load_trace(args.trace)
     analysis = _session(trace, args).analysis(function=args.function or None)
     rank, segment = args.rank, args.segment
+    if rank is not None and rank not in analysis.sos.ranks:
+        raise CLIError(f"trace has no rank {rank}")
     if rank is None or segment is None:
         hot = analysis.imbalance.hottest_segment()
         if hot is None:
@@ -861,7 +833,10 @@ def _cmd_explain(args) -> int:
         else:
             rank = hot.rank if rank is None else rank
             segment = hot.segment_index if segment is None else segment
-    explanation = explain_segment(analysis, rank, segment)
+    try:
+        explanation = explain_segment(analysis, rank, segment)
+    except IndexError as err:  # no such segment
+        raise CLIError(err.args[0]) from None
     print(explanation.format())
     return 0
 
@@ -937,18 +912,16 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .core.compare import compare_traces
+    from .core.compare import compare_analyses
 
-    session_a = _session_for_path(args.trace_a, args)
-    session_b = _session_for_path(args.trace_b, args)
-    comparison = compare_traces(
-        None,
-        None,
-        dominant=args.function,
-        min_relative_delta=args.min_relative_delta,
-        session_a=session_a,
-        session_b=session_b,
-    )
+    a = _session_for_path(args.trace_a, args).analysis(function=args.function)
+    b = _session_for_path(args.trace_b, args).analysis(function=args.function)
+    try:
+        comparison = compare_analyses(
+            a, b, min_relative_delta=args.min_relative_delta
+        )
+    except ValueError as err:  # runs that cannot be aligned
+        raise CLIError(err) from None
     print(comparison.format())
     return 0
 
@@ -1133,34 +1106,6 @@ def _emit_telemetry(args, col, profiler=None) -> None:
         print(summary.format())
 
 
-def _cmd_fuzz(args) -> int:
-    from .sim.fuzz import adversarial_run, fuzz_run
-
-    if args.runs < 1:
-        raise CLIError("--runs must be at least 1")
-    if args.adversarial:
-        reports = adversarial_run(seed=args.seed, runs=args.runs)
-        failed = [r for r in reports if not r.ok]
-        print(
-            f"fuzz --adversarial: {len(reports) - len(failed)}/"
-            f"{len(reports)} scenarios OK "
-            f"(seeds {args.seed}..{args.seed + args.runs - 1})"
-        )
-        return 1 if failed else 0
-    reports = fuzz_run(
-        seed=args.seed,
-        runs=args.runs,
-        minimize_failures=args.minimize,
-        corpus_dir=args.corpus_dir,
-    )
-    failed = [r for r in reports if not r.ok]
-    print(
-        f"fuzz: {len(reports) - len(failed)}/{len(reports)} scenarios OK "
-        f"(seeds {args.seed}..{args.seed + args.runs - 1})"
-    )
-    return 1 if failed else 0
-
-
 def _cmd_deps(args) -> int:
     from .lint import LintConfig, graph_to_dot, graph_to_json_dict
 
@@ -1195,7 +1140,6 @@ _COMMANDS = {
     "explain": _cmd_explain,
     "monitor": _cmd_monitor,
     "stats": _cmd_stats,
-    "fuzz": _cmd_fuzz,
     "deps": _cmd_deps,
     "perf": _cmd_perf,
 }

@@ -11,6 +11,9 @@ import os
 
 import pytest
 
+# The scenario oracle's shared assertions report like the tests' own.
+pytest.register_assert_rewrite("scenario_oracle")
+
 from repro.paper import figure1_trace, figure2_trace, figure3_trace
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
@@ -45,6 +48,25 @@ def pytest_addoption(parser):
         help="regenerate the golden analysis snapshots under tests/golden/ "
         "instead of comparing against them",
     )
+    parser.addoption(
+        "--fuzz-seed", type=int, default=0,
+        help="first seed of the fuzz-marked tests' scenario window (default 0)",
+    )
+    parser.addoption(
+        "--fuzz-runs", type=int, default=10,
+        help="number of seeds in that window (default 10)",
+    )
+
+
+def pytest_generate_tests(metafunc):
+    """A test that takes ``fuzz_seed`` runs once per seed of the window
+    ``--fuzz-seed`` .. ``--fuzz-seed + --fuzz-runs - 1``."""
+    if "fuzz_seed" in metafunc.fixturenames:
+        seed = metafunc.config.getoption("--fuzz-seed")
+        runs = metafunc.config.getoption("--fuzz-runs")
+        if runs < 1:
+            raise pytest.UsageError("--fuzz-runs must be at least 1")
+        metafunc.parametrize("fuzz_seed", range(seed, seed + runs))
 
 
 @pytest.fixture()

@@ -144,6 +144,19 @@ class TestAnalyze:
         assert (views / "sos_heatmap.png").exists()
         assert (views / "timeline.png").exists()
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    @pytest.mark.parametrize("output", ["text", "--json", "--html", "--views"])
+    def test_bins_below_one_rejected(self, output, bins, trace_path,
+                                     tmp_path, capsys):
+        flags = [] if output == "text" else [output, str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path), "--bins", str(bins),
+                     *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --bins must be >= 1, got {bins}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_function_pinning(self, trace_path, capsys):
         assert main(["analyze", str(trace_path), "--function", "work"]) == 0
         assert "'work'" in capsys.readouterr().out
@@ -230,30 +243,55 @@ class TestSelectionErrors:
                      "--iterations", "1", "-o", str(path)]) == 0
         return path
 
+    @pytest.fixture(scope="class")
+    def other_dominant(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cosmo") / "c4.rpt"
+        assert main(["simulate", "cosmo_specs", "--processes", "4",
+                     "--iterations", "8", "-o", str(path)]) == 0
+        return path
+
     @pytest.mark.parametrize("command,case", [
         *((c, case) for case in ("no-candidate", "function")
           for c in ("analyze", "compare", "explain")),
         ("analyze", "level=99"),
         ("analyze", "level=-1"),  # only analyze has --level
+        ("compare", "other-dominant"),
+        ("explain", "rank=99"),
+        ("explain", "rank=-1"),
+        ("explain", "segment=999"),
+        ("explain", "segment=-1"),
     ])
     def test_exits_2_with_one_line(self, command, case, no_candidate,
-                                   trace_path, capsys):
+                                   other_dominant, trace_path, capsys):
+        paths = [trace_path] * (2 if command == "compare" else 1)
+        flags = []
+        key, _, value = case.partition("=")
         if case == "no-candidate":
-            path, flags = no_candidate, []
+            paths = [no_candidate] * len(paths)
             message = (
                 "no dominant-function candidate: no function is invoked "
                 "at least 8 times (2.0 x 4 processes)"
             )
         elif case == "function":
-            path, flags = trace_path, ["--function", "nosuch"]
+            flags = ["--function", "nosuch"]
             message = "'nosuch' is not a dominant-function candidate"
+        elif case == "other-dominant":
+            paths = [trace_path, other_dominant]
+            message = (
+                "runs segmented by different functions: 'iteration' vs "
+                "'timeloop_iteration'; pin one with at_function()"
+            )
+        elif key == "rank":
+            flags = ["--rank", value, "--segment", "0"]
+            message = f"trace has no rank {value}"
+        elif key == "segment":
+            flags = ["--rank", "0", "--segment", value]
+            message = f"rank 0 has 8 segments; no index {value}"
         else:
-            level = case.split("=")[1]
-            path, flags = trace_path, ["--level", level]
-            message = f"refinement level {level} out of range (have 2 candidates)"
+            flags = ["--level", value]
+            message = f"refinement level {value} out of range (have 2 candidates)"
         capsys.readouterr()
-        paths = [str(path)] * (2 if command == "compare" else 1)
-        assert main([command, *paths, *flags]) == 2
+        assert main([command, *map(str, paths), *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_monitor_without_candidate_runs(self, no_candidate, capsys):

@@ -20,16 +20,13 @@ from repro.core.session import AnalysisSession
 from repro.core.streaming import StreamingAnalyzer
 from repro.profiles.replay import replay_trace
 from repro.trace import write_binary, write_jsonl
+from scenario_oracle import (
+    assert_identical_analysis,
+    build_adversarial_traces,
+    generate_adversarial,
+)
 
 SHARD_COUNTS = (1, 2, 3, 7)
-
-_STAT_COLUMNS = (
-    "count",
-    "inclusive_sum",
-    "exclusive_sum",
-    "inclusive_min",
-    "inclusive_max",
-)
 
 
 def _scenario_cosmo():
@@ -85,50 +82,6 @@ def scenario(request):
     """(name, trace, unsharded reference analysis) per workload."""
     trace = SCENARIOS[request.param]()
     return request.param, trace, analyze_trace(trace)
-
-
-def assert_identical_analysis(reference, candidate):
-    """Every product of two analyses must match bitwise."""
-    assert candidate.dominant_name == reference.dominant_name
-    assert candidate.selection.region == reference.selection.region
-
-    for col in _STAT_COLUMNS:
-        assert np.array_equal(
-            getattr(candidate.profile.stats, col),
-            getattr(reference.profile.stats, col),
-        ), f"profile column {col} differs"
-
-    assert candidate.sos.ranks == reference.sos.ranks
-    for rank in reference.sos.ranks:
-        ref, got = reference.sos[rank], candidate.sos[rank]
-        for arr in ("duration", "sync_time", "sos"):
-            assert np.array_equal(getattr(got, arr), getattr(ref, arr)), (
-                f"rank {rank} {arr} differs"
-            )
-        ref_seg = reference.segmentation[rank]
-        got_seg = candidate.segmentation[rank]
-        for arr in ("t_start", "t_stop", "invocation_row"):
-            assert np.array_equal(
-                getattr(got_seg, arr), getattr(ref_seg, arr)
-            ), f"rank {rank} segment {arr} differs"
-
-    ref_heat, ref_edges = reference.heat_matrix(bins=64)
-    got_heat, got_edges = candidate.heat_matrix(bins=64)
-    assert np.array_equal(got_edges, ref_edges)
-    assert np.array_equal(got_heat, ref_heat, equal_nan=True)
-
-    ref_imb, got_imb = reference.imbalance, candidate.imbalance
-    assert got_imb.imbalance_pct == ref_imb.imbalance_pct
-    assert [(h.rank, h.zscore) for h in got_imb.hot_ranks] == [
-        (h.rank, h.zscore) for h in ref_imb.hot_ranks
-    ]
-    assert len(got_imb.hot_segments) == len(ref_imb.hot_segments)
-
-    for trend_attr in ("trend", "duration_trend"):
-        ref_t = getattr(reference, trend_attr)
-        got_t = getattr(candidate, trend_attr)
-        assert got_t.slope == ref_t.slope
-        assert got_t.p_value == ref_t.p_value
 
 
 class TestShardedEqualsUnsharded:
@@ -380,8 +333,6 @@ class TestPreflightScan:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_report_equals_lint_trace_adversarial(self, seed, tmp_path):
-        from repro.sim.fuzz import build_adversarial_traces, generate_adversarial
-
         traces = build_adversarial_traces(generate_adversarial(seed))
         for i, trace in enumerate(traces):
             self._assert_same_report(trace, tmp_path / f"adv{i}.rpt")

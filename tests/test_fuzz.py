@@ -1,25 +1,20 @@
-"""Tests of the scenario fuzzer, differential oracle and minimizer.
+"""Tests of the scenario generator and the scenario oracle.
 
-Three layers:
-
-* Determinism — a seed must pin the spec, the trace bytes, and the
-  CLI output, forever.
-* The oracle itself — green on healthy engines over both random
-  scenarios and the named phenomenon corpus, and *red* when a bug is
-  deliberately seeded into an engine (the mutation test: an oracle
-  that cannot catch a planted bug is decoration).
-* The minimizer — shrinks a failing scenario while preserving the
-  failure, and writes a runnable self-contained repro.
+* Determinism — a seed must pin the spec and the trace bytes, forever.
+* The oracle (``tests/scenario_oracle.py``) — green on generated
+  scenarios and the named phenomenon corpus, and *red*, in the right
+  cell, when a bug is planted in the program (an oracle that cannot
+  catch a planted bug is decoration).  The minimizer then shrinks the
+  failing scenario while its failure kind holds.
+* The fuzz tier (``pytest -m fuzz``) runs the oracle and the
+  adversarial planters over the seed window ``--fuzz-seed`` /
+  ``--fuzz-runs`` (tests/conftest.py).
 """
-
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro.trace.cursor as cursor_mod
+from repro._record import replace
 from repro.cli import main
 from repro.sim.fuzz import (
     COLLECTIVES,
@@ -27,19 +22,22 @@ from repro.sim.fuzz import (
     InjectionSpec,
     ScenarioSpec,
     build_trace,
-    fuzz_run,
     generate_spec,
-    kind_preserving_predicate,
-    minimize,
-    run_oracle,
-    run_oracle_trace,
-    write_repro,
 )
 from repro.trace.fingerprint import fingerprint_trace
-
-# A small matrix keeps the in-tier-1 oracle runs fast; the full
-# default matrix runs under ``-m fuzz`` and in the nightly CI job.
-SMALL = dict(shard_counts=(1, 3), chunk_sizes=(7, None), versions=(1, 2))
+from scenario_oracle import (
+    assert_defect_detected,
+    assert_scenario_passes,
+    assert_trace_passes,
+    check_spec,
+    children_by_local_row,
+    failure_kinds,
+    first_child_only,
+    generate_adversarial,
+    kind_preserving_predicate,
+    minimize,
+    plant_table_bug,
+)
 
 
 class TestGenerateSpec:
@@ -109,32 +107,20 @@ class TestGenerateSpec:
 
 class TestOracle:
     def test_healthy_engines_pass(self):
-        report = run_oracle(generate_spec(0), **SMALL)
-        assert report.ok, report.summary()
-        assert report.cells > 10
-        assert report.fingerprint
-
-    @pytest.mark.fuzz
-    @pytest.mark.parametrize("seed", range(1, 11))
-    def test_healthy_engines_pass_full_matrix(self, seed):
-        report = run_oracle(generate_spec(seed))
-        assert report.ok, report.summary()
+        assert check_spec(generate_spec(0)) == []
 
     def test_corpus_trace_passes(self):
         from repro.sim.workloads import late_sender
 
-        trace = late_sender.generate(ranks=4, iterations=6)
-        report = run_oracle_trace(trace, **SMALL)
-        assert report.ok, report.summary()
+        assert_trace_passes(late_sender.generate(ranks=4, iterations=6))
 
     @pytest.mark.fuzz
     @pytest.mark.parametrize("workload", ["idle_wave", "serialization"])
-    def test_corpus_traces_pass_full_matrix(self, workload):
+    def test_corpus_traces_pass(self, workload):
         from repro.sim import workloads
 
         trace = getattr(workloads, workload).generate(ranks=6, iterations=8)
-        report = run_oracle_trace(trace, **SMALL)
-        assert report.ok, report.summary()
+        assert_trace_passes(trace)
 
     def test_simulation_crash_is_reported(self):
         bad = ScenarioSpec(
@@ -142,9 +128,23 @@ class TestOracle:
             injections=(InjectionSpec("straggler", ranks=(0,),
                                       magnitude=-2.0),),
         )
-        report = run_oracle(bad, **SMALL)
-        assert not report.ok
-        assert report.failures[0].cell == "simulate"
+        assert check_spec(bad)[0].cell == "simulate"
+
+    def test_below_the_floor_is_a_baseline_failure(self):
+        # One iteration: no function reaches 2p invocations.
+        spec = ScenarioSpec(seed=0, ranks=3, iterations=1)
+        assert failure_kinds(check_spec(spec)) == {"baseline"}
+
+
+@pytest.mark.fuzz
+class TestFuzzWindow:
+    """The seed window of ``--fuzz-seed``/``--fuzz-runs``."""
+
+    def test_scenario(self, fuzz_seed):
+        assert_scenario_passes(generate_spec(fuzz_seed))
+
+    def test_adversarial(self, fuzz_seed):
+        assert_defect_detected(generate_adversarial(fuzz_seed))
 
 
 def _buggy_chunk_bounds(real):
@@ -157,92 +157,52 @@ def _buggy_chunk_bounds(real):
     return buggy
 
 
-class TestMutation:
-    """The oracle must catch a deliberately planted engine bug."""
+def _assert_caught_and_minimized(spec, cell):
+    """``spec`` fails in ``cell``, the same way on every run, and the
+    failure's message carries a scenario minimized to <= 25 %."""
+    failures = check_spec(spec)
+    assert cell in failure_kinds(failures), failures
+    assert check_spec(spec) == failures  # same seed, same verdict
 
-    def test_planted_bug_caught_and_minimized(self, monkeypatch, tmp_path):
-        spec = generate_spec(2)
+    with pytest.raises(AssertionError) as caught:
+        assert_scenario_passes(spec)
+    message = str(caught.value)
+    assert f"[{cell}" in message
+    [json_line] = [ln for ln in message.splitlines() if ln.startswith("spec: ")]
+    minimized = ScenarioSpec.from_json(json_line[len("spec: "):])
+    assert minimized.size() <= spec.size() * 0.25, (
+        f"minimizer only reached {minimized.size()} from {spec.size()}"
+    )
+    assert cell in failure_kinds(check_spec(minimized))
+
+    # The kind-preserving predicate refuses a reduction that only
+    # falls below the 2p dominant-candidate floor.
+    floor = replace(minimized, iterations=1, subiters=1)
+    assert failure_kinds(check_spec(floor)) == {"baseline"}
+    assert not kind_preserving_predicate(failures)(floor)
+
+
+class TestMutation:
+    """The oracle must catch a deliberately planted program bug."""
+
+    def test_planted_bug_caught_and_minimized(self, monkeypatch):
         monkeypatch.setattr(
             cursor_mod, "_chunk_bounds",
             _buggy_chunk_bounds(cursor_mod._chunk_bounds),
         )
+        _assert_caught_and_minimized(generate_spec(2), "stream")
 
-        report = run_oracle(spec, **SMALL)
-        assert not report.ok, "planted chunking bug was not caught"
-        assert any(f.cell.startswith("stream/") for f in report.failures)
-
-        # The kind-preserving predicate refuses reductions that merely
-        # fail for a *different* reason (e.g. dropping below the 2p
-        # dominant-candidate floor crashes the reference pipeline).
-        still_fails = kind_preserving_predicate(report, **SMALL)
-        minimized = minimize(spec, still_fails)
-        assert still_fails(minimized)
-        final_kinds = run_oracle(minimized, **SMALL).failure_kinds()
-        assert final_kinds & report.failure_kinds()
-        assert "reference" not in final_kinds
-        assert minimized.size() <= spec.size() * 0.25, (
-            f"minimizer only reached {minimized.size()} from {spec.size()}"
-        )
-
-        final = run_oracle(minimized, **SMALL)
-        script = write_repro(final, tmp_path)
-        assert script.exists()
-        data = json.loads(
-            (tmp_path / f"repro-seed{spec.seed}.json").read_text()
-        )
-        assert data["failures"]
-        assert (tmp_path / f"repro-seed{spec.seed}.jsonl").exists()
+    @pytest.mark.parametrize("corrupt", [children_by_local_row, first_child_only])
+    def test_planted_table_bug_caught_and_minimized(self, corrupt, monkeypatch):
+        # The two exclusive-time bugs of test_reference.py's
+        # TestReferenceHasTeeth; the second one the kernel shares with
+        # its own one-rank batches, so only the reference sees it.
+        plant_table_bug(monkeypatch, corrupt)
+        _assert_caught_and_minimized(generate_spec(2), "reference")
 
     def test_healthy_engine_rejects_minimize(self):
         with pytest.raises(ValueError, match="failing"):
             minimize(generate_spec(0), lambda s: False)
-
-
-class TestRepro:
-    def test_repro_script_runs_green_on_healthy_engines(self, tmp_path):
-        # The repro artifacts are self-contained: with the planted bug
-        # absent, re-running the script must exit 0.
-        spec = ScenarioSpec(seed=0, ranks=2, iterations=3,
-                            pattern="sendrecv_ring", collective="barrier")
-        report = run_oracle(spec, **SMALL)
-        assert report.ok
-        script = write_repro(report, tmp_path)
-        src_dir = Path(__file__).parent.parent / "src"
-        result = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True, text=True, timeout=300,
-            env={"PYTHONPATH": str(src_dir), "PATH": "/usr/bin:/bin",
-                 "REPRO_SHARD_WORKERS": "1"},
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-
-
-class TestFuzzCLI:
-    def test_cli_output_byte_reproducible(self, capsys):
-        assert main(["fuzz", "--seed", "7", "--runs", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(["fuzz", "--seed", "7", "--runs", "1"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert "1/1 scenarios OK" in first
-
-    def test_cli_rejects_zero_runs(self, capsys):
-        assert main(["fuzz", "--runs", "0"]) == 2
-        assert "at least 1" in capsys.readouterr().err
-
-    def test_fuzz_run_writes_repro_on_failure(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            cursor_mod, "_chunk_bounds",
-            _buggy_chunk_bounds(cursor_mod._chunk_bounds),
-        )
-        lines = []
-        reports = fuzz_run(
-            seed=2, runs=1, minimize_failures=True,
-            corpus_dir=tmp_path, log=lines.append,
-        )
-        assert len(reports) == 1 and not reports[0].ok
-        assert any("minimized" in ln for ln in lines)
-        assert list(tmp_path.glob("repro-seed2.*"))
 
 
 class TestPhenomenonWorkloads:

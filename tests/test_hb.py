@@ -5,8 +5,8 @@ vector-clock engine's causality answers, each TL3xx rule on a minimal
 positive and negative fixture, the adversarial fuzz planters, the
 engine routing guarantees (hb rules always see all ranks, column
 projection includes the hb extras), shard-count determinism, the
-golden-corpus silence contract, graph export and the ``repro deps`` /
-``fuzz --adversarial`` CLI.
+golden-corpus silence contract, graph export and the ``repro deps``
+CLI.
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ from repro.lint.hb import (
     MatchRecords,
     match_records_for_trace,
 )
-from repro.sim.fuzz import (
-    ADVERSARY_EXPECT,
-    ADVERSARY_KINDS,
-    build_adversarial_traces,
-    generate_adversarial,
-    run_adversarial_oracle,
-)
 from repro.trace import write_jsonl
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
+from scenario_oracle import (
+    ADVERSARY_KINDS,
+    assert_defect_detected,
+    build_adversarial_traces,
+    generate_adversarial,
+)
 
 HB_SELECT = LintConfig(select=("TL3*",))
 
@@ -444,15 +443,7 @@ class TestRules:
 class TestAdversarial:
     @pytest.mark.parametrize("seed", range(len(ADVERSARY_KINDS)))
     def test_each_planted_defect_detected(self, seed):
-        scenario = generate_adversarial(seed)
-        healthy, planted = build_adversarial_traces(scenario)
-        expected = ADVERSARY_EXPECT[scenario.kind]
-        assert expected in codes(lint_trace(planted, config=HB_SELECT))
-        assert codes(lint_trace(healthy, config=HB_SELECT)) == set()
-
-    def test_oracle_reports_ok(self):
-        report = run_adversarial_oracle(generate_adversarial(0))
-        assert report.ok, report.failures
+        assert_defect_detected(generate_adversarial(seed))
 
 
 class TestEngineRouting:
@@ -641,7 +632,3 @@ digraph deps {
         from repro.cli import main
 
         assert main(["deps", "/no/such/trace.jsonl"]) == 2
-
-    def test_fuzz_adversarial_smoke(self, capsys):
-        assert self.run("fuzz", "--adversarial", "--runs", "1") == 0
-        assert "1/1 scenarios OK" in capsys.readouterr().out

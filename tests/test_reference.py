@@ -17,86 +17,41 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from repro._record import replace
 from repro.core import compute_sos, default_classifier, incremental, segment_trace
 from repro.core.fused import fused_bootstrap
 from repro.profiles import replay
 from repro.sim.fuzz import build_trace, generate_spec
 from repro.trace import read_trace
+from scenario_oracle import (
+    assert_matches_reference,
+    assert_segments_match,
+    children_by_local_row,
+    first_child_only,
+    plant_table_bug,
+    reference_dominant,
+    reference_segments,
+    reference_sync,
+    reference_tables,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_TRACES = sorted(path.stem for path in GOLDEN.glob("*.jsonl"))
 SEEDS = range(8)
-_TABLE_COLUMNS = (
-    "region", "t_enter", "t_leave", "inclusive", "exclusive", "depth",
-    "parent", "outermost", "enter_index", "leave_index",
-)
 
 
-def _reference(trace):
-    n = len(trace.regions)
-    frames = {}
-    for rank in trace.ranks:
-        ev = trace.events_of(rank)
-        frames[rank] = ref.replay(ev.time.tolist(), ev.kind.tolist(), ev.ref.tolist())
-    partials = {rank: ref.region_partials(frames[rank], n) for rank in trace.ranks}
-    return frames, partials
-
-
-def assert_matches_reference(trace, boot):
-    """Every table row and partial equals the reference, bitwise."""
-    frames, partials = _reference(trace)
-    assert sorted(boot.tables) == sorted(frames)
-    for rank, want in frames.items():
-        table = boot.tables[rank]
-        for col in _TABLE_COLUMNS:
-            assert getattr(table, col).tolist() == [
-                getattr(f, col) for f in want
-            ], f"rank {rank} column {col}"
-        for col in ref.STAT_COLUMNS:
-            assert boot.partials[rank][col].tolist() == partials[rank][col], (
-                f"rank {rank} statistic {col}"
-            )
-
-
-def _reference_dominant(trace):
-    n = len(trace.regions)
-    _, partials = _reference(trace)
-    stats = ref.merge_partials([partials[r] for r in sorted(partials)], n)
-    paradigms = [int(region.paradigm) for region in trace.regions]
-    return ref.dominant_region(stats, paradigms, trace.num_processes)
-
-
-def _reference_sync(trace):
-    return [
-        ref.is_sync(region.name, int(region.paradigm), int(region.role))
-        for region in trace.regions
-    ]
-
-
-def _reference_segments(trace, dominant):
-    """``rank -> [(t_start, t_stop, sos), ...]`` from the reference."""
-    sync = _reference_sync(trace)
-    out = {}
-    for rank in trace.ranks:
-        ev = trace.events_of(rank)
-        out[rank] = ref.segments_and_sos(
-            ev.time.tolist(), ev.kind.tolist(), ev.ref.tolist(), dominant, sync
-        )
-    return out
+def assert_boot_matches(trace, boot):
+    """A kernel pass's tables and partials equal the reference's."""
+    assert_matches_reference(trace, boot.tables, boot.partials)
 
 
 def assert_segments_match_reference(trace):
     """``segment_trace`` + ``compute_sos`` equal the reference, bitwise."""
-    dominant = _reference_dominant(trace)
+    dominant = reference_dominant(trace)
     assert dominant >= 0
     tables = replay.replay_trace(trace)
     segmentation = segment_trace(tables, dominant)
     sos = compute_sos(trace, segmentation, tables)
-    for rank, want in _reference_segments(trace, dominant).items():
-        assert segmentation[rank].t_start.tolist() == [a for a, _, _ in want]
-        assert segmentation[rank].t_stop.tolist() == [b for _, b, _ in want]
-        assert sos[rank].sos.tolist() == [c for _, _, c in want], f"rank {rank}"
+    assert_segments_match(segmentation, sos, reference_segments(trace, dominant))
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +65,7 @@ class TestReferenceOnPaperFigures:
         trace = read_trace(GOLDEN / f"{name}.jsonl")
         expected = json.loads((GOLDEN / f"{name}.expected.json").read_text())
         n = len(trace.regions)
-        _, partials = _reference(trace)
+        _, partials = reference_tables(trace)
         stats = ref.merge_partials([partials[r] for r in sorted(partials)], n)
         names = [region.name for region in trace.regions]
         profile = {
@@ -140,7 +95,7 @@ class TestSegmentsAndSOS:
     def test_figure3(self):
         trace = read_trace(GOLDEN / "figure3.jsonl")
         expected = json.loads((GOLDEN / "figure3.expected.json").read_text())
-        got = _reference_segments(trace, _reference_dominant(trace))
+        got = reference_segments(trace, reference_dominant(trace))
         assert {str(r): [a for a, _, _ in segs] for r, segs in got.items()} == (
             expected["segment_starts"]
         )
@@ -151,7 +106,7 @@ class TestSegmentsAndSOS:
     @pytest.mark.parametrize("name", GOLDEN_TRACES)
     def test_goldens(self, name):
         trace = read_trace(GOLDEN / f"{name}.jsonl")
-        assert _reference_sync(trace) == default_classifier().mask(trace).tolist()
+        assert reference_sync(trace) == default_classifier().mask(trace).tolist()
         assert_segments_match_reference(trace)
 
     def test_fuzz_scenarios(self, scenarios):
@@ -164,7 +119,7 @@ class TestSegmentsAndSOS:
         trace = read_trace(GOLDEN / "figure3.jsonl")
         ev = trace.events_of(0)
         columns = (ev.time.tolist(), ev.kind.tolist(), ev.ref.tolist())
-        dominant, sync = _reference_dominant(trace), _reference_sync(trace)
+        dominant, sync = reference_dominant(trace), reference_sync(trace)
         got = ref.segments_and_sos(*columns, dominant, sync)
         blind = ref.segments_and_sos(*columns, dominant, [False] * len(sync))
         assert [c for _, _, c in got] == [5.0, 2.0, 4.0]
@@ -178,60 +133,27 @@ class TestKernelEqualsReference:
             monkeypatch.setattr(incremental, "_BATCH_EVENTS", batch_events)
         for trace in scenarios:
             assert len(trace.ranks) <= 12
-            assert_matches_reference(trace, fused_bootstrap(trace))
-            assert_matches_reference(trace, fused_bootstrap(trace, lint=False))
+            assert_boot_matches(trace, fused_bootstrap(trace))
+            assert_boot_matches(trace, fused_bootstrap(trace, lint=False))
 
     def test_match_invocations(self, scenarios):
         for trace in scenarios[:3]:
             tables = {r: replay.match_invocations(trace.events_of(r)) for r in trace.ranks}
             boot = fused_bootstrap(trace)
-            assert_matches_reference(trace, replace(boot, tables=tables))
-
-
-def _plant(monkeypatch, corrupt):
-    """Route the kernel's and replay's table building through a bug."""
-    real = replay.table_from_pairing
-
-    def planted(pairing, time, ref_column):
-        built = real(pairing, time, ref_column)
-        exclusive = corrupt(built.table, built.frame_starts)
-        return replace(built, table=replace(built.table, exclusive=exclusive))
-
-    monkeypatch.setattr(incremental, "table_from_pairing", planted)
-    monkeypatch.setattr(replay, "table_from_pairing", planted)
-
-
-def _children_by_local_row(table, frame_starts):
-    """Exclusive time with children credited to their rank-local parent
-    row in batch coordinates: right for the first rank of a batch only."""
-    child_sum = np.zeros(len(table))
-    has = table.parent >= 0
-    np.add.at(child_sum, table.parent[has], table.inclusive[has])
-    return table.inclusive - child_sum
-
-
-def _first_child_only(table, frame_starts):
-    """Exclusive time that subtracts only each frame's first child."""
-    offset = np.repeat(frame_starts[:-1], np.diff(frame_starts))
-    rows = np.flatnonzero(table.parent >= 0)
-    parent = table.parent[rows] + offset[rows]
-    first = np.unique(parent, return_index=True)[1]
-    child_sum = np.zeros(len(table))
-    child_sum[parent[first]] = table.inclusive[rows[first]]
-    return table.inclusive - child_sum
+            assert_matches_reference(trace, tables, boot.partials)
 
 
 class TestReferenceHasTeeth:
     def test_batch_bug_is_caught(self, scenarios, monkeypatch):
-        _plant(monkeypatch, _children_by_local_row)
+        plant_table_bug(monkeypatch, children_by_local_row)
         with pytest.raises(AssertionError, match="exclusive"):
             for trace in scenarios:
-                assert_matches_reference(trace, fused_bootstrap(trace))
+                assert_boot_matches(trace, fused_bootstrap(trace))
 
     def test_shared_bug_is_caught_where_self_comparison_is_blind(
         self, scenarios, monkeypatch
     ):
-        _plant(monkeypatch, _first_child_only)
+        plant_table_bug(monkeypatch, first_child_only)
         blind = True
         for trace in scenarios:
             boot = fused_bootstrap(trace)
@@ -241,4 +163,4 @@ class TestReferenceHasTeeth:
         assert blind  # the kernel agrees with its own one-rank batches
         with pytest.raises(AssertionError, match="exclusive"):
             for trace in scenarios:
-                assert_matches_reference(trace, fused_bootstrap(trace))
+                assert_boot_matches(trace, fused_bootstrap(trace))
